@@ -470,16 +470,20 @@ let spawn_worker ~index =
   Unix.close worker_fd;
   { w_index = index; pid; fd = coord_fd; alive = true; reaped = false }
 
-let hello_bytes ~index ~transform ~obs ~faults ~keyset_blob =
-  let buf = Buffer.create (String.length keyset_blob + 256) in
+(* Everything in a DHEL payload before the serialized keyset: the only
+   per-worker part, so the coordinator sends it ahead of one shared blob. *)
+let hello_prefix ~index ~transform ~obs ~faults =
+  let buf = Buffer.create 256 in
   Wire.write_magic buf "DHEL";
   Wire.write_i64 buf index;
   Wire.write_u8 buf (Pytfhe_fft.Transform.kind_code transform);
   Wire.write_bool buf (Trace.enabled obs);
   Wire.write_f64 buf (Trace.epoch obs);
   Wire.write_array buf write_fault (Array.of_list faults);
-  Buffer.add_string buf keyset_blob;
   Buffer.to_bytes buf
+
+let hello_bytes ~index ~transform ~obs ~faults ~keyset_blob =
+  Bytes.cat (hello_prefix ~index ~transform ~obs ~faults) (Bytes.unsafe_of_string keyset_blob)
 
 (* Serialize and send one shard request; accounts dispatch time/bytes. *)
 let send_shard st sh =
@@ -784,11 +788,12 @@ let session_start ?(obs = Trace.null) cfg cloud =
      [Gates.constant] and the tests touch the evaluation pipeline, and the
      precompute must not race anything. *)
   Params.precompute cloud.Gates.cloud_params;
-  (* Ship the keyset once: serialize it up front, reuse the blob per worker. *)
+  (* Ship the keyset once: serialize it up front and write the one blob
+     into every worker's frame, behind that worker's own prefix. *)
   let keyset_blob =
     let buf = Buffer.create (1 lsl 20) in
     Gates.write_cloud_keyset buf cloud;
-    Buffer.contents buf
+    Buffer.to_bytes buf
   in
   let members = Array.init cfg.workers (fun i -> spawn_worker ~index:i) in
   let wtracks =
@@ -822,12 +827,12 @@ let session_start ?(obs = Trace.null) cfg cloud =
      Array.iter
        (fun w ->
          let faults = List.filter (fun f -> f.victim = w.w_index) cfg.faults in
-         let hello =
-           hello_bytes ~index:w.w_index
-             ~transform:cloud.Gates.cloud_params.Params.transform ~obs ~faults ~keyset_blob
+         let prefix =
+           hello_prefix ~index:w.w_index
+             ~transform:cloud.Gates.cloud_params.Params.transform ~obs ~faults
          in
          try
-           let n = write_frame w.fd hello in
+           let n = Framing.write_frame_parts w.fd [ prefix; keyset_blob ] in
            st.bytes_out <- st.bytes_out + n
          with Frame_closed ->
            st.lost <- st.lost + 1;
@@ -861,7 +866,7 @@ let session_start ?(obs = Trace.null) cfg cloud =
     s_cloud = cloud;
     s_st = st;
     s_members = members;
-    s_keyset_bytes = String.length keyset_blob;
+    s_keyset_bytes = Bytes.length keyset_blob;
     s_started = start;
     s_startup = Unix.gettimeofday () -. start;
     s_restore = restore_sigpipe;

@@ -195,7 +195,9 @@ val hello_bytes :
   Bytes.t
 (** The coordinator's DHEL frame payload: magic, worker index, the
     coordinator's transform tag, tracing plumbing, fault schedule and the
-    serialized cloud keyset. *)
+    serialized cloud keyset.  The coordinator itself puts the same bytes
+    on the wire as a per-worker prefix followed by one keyset blob shared
+    by all workers ({!Framing.write_frame_parts}), never concatenated. *)
 
 val parse_hello :
   Pytfhe_util.Wire.reader ->

@@ -53,14 +53,16 @@ let read_exact ~deadline fd bytes off len =
     end
   done
 
-let write_frame fd payload =
-  let len = Bytes.length payload in
+let write_frame_parts fd parts =
+  let len = List.fold_left (fun acc part -> acc + Bytes.length part) 0 parts in
   let header = Bytes.create 12 in
   Bytes.blit_string frame_magic 0 header 0 4;
   Bytes.set_int64_le header 4 (Int64.of_int len);
   write_all fd header 0 12;
-  write_all fd payload 0 len;
+  List.iter (fun part -> write_all fd part 0 (Bytes.length part)) parts;
   12 + len
+
+let write_frame fd payload = write_frame_parts fd [ payload ]
 
 let read_frame ?(deadline = infinity) fd =
   let header = Bytes.create 12 in

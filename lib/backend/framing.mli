@@ -28,9 +28,13 @@ val read_exact : deadline:float -> Unix.file_descr -> Bytes.t -> int -> int -> u
 (** Read exactly [len] bytes before [deadline] (absolute seconds;
     [infinity] blocks), or raise {!Frame_timeout} / {!Frame_closed}. *)
 
+val write_frame_parts : Unix.file_descr -> Bytes.t list -> int
+(** Frame and send the concatenation of [parts] as one payload, without
+    building it: a large part shared by several frames is written as is.
+    Returns the bytes put on the wire (12 + total payload length). *)
+
 val write_frame : Unix.file_descr -> Bytes.t -> int
-(** Frame and send a payload; returns the bytes put on the wire
-    (12 + payload length). *)
+(** [write_frame fd payload] is [write_frame_parts fd [payload]]. *)
 
 val read_frame : ?deadline:float -> Unix.file_descr -> string
 (** Receive one frame's payload.  Raises {!Pytfhe_util.Wire.Corrupt} on a

@@ -124,6 +124,8 @@ module Emit = struct
     mutable first_input : int;  (* stream index of the first input; -1 until seen *)
     mutable deferred : int list;  (* reversed ids awaiting the first input *)
     mutable gate_total : int;
+    mutable bootstraps : int;
+    rotations : (int list, unit) Hashtbl.t;  (* operand sets of multi-input LUTs *)
     mutable bytes_emitted : int;
     mutable finished : bool;
   }
@@ -140,6 +142,8 @@ module Emit = struct
         first_input = -1;
         deferred = [];
         gate_total = 0;
+        bootstraps = 0;
+        rotations = Hashtbl.create 16;
         bytes_emitted = 0;
         finished = false;
       }
@@ -190,6 +194,7 @@ module Emit = struct
         let g = if v then Gate.Xnor else Gate.Xor in
         emit e.buf (Gate_inst { gate = g; in0 = e.first_input; in1 = e.first_input });
         e.gate_total <- e.gate_total + 1;
+        e.bootstraps <- e.bootstraps + 1;
         maybe_flush e
       end
     | Netlist.Gate (g, a, b) ->
@@ -199,6 +204,7 @@ module Emit = struct
         ignore (assign e id);
         emit e.buf (Gate_inst { gate = g; in0; in1 });
         e.gate_total <- e.gate_total + 1;
+        if not (Gate.is_unary g) then e.bootstraps <- e.bootstraps + 1;
         maybe_flush e
       end
     | Netlist.Lut { table; ins } ->
@@ -213,6 +219,15 @@ module Emit = struct
         ignore (assign e id);
         emit e.buf (Lut_inst { table; ins = mapped });
         e.gate_total <- e.gate_total + 1;
+        (* Multi-input cells on one operand set share a blind rotation. *)
+        if Array.length mapped = 1 then e.bootstraps <- e.bootstraps + 1
+        else begin
+          let operands = List.sort compare (Array.to_list mapped) in
+          if not (Hashtbl.mem e.rotations operands) then begin
+            Hashtbl.add e.rotations operands ();
+            e.bootstraps <- e.bootstraps + 1
+          end
+        end;
         maybe_flush e
       end
 
@@ -243,6 +258,7 @@ module Emit = struct
 
   let bytes_emitted e = e.bytes_emitted + Buffer.length e.buf
   let gate_total e = e.gate_total
+  let bootstraps e = e.bootstraps
 end
 
 let assemble net =

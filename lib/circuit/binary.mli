@@ -72,6 +72,13 @@ module Emit : sig
 
   val bytes_emitted : t -> int
   val gate_total : t -> int
+
+  val bootstraps : t -> int
+  (** Blind rotations the instructions emitted so far cost, counted as
+      {!Stats.compute} counts the parsed binary: every gate but NOT
+      (including the XOR/XNOR gates that derive live constants from the
+      first input), every arity-1 LUT, and one per distinct operand set of
+      the multi-input LUTs. *)
 end
 
 val disassemble : bytes -> instruction list

@@ -119,7 +119,7 @@ let compile_stream ?(obs = Trace.null) ?hash_consing ?fold_constants ?window ?ch
   end;
   {
     gates;
-    bootstraps = stream_schedule.Levelize.total_bootstraps;
+    bootstraps = Binary.Emit.bootstraps emit;
     depth = stream_schedule.Levelize.depth;
     max_width = Levelize.max_width stream_schedule;
     node_count = Netlist.node_count net;

@@ -63,6 +63,8 @@ val of_binary_source : name:string -> (unit -> bytes option) -> compiled
 type stream_report = {
   gates : int;  (** Exact gate total (what a buffered header backpatch records). *)
   bootstraps : int;
+      (** Blind rotations of the emitted binary
+          ({!Pytfhe_circuit.Binary.Emit.bootstraps}). *)
   depth : int;  (** Waves = critical path in bootstrapped gates. *)
   max_width : int;  (** Peak exploitable parallelism. *)
   node_count : int;

@@ -12,23 +12,37 @@
      p1 = 998244353  = 119·2²³ + 1   (primitive root 3)
      p2 = 1004535809 = 479·2²¹ + 1   (primitive root 3)
 
-   Every butterfly product is < 2⁶⁰ and every CRT intermediate is
-   < p1·p2 ≈ 2⁵⁹·⁸, so all arithmetic stays in native ints with no boxing.
-   The combined modulus M = p1·p2 leaves > 2⁸ headroom over the worst-case
-   product magnitude above, making the negacyclic product — and therefore
-   the whole blind rotation — exact, bit-identical across machines.
+   Every product in the transform loops is < 2⁶² and every CRT
+   intermediate is < p1·p2 ≈ 2⁵⁹·⁸, so all arithmetic stays in native ints
+   with no boxing.  The combined modulus M = p1·p2 leaves > 2⁸ headroom over
+   the worst-case product magnitude above, making the negacyclic product —
+   and therefore the whole blind rotation — exact, bit-identical across
+   machines.
+
+   The transform loops have no data-dependent branch and no division.
+   Without flambda, ocamlopt compiles [if x >= p then x - p else x] to a
+   jump that mispredicts on ciphertext data, and [a * w mod p] to an
+   [idivq] whenever [p] is not a literal.  So every multiplication by a
+   table constant w goes through its Shoup companion w' = ⌊w·2³¹/p⌋
+   (stored beside w): for x < 2³¹, [x*w - ((x*w') lsr 31) * p] lies in
+   [0, 2p), and one sign-mask correction [r + ((r asr 62) land p)] makes
+   it canonical.  The only [mod]s left divide by the literal primes, which
+   ocamlopt turns into a multiply-high.
 
    Shape mirrors {!Negacyclic}: a 2N-th root ψ twists the input (fused into
    the bit-reversal scatter), an N-point cyclic NTT evaluates it, and the
-   inverse untwists by N⁻¹·ψ⁻ʲ.  The table cache is the same lock-free
-   snapshot/CAS scheme, with {!precompute} to fill it before worker domains
-   run transforms concurrently; {!builds} counts table constructions so
-   tests can assert none happen mid-flight. *)
+   inverse untwists by N⁻¹·ψ⁻ʲ.  The inverse runs decimation-in-frequency
+   from the natural-order spectrum, so it needs no permutation pass: the
+   CRT lift gathers its bit-reversed output.  The table cache is the same
+   lock-free snapshot/CAS scheme, with {!precompute} to fill it before
+   worker domains run transforms concurrently; {!builds} counts table
+   constructions so tests can assert none happen mid-flight. *)
 
 let p1 = 998244353
 let p2 = 1004535809
 let modulus = p1 * p2
 
+(* Table construction only; the transform loops never divide by [p]. *)
 let[@inline] pow_mod b e p =
   let b = ref (b mod p) and e = ref e and acc = ref 1 in
   while !e > 0 do
@@ -38,12 +52,24 @@ let[@inline] pow_mod b e p =
   done;
   !acc
 
+(* Constants w ∈ [0, p) with their Shoup companions ⌊w·2³¹/p⌋ < 2³¹. *)
+type consts = { w : int array; w' : int array }
+
+let consts p w = { w; w' = Array.map (fun w -> (w lsl 31) / p) w }
+
+(* r ∈ [−p, p) to [0, p): the sign mask adds p exactly when r < 0. *)
+let[@inline] canon r p = r + ((r asr 62) land p)
+
+(* x·w mod p in [0, p) for x ∈ [0, 2³¹): the quotient estimate
+   (x·w') lsr 31 is exact or one short, so x·w minus it times p lies in
+   [0, 2p).  x·w < 2⁶¹ and x·w' < 2⁶². *)
+let[@inline] mul_shoup x w w' p = canon ((x * w) - (((x * w') lsr 31) * p) - p) p
+
 type prime_ctx = {
-  cp : int;  (* the prime *)
-  psi : int array;  (* ψʲ, fused into the forward bit-reversal scatter *)
-  inv_psi_n : int array;  (* N⁻¹·ψ⁻ʲ, fused into the inverse untwist pass *)
-  w_fwd : int array;  (* stage-major twiddles: slot half+j holds ω_len^j *)
-  w_inv : int array;
+  psi : consts;  (* ψʲ, fused into the forward bit-reversal scatter *)
+  inv_psi_n : consts;  (* N⁻¹·ψ⁻ʲ, fused into the CRT lift *)
+  w_fwd : consts;  (* stage-major twiddles: slot half+j holds ω_len^j *)
+  w_inv : consts;
 }
 
 type tables = { t_n : int; rev : int array; c1 : prime_ctx; c2 : prime_ctx }
@@ -70,9 +96,14 @@ let make_prime_ctx p n =
       done;
       half := !half * 2
     done;
-    tw
+    consts p tw
   in
-  { cp = p; psi; inv_psi_n; w_fwd = fill w; w_inv = fill (pow_mod w (p - 2) p) }
+  {
+    psi = consts p psi;
+    inv_psi_n = consts p inv_psi_n;
+    w_fwd = fill w;
+    w_inv = fill (pow_mod w (p - 2) p);
+  }
 
 let make_tables n =
   let rev = Array.make n 0 in
@@ -139,47 +170,75 @@ let spectrum_zero s =
   Array.fill s.v1 0 (Array.length s.v1) 0;
   Array.fill s.v2 0 (Array.length s.v2) 0
 
-(* Decimation-in-time butterflies over input already in bit-reversed
-   order; lazy reduction keeps one [mod] per butterfly (the multiply),
-   additions use conditional subtraction. *)
-let ntt_bitrev (a : int array) (tw : int array) p n =
+(* One decimation-in-time butterfly on residues in [0, p). *)
+let[@inline] butterfly a k half w w' p =
+  let u = Array.unsafe_get a k in
+  let v = mul_shoup (Array.unsafe_get a (k + half)) w w' p in
+  Array.unsafe_set a k (canon (u + v - p) p);
+  Array.unsafe_set a (k + half) (canon (u - v) p)
+
+(* One decimation-in-frequency butterfly on residues in [0, p):
+   u − v + p < 2p < 2³¹ goes into the Shoup product uncorrected. *)
+let[@inline] butterfly_dif a k half w w' p =
+  let u = Array.unsafe_get a k and v = Array.unsafe_get a (k + half) in
+  Array.unsafe_set a k (canon (u + v - p) p);
+  Array.unsafe_set a (k + half) (mul_shoup (u - v + p) w w' p)
+
+(* In-place cyclic NTT of both residue channels: decimation in time from
+   bit-reversed to natural order, or in frequency from natural to
+   bit-reversed order.  One loop nest serves both channels, so the primes
+   are literals, and it runs twiddle-major so each twiddle stays in a
+   register across the blocks of a stage. *)
+let butterflies s (t1 : consts) (t2 : consts) n =
+  let a1 = s.v1 and a2 = s.v2 in
   let len = ref 2 in
   while !len <= n do
-    let half = !len asr 1 in
-    let i = ref 0 in
-    while !i < n do
-      let base = !i in
-      for j = 0 to half - 1 do
-        let u = Array.unsafe_get a (base + j) in
-        let v =
-          Array.unsafe_get a (base + j + half) * Array.unsafe_get tw (half + j) mod p
-        in
-        let x = u + v in
-        Array.unsafe_set a (base + j) (if x >= p then x - p else x);
-        let y = u - v in
-        Array.unsafe_set a (base + j + half) (if y < 0 then y + p else y)
-      done;
-      i := !i + !len
+    let half = !len asr 1 and step = !len in
+    for j = 0 to half - 1 do
+      let w1 = Array.unsafe_get t1.w (half + j) and w1' = Array.unsafe_get t1.w' (half + j) in
+      let w2 = Array.unsafe_get t2.w (half + j) and w2' = Array.unsafe_get t2.w' (half + j) in
+      let i = ref j in
+      while !i < n do
+        butterfly a1 !i half w1 w1' p1;
+        butterfly a2 !i half w2 w2' p2;
+        i := !i + step
+      done
     done;
-    len := !len lsl 1
+    len := step lsl 1
+  done
+
+let butterflies_dif s (t1 : consts) (t2 : consts) n =
+  let a1 = s.v1 and a2 = s.v2 in
+  let len = ref n in
+  while !len >= 2 do
+    let half = !len asr 1 and step = !len in
+    for j = 0 to half - 1 do
+      let w1 = Array.unsafe_get t1.w (half + j) and w1' = Array.unsafe_get t1.w' (half + j) in
+      let w2 = Array.unsafe_get t2.w (half + j) and w2' = Array.unsafe_get t2.w' (half + j) in
+      let i = ref j in
+      while !i < n do
+        butterfly_dif a1 !i half w1 w1' p1;
+        butterfly_dif a2 !i half w2 w2' p2;
+        i := !i + step
+      done
+    done;
+    len := half
   done
 
 let forward_into s (xs : int array) =
   let n = Array.length xs in
   if Array.length s.v1 <> n then invalid_arg "Ntt.forward_into: size mismatch";
   let t = tables n in
-  let rev = t.rev in
-  let scatter (c : prime_ctx) (a : int array) =
-    let p = c.cp in
-    for j = 0 to n - 1 do
-      let r = Array.unsafe_get xs j mod p in
-      let r = if r < 0 then r + p else r in
-      Array.unsafe_set a (Array.unsafe_get rev j) (r * Array.unsafe_get c.psi j mod p)
-    done;
-    ntt_bitrev a c.w_fwd p n
-  in
-  scatter t.c1 s.v1;
-  scatter t.c2 s.v2
+  let rev = t.rev and psi1 = t.c1.psi and psi2 = t.c2.psi in
+  (* Both primes in one pass, so each [mod] divides by a literal. *)
+  for j = 0 to n - 1 do
+    let x = Array.unsafe_get xs j and r = Array.unsafe_get rev j in
+    Array.unsafe_set s.v1 r
+      (mul_shoup (canon (x mod p1) p1) (Array.unsafe_get psi1.w j) (Array.unsafe_get psi1.w' j) p1);
+    Array.unsafe_set s.v2 r
+      (mul_shoup (canon (x mod p2) p2) (Array.unsafe_get psi2.w j) (Array.unsafe_get psi2.w' j) p2)
+  done;
+  butterflies s t.c1.w_fwd t.c2.w_fwd n
 
 let forward xs =
   let s = spectrum_create (Array.length xs) in
@@ -188,36 +247,30 @@ let forward xs =
 
 (* Centred CRT lift: x ≡ c1 (mod p1), x ≡ c2 (mod p2), |x| ≤ M/2. *)
 let inv_p1_mod_p2 = pow_mod (p1 mod p2) (p2 - 2) p2
+let inv_p1_mod_p2' = (inv_p1_mod_p2 lsl 31) / p2
 
 let backward_into (out : int array) s =
   let n = Array.length out in
   if Array.length s.v1 <> n then invalid_arg "Ntt.backward_into: size mismatch";
   let t = tables n in
-  let rev = t.rev in
-  let inverse (c : prime_ctx) (a : int array) =
-    (* Natural order in, so permute in place before the butterflies: the
-       spectrum arrays become scratch — the documented destructive
-       contract, shared with [Negacyclic.backward_into]. *)
-    for i = 0 to n - 1 do
-      let r = Array.unsafe_get rev i in
-      if i < r then begin
-        let tmp = Array.unsafe_get a i in
-        Array.unsafe_set a i (Array.unsafe_get a r);
-        Array.unsafe_set a r tmp
-      end
-    done;
-    ntt_bitrev a c.w_inv c.cp n
-  in
-  inverse t.c1 s.v1;
-  inverse t.c2 s.v2;
+  let rev = t.rev and a1 = s.v1 and a2 = s.v2 in
+  (* In place, so the spectrum arrays become scratch — the documented
+     destructive contract, shared with [Negacyclic.backward_into].  The
+     result comes out in bit-reversed order; the lift gathers it. *)
+  butterflies_dif s t.c1.w_inv t.c2.w_inv n;
   let u1 = t.c1.inv_psi_n and u2 = t.c2.inv_psi_n in
   for j = 0 to n - 1 do
-    let c1 = Array.unsafe_get s.v1 j * Array.unsafe_get u1 j mod p1 in
-    let c2 = Array.unsafe_get s.v2 j * Array.unsafe_get u2 j mod p2 in
-    let d = (c2 - c1) mod p2 in
-    let d = if d < 0 then d + p2 else d in
-    let x = c1 + (p1 * (d * inv_p1_mod_p2 mod p2)) in
-    Array.unsafe_set out j (if 2 * x > modulus then x - modulus else x)
+    let r = Array.unsafe_get rev j in
+    let c1 =
+      mul_shoup (Array.unsafe_get a1 r) (Array.unsafe_get u1.w j) (Array.unsafe_get u1.w' j) p1
+    in
+    let c2 =
+      mul_shoup (Array.unsafe_get a2 r) (Array.unsafe_get u2.w j) (Array.unsafe_get u2.w' j) p2
+    in
+    (* c1 < p1 < p2, so c2 − c1 ∈ [−p2, p2). *)
+    let d = canon (c2 - c1) p2 in
+    let x = c1 + (p1 * mul_shoup d inv_p1_mod_p2 inv_p1_mod_p2' p2) in
+    Array.unsafe_set out j (x - (((modulus - (2 * x)) asr 62) land modulus))
   done
 
 let backward s =

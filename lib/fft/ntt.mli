@@ -15,6 +15,18 @@
     multiply-high emulation.  The trade-off (two transforms per direction
     versus one) is discussed in docs/perf.md.
 
+    The transform loops contain no data-dependent branch and no division.
+    Each multiplication by a table constant w ∈ \[0, p) (twiddle, ψʲ,
+    N⁻¹·ψ⁻ʲ, p1⁻¹ mod p2) is a Shoup multiplication with the companion
+    w' = ⌊w·2³¹/p⌋ stored in the tables: for x < 2³¹,
+    [x*w - ((x*w') lsr 31) * p] lies in \[0, 2p) with both products below
+    2⁶².  Every conditional subtraction is a sign mask,
+    [r + ((r asr 62) land p)] for r ∈ \[−p, p).  The x < 2³¹ precondition
+    holds because residues are kept canonical in \[0, p) throughout and
+    both primes are below 2³⁰; a spectrum handed to {!backward_into} or
+    {!mul_add_into} must therefore hold canonical residues, as every
+    function of this module and [Tgsw.read_fft] produce.
+
     The twiddle/root table cache is domain-safe: lookups never lock, and
     {!precompute} fills it for a ring degree up front so worker domains
     running transforms concurrently never build tables mid-flight. *)
@@ -40,7 +52,8 @@ val builds : unit -> int
 
 type spectrum = { v1 : int array; v2 : int array }
 (** Evaluation-domain representation: residues at the odd 2N-th roots of
-    unity modulo each prime ([v1] mod {!p1}, [v2] mod {!p2}), length N. *)
+    unity modulo each prime ([v1] mod {!p1}, [v2] mod {!p2}), length N,
+    each canonical in \[0, p). *)
 
 val spectrum_create : int -> spectrum
 val spectrum_copy : spectrum -> spectrum

@@ -34,22 +34,92 @@ let ntt_keys = lazy (Gates.key_gen (Rng.create ~seed:909 ()) ntt_test_params)
 (* NTT exactness and contracts                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Digits at the gadget bound (±Bg/2) against full-range centred torus
-   words, at the production ring size: the NTT must match the schoolbook
-   product exactly, not approximately. *)
-let test_ntt_polymul_exact_gadget_range () =
-  let n = 1024 in
-  let rng = Rng.create ~seed:11 () in
-  let a = Array.init n (fun _ -> Rng.int rng 64 - 32) in
-  let b = Array.init n (fun _ -> Rng.int rng (1 lsl 32) - (1 lsl 31)) in
-  Alcotest.(check bool) "ntt == schoolbook at N=1024" true
-    (Ntt.polymul a b = Ntt.polymul_naive a b)
+(* Every power-of-two degree from 2 to 2048, so rings with one or two
+   butterfly stages are covered as well as the production sizes. *)
+let ntt_degrees = List.init 11 (fun i -> 2 lsl i)
 
+(* Tgsw.read_fft rejects residues outside [0, p), and mul_add_into's
+   products stay below 2⁶² only for residues inside it. *)
+let check_residues n (s : Ntt.spectrum) =
+  let inside p = Array.for_all (fun r -> r >= 0 && r < p) in
+  if not (inside Ntt.p1 s.Ntt.v1 && inside Ntt.p2 s.Ntt.v2) then
+    Alcotest.failf "spectrum residue outside [0, p) at N=%d" n
+
+(* Cycles through [values] to fill a degree-[n] polynomial. *)
+let cycle n values = Array.init n (fun j -> values.(j mod Array.length values))
+
+(* Digits at the gadget bound (±Bg/2) against centred torus words at
+   ±2³¹ and values ≡ −1 mod each prime, at every degree: the NTT must
+   match the schoolbook product exactly, not approximately. *)
+let test_ntt_polymul_exact_gadget_range () =
+  let half_bg = Params.bg Params.default_128 / 2 in
+  let rng = Rng.create ~seed:11 () in
+  List.iter
+    (fun n ->
+      let digits =
+        [
+          Array.init n (fun _ -> Rng.int rng ((2 * half_bg) + 1) - half_bg);
+          Array.make n half_bg;
+          Array.make n (-half_bg);
+          cycle n [| half_bg; -half_bg |];
+        ]
+      in
+      let words =
+        [
+          Array.init n (fun _ -> Rng.int rng (1 lsl 32) - (1 lsl 31));
+          Array.make n (1 lsl 31);
+          Array.make n (-(1 lsl 31));
+          cycle n [| Ntt.p1 - 1; Ntt.p2 - 1; -1; (1 lsl 31) - 1 |];
+        ]
+      in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              if Ntt.polymul a b <> Ntt.polymul_naive a b then
+                Alcotest.failf "ntt <> schoolbook at N=%d" n)
+            words)
+        digits)
+    ntt_degrees
+
+(* [forward_into] takes any ints: each must give the spectrum of its
+   reduction mod p1·p2, with canonical residues.  Inside the centred range
+   (−M/2, M/2) the inverse recovers the input exactly, up to its edges. *)
 let test_ntt_roundtrip () =
-  let n = 256 in
+  let m = Ntt.modulus in
+  let reduce x =
+    let r = x mod m in
+    if r < 0 then r + m else r
+  in
   let rng = Rng.create ~seed:12 () in
-  let p = Array.init n (fun _ -> Rng.int rng (1 lsl 40) - (1 lsl 39)) in
-  Alcotest.(check bool) "backward (forward p) = p" true (Ntt.backward (Ntt.forward p) = p)
+  List.iter
+    (fun n ->
+      let any =
+        [
+          Array.init n (fun _ -> Int64.to_int (Rng.bits64 rng));
+          cycle n [| max_int; min_int; -max_int; m - 1; 1 - m; m; -m; (2 * m) - 1 |];
+        ]
+      in
+      List.iter
+        (fun x ->
+          let s = Ntt.forward x and r = Ntt.forward (Array.map reduce x) in
+          check_residues n s;
+          if s.Ntt.v1 <> r.Ntt.v1 || s.Ntt.v2 <> r.Ntt.v2 then
+            Alcotest.failf "forward differs from forward of the reduction mod M at N=%d" n)
+        any;
+      let centred =
+        [
+          Array.init n (fun _ -> Rng.int rng (1 lsl 40) - (1 lsl 39));
+          cycle n [| (m - 1) / 2; -((m - 1) / 2); Ntt.p1 - 1; Ntt.p2 - 1; -1; 0 |];
+        ]
+      in
+      List.iter
+        (fun p ->
+          let s = Ntt.forward p in
+          check_residues n s;
+          if Ntt.backward s <> p then Alcotest.failf "backward (forward p) <> p at N=%d" n)
+        centred)
+    ntt_degrees
 
 (* backward_into runs the inverse in place: the spectrum is scratch
    afterwards.  Pin the contract so a caller reusing a spectrum after the
@@ -77,6 +147,7 @@ let test_ntt_mul_add_accumulates () =
   Ntt.spectrum_zero acc;
   Ntt.mul_add_into acc (Ntt.forward a1) (Ntt.forward b1);
   Ntt.mul_add_into acc (Ntt.forward a2) (Ntt.forward b2);
+  check_residues n acc;
   let got = Ntt.backward acc in
   let expected =
     Array.map2 ( + ) (Ntt.polymul_naive a1 b1) (Ntt.polymul_naive a2 b2)
