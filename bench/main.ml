@@ -1110,8 +1110,9 @@ let obs_bench () =
   let sk, cloud = Gates.key_gen rng p in
   Format.printf " %.1fs@." (Unix.gettimeofday () -. t0);
   let ins = [| Gates.encrypt_bit rng sk true; Gates.encrypt_bit rng sk false |] in
-  (* The pre-observability executor, re-created verbatim: an id-order walk
-     with no sink, no flag check, no stats beyond what the loop needs. *)
+  (* The pre-observability executor, re-created verbatim as the fixed
+     reference: an id-order walk of scalar gates with no sink, no flag
+     check, no stats beyond what the loop needs. *)
   let baseline () =
     let ctx = Gates.default_context cloud in
     let n = Netlist.node_count net in
@@ -1123,7 +1124,15 @@ let obs_bench () =
       | Netlist.Const bv -> values.(id) <- Some (Gates.constant cloud bv)
       | Netlist.Gate (g, x, y) ->
         let vx = Option.get values.(x) and vy = Option.get values.(y) in
-        values.(id) <- Some (Pytfhe_backend.Tfhe_eval.apply_gate ctx g vx vy)
+        let gate =
+          match g with
+          | Gate.And -> Gates.and_gate_in
+          | Gate.Xor -> Gates.xor_gate_in
+          | Gate.Or -> Gates.or_gate_in
+          | Gate.Nand -> Gates.nand_gate_in
+          | _ -> assert false (* the chain draws from [kinds] only *)
+        in
+        values.(id) <- Some (gate ctx vx vy)
       | Netlist.Lut _ -> assert false (* the chain generator emits no LUT cells *)
     done
   in
@@ -1145,7 +1154,7 @@ let obs_bench () =
         last_sink := s;
         ignore
           (Pytfhe_backend.Tfhe_eval.run
-             ~opts:(Pytfhe_backend.Exec_opts.of_flags ~obs:s ())
+             ~opts:{ Pytfhe_backend.Executor.default_opts with obs = s }
              cloud net ins))
   in
   let evs = Trace.events !last_sink in
@@ -1230,80 +1239,61 @@ let batch_bench () =
     (Option.get !out, !m)
   in
   let module Tfhe_eval = Pytfhe_backend.Tfhe_eval in
-  let (scalar_out, _), scalar_wall = best (fun () -> Tfhe_eval.run cloud net cts) in
   let bootstraps = width * depth in
-  Format.printf "  per-gate (scalar): %s  (%.1f gates/s)@." (human_time scalar_wall)
-    (float_of_int bootstraps /. scalar_wall);
   let batch_sizes = [ 1; 4; 8 ] in
-  (* Three code paths over the identical schedule and ciphertexts: the
-     scalar walk (above), the record-per-gate batched walk, and the
-     struct-of-arrays batched walk — so the SoA layout change is attributed
-     separately from the key-streaming effect.  Every wall time is the best
-     of [reps] runs; comparing best-of-N against best-of-N keeps scheduler
-     jitter out of the throughput verdict. *)
-  let layouts = [ (false, "record"); (true, "soa") ] in
+  (* One code path over the identical schedule and ciphertexts: the wave
+     engine at launch capacity 1 (one gate per launch, keys streamed once
+     per gate), 4 and 8.  Every wall time is the best of [reps] runs;
+     comparing best-of-N against best-of-N keeps scheduler jitter out of
+     the throughput verdict. *)
   let rows =
-    List.concat_map
-      (fun (soa, label) ->
-        List.map
-          (fun b ->
-            let (outs, st), wall =
-              best (fun () ->
-                  Tfhe_eval.run
-                    ~opts:(Pytfhe_backend.Exec_opts.of_flags ~batch:b ~soa ())
-                    cloud net cts)
-            in
-            let exact = outs = scalar_out in
-            let bsk_per_gate =
-              float_of_int st.Tfhe_eval.bsk_bytes_streamed /. float_of_int (max 1 bootstraps)
-            in
-            let ks_per_gate =
-              float_of_int st.Tfhe_eval.ks_bytes_streamed /. float_of_int (max 1 bootstraps)
-            in
-            (soa, label, b, wall, exact, st, bsk_per_gate, ks_per_gate))
-          batch_sizes)
-      layouts
+    List.map
+      (fun b ->
+        let (outs, st), wall =
+          best (fun () ->
+              Tfhe_eval.run ~opts:{ Pytfhe_backend.Executor.default_opts with batch = b } cloud net cts)
+        in
+        let bsk_per_gate =
+          float_of_int st.Tfhe_eval.bsk_bytes_streamed /. float_of_int (max 1 bootstraps)
+        in
+        let ks_per_gate =
+          float_of_int st.Tfhe_eval.ks_bytes_streamed /. float_of_int (max 1 bootstraps)
+        in
+        (b, wall, outs, st, bsk_per_gate, ks_per_gate))
+      batch_sizes
   in
-  let row ~soa b = List.find (fun (s, _, b', _, _, _, _, _) -> s = soa && b' = b) rows in
-  let wall_at ~soa b =
-    let _, _, _, w, _, _, _, _ = row ~soa b in
+  let row b = List.find (fun (b', _, _, _, _, _) -> b' = b) rows in
+  let wall_at b =
+    let _, w, _, _, _, _ = row b in
     w
   in
-  let bsk_at ~soa b =
-    let _, _, _, _, _, _, v, _ = row ~soa b in
+  let bsk_at b =
+    let _, _, _, _, v, _ = row b in
     v
   in
-  Format.printf "@.%-8s %-7s %10s %12s %16s %16s %10s@." "LAYOUT" "BATCH" "WALL" "GATES/S"
-    "BSK BYTES/GATE" "KS BYTES/GATE" "BIT-EXACT";
+  let _, _, scalar_out, _, _, _ = row 1 in
+  let exact (_, _, outs, _, _, _) = outs = scalar_out in
+  Format.printf "@.%-7s %10s %12s %16s %16s %10s@." "BATCH" "WALL" "GATES/S" "BSK BYTES/GATE"
+    "KS BYTES/GATE" "BIT-EXACT";
   List.iter
-    (fun (_soa, label, b, wall, exact, _st, bsk_pg, ks_pg) ->
-      Format.printf "%-8s %-7d %10s %12.1f %16.0f %16.0f %10s@." label b (human_time wall)
+    (fun ((b, wall, _, _, bsk_pg, ks_pg) as r) ->
+      Format.printf "%-7d %10s %12.1f %16.0f %16.0f %10s@." b (human_time wall)
         (float_of_int bootstraps /. wall)
         bsk_pg ks_pg
-        (if exact then "yes" else "NO"))
+        (if exact r then "yes" else "NO"))
     rows;
-  let reduction4 = bsk_at ~soa:true 1 /. Float.max (bsk_at ~soa:true 4) 1.0 in
-  let wall1 = wall_at ~soa:true 1 in
-  let wall4 = wall_at ~soa:true 4 in
-  let wall8 = wall_at ~soa:true 8 in
-  let record_wall4 = wall_at ~soa:false 4 in
-  let all_exact = List.for_all (fun (_, _, _, _, e, _, _, _) -> e) rows in
-  (* Both sides of the throughput criterion are best-of-[reps] wall times:
-     the SoA batch=4 run must beat both the scalar walk and the per-gate
-     batch=1 run (same code path, keys streamed once per gate), so the
-     verdict reflects the layout + key-streaming effect rather than a lucky
-     or unlucky single sample. *)
-  let throughput_ok = wall4 <= Float.min wall1 scalar_wall *. 1.02 in
-  let speedup4 = scalar_wall /. wall4 in
-  let speedup8 = scalar_wall /. wall8 in
-  Format.printf "@.bootstrap-key traffic at batch 4: %.2fx less than per-gate%s@." reduction4
+  let reduction4 = bsk_at 1 /. Float.max (bsk_at 4) 1.0 in
+  let wall1 = wall_at 1 in
+  let wall4 = wall_at 4 in
+  let wall8 = wall_at 8 in
+  let all_exact = List.for_all exact rows in
+  let speedup4 = wall1 /. wall4 in
+  let speedup8 = wall1 /. wall8 in
+  Format.printf "@.bootstrap-key traffic at batch 4: %.2fx less than batch 1%s@." reduction4
     (if reduction4 >= 2.0 then "  (meets the 2x target)" else "  (BELOW the 2x target!)");
-  Format.printf
-    "SoA batched throughput: %.2fx vs scalar (x8: %.2fx), %.2fx vs per-gate batch=1, %.2fx vs \
-     record batch=4%s@."
-    speedup4 speedup8 (wall1 /. wall4) (record_wall4 /. wall4)
-    (if throughput_ok then "" else "  (batched run is SLOWER than per-gate!)");
-  if not all_exact then Format.printf "ERROR: batched output differs from the scalar path!@.";
+  Format.printf "batched throughput: %.2fx vs batch 1 (x8: %.2fx)%s@." speedup4 speedup8
+    (if wall4 <= wall1 *. 1.02 then "" else "  (batch 4 is SLOWER than batch 1!)");
+  if not all_exact then Format.printf "ERROR: batched output differs from batch 1!@.";
   (* The Fig. 9 analog on the model side: the same wave schedule priced as
      cuFHE per-gate launches vs fused CUDA-Graph batches. *)
   let gpu = Cost_model.gpu_a5000 in
@@ -1321,19 +1311,18 @@ let batch_bench () =
         ("waves", Json.Number (float_of_int depth));
         ("bootstraps", Json.Number (float_of_int bootstraps));
         ("reps", Json.Number (float_of_int reps));
-        ("scalar_wall_s", Json.Number scalar_wall);
-        ("scalar_gates_per_s", Json.Number (float_of_int bootstraps /. scalar_wall));
+        ("batch1_wall_s", Json.Number wall1);
+        ("batch1_gates_per_s", Json.Number (float_of_int bootstraps /. wall1));
         ( "runs",
           Json.List
             (List.map
-               (fun (soa, _label, b, wall, exact, st, bsk_pg, ks_pg) ->
+               (fun ((b, wall, _, st, bsk_pg, ks_pg) as r) ->
                  Json.Obj
                    [
                      ("batch", Json.Number (float_of_int b));
-                     ("soa", Json.Bool soa);
                      ("wall_s", Json.Number wall);
                      ("gates_per_s", Json.Number (float_of_int bootstraps /. wall));
-                     ("bit_exact", Json.Bool exact);
+                     ("bit_exact", Json.Bool (exact r));
                      ("batch_launches", Json.Number (float_of_int st.Tfhe_eval.batch_launches));
                      ("bsk_bytes_streamed", Json.Number (float_of_int st.Tfhe_eval.bsk_bytes_streamed));
                      ("ks_bytes_streamed", Json.Number (float_of_int st.Tfhe_eval.ks_bytes_streamed));
@@ -1346,14 +1335,13 @@ let batch_bench () =
         (* best-of-N on both sides of every ratio below *)
         ("batched_speedup_x4", Json.Number speedup4);
         ("batched_speedup_x8", Json.Number speedup8);
-        ("soa_vs_record_x4", Json.Number (record_wall4 /. wall4));
         ("throughput_margin", Json.Number speedup4);
-        ("batched_throughput_ge_scalar", Json.Bool (wall4 <= scalar_wall));
         ("batched_throughput_ge_pergate", Json.Bool (wall4 <= wall1));
         ("all_bit_exact", Json.Bool all_exact);
-        (* CI smoke gate: SoA must be bit-exact and not slower than scalar
-           (10% jitter allowance — smoke parameters run in milliseconds). *)
-        ("soa_ok", Json.Bool (all_exact && wall4 <= scalar_wall *. 1.10));
+        (* CI smoke gate: every batch size bit-exact and batch 4 not
+           slower than the one-gate launch (10% jitter allowance — smoke
+           parameters run in milliseconds). *)
+        ("soa_ok", Json.Bool (all_exact && wall4 <= wall1 *. 1.10));
         ( "gpu_model",
           Json.Obj
             [

@@ -11,7 +11,6 @@ module Binary = Pytfhe_circuit.Binary
 module Stats = Pytfhe_circuit.Stats
 module Cost_model = Pytfhe_backend.Cost_model
 module Executor = Pytfhe_backend.Executor
-module Exec_opts = Pytfhe_backend.Exec_opts
 module Service = Pytfhe_service.Service
 module Service_client = Pytfhe_service.Service_client
 module Trace = Pytfhe_obs.Trace
@@ -248,13 +247,10 @@ let apply_transform params = function
   | Some t -> Pytfhe_tfhe.Params.with_transform params t
 
 let run_cmd =
-  let run w seed encrypted backend workers dist_workers batch soa lut_cover transform trace metrics =
+  let run w seed encrypted backend workers dist_workers batch lut_cover transform trace metrics =
     (match workers with Some w when w < 1 -> failwith "--workers must be >= 1" | _ -> ());
     if dist_workers < 0 then failwith "--dist-workers must be >= 1";
-    if batch < 0 then failwith "--batch must be >= 1";
-    if soa && batch = 0 then failwith "--soa requires --batch";
-    let batch = if batch = 0 then None else Some batch in
-    let soa = if soa then Some true else None in
+    if batch < 1 then failwith "--batch must be >= 1";
     let rng = Pytfhe_util.Rng.create ~seed () in
     if encrypted then begin
       if w.W.heavy then failwith "workload too large for real encrypted execution; use a light one";
@@ -271,7 +267,7 @@ let run_cmd =
       Format.printf "evaluating %d gates homomorphically on the %s backend...@."
         compiled.Pipeline.stats.Stats.gates (Server.exec_backend_name exec);
       let outs, stats =
-        Server.run ~opts:(Exec_opts.of_flags ~obs ?batch ?soa ()) exec cloud compiled cts
+        Server.run ~opts:{ Executor.obs; batch } exec cloud compiled cts
       in
       let extra =
         match stats.Executor.detail with
@@ -331,20 +327,14 @@ let run_cmd =
                  Gate shards and ciphertexts travel over real socketpairs, as in the paper's Ray cluster.")
   in
   let batch =
-    Arg.(value & opt int 0 & info [ "batch" ] ~docv:"N"
-           ~doc:"Evaluate each wave in batches of $(docv) gates through the key-streaming \
-                 bootstrap kernel (with --encrypted; cpu and par backends; bit-exact with \
-                 the per-gate path).  Default: per-gate execution.")
-  in
-  let soa =
-    Arg.(value & flag & info [ "soa" ]
-           ~doc:"With --batch: run the sub-batches through the struct-of-arrays row kernels \
-                 on contiguous ciphertext waves (bit-exact with both the record-batched and \
-                 per-gate paths).")
+    Arg.(value & opt int Executor.default_opts.Executor.batch & info [ "batch" ] ~docv:"N"
+           ~doc:"Run each wave through the key-streaming bootstrap kernel in launches of at \
+                 most $(docv) jobs (with --encrypted; every backend; bit-exact for every \
+                 $(docv) >= 1, 1 = one gate per launch).")
   in
   Cmd.v (Cmd.info "run" ~doc:"Run a workload (functionally, or homomorphically with --encrypted)")
     Term.(const run $ workload_arg $ seed $ encrypted $ backend $ workers $ dist_workers
-          $ batch $ soa $ lut_cover_arg $ transform_arg $ trace_arg $ metrics_arg)
+          $ batch $ lut_cover_arg $ transform_arg $ trace_arg $ metrics_arg)
 
 let verilog_cmd =
   let run w out =
@@ -543,7 +533,7 @@ let eval_cmd =
         In_channel.with_open_bin program (fun ic ->
             let outs, _ =
               Pytfhe_backend.Stream_exec.run_encrypted_stream
-                ~opts:(Exec_opts.of_flags ~obs ()) keyset (Binary.read_source ic) cts
+                ~opts:{ Executor.default_opts with obs } keyset (Binary.read_source ic) cts
             in
             outs)
       end
@@ -551,7 +541,17 @@ let eval_cmd =
         let bytes = Binary.read_file program in
         Format.printf "evaluating %d instructions on %d input ciphertexts ...@."
           (Binary.instruction_count bytes) (Array.length cts);
-        Pytfhe_backend.Stream_exec.run_encrypted ~opts:(Exec_opts.of_flags ~obs ()) keyset bytes cts
+        let pos = ref 0 in
+        let read () =
+          if !pos >= Bytes.length bytes then None
+          else begin
+            pos := Bytes.length bytes;
+            Some bytes
+          end
+        in
+        fst
+          (Pytfhe_backend.Stream_exec.run_encrypted_stream
+             ~opts:{ Executor.default_opts with obs } keyset read cts)
       end
     in
     Pytfhe_core.Ciphertext_file.write out outs;
@@ -616,7 +616,7 @@ let serve_cmd =
     let config =
       { Service.default_config with Service.host; port; backend; max_active; max_queue }
     in
-    let opts = { Service.default_opts with Exec_opts.batch = Some batch } in
+    let opts = { Service.default_opts with Executor.batch } in
     let stats =
       Service.serve ~opts ~config
         ~ready:(fun p ->
@@ -641,7 +641,10 @@ let serve_cmd =
                    $(b,par)/$(b,par:N) or $(b,dist)/$(b,dist:N) (pass-through, one request \
                    at a time through that executor).")
   in
-  let batch = Arg.(value & opt int 8 & info [ "batch" ] ~docv:"N" ~doc:"Batched-bootstrap capacity of the cross-request scheduler.") in
+  let batch =
+    Arg.(value & opt int Service.default_opts.Executor.batch & info [ "batch" ] ~docv:"N"
+           ~doc:"Launch capacity (>= 1) of the cross-request scheduler, in jobs.")
+  in
   let max_active = Arg.(value & opt int 32 & info [ "max-active" ] ~docv:"N" ~doc:"Concurrently executing request bound.") in
   let max_queue = Arg.(value & opt int 256 & info [ "max-queue" ] ~docv:"N" ~doc:"Admission queue bound (excess submissions fail busy).") in
   Cmd.v

@@ -3,10 +3,11 @@
    Where Sched_cpu *prices* the paper's Ray cluster (§IV-D, Fig. 10) through
    a cost model, this executor actually crosses the process boundary: it
    spawns N worker processes, ships the cloud keyset once at startup, and
-   then drives the levelized wave schedule by sending each worker a shard
-   of every wave's bootstrapped gates — input ciphertexts serialized
-   through Wire inside length-prefixed frames over Unix socketpairs — and
-   collecting the result ciphertexts at a wave barrier.
+   then, for every wave either wave source produces, sends each worker one
+   contiguous shard of the wave's jobs — job headers plus one operand
+   Lwe_array inside a length-prefixed frame over a Unix socketpair — and
+   collects the outputs, which the worker computed with Wave.exec, at a
+   wave barrier.
 
    Workers are spawned by re-executing the host binary (create_process /
    posix_spawn) with PYTFHE_DIST_WORKER set, not by Unix.fork: the OCaml 5
@@ -31,15 +32,13 @@
    - loss of a worker degrades capacity gracefully: survivors absorb the
      shard, down to a single worker.  Only losing *every* worker raises.
 
-   Because each gate runs the identical torus operation sequence as
-   Tfhe_eval.apply_gate — only in another address space, with the operands
+   Because each job runs the identical torus operation sequence as on the
+   other placements — only in another address space, with the operands
    round-tripped through the exact 32-bit wire encoding — the output
    ciphertexts are bit-exact with Tfhe_eval.run for any worker count and
    any fault pattern the executor survives. *)
 
-module Netlist = Pytfhe_circuit.Netlist
 module Gate = Pytfhe_circuit.Gate
-module Levelize = Pytfhe_circuit.Levelize
 module Wire = Pytfhe_util.Wire
 module Trace = Pytfhe_obs.Trace
 open Pytfhe_tfhe
@@ -91,16 +90,15 @@ type config = {
   backoff : float;
   heartbeat_interval : float;
   faults : fault list;
-  array_frames : bool;
 }
 
 let config ?(request_timeout = 60.0) ?(max_retries = 2) ?(backoff = 2.0)
-    ?(heartbeat_interval = 0.25) ?(faults = []) ?(array_frames = true) workers =
+    ?(heartbeat_interval = 0.25) ?(faults = []) workers =
   if workers < 1 then invalid_arg "Dist_eval.config: workers must be >= 1";
   if request_timeout <= 0.0 then invalid_arg "Dist_eval.config: request_timeout must be > 0";
   if max_retries < 0 then invalid_arg "Dist_eval.config: max_retries must be >= 0";
   if backoff < 1.0 then invalid_arg "Dist_eval.config: backoff must be >= 1";
-  { workers; request_timeout; max_retries; backoff; heartbeat_interval; faults; array_frames }
+  { workers; request_timeout; max_retries; backoff; heartbeat_interval; faults }
 
 type stats = {
   workers_started : int;
@@ -167,37 +165,122 @@ let parse_hello r =
     raise (Wire.Corrupt "Dist_eval: transform mismatch between DHEL tag and keyset");
   (index, obs_on, obs_epoch, faults, ck)
 
-(* The worker is a stateless gate server: after the hello frame (identity,
-   transform tag, fault schedule, cloud keyset) it answers DREQ frames —
-   each a batch of (gate, input ciphertext, input ciphertext) triples —
-   with DREP frames carrying the result ciphertexts plus the measured
-   compute seconds.  All exits go through Unix._exit: the child must never
-   run the parent's at_exit handlers or flush its inherited stdio
-   buffers. *)
+(* DJOB request: the launch capacity, one header per job — a gate code
+   (0–127, any bootstrapped gate) or 128+arity (129–131) followed by the
+   group's tables — then every job's operands as one flat Lwe_array (two
+   rows per gate, [arity] rows per group: classic views for gates and
+   arity-1 groups, lutdom ciphertexts otherwise). *)
+let encode_request ~req_id ~cap ~n jobs =
+  let buf = Buffer.create 4096 in
+  Wire.write_magic buf "DJOB";
+  Wire.write_i64 buf req_id;
+  Wire.write_i64 buf cap;
+  Wire.write_array buf
+    (fun buf -> function
+      | Wave.Gate { gate; _ } -> Wire.write_u8 buf (Gate.to_code gate)
+      | Wave.Group { arity; tables; _ } ->
+        Wire.write_u8 buf (128 + arity);
+        Wire.write_array buf Wire.write_u8 tables)
+    jobs;
+  let operands =
+    Array.concat
+      (Array.to_list
+         (Array.map
+            (function Wave.Gate { a; b; _ } -> [| a; b |] | Wave.Group { operands; _ } -> operands)
+            jobs))
+  in
+  Lwe_array.write buf (Lwe_array.of_samples ~n operands);
+  Buffer.to_bytes buf
+
+let decode_request ~n payload =
+  let corrupt fmt = Printf.ksprintf (fun m -> raise (Wire.Corrupt ("Dist_eval: " ^ m))) fmt in
+  let r = Wire.reader_of_string payload in
+  Wire.read_magic r "DJOB";
+  let req_id = Wire.read_i64 r in
+  let cap = Wire.read_i64 r in
+  if cap < 1 then corrupt "launch capacity %d" cap;
+  let headers =
+    Wire.read_array r (fun r ->
+        let code = Wire.read_u8 r in
+        if code < 128 then
+          match Gate.of_code code with
+          | Some g when not (Gate.is_unary g) -> `Gate g
+          | Some _ | None -> corrupt "bad gate code %d" code
+        else begin
+          let arity = code - 128 in
+          if arity < 1 || arity > 3 then corrupt "bad job code %d" code;
+          let tables = Wire.read_array r Wire.read_u8 in
+          if tables = [||] then corrupt "lut%d group without tables" arity;
+          if arity = 1 && Array.length tables > 1 then
+            corrupt "lut1 group with several tables";
+          Array.iter
+            (fun t ->
+              if t lsr (1 lsl arity) <> 0 then corrupt "lut%d table %#x out of range" arity t)
+            tables;
+          `Group (arity, tables)
+        end)
+  in
+  let ops = Lwe_array.read r in
+  let rows =
+    Array.fold_left (fun acc -> function `Gate _ -> acc + 2 | `Group (k, _) -> acc + k) 0 headers
+  in
+  if Lwe_array.length ops <> rows then
+    corrupt "%d operand rows for jobs declaring %d" (Lwe_array.length ops) rows;
+  if Lwe_array.dim ops <> n then
+    corrupt "operand dimension %d, keyset has %d" (Lwe_array.dim ops) n;
+  let row = ref 0 in
+  let take () =
+    let v = Lwe_array.get ops !row in
+    incr row;
+    v
+  in
+  let jobs =
+    Array.map
+      (function
+        | `Gate gate ->
+          let a = take () in
+          let b = take () in
+          Wave.Gate { gate; a; b }
+        | `Group (arity, tables) ->
+          Wave.Group { arity; operands = Array.init arity (fun _ -> take ()); tables })
+      headers
+  in
+  (req_id, cap, jobs)
+
+(* The worker is a stateless job server: after the hello frame (identity,
+   transform tag, fault schedule, cloud keyset) it answers DJOB frames
+   with DOUT frames carrying the measured compute seconds and every job's
+   outputs as one Lwe_array.  All exits go through Unix._exit: the child
+   must never run the parent's at_exit handlers or flush its inherited
+   stdio buffers. *)
 let worker_main fd =
   let hello = read_frame fd in
   let r = Wire.reader_of_string hello in
   let index, obs_on, obs_epoch, faults, ck = parse_hello r in
-  (* Build the transform tables once, up front: the gate loop below must
+  (* Build the transform tables once, up front: the job loop below must
      never find them missing (a worker that built tables mid-request would
      blow its first deadline on large rings). *)
   Params.precompute ck.Gates.cloud_params;
-  let ctx = Gates.context ck in
+  let n = ck.Gates.cloud_params.Params.lwe.Params.n in
   let wsink = if obs_on then Trace.create ~epoch:obs_epoch () else Trace.null in
   let wtr = Trace.new_track wsink ~name:(Printf.sprintf "worker %d" index) in
-  (* ready: the keyset is parsed and the gate context built.  Also the
-     coordinator's proof that the spawned binary really is a worker. *)
+  (* ready: the keyset is parsed.  Also the coordinator's proof that the
+     spawned binary really is a worker. *)
   let rdy = Buffer.create 8 in
   Wire.write_magic rdy "DRDY";
   ignore (write_frame fd (Buffer.to_bytes rdy));
-  (* SoA request scratch, built on first DRQ2: the row-batched context and
-     a staging array for sub-batches of at most [worker_batch_cap] gates.
-     Legacy per-sample coordinators never pay for it. *)
-  let worker_batch_cap = 32 in
-  let soa_scratch =
-    lazy
-      (let n = ck.Gates.cloud_params.Params.lwe.Params.n in
-       (Gates.batch_context ck ~cap:worker_batch_cap, Lwe_array.create ~n worker_batch_cap))
+  (* Launches split a frame's jobs the same way for every capacity in
+     [min cap jobs, cap], so an engine in that range is reused; a new one
+     is sized to the frame, which bounds it by what the frame carries. *)
+  let cached = ref None in
+  let engine_for ~cap ~jobs =
+    let want = min cap (max 1 jobs) in
+    match !cached with
+    | Some e when Wave.capacity e >= want && Wave.capacity e <= cap -> e
+    | Some _ | None ->
+      let e = Wave.engine ck ~cap:want in
+      cached := Some e;
+      e
   in
   let served = ref 0 in
   let rec loop () =
@@ -205,128 +288,37 @@ let worker_main fd =
     if String.length payload < 4 then Unix._exit 4;
     (match String.sub payload 0 4 with
     | "DBYE" -> Unix._exit 0
-    | ("DREQ" | "DRQ2") as magic ->
-      let r = Wire.reader_of_string payload in
-      Wire.read_magic r magic;
-      let req_id = Wire.read_i64 r in
+    | "DJOB" ->
+      let req_id, cap, jobs = decode_request ~n payload in
       incr served;
       let due = List.filter (fun f -> f.after_requests = !served) faults in
       if List.exists (fun f -> f.action = Crash) due then
         (* a genuine SIGKILL mid-wave: the request dies with us *)
         Unix.kill (Unix.getpid ()) Sys.sigkill;
       List.iter (fun f -> match f.action with Stall s -> Unix.sleepf s | _ -> ()) due;
-      let boots, t0, t1, reply =
-        if magic = "DREQ" then begin
-          (* Record codes 0–127 are classic gates (two operand samples);
-             128+arity (129–131) are programmable LUT cells: a u8 truth
-             table then [arity] operand samples.  The coordinator ships
-             arity-1 operands already as classic views; arity-2/3 operands
-             arrive lutdom-encoded, exactly as [Gates.lut_cell_in] wants. *)
-          let gates =
-            Wire.read_array r (fun r ->
-                let code = Wire.read_u8 r in
-                if code >= 129 && code <= 131 then begin
-                  let arity = code - 128 in
-                  let table = Wire.read_u8 r in
-                  if table lsr (1 lsl arity) <> 0 then
-                    raise
-                      (Wire.Corrupt
-                         (Printf.sprintf "Dist_eval: lut%d table %#x out of range" arity
-                            table));
-                  let ops = Array.make arity (Lwe.read_sample r) in
-                  for i = 1 to arity - 1 do
-                    ops.(i) <- Lwe.read_sample r
-                  done;
-                  `Lut (arity, table, ops)
-                end
-                else begin
-                  let a = Lwe.read_sample r in
-                  let b = Lwe.read_sample r in
-                  `Gate (code, a, b)
-                end)
-          in
-          let t0 = Unix.gettimeofday () in
-          let results =
-            Array.map
-              (function
-                | `Gate (code, a, b) -> (
-                  match Gate.of_code code with
-                  | Some g -> Tfhe_eval.apply_gate ctx g a b
-                  | None ->
-                    raise (Wire.Corrupt (Printf.sprintf "Dist_eval: bad gate code %d" code)))
-                | `Lut (arity, table, ops) -> Gates.lut_cell_in ctx ~arity ~table ops)
-              gates
-          in
-          let t1 = Unix.gettimeofday () in
-          let buf = Buffer.create 4096 in
-          Wire.write_magic buf "DREP";
-          Wire.write_i64 buf req_id;
-          Wire.write_f64 buf (t1 -. t0);
-          Wire.write_array buf Lwe.write_sample results;
-          (Array.length gates, t0, t1, Buffer.to_bytes buf)
-        end
-        else begin
-          (* The SoA shard: u8 gate codes, then the a- and b-operand waves as
-             two flat Lwe_array frames — one bounds-checked blit each instead
-             of per-sample framing.  Gates run through the row-batched
-             kernels, so the worker materializes no per-gate records either;
-             results are bit-exact with the scalar DREQ path. *)
-          let codes = Wire.read_array r Wire.read_u8 in
-          let va = Lwe_array.read r in
-          let vb = Lwe_array.read r in
-          let count = Array.length codes in
-          if Lwe_array.length va <> count || Lwe_array.length vb <> count then
-            raise (Wire.Corrupt "Dist_eval: array-frame operand count mismatch");
-          if Lwe_array.dim va <> Lwe_array.dim vb then
-            raise (Wire.Corrupt "Dist_eval: array-frame operand dimension mismatch");
-          let plans =
-            Array.map
-              (fun code ->
-                match Gate.of_code code with
-                | Some g when not (Gate.is_unary g) -> Tfhe_eval.plan_of g
-                | Some _ | None ->
-                  raise (Wire.Corrupt (Printf.sprintf "Dist_eval: bad gate code %d" code)))
-              codes
-          in
-          let bc, staging = Lazy.force soa_scratch in
-          let t0 = Unix.gettimeofday () in
-          let out = Lwe_array.create ~n:(Lwe_array.dim va) count in
-          let pos = ref 0 in
-          while !pos < count do
-            let len = min worker_batch_cap (count - !pos) in
-            let base = !pos in
-            for i = 0 to len - 1 do
-              Gates.combine_rows_into plans.(base + i) ~a:va ~arow:(base + i) ~b:vb
-                ~brow:(base + i) ~dst:staging ~drow:i
-            done;
-            let outs = Gates.bootstrap_batch_rows bc (Lwe_array.slice staging ~pos:0 ~len) in
-            Lwe_array.blit ~src:outs ~src_pos:0 ~dst:out ~dst_pos:base ~len;
-            pos := base + len
-          done;
-          let t1 = Unix.gettimeofday () in
-          let buf = Buffer.create 4096 in
-          Wire.write_magic buf "DRP2";
-          Wire.write_i64 buf req_id;
-          Wire.write_f64 buf (t1 -. t0);
-          Lwe_array.write buf out;
-          (count, t0, t1, Buffer.to_bytes buf)
-        end
+      let t0 = Unix.gettimeofday () in
+      let outs = Wave.exec (engine_for ~cap ~jobs:(Array.length jobs)) jobs in
+      let t1 = Unix.gettimeofday () in
+      let reply =
+        let buf = Buffer.create 4096 in
+        Wire.write_magic buf "DOUT";
+        Wire.write_i64 buf req_id;
+        Wire.write_f64 buf (t1 -. t0);
+        Lwe_array.write buf (Lwe_array.of_samples ~n outs);
+        Buffer.to_bytes buf
       in
-      (* Ship collected spans in a DTRC frame *before* the reply, so the
+      (* Ship the shard's span in a DTRC frame *before* the reply, so the
          coordinator has always consumed a shard's trace by the time it
          accepts the shard — a worker dying right after the reply (or
-         sending a faulted one) loses at most its own last spans,
-         truncating the trace but never corrupting it. *)
+         sending a faulted one) loses at most its own last span,
+         truncating the trace but never corrupting it.  The crypto
+         counters are the wave source's: counted here too, every job
+         would be counted twice. *)
       if Trace.enabled wsink then begin
-        let p = ck.Gates.cloud_params in
         let ep = Trace.epoch wsink in
         Trace.span wtr ~cat:"shard"
-          ~name:(Printf.sprintf "req %d (%d gates)" req_id boots)
+          ~name:(Printf.sprintf "req %d (%d jobs)" req_id (Array.length jobs))
           ~t0:(t0 -. ep) ~t1:(t1 -. ep);
-        Trace.counter wtr ~name:"bootstraps" (float_of_int boots);
-        Trace.counter wtr ~name:"key_switches" (float_of_int boots);
-        Trace.counter wtr ~name:"ffts"
-          (float_of_int (boots * Exec_obs.ffts_per_bootstrap p));
         match Trace.flush wsink with
         | [] -> ()
         | events ->
@@ -371,20 +363,13 @@ type worker = {
   mutable reaped : bool;
 }
 
-(* One unit of shard work, with operands already resolved to ciphertexts —
-   exactly what the DREQ wire format carries, so shards are netlist-free
-   and the same dispatch path serves both the materialised and the
-   streaming executor. *)
-type shard_item =
-  | S_gate of { code : int; a : Lwe.sample; b : Lwe.sample }
-      (** Classic bootstrapped gate; operands are classic views. *)
-  | S_lut of { arity : int; table : int; ops : Lwe.sample array }
-      (** LUT cell; arity-1 operand is a classic view, arity-2/3 operands
-          are raw lutdom ciphertexts. *)
-
+(* One worker's contiguous slice of a wave's jobs.  Jobs carry resolved
+   operands, so shards are netlist-free and the same dispatch path serves
+   both wave sources. *)
 type shard = {
-  items : shard_item array;
-  dsts : int array;  (* destination keys, fed to [state.put] with results *)
+  jobs : Wave.job array;
+  outputs : int;  (* outputs the reply must carry *)
+  mutable result : Lwe.sample array;
   mutable owner : worker;
   mutable req_id : int;
   mutable deadline : float;
@@ -395,7 +380,7 @@ type shard = {
 type state = {
   cfg : config;
   lwe_n : int;
-  mutable put : int -> Lwe.sample -> unit;  (* result writeback, per run *)
+  cap : int;  (* the workers' launch capacity, [opts.batch] *)
   members : worker array;
   obs : Trace.sink;
   wtracks : int array;  (* coordinator-side track id per worker index *)
@@ -491,55 +476,7 @@ let send_shard st sh =
   let t0 = Unix.gettimeofday () in
   st.next_req <- st.next_req + 1;
   sh.req_id <- st.next_req;
-  let buf = Buffer.create 4096 in
-  (* DRQ2's flat two-operand frames can't carry variable-arity LUT records;
-     a shard containing any LUT cell falls back to per-record DREQ framing
-     (classic-only shards keep the SoA fast path). *)
-  let shard_has_lut =
-    Array.exists (function S_lut _ -> true | S_gate _ -> false) sh.items
-  in
-  if st.cfg.array_frames && not shard_has_lut then begin
-    (* SoA request: gate codes, then the two operand waves packed as flat
-       Lwe_array frames — one bounds-checked blit per direction on the wire
-       instead of per-sample framing. *)
-    let count = Array.length sh.items in
-    let va = Lwe_array.create ~n:st.lwe_n count in
-    let vb = Lwe_array.create ~n:st.lwe_n count in
-    let codes = Array.make count 0 in
-    Array.iteri
-      (fun i item ->
-        match item with
-        | S_gate { code; a; b } ->
-          codes.(i) <- code;
-          Lwe_array.set va i a;
-          Lwe_array.set vb i b
-        | S_lut _ -> assert false)
-      sh.items;
-    Wire.write_magic buf "DRQ2";
-    Wire.write_i64 buf sh.req_id;
-    Wire.write_array buf Wire.write_u8 codes;
-    Lwe_array.write buf va;
-    Lwe_array.write buf vb
-  end
-  else begin
-    Wire.write_magic buf "DREQ";
-    Wire.write_i64 buf sh.req_id;
-    Wire.write_array buf
-      (fun buf item ->
-        match item with
-        | S_gate { code; a; b } ->
-          Wire.write_u8 buf code;
-          Lwe.write_sample buf a;
-          Lwe.write_sample buf b
-        | S_lut { arity; table; ops } ->
-          (* LUT record: code 128+arity, u8 table, then the operands
-             (arity-1: classic view; arity-2/3: lutdom-encoded). *)
-          Wire.write_u8 buf (128 + arity);
-          Wire.write_u8 buf table;
-          Array.iter (fun a -> Lwe.write_sample buf a) ops)
-      sh.items
-  end;
-  let n = write_frame w.fd (Buffer.to_bytes buf) in
+  let n = write_frame w.fd (encode_request ~req_id:sh.req_id ~cap:st.cap ~n:st.lwe_n sh.jobs) in
   let now = Unix.gettimeofday () in
   st.bytes_out <- st.bytes_out + n;
   st.t_dispatch <- st.t_dispatch +. (now -. t0);
@@ -606,7 +543,7 @@ let on_ready st pending w =
     else declare_lost st pending w
   in
   (* One frame per call: a DTRC (optional worker trace, sent before its
-     DREP) is merged and the select loop comes back for the reply still
+     DOUT) is merged and the select loop comes back for the reply still
      buffered on the socket. *)
   let parse_trc payload =
     match
@@ -629,21 +566,14 @@ let on_ready st pending w =
       parse_trc payload;
       None
     end
-    else if String.length payload >= 4 && String.sub payload 0 4 = "DRP2" then begin
+    else begin
       let r = Wire.reader_of_string payload in
-      Wire.read_magic r "DRP2";
+      Wire.read_magic r "DOUT";
       let req_id = Wire.read_i64 r in
       let compute = Wire.read_f64 r in
       let arr = Lwe_array.read r in
+      if Lwe_array.dim arr <> st.lwe_n then raise (Wire.Corrupt "Dist_eval: reply dimension");
       Some (req_id, compute, Lwe_array.to_samples arr)
-    end
-    else begin
-      let r = Wire.reader_of_string payload in
-      Wire.read_magic r "DREP";
-      let req_id = Wire.read_i64 r in
-      let compute = Wire.read_f64 r in
-      let samples = Wire.read_array r Lwe.read_sample in
-      Some (req_id, compute, samples)
     end
   with
   | exception Frame_closed -> declare_lost st pending w
@@ -657,92 +587,81 @@ let on_ready st pending w =
     match List.find_opt (fun q -> q.owner == w && q.req_id = req_id) !pending with
     | None -> () (* stale reply from a superseded request: drop *)
     | Some sh ->
-      if Array.length samples <> Array.length sh.items then resend_corrupt sh
+      if Array.length samples <> sh.outputs then resend_corrupt sh
       else begin
-        Array.iteri (fun i dst -> st.put dst samples.(i)) sh.dsts;
+        sh.result <- samples;
         let now = Unix.gettimeofday () in
         st.t_compute <- st.t_compute +. compute;
         st.t_transfer <- st.t_transfer +. Float.max 0.0 (now -. sh.sent_at -. compute);
         pending := List.filter (fun q -> q != sh) !pending
       end)
 
-let shards_of items dsts k =
-  let width = Array.length items in
-  let k = max 1 (min k width) in
-  Array.init k (fun d ->
-      let lo = d * width / k and hi = (d + 1) * width / k in
-      (Array.sub items lo (hi - lo), Array.sub dsts lo (hi - lo)))
-
-(* Fan one wave's items out over the live workers and run the select loop
-   until every shard has been answered (results land through [st.put]). *)
-let dispatch st wave_items wave_dsts =
-  if Array.length wave_items > 0 then begin
-    let live = live_workers st in
-    if live = [] then raise All_workers_lost;
-    let chunks = shards_of wave_items wave_dsts (List.length live) in
-    let owners = Array.of_list live in
-    let pending = ref [] in
-    Array.iteri
-      (fun d (items, dsts) ->
-        let sh =
-          { items; dsts; owner = owners.(d); req_id = 0; deadline = infinity;
-            attempts = 0; sent_at = 0.0 }
-        in
-        pending := sh :: !pending)
-      chunks;
-    (* Initial sends, tolerating workers that died since the last wave.
-       declare_lost may already have re-sent a shard through reassignment,
-       so only shards still carrying req_id = 0 go out here. *)
-    List.iter
-      (fun sh ->
-        if sh.req_id = 0 then
-          try send_shard st sh
-          with Frame_closed -> declare_lost st pending sh.owner)
-      !pending;
-    while !pending <> [] do
-      let now = Unix.gettimeofday () in
-      List.iter (fun sh -> if now >= sh.deadline then on_timeout st pending sh) !pending;
-      if !pending <> [] then begin
-        let fds =
-          List.sort_uniq compare (List.map (fun sh -> sh.owner.fd) !pending)
-        in
-        let next_deadline =
-          List.fold_left (fun acc sh -> Float.min acc sh.deadline) infinity !pending
-        in
-        let tmo =
-          Float.max 0.005
-            (Float.min st.cfg.heartbeat_interval (next_deadline -. Unix.gettimeofday ()))
-        in
-        match Unix.select fds [] [] tmo with
-        | [], _, _ ->
-          (* heartbeat: catch crashed workers early, before their deadline *)
-          List.iter
-            (fun sh ->
-              if sh.owner.alive && not (process_running sh.owner) then begin
-                st.heartbeat_misses <- st.heartbeat_misses + 1;
-                declare_lost st pending sh.owner
-              end)
-            !pending
-        | ready, _, _ ->
-          List.iter
-            (fun fd ->
-              match List.find_opt (fun sh -> sh.owner.fd = fd && sh.owner.alive) !pending with
-              | Some sh -> on_ready st pending sh.owner
-              | None -> ())
-            ready
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error (Unix.EBADF, _, _) ->
-          (* a descriptor died under select: sweep for dead owners *)
-          List.iter
-            (fun sh ->
-              if sh.owner.alive && not (process_running sh.owner) then begin
-                st.heartbeat_misses <- st.heartbeat_misses + 1;
-                declare_lost st pending sh.owner
-              end)
-            !pending
-      end
-    done
-  end
+(* Fan one wave's jobs out over the live workers, one contiguous shard
+   each, and run the select loop until every shard has been answered;
+   returns the outputs in job order. *)
+let dispatch st jobs =
+  let live = live_workers st in
+  if live = [] then raise All_workers_lost;
+  let owners = Array.of_list live in
+  let width = Array.length jobs in
+  let k = max 1 (min (Array.length owners) width) in
+  let shards =
+    Array.init k (fun d ->
+        let lo = d * width / k and hi = (d + 1) * width / k in
+        let jobs = Array.sub jobs lo (hi - lo) in
+        { jobs; outputs = Array.fold_left (fun acc j -> acc + Wave.outputs j) 0 jobs;
+          result = [||]; owner = owners.(d); req_id = 0; deadline = infinity; attempts = 0;
+          sent_at = 0.0 })
+  in
+  let pending = ref (Array.to_list shards) in
+  (* Initial sends, tolerating workers that died since the last wave.
+     declare_lost may already have re-sent a shard through reassignment,
+     so only shards still carrying req_id = 0 go out here. *)
+  List.iter
+    (fun sh ->
+      if sh.req_id = 0 then
+        try send_shard st sh
+        with Frame_closed -> declare_lost st pending sh.owner)
+    !pending;
+  while !pending <> [] do
+    let now = Unix.gettimeofday () in
+    List.iter (fun sh -> if now >= sh.deadline then on_timeout st pending sh) !pending;
+    if !pending <> [] then begin
+      let fds =
+        List.sort_uniq compare (List.map (fun sh -> sh.owner.fd) !pending)
+      in
+      let next_deadline =
+        List.fold_left (fun acc sh -> Float.min acc sh.deadline) infinity !pending
+      in
+      let tmo =
+        Float.max 0.005
+          (Float.min st.cfg.heartbeat_interval (next_deadline -. Unix.gettimeofday ()))
+      in
+      (* heartbeat: catch crashed workers early, before their deadline *)
+      let sweep () =
+        List.iter
+          (fun sh ->
+            if sh.owner.alive && not (process_running sh.owner) then begin
+              st.heartbeat_misses <- st.heartbeat_misses + 1;
+              declare_lost st pending sh.owner
+            end)
+          !pending
+      in
+      match Unix.select fds [] [] tmo with
+      | [], _, _ -> sweep ()
+      | ready, _, _ ->
+        List.iter
+          (fun fd ->
+            match List.find_opt (fun sh -> sh.owner.fd = fd && sh.owner.alive) !pending with
+            | Some sh -> on_ready st pending sh.owner
+            | None -> ())
+          ready
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      (* a descriptor died under select: sweep for dead owners *)
+      | exception Unix.Unix_error (Unix.EBADF, _, _) -> sweep ()
+    end
+  done;
+  Array.concat (Array.to_list (Array.map (fun sh -> sh.result) shards))
 
 let shutdown members =
   Array.iter
@@ -773,7 +692,7 @@ type session = {
   s_restore : unit -> unit;
 }
 
-let session_start ?(obs = Trace.null) cfg cloud =
+let session_start ~obs ~cap cfg cloud =
   let start = Unix.gettimeofday () in
   let previous_sigpipe =
     try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None
@@ -804,7 +723,7 @@ let session_start ?(obs = Trace.null) cfg cloud =
     {
       cfg;
       lwe_n = cloud.Gates.cloud_params.Params.lwe.Params.n;
-      put = (fun _ _ -> ());
+      cap;
       members;
       obs;
       wtracks;
@@ -876,137 +795,6 @@ let session_shutdown s =
   shutdown s.s_members;
   s.s_restore ()
 
-let run_legacy ?(obs = Trace.null) cfg cloud net inputs =
-  let input_list = Netlist.inputs net in
-  if Array.length inputs <> List.length input_list then
-    invalid_arg "Dist_eval.run: input arity mismatch";
-  let session = session_start ~obs cfg cloud in
-  let st = session.s_st in
-  let start = session.s_started in
-  Fun.protect
-    ~finally:(fun () -> session_shutdown session)
-    (fun () ->
-      let startup_time = session.s_startup in
-      let values = Array.make (Netlist.node_count net) None in
-      st.put <- (fun id v -> values.(id) <- Some v);
-      List.iteri (fun i (_, id) -> values.(id) <- Some inputs.(i)) input_list;
-      for id = 0 to Netlist.node_count net - 1 do
-        match Netlist.kind net id with
-        | Netlist.Const b -> values.(id) <- Some (Gates.constant cloud b)
-        | Netlist.Input _ | Netlist.Gate _ | Netlist.Lut _ -> ()
-      done;
-      (* Shard items carry resolved operands: the classic view for gate
-         fan-ins and arity-1 cells, raw lutdom ciphertexts for multi-input
-         cell operands — the same resolution [send_shard] used to do
-         in-line when shards still referenced the netlist. *)
-      let classic id = Tfhe_eval.classic_view net values id in
-      let items_of_wave par =
-        Array.map
-          (fun id ->
-            match Netlist.kind net id with
-            | Netlist.Gate (g, a, b) ->
-              S_gate { code = Gate.to_code g; a = classic a; b = classic b }
-            | Netlist.Lut { table; ins } ->
-              let arity = Array.length ins in
-              let ops =
-                if arity = 1 then [| classic ins.(0) |]
-                else Array.map (fun a -> Option.get values.(a)) ins
-              in
-              S_lut { arity; table; ops }
-            | Netlist.Input _ | Netlist.Const _ -> assert false)
-          par
-      in
-      let sched = Levelize.run net in
-      let waves = Levelize.waves sched net in
-      let wave_wall = Array.make (Array.length waves) 0.0 in
-      let wave_width =
-        Array.map (fun w -> Array.length w.Levelize.parallel) waves
-      in
-      let bootstraps = ref 0 and nots = ref 0 in
-      let traced = Trace.enabled obs in
-      let ep = Trace.epoch obs in
-      let wave_tr = Trace.new_track obs ~name:"coordinator" in
-      if traced then Exec_obs.noise_gauges wave_tr cloud.Gates.cloud_params;
-      (try
-         Array.iteri
-           (fun i wave ->
-             let t0 = Unix.gettimeofday () in
-             let a0 = if traced then Exec_obs.alloc_words () else 0.0 in
-             let out0 = st.bytes_out and in0 = st.bytes_in in
-             let retries0 = st.retries and reassign0 = st.reassignments in
-             let corrupt0 = st.corrupt_frames and hb0 = st.heartbeat_misses in
-             dispatch st (items_of_wave wave.Levelize.parallel) wave.Levelize.parallel;
-             bootstraps := !bootstraps + Array.length wave.Levelize.parallel;
-             let nots0 = !nots in
-             Array.iter
-               (fun id ->
-                 match Netlist.kind net id with
-                 | Netlist.Gate (g, a, _) when Gate.is_unary g ->
-                   values.(id) <- Some (Lwe.neg (classic a));
-                   incr nots
-                 | Netlist.Gate _ | Netlist.Input _ | Netlist.Const _ | Netlist.Lut _ ->
-                   assert false)
-               wave.Levelize.inline;
-             let t1 = Unix.gettimeofday () in
-             wave_wall.(i) <- t1 -. t0;
-             if traced then begin
-               let width = Array.length wave.Levelize.parallel in
-               Trace.span wave_tr ~cat:"wave"
-                 ~name:(Printf.sprintf "wave %d" i)
-                 ~t0:(t0 -. ep) ~t1:(t1 -. ep);
-               (* bootstraps/key_switches/ffts come from the worker-side
-                  shard counters (shipped in DTRC frames), which count
-                  where the gates actually ran — a retried shard is
-                  re-counted by whichever worker redid it.  Emitting them
-                  here too would double every one of them. *)
-               Trace.counter wave_tr ~name:"nots" (float_of_int (!nots - nots0));
-               Trace.counter wave_tr ~name:"wave_width" (float_of_int width);
-               Trace.counter wave_tr ~name:"alloc_words"
-                 (Exec_obs.alloc_words () -. a0);
-               let c name v =
-                 Trace.counter wave_tr ~name (float_of_int v)
-               in
-               c "bytes_to_workers" (st.bytes_out - out0);
-               c "bytes_from_workers" (st.bytes_in - in0);
-               c "retries" (st.retries - retries0);
-               c "reassignments" (st.reassignments - reassign0);
-               c "corrupt_frames" (st.corrupt_frames - corrupt0);
-               c "heartbeat_misses" (st.heartbeat_misses - hb0);
-               (* the wave barrier just passed: every accepted shard's
-                  DTRC has been merged, nothing else is in flight *)
-               Trace.drain obs
-             end)
-           waves
-       with All_workers_lost ->
-         failwith "Dist_eval.run: all workers lost (crashed or unresponsive)");
-      let outputs =
-        Netlist.outputs net
-        |> List.map (fun (_, id) -> classic id)
-        |> Array.of_list
-      in
-      ( outputs,
-        {
-          workers_started = cfg.workers;
-          workers_lost = st.lost;
-          bootstraps_executed = !bootstraps;
-          nots_executed = !nots;
-          requests_sent = st.requests_sent;
-          retries = st.retries;
-          reassignments = st.reassignments;
-          corrupt_frames = st.corrupt_frames;
-          heartbeat_misses = st.heartbeat_misses;
-          keyset_bytes = session.s_keyset_bytes;
-          bytes_to_workers = st.bytes_out;
-          bytes_from_workers = st.bytes_in;
-          startup_time;
-          dispatch_time = st.t_dispatch;
-          transfer_time = st.t_transfer;
-          compute_time = st.t_compute;
-          wave_wall;
-          wave_width;
-          wall_time = Unix.gettimeofday () -. start;
-        } ))
-
 let pp_stats fmt s =
   Format.fprintf fmt
     "workers=%d (%d lost) bootstraps=%d nots=%d requests=%d retries=%d reassignments=%d \
@@ -1016,76 +804,41 @@ let pp_stats fmt s =
     s.retries s.reassignments s.corrupt_frames s.heartbeat_misses s.wall_time
     s.dispatch_time s.transfer_time s.compute_time s.bytes_to_workers s.bytes_from_workers
 
-let run ?(opts = Exec_opts.default) cfg cloud net inputs =
-  Exec_opts.check_scalar_only ~who:"Dist_eval.run" opts;
-  run_legacy ~obs:opts.Exec_opts.obs cfg cloud net inputs
-
-(* --- Streaming execution --------------------------------------------------
-
-   Distributed execution of a streamed binary: the segmented wave driver
-   resolves operands as the stream arrives, and each wave's tasks convert
-   directly into shard items — the DREQ wire format always carried resolved
-   ciphertexts, so the worker protocol is unchanged and workers stay
-   netlist-free either way.  Fault tolerance (deadlines, retries,
-   reassignment, heartbeats) is the same [dispatch] loop as [run]. *)
-
-let run_stream ?(opts = Exec_opts.default) ?window cfg cloud read inputs =
-  Exec_opts.check_scalar_only ~who:"Dist_eval.run_stream" opts;
-  let obs = opts.Exec_opts.obs in
-  let session = session_start ~obs cfg cloud in
+(* Start a session, hand [source] the wave runner and the per-wave wire
+   probe, and turn what it returns into stats. *)
+let with_session ~who ~(opts : Exec_opts.t) cfg cloud source =
+  if opts.batch < 1 then invalid_arg (who ^ ": batch must be >= 1");
+  let session = session_start ~obs:opts.obs ~cap:opts.batch cfg cloud in
   let st = session.s_st in
   Fun.protect
     ~finally:(fun () -> session_shutdown session)
     (fun () ->
-      (* The driver evaluates inline NOTs coordinator-side; a scalar
-         context exists only as the safety net behind [v_lut], which the
-         wave contract never exercises. *)
-      let ctx = lazy (Gates.context cloud) in
-      let run_wave tasks =
-        let total = Array.length tasks in
-        let items =
-          Array.map
-            (function
-              | Stream_exec.T_gate { gate; a; b } ->
-                S_gate { code = Gate.to_code gate; a; b }
-              | Stream_exec.T_lut { arity; table; operands; _ } ->
-                S_lut { arity; table; ops = operands })
-            tasks
-        in
-        let out = Array.make total None in
-        st.put <- (fun i v -> out.(i) <- Some v);
-        dispatch st items (Array.init total Fun.id);
-        Array.map (function Some v -> v | None -> assert false) out
+      (* Wire traffic and fault handling of one wave, as deltas.  The
+         crypto counters come from the wave source; the workers ship only
+         their shard spans. *)
+      let snapshot () =
+        [ ("bytes_to_workers", st.bytes_out); ("bytes_from_workers", st.bytes_in);
+          ("retries", st.retries); ("reassignments", st.reassignments);
+          ("corrupt_frames", st.corrupt_frames); ("heartbeat_misses", st.heartbeat_misses) ]
       in
-      let ops =
-        {
-          Stream_exec.v_gate =
-            (fun g a b ->
-              match g with
-              | Gate.Not -> Lwe.neg a
-              | _ -> Tfhe_eval.apply_gate (Lazy.force ctx) g a b);
-          v_input =
-            (fun i ->
-              if i >= Array.length inputs then
-                invalid_arg "Dist_eval.run_stream: wrong number of inputs for the stream"
-              else inputs.(i));
-          v_lut =
-            (fun ~arity ~table ops ->
-              Gates.lut_cell_in (Lazy.force ctx) ~arity ~table ops);
-          v_lut_view = Gates.lut_to_classic;
-        }
+      let last = ref (snapshot ()) in
+      let probe tr =
+        let now = snapshot () in
+        List.iter2
+          (fun (name, v1) (_, v0) -> Trace.counter tr ~name (float_of_int (v1 - v0)))
+          now !last;
+        last := now
       in
-      let outputs, ws =
-        try Stream_exec.run_waves ~obs ?window ~run_wave ops read
-        with All_workers_lost ->
-          failwith "Dist_eval.run_stream: all workers lost (crashed or unresponsive)"
+      let outputs, (ws : Wave.stats) =
+        try source ~run_wave:(dispatch st) ~probe
+        with All_workers_lost -> failwith (who ^ ": all workers lost (crashed or unresponsive)")
       in
       ( outputs,
         {
           workers_started = cfg.workers;
           workers_lost = st.lost;
-          bootstraps_executed = ws.Stream_exec.bootstraps_run;
-          nots_executed = ws.Stream_exec.nots_run;
+          bootstraps_executed = ws.Wave.bootstraps;
+          nots_executed = ws.Wave.nots;
           requests_sent = st.requests_sent;
           retries = st.retries;
           reassignments = st.reassignments;
@@ -1098,7 +851,19 @@ let run_stream ?(opts = Exec_opts.default) ?window cfg cloud read inputs =
           dispatch_time = st.t_dispatch;
           transfer_time = st.t_transfer;
           compute_time = st.t_compute;
-          wave_wall = ws.Stream_exec.wave_wall;
-          wave_width = ws.Stream_exec.wave_widths;
+          wave_wall = ws.Wave.wave_wall;
+          wave_width = ws.Wave.wave_width;
           wall_time = Unix.gettimeofday () -. session.s_started;
         } ))
+
+let run ?(opts = Exec_opts.default) cfg cloud net inputs =
+  (* Checked before any worker is spawned. *)
+  if Array.length inputs <> List.length (Pytfhe_circuit.Netlist.inputs net) then
+    invalid_arg "Dist_eval.run: input arity mismatch";
+  with_session ~who:"Dist_eval.run" ~opts cfg cloud (fun ~run_wave ~probe ->
+      let track = Trace.new_track opts.obs ~name:"coordinator" in
+      Wave.run_netlist ~obs:opts.obs ~track ~probe ~run_wave cloud net inputs)
+
+let run_stream ?(opts = Exec_opts.default) ?window cfg cloud read inputs =
+  with_session ~who:"Dist_eval.run_stream" ~opts cfg cloud (fun ~run_wave ~probe ->
+      Stream_exec.run_waves ~obs:opts.obs ?window ~probe ~run_wave cloud read inputs)

@@ -4,14 +4,15 @@
     cluster; {!Sched_cpu} only prices that design, and {!Par_eval} runs it
     on shared-memory domains.  This executor crosses the process boundary
     for real: it spawns [workers] OS processes, ships the cloud keyset to
-    each once at startup, and drives the levelized wave schedule by sending
-    per-wave gate shards — gate opcodes plus input ciphertexts, serialized
-    through {!Pytfhe_util.Wire} inside length-prefixed frames over
-    [Unix.socketpair] channels — and collecting result ciphertexts at a
-    wave barrier.
+    each once at startup, and for every wave sends each worker one
+    contiguous shard of the wave's {!Wave.job}s — job headers plus one
+    operand {!Pytfhe_tfhe.Lwe_array}, serialized through
+    {!Pytfhe_util.Wire} inside a length-prefixed frame over a
+    [Unix.socketpair] channel — which the worker runs through
+    {!Wave.exec}; the outputs are collected at a wave barrier.
 
     Outputs are bit-exact with {!Tfhe_eval.run} for any worker count: every
-    gate performs the identical torus operation sequence, and the 32-bit
+    job performs the identical torus operation sequence, and the 32-bit
     ciphertext wire encoding round-trips exactly.
 
     {b Failure semantics.}  The coordinator never trusts a worker:
@@ -75,12 +76,6 @@ type config = {
   backoff : float;  (** Deadline multiplier per retry ([>= 1]). *)
   heartbeat_interval : float;  (** Liveness-poll period while waiting. *)
   faults : fault list;  (** Fault-injection schedule (tests only). *)
-  array_frames : bool;
-      (** Ship shards as struct-of-arrays [DRQ2]/[DRP2] frames (gate codes
-          plus two flat {!Pytfhe_tfhe.Lwe_array} operand waves, one
-          bounds-checked blit per direction) and evaluate them through the
-          worker's row-batched kernels.  [false] keeps the per-sample
-          [DREQ]/[DREP] framing.  Both are ciphertext-bit-exact. *)
 }
 
 val config :
@@ -89,11 +84,10 @@ val config :
   ?backoff:float ->
   ?heartbeat_interval:float ->
   ?faults:fault list ->
-  ?array_frames:bool ->
   int ->
   config
 (** [config workers] with defaults: 60 s timeout, 2 retries, 2x backoff,
-    0.25 s heartbeat, no faults, array frames on.  Raises
+    0.25 s heartbeat, no faults.  Raises
     [Invalid_argument] on nonsense ([workers < 1], non-positive timeout,
     [backoff < 1]). *)
 
@@ -121,7 +115,7 @@ type stats = {
           transfer, frame parsing, barrier waits. *)
   compute_time : float;  (** Sum of worker-reported gate-evaluation seconds. *)
   wave_wall : float array;  (** Wall seconds per wave. *)
-  wave_width : int array;  (** Bootstrapped gates per wave. *)
+  wave_width : int array;  (** Jobs per wave. *)
   wall_time : float;
 }
 
@@ -134,23 +128,19 @@ val run :
   Pytfhe_tfhe.Lwe.sample array * stats
 (** [run cfg cloud net inputs] forks [cfg.workers] processes and evaluates
     the program wave by wave across them, returning outputs in declaration
-    order.  Raises [Invalid_argument] on input arity mismatch and [Failure]
-    if every worker is lost.
+    order.  Workers launch at most [opts.batch] jobs at a time.  Raises
+    [Invalid_argument] on input arity mismatch or [batch < 1], and
+    [Failure] if every worker is lost.
 
     With an enabled [obs] sink, the hello frame carries the sink's epoch
-    and each worker collects per-shard spans and crypto counters in a
-    local sink, shipping them back in an optional [DTRC] frame sent just
-    before each reply; the coordinator merges them onto per-worker tracks
-    and adds wave spans, wire-byte / retry / reassignment /
+    and each worker collects per-shard spans in a local sink, shipping
+    them back in an optional [DTRC] frame sent just before each reply; the
+    coordinator merges them onto per-worker tracks and adds wave spans,
+    the standard per-wave counters, wire-byte / retry / reassignment /
     heartbeat-miss counters and the noise gauges on a ["coordinator"]
     track.  A worker lost mid-wave truncates the trace (its unshipped
     spans die with it) but never corrupts it — a malformed [DTRC] frame
-    is counted in [corrupt_frames] and dropped.
-
-    Batching is worker-side here ([config.array_frames] selects the wire
-    layout), so a caller passing [opts.batch] or a non-default [opts.soa]
-    raises [Invalid_argument] — the knobs used to be documented-ignored,
-    which silently dropped a requested optimization. *)
+    is counted in [corrupt_frames] and dropped. *)
 
 val run_stream :
   ?opts:Exec_opts.t ->
@@ -162,29 +152,20 @@ val run_stream :
   Pytfhe_tfhe.Lwe.sample array * stats
 (** Distributed execution of a streamed binary through
     {!Stream_exec.run_waves}: the coordinator never materialises a
-    netlist — each wave's resolved-operand tasks convert directly into
-    shard requests (the wire format is unchanged, so workers are
-    oblivious), with the same fault tolerance as {!run}.  Outputs are
-    ciphertext-bit-exact with {!run} for any worker count and any
-    [window].  [stats.wave_width] / [stats.wave_wall] cover executed
-    waves in order rather than netlist levels.  Same [Invalid_argument]
-    contract as {!run} for the batch/soa knobs. *)
-
-val run_legacy :
-  ?obs:Pytfhe_obs.Trace.sink ->
-  config ->
-  Pytfhe_tfhe.Gates.cloud_keyset ->
-  Pytfhe_circuit.Netlist.t ->
-  Pytfhe_tfhe.Lwe.sample array ->
-  Pytfhe_tfhe.Lwe.sample array * stats
-(** @deprecated The pre-{!Exec_opts} signature, kept for one release. *)
+    netlist — each wave's jobs go out in the same shard requests, with
+    the same fault tolerance as {!run}.  Outputs are ciphertext-bit-exact
+    with {!run} for any worker count and any [window].
+    [stats.wave_width] / [stats.wave_wall] cover executed waves in order
+    rather than netlist levels.  Same [Invalid_argument] contract as
+    {!run} for [batch]. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 
-(** {2 Handshake internals}
+(** {2 Wire internals}
 
-    The DHEL hello-frame builder and parser, exposed so the test suite can
-    pin the transform-negotiation contract without spawning processes. *)
+    The DHEL hello-frame encoder and parser and the shard request codec,
+    exposed so the test suite can pin the transform negotiation and the
+    request decoder without spawning processes. *)
 
 val hello_bytes :
   index:int ->
@@ -208,3 +189,18 @@ val parse_hello :
     coordinator's transform tag disagrees with the transform recorded in
     the keyset's own parameters — a coordinator/worker mismatch must fail
     the handshake, not silently mis-evaluate. *)
+
+val encode_request :
+  req_id:int -> cap:int -> n:int -> Wave.job array -> Bytes.t
+(** The coordinator's DJOB payload: magic, request id, the workers'
+    launch capacity, one header per job (a gate code, or 128 + arity and
+    the group's tables), then every job's operands as one
+    {!Pytfhe_tfhe.Lwe_array} of dimension [n]. *)
+
+val decode_request : n:int -> string -> int * int * Wave.job array
+(** The worker's parse of a DJOB payload: [(req_id, cap, jobs)].  Raises
+    [{!Pytfhe_util.Wire}.Corrupt] on a truncated payload, a capacity below
+    1, a [Not] or unknown gate code, an arity outside 1–3, a table wider
+    than the arity allows, a group without tables (or an arity-1 group
+    with several), an operand row count other than the headers declare,
+    or an operand dimension other than [n]. *)

@@ -29,13 +29,14 @@ let noise_gauges tr (p : Params.t) =
   Trace.gauge tr ~name:"gate_failure_probability"
     (Noise.gate_failure_probability p)
 
-let wave_counters tr (p : Params.t) ~bootstraps ~nots ~width ~alloc_words =
-  Trace.counter tr ~name:"bootstraps" (float_of_int bootstraps);
-  Trace.counter tr ~name:"key_switches" (float_of_int bootstraps);
-  Trace.counter tr ~name:"ffts"
-    (float_of_int (bootstraps * ffts_per_bootstrap p));
+(* One executed wave: [jobs] blind rotations (a LUT rotation group is one),
+   [outputs] key switches. *)
+let wave_counters tr (p : Params.t) ~jobs ~outputs ~nots ~alloc_words =
+  Trace.counter tr ~name:"bootstraps" (float_of_int jobs);
+  Trace.counter tr ~name:"key_switches" (float_of_int outputs);
+  Trace.counter tr ~name:"ffts" (float_of_int (jobs * ffts_per_bootstrap p));
   Trace.counter tr ~name:"nots" (float_of_int nots);
-  Trace.counter tr ~name:"wave_width" (float_of_int width);
+  Trace.counter tr ~name:"wave_width" (float_of_int jobs);
   Trace.counter tr ~name:"alloc_words" alloc_words
 
 (* [Gc.allocated_bytes] only reflects a domain's full minor heap after a
@@ -51,20 +52,22 @@ let bsk_row_bytes (p : Params.t) = Bootstrap.row_bytes p
 
 let ks_block_bytes (p : Params.t) = (1 lsl p.ks.base_bit) * (p.lwe.n + 1) * 4
 
-(* Per-wave counters for the batched execution path, emitted in addition to
-   {!wave_counters} when a [?batch] executor runs traced.  [batch_fill] is
-   the mean occupancy of the launches in this wave (1.0 = every launch
-   full). *)
-let batch_wave_counters tr (p : Params.t) ~cap ~launches ~gates ~bsk_rows ~ks_blocks =
-  Trace.counter tr ~name:"batch_waves" 1.;
+(* Per-wave launch and key-traffic counters of the engines a placement
+   ran the wave on: deltas of {!Gates.batch_counters} between [c0] and
+   [c1].  [batch_fill] is the mean occupancy of the wave's launches (1.0 =
+   every launch full). *)
+let batch_wave_counters tr (p : Params.t) ~cap (c0 : Gates.batch_counters)
+    (c1 : Gates.batch_counters) =
+  let launches = c1.Gates.batch_launches - c0.Gates.batch_launches in
   Trace.counter tr ~name:"batch_launches" (float_of_int launches);
-  if launches > 0 && cap > 0 then
+  if launches > 0 then
     Trace.counter tr ~name:"batch_fill"
-      (float_of_int gates /. float_of_int (launches * cap));
+      (float_of_int (c1.Gates.batch_gates - c0.Gates.batch_gates)
+      /. float_of_int (launches * cap));
   Trace.counter tr ~name:"bsk_bytes_streamed"
-    (float_of_int (bsk_rows * bsk_row_bytes p));
+    (float_of_int ((c1.Gates.bsk_rows - c0.Gates.bsk_rows) * bsk_row_bytes p));
   Trace.counter tr ~name:"ks_bytes_streamed"
-    (float_of_int (ks_blocks * ks_block_bytes p))
+    (float_of_int ((c1.Gates.ks_blocks - c0.Gates.ks_blocks) * ks_block_bytes p))
 
 (* Scheduler-tick counters for the FHE-as-a-service layer: admission-queue
    depth, cross-request batch occupancy — [service_batch_fill] is mean

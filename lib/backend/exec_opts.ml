@@ -1,19 +1,3 @@
-type t = {
-  obs : Pytfhe_obs.Trace.sink;
-  batch : int option;
-  soa : bool;
-}
+type t = { obs : Pytfhe_obs.Trace.sink; batch : int }
 
-let default = { obs = Pytfhe_obs.Trace.null; batch = None; soa = true }
-
-let of_flags ?(obs = Pytfhe_obs.Trace.null) ?batch ?(soa = default.soa) () =
-  { obs; batch; soa }
-
-let check_scalar_only ~who t =
-  if t.batch <> None || t.soa <> default.soa then
-    invalid_arg
-      (who
-     ^ ": the batch/soa execution knobs are not supported by this backend \
-        (batching is worker-side for the multiprocess executor — use \
-        config.array_frames — and meaningless for the instruction-stream \
-        executor)")
+let default = { obs = Pytfhe_obs.Trace.null; batch = 8 }

@@ -1,41 +1,18 @@
-(** Consolidated execution options.
-
-    Every executor used to thread the same three optional arguments —
-    [?obs ?batch ?soa] — through its [run] function, and every layer above
-    (the server, the CLI, the bench harness) had to repeat them.  This
-    record is the one value that replaces the triple; {!Executor}
-    re-exports it as [Executor.opts] so callers outside the backend
-    library never need to name this module.
-
-    The record lives below {!Executor} in the dependency order on purpose:
-    {!Tfhe_eval}, {!Par_eval}, {!Dist_eval} and {!Stream_exec} accept it
-    natively without depending on the first-class-module layer. *)
+(** Execution options, one record for every executor, the server, the
+    CLI and the service.  {!Executor} re-exports it as [Executor.opts] so
+    callers outside the backend library never need to name this module;
+    it lives below {!Executor} so {!Tfhe_eval}, {!Par_eval}, {!Dist_eval}
+    and {!Stream_exec} accept it natively. *)
 
 type t = {
   obs : Pytfhe_obs.Trace.sink;
       (** Tracing sink; {!Pytfhe_obs.Trace.null} disables all probes. *)
-  batch : int option;
-      (** [Some b] routes batching-capable executors through the
-          key-streaming batched kernel in sub-batches of at most [b]
-          gates; [None] is the scalar per-gate path. *)
-  soa : bool;
-      (** On a batched run, keep values in struct-of-arrays
-          {!Pytfhe_tfhe.Lwe_array}s and use the row kernels (the default);
-          [false] selects the record-per-gate batched walk.  Ignored
-          without [batch]. *)
+  batch : int;
+      (** Launch capacity of every {!Wave.engine}: a wave runs in launches
+          of at most [batch] jobs (1 = one gate per launch).  Must be ≥ 1;
+          outputs are bit-exact for every value. *)
 }
 
 val default : t
-(** [{ obs = Trace.null; batch = None; soa = true }] — the historical
-    defaults of every executor's optional arguments. *)
-
-val of_flags :
-  ?obs:Pytfhe_obs.Trace.sink -> ?batch:int -> ?soa:bool -> unit -> t
-(** Build an options record from the legacy flag triple (what the
-    deprecated [run_legacy] wrappers do). *)
-
-val check_scalar_only : who:string -> t -> unit
-(** Raise [Invalid_argument] if [t] asks for batch or a non-default SoA
-    layout — for backends where those knobs cannot apply and silently
-    dropping them would mislead (the multiprocess and instruction-stream
-    executors). *)
+(** [{ obs = Trace.null; batch = 8 }] — the default of every executor,
+    dist worker and the service. *)

@@ -1,8 +1,4 @@
-type opts = Exec_opts.t = {
-  obs : Pytfhe_obs.Trace.sink;
-  batch : int option;
-  soa : bool;
-}
+type opts = Exec_opts.t = { obs : Pytfhe_obs.Trace.sink; batch : int }
 
 let default_opts = Exec_opts.default
 
@@ -116,11 +112,6 @@ let multiprocess ?workers ?config () : (module S) =
   (module struct
     let name = "dist"
 
-    (* The multiprocess executor ships gates over the wire one shard at a
-       time; key streaming happens worker-side, so a requested
-       [opts.batch]/non-default [opts.soa] raises Invalid_argument in
-       [Dist_eval.run] instead of being silently dropped (the wire side
-       of the layout is [config.array_frames]). *)
     let run ?opts cloud net inputs =
       let outputs, s = Dist_eval.run ?opts cfg cloud net inputs in
       ( outputs,

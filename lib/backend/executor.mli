@@ -12,23 +12,16 @@
 type opts = Exec_opts.t = {
   obs : Pytfhe_obs.Trace.sink;
       (** Tracing sink; {!Pytfhe_obs.Trace.null} disables all probes. *)
-  batch : int option;
-      (** [Some b] routes batching-capable executors through the
-          key-streaming batched kernel in sub-batches of at most [b]
-          gates; [None] is the scalar per-gate path. *)
-  soa : bool;
-      (** Batched runs keep values in struct-of-arrays
-          {!Pytfhe_tfhe.Lwe_array}s and use the row kernels (the
-          default); [false] selects the record-per-gate batched walk.
-          Ignored without [batch]. *)
+  batch : int;
+      (** Launch capacity of every {!Wave.engine} (≥ 1; 1 = one gate per
+          launch).  Outputs are bit-exact for every value. *)
 }
-(** The consolidated execution options, replacing the [?obs ?batch ?soa]
-    flag triple that used to be threaded through every layer.  Build one
-    by updating {!default_opts}:
-    [{ Executor.default_opts with batch = Some 8 }]. *)
+(** The execution options every executor, the server, the CLI and the
+    service take.  Build one by updating {!default_opts}:
+    [{ Executor.default_opts with batch = 16 }]. *)
 
 val default_opts : opts
-(** [{ obs = Trace.null; batch = None; soa = true }]. *)
+(** [{ obs = Trace.null; batch = 8 }]. *)
 
 type detail =
   | Cpu_stats of Tfhe_eval.stats
@@ -38,13 +31,11 @@ type detail =
 type stats = {
   backend : string;  (** The implementing module's {!S.name}. *)
   workers : int;  (** Domains or processes used; 1 for the CPU backend. *)
-  bootstraps_executed : int;
+  bootstraps_executed : int;  (** Jobs executed: a LUT rotation group is one. *)
   nots_executed : int;
   wall_time : float;  (** End-to-end wall seconds. *)
-  wave_wall : float array;
-      (** Wall seconds per wave (empty where the backend did not execute
-          wave by wave — the untraced CPU walk). *)
-  wave_width : int array;  (** Bootstrapped gates per wave (ditto). *)
+  wave_wall : float array;  (** Wall seconds per wave. *)
+  wave_width : int array;  (** Jobs per wave. *)
   detail : detail;  (** The backend's full native stats. *)
 }
 
@@ -71,13 +62,12 @@ module type S = sig
       {!Pytfhe_circuit.Binary.read_source} for a file-backed source).
       Outputs are ciphertext-bit-exact with [run] over the parsed
       netlist.  [stats.wave_width]/[wave_wall] cover executed waves in
-      order; [opts.soa] is ignored on the streaming path. *)
+      order. *)
 end
-(** Outputs are ciphertext-bit-exact across all implementations, batch
-    sizes and layouts.  The multiprocess backend raises
-    [Invalid_argument] when [opts] asks for batch or a non-default SoA
-    layout (batching is worker-side there; the wire layout is
-    [config.array_frames]). *)
+(** Outputs are ciphertext-bit-exact across all implementations and batch
+    sizes.  Every implementation runs its waves through {!Wave.exec}; the
+    multiprocess backend's workers build their engines with
+    [opts.batch]. *)
 
 val cpu : (module S)
 (** {!Tfhe_eval} — sequential, the correctness baseline.  Name ["cpu"]. *)

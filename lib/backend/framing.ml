@@ -2,7 +2,7 @@
    tree: the multiprocess executor's coordinator/worker channels and the
    FHE-as-a-service server.  A frame is 4 bytes of magic, an 8-byte LE
    payload length, then the payload; the payload's own first field is a
-   4-char message magic (DHEL, DREQ, SREQ, ...) read through Wire. *)
+   4-char message magic (DHEL, DJOB, SREQ, ...) read through Wire. *)
 
 module Wire = Pytfhe_util.Wire
 

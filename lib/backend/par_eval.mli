@@ -2,12 +2,11 @@
 
     Where {!Sched_cpu} only *prices* the paper's distributed-CPU backend
     through a cost model, this executor actually runs every bootstrapped
-    gate on LWE ciphertexts across a pool of domains.  The netlist is cut
-    into waves with {!Pytfhe_circuit.Levelize}; each wave's bootstrapped
-    gates are statically chunked over the pool, with unary [Not] gates
-    folded in after each wave's barrier.  Every domain evaluates through a
-    private {!Pytfhe_tfhe.Gates.context}, so no TGSW workspace, FFT scratch
-    or test-vector buffer is shared.
+    gate on LWE ciphertexts across a pool of domains.  Each wave's jobs
+    are cut into one contiguous slice per domain, and every domain runs
+    its slice through its own {!Wave.engine}, so no TGSW workspace, FFT
+    scratch or test-vector buffer is shared; inline [Not] gates run on
+    the calling domain after each wave's barrier.
 
     Outputs are bit-exact with {!Tfhe_eval.run} — same ciphertexts, same
     declaration-order output array — for any worker count. *)
@@ -16,26 +15,25 @@ type stats = {
   workers : int;  (** Domains used (including the calling one). *)
   bootstraps_executed : int;
   nots_executed : int;
-  per_domain_bootstraps : int array;  (** Bootstrap count per domain. *)
+  per_domain_bootstraps : int array;  (** Jobs run per domain. *)
   per_domain_busy : float array;
       (** Seconds each domain spent inside gate kernels (excludes barrier
           waits); their sum approximates single-core compute time. *)
-  wave_wall : float array;  (** Wall seconds per wave, index = level. *)
-  wave_width : int array;  (** Bootstrapped gates per wave. *)
+  wave_wall : float array;  (** Wall seconds per wave. *)
+  wave_width : int array;  (** Jobs per wave. *)
   wall_time : float;  (** End-to-end wall seconds. *)
   achieved_speedup : float;
       (** Total busy time / wall time — the parallelism actually realised
           on this machine. *)
   ideal_speedup : float;
-      (** Wave-synchronous bound for this DAG and worker count:
-          total bootstraps / Σ ceil(width / workers).  What {!Sched_cpu}
+      (** Wave-synchronous bound for this run and worker count:
+          total jobs / Σ ceil(width / workers).  What {!Sched_cpu}
           predicts with zero overheads. *)
-  batch_size : int;  (** The [?batch] capacity used; 0 on the scalar path. *)
-  batch_launches : int;  (** Batched kernel launches summed over domains. *)
+  batch_size : int;  (** Every engine's launch capacity ([opts.batch]). *)
+  batch_launches : int;  (** Kernel launches summed over domains. *)
   bsk_bytes_streamed : int;
-      (** Bootstrapping-key bytes streamed by the batched kernels, summed
-          over domains; 0 on the scalar path. *)
-  ks_bytes_streamed : int;  (** Key-switch table bytes streamed; 0 scalar. *)
+      (** Bootstrapping-key bytes streamed, summed over domains. *)
+  ks_bytes_streamed : int;  (** Key-switch table bytes streamed. *)
 }
 
 val run :
@@ -46,32 +44,19 @@ val run :
   Pytfhe_tfhe.Lwe.sample array ->
   Pytfhe_tfhe.Lwe.sample array * stats
 (** [run ~workers cloud net inputs] evaluates the program wave by wave on
-    [workers] domains (default: [Domain.recommended_domain_count ()]).
-    The [batch] / [soa] / [obs] knobs discussed below ride in [?opts]
-    (default {!Exec_opts.default}).
-    [workers = 1] degenerates to sequential execution on the calling
-    domain, with no domains spawned.  Raises [Invalid_argument] on input
-    arity mismatch or [workers < 1].
+    [workers] domains (default: [Domain.recommended_domain_count ()]),
+    each engine launching at most [opts.batch] jobs (default
+    {!Exec_opts.default}).  [workers = 1] degenerates to sequential
+    execution on the calling domain, with no domains spawned.  Outputs
+    are bit-exact with {!Tfhe_eval.run} for any workers × batch.  Raises
+    [Invalid_argument] on input arity mismatch, [workers < 1] or
+    [batch < 1].
 
-    With [?batch:b] (b ≥ 1) each domain walks its static chunk of a wave
-    in sub-batches of at most [b] gates through a private key-streaming
-    batch context ({!Pytfhe_tfhe.Gates.batch_context}) instead of gate by
-    gate — the bootstrapping key is then streamed once per sub-batch per
-    domain.  By default ([?soa:true]) the batched path keeps the whole
-    value table and the wave staging buffer in shared struct-of-arrays
-    {!Pytfhe_tfhe.Lwe_array}s: each domain combines its gate slice into a
-    disjoint row range of the staging array and runs the row-batched
-    kernels, with no per-gate record materialization; the wave barrier is
-    the only synchronisation needed.  [?soa:false] selects the older
-    record-per-gate batched chunks (kept for benchmark attribution).
-    Outputs remain bit-exact with the scalar path for any
-    workers × batch × layout combination.
-
-    With an enabled [obs] sink, each domain writes chunk spans to its own
-    lock-free ["domain d"] track (drained by the coordinator at the wave
-    barrier, whose mutex handshake orders the buffers), and the
-    coordinator emits one span plus the standard counter set per wave on
-    a ["waves"] track (plus the batch counter set when batched). *)
+    With an enabled [opts.obs] sink, each domain writes a span per slice
+    to its own lock-free ["domain d"] track (drained by the coordinator at
+    the wave barrier, whose mutex handshake orders the buffers), and the
+    coordinator emits one span plus the standard and key-traffic counter
+    sets per wave on a ["waves"] track. *)
 
 val run_stream :
   ?workers:int ->
@@ -82,28 +67,14 @@ val run_stream :
   Pytfhe_tfhe.Lwe.sample array ->
   Pytfhe_tfhe.Lwe.sample array * stats
 (** Multicore execution of a streamed binary through
-    {!Stream_exec.run_waves}: no netlist is materialised; each wave's
-    classic gates are statically chunked over the pool (scalar, or
-    per-domain batched when [opts.batch] is set) and LUT rotation units are
-    distributed whole.  Outputs are ciphertext-bit-exact with {!run} for
-    any worker count and any [window].  [opts.soa] is ignored — the wave
-    driver's value table is per-slot by construction.  [stats.wave_width] /
+    {!Stream_exec.run_waves}, with the same per-domain slicing as {!run}:
+    no netlist is materialised.  Outputs are ciphertext-bit-exact with
+    {!run} for any worker count and any [window].  [stats.wave_width] /
     [stats.wave_wall] cover executed waves in order rather than netlist
-    levels, and [stats.ideal_speedup] is computed over those widths. *)
-
-val run_legacy :
-  ?workers:int ->
-  ?batch:int ->
-  ?soa:bool ->
-  ?obs:Pytfhe_obs.Trace.sink ->
-  Pytfhe_tfhe.Gates.cloud_keyset ->
-  Pytfhe_circuit.Netlist.t ->
-  Pytfhe_tfhe.Lwe.sample array ->
-  Pytfhe_tfhe.Lwe.sample array * stats
-(** @deprecated The pre-{!Exec_opts} flag triple, kept for one release. *)
+    levels. *)
 
 val ideal_speedup : Pytfhe_circuit.Levelize.schedule -> int -> float
-(** The wave-synchronous speedup bound reported in {!stats}, exposed for
-    benches that sweep worker counts without executing. *)
+(** The wave-synchronous speedup bound of a schedule, for benches that
+    sweep worker counts without executing. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -2,33 +2,25 @@ module Binary = Pytfhe_circuit.Binary
 module Gate = Pytfhe_circuit.Gate
 module Wire = Pytfhe_util.Wire
 module Trace = Pytfhe_obs.Trace
+module Gates = Pytfhe_tfhe.Gates
+module Lwe = Pytfhe_tfhe.Lwe
 
-type 'v ops = {
-  v_gate : Gate.t -> 'v -> 'v -> 'v;
-  v_input : int -> 'v;
-  v_lut : arity:int -> table:int -> 'v array -> 'v;
-  v_lut_view : 'v -> 'v;
-}
+let not_lutdom arity idx =
+  Wire.Corrupt (Printf.sprintf "Stream_exec: lut%d operand %d is not lutdom-encoded" arity idx)
 
-let run_insts ?(obs = Trace.null) ops iter_insts =
-  (* One pass over the instruction stream; the value table is indexed by
-     the sequential gate numbering, so lookups are array reads.  The table
-     grows geometrically: the header only declares the gate count, not the
-     input count.  Each slot carries the value plus its encoding: LUT cells
-     produce lutdom-encoded values, which classic consumers (gates,
-     arity-1 LUT cells, outputs) read through [v_lut_view]. *)
-  let traced = Trace.enabled obs in
-  let t_start = Trace.now obs in
+(* The plaintext interpreter: one pass over the instruction stream with a
+   value table indexed by the sequential gate numbering, so lookups are
+   array reads.  The table grows geometrically: the header only declares
+   the gate count, not the input count.  Each slot carries the bit plus
+   its encoding, so a multi-input LUT cell over a classic value is caught
+   as the structural corruption it would be on ciphertexts. *)
+let run_bits bytes ins =
   let table = ref [||] in
   let next = ref 1 in
   let input_ordinal = ref 0 in
   let gate_total = ref (-1) in
   let seen_gates = ref 0 in
-  let unary_gates = ref 0 in
-  let lut_cells = ref 0 in
-  let first = ref true in
   let outputs = ref [] in
-  let output_count = ref 0 in
   let ensure index =
     if Array.length !table <= index then begin
       let bigger = Array.make (max (2 * Array.length !table) (index + 16)) None in
@@ -42,124 +34,76 @@ let run_insts ?(obs = Trace.null) ops iter_insts =
     | Some cell -> cell
     | None -> failwith "Stream_exec: reference to an unassigned index"
   in
-  let fetch_classic index =
-    let v, is_lut = fetch index in
-    if is_lut then ops.v_lut_view v else v
+  let count_gate () =
+    if !gate_total < 0 then failwith "Stream_exec: missing header instruction";
+    incr seen_gates;
+    (* A streamed binary's header carries the sentinel instead of a count;
+       the gate-budget check only applies to exact headers. *)
+    if !gate_total <> Binary.streamed_gate_total && !seen_gates > !gate_total then
+      failwith "Stream_exec: more gates than the header declared";
+    ensure !next
   in
-  (* A streamed binary's header carries the sentinel instead of a count;
-     the gate-budget check only applies to exact headers. *)
-  let over_budget () =
-    !gate_total <> Binary.streamed_gate_total && !seen_gates > !gate_total
-  in
-  iter_insts (fun inst ->
+  Binary.iter bytes (fun inst ->
       match inst with
       | Binary.Header { gate_total = g } ->
-        if not !first then failwith "Stream_exec: duplicate header";
-        first := false;
+        if !gate_total >= 0 then failwith "Stream_exec: duplicate header";
         gate_total := g
       | Binary.Input_decl { index } ->
         if !gate_total < 0 then failwith "Stream_exec: missing header instruction";
         if index <> !next then failwith "Stream_exec: non-sequential input index";
         ensure index;
-        !table.(index) <- Some (ops.v_input !input_ordinal, false);
+        !table.(index) <- Some (ins.(!input_ordinal), false);
         incr input_ordinal;
         incr next
       | Binary.Gate_inst { gate; in0; in1 } ->
-        if !gate_total < 0 then failwith "Stream_exec: missing header instruction";
-        incr seen_gates;
-        if Gate.is_unary gate then incr unary_gates;
-        if over_budget () then
-          failwith "Stream_exec: more gates than the header declared";
-        ensure !next;
-        !table.(!next) <- Some (ops.v_gate gate (fetch_classic in0) (fetch_classic in1), false);
+        count_gate ();
+        !table.(!next) <- Some (Gate.eval gate (fst (fetch in0)) (fst (fetch in1)), false);
         incr next
-      | Binary.Lut_inst { table = tbl; ins } ->
-        if !gate_total < 0 then failwith "Stream_exec: missing header instruction";
-        incr seen_gates;
-        incr lut_cells;
-        if over_budget () then
-          failwith "Stream_exec: more gates than the header declared";
-        let arity = Array.length ins in
+      | Binary.Lut_inst { table = tbl; ins = lins } ->
+        count_gate ();
+        let arity = Array.length lins in
         (* The decoder already bounds arity and table; what only the value
-           stream can check is the operand encoding: a multi-input cell
-           whose operand is not itself a LUT cell would blind-rotate a
-           classic ciphertext as if it were lutdom — structurally corrupt,
-           rejected before any value is computed.  Arity-1 cells take the
-           classic view of whatever they are fed. *)
-        let operands =
-          if arity = 1 then [| fetch_classic ins.(0) |]
-          else
-            Array.map
-              (fun idx ->
-                let v, is_lut = fetch idx in
-                if not is_lut then
-                  raise
-                    (Wire.Corrupt
-                       (Printf.sprintf
-                          "Stream_exec: lut%d operand %d is not lutdom-encoded" arity idx));
-                v)
-              ins
+           stream can check is the operand encoding.  The message index is
+           the MSB-first operand word, matching [Netlist.eval]. *)
+        let m =
+          Array.fold_left
+            (fun acc idx ->
+              let v, is_lut = fetch idx in
+              if arity > 1 && not is_lut then raise (not_lutdom arity idx);
+              (acc lsl 1) lor Bool.to_int v)
+            0 lins
         in
-        ensure !next;
-        !table.(!next) <- Some (ops.v_lut ~arity ~table:tbl operands, true);
+        !table.(!next) <- Some ((tbl lsr m) land 1 = 1, true);
         incr next
-      | Binary.Output_decl { index } ->
-        incr output_count;
-        outputs := fetch_classic index :: !outputs);
+      | Binary.Output_decl { index } -> outputs := fst (fetch index) :: !outputs);
   if !gate_total < 0 then failwith "Stream_exec: missing header instruction";
-  if traced then begin
-    (* The stream has no wave structure — the whole single pass is one
-       span, with the instruction mix as counters. *)
-    let tr = Trace.new_track obs ~name:"stream" in
-    Trace.span tr ~cat:"run" ~name:"stream_exec" ~t0:t_start ~t1:(Trace.now obs);
-    Trace.counter tr ~name:"instructions"
-      (float_of_int (1 + !input_ordinal + !seen_gates + !output_count));
-    Trace.counter tr ~name:"inputs" (float_of_int !input_ordinal);
-    Trace.counter tr ~name:"bootstraps" (float_of_int (!seen_gates - !unary_gates));
-    Trace.counter tr ~name:"nots" (float_of_int !unary_gates);
-    Trace.counter tr ~name:"luts" (float_of_int !lut_cells);
-    Trace.counter tr ~name:"outputs" (float_of_int !output_count);
-    Trace.drain obs
-  end;
   Array.of_list (List.rev !outputs)
-
-let run_legacy ?obs ops bytes = run_insts ?obs ops (Binary.iter bytes)
-let run_source ?obs ops read = run_insts ?obs ops (Binary.iter_source read)
 
 (* --- Segmented wave driver ------------------------------------------------
 
-   The streaming counterpart of the levelized executors: instructions are
-   consumed as they arrive, but bootstrapped work is queued by wave (level =
-   1 + max operand level within the current segment) and handed to a backend
-   [run_wave] callback one wave at a time, so batching/parallel backends see
-   the same wave structure a materialised netlist would give them.  Once the
-   queued bootstrap count reaches [window], the segment is flushed level by
-   level — peak queued work stays bounded no matter how large the stream is.
+   The streaming wave source: instructions are consumed as they arrive,
+   bootstrapped work is queued by wave (level = 1 + max operand level
+   within the current segment) and handed to [run_wave] one wave at a time
+   as the same jobs the netlist source builds — without a netlist.  Once
+   the queued bootstrap count reaches [window], the segment is flushed
+   level by level, so peak queued work stays bounded however large the
+   stream is.
 
    NOT gates are noiseless: one whose operand is already computed is
-   evaluated inline immediately; one that reads a still-pending wave is
-   queued after that wave's parallel phase, in arrival order, exactly like
-   [Levelize.waves]. *)
+   evaluated at once; one that reads a still-pending wave is queued after
+   that wave's jobs, in arrival order, exactly like [Levelize.waves]. *)
 
 type pending =
   | P_gate of { gate : Gate.t; in0 : int; in1 : int; dst : int }
   | P_lut of { table : int; ins : int array; dst : int }
 
-type 'v task =
-  | T_gate of { gate : Gate.t; a : 'v; b : 'v }
-  | T_lut of { arity : int; table : int; operands : 'v array; ins : int array }
-
-type wave_stats = {
-  segments_run : int;
-  waves_run : int;
-  bootstraps_run : int;
-  nots_run : int;
-  wave_widths : int array;
-  wave_wall : float array;
-}
-
-let run_waves ?(obs = Trace.null) ?(window = 1 lsl 15) ~run_wave ops read =
+let run_waves ?(obs = Trace.null) ?(window = 1 lsl 15) ?(probe = ignore) ~run_wave cloud read
+    inputs =
   if window < 1 then invalid_arg "Stream_exec.run_waves: window must be positive";
+  let traced = Trace.enabled obs in
+  let p = cloud.Gates.cloud_params in
+  let tr = Trace.new_track obs ~name:"stream-waves" in
+  if traced then Exec_obs.noise_gauges tr p;
   let t_start = Trace.now obs in
   (* Slot table: value (None while pending), lutdom flag, segment level
      (-1 unassigned, 0 computed, >0 pending in the current segment). *)
@@ -185,22 +129,21 @@ let run_waves ?(obs = Trace.null) ?(window = 1 lsl 15) ~run_wave ops read =
   let input_ordinal = ref 0 in
   let gate_total = ref (-1) in
   let seen_gates = ref 0 in
-  let first = ref true in
   let outputs = ref [] in
   let level_of index =
     if index < 1 || index >= !next || !levels.(index) < 0 then
       failwith "Stream_exec: reference to an unassigned index";
     !levels.(index)
   in
-  let classic index =
-    match !values.(index) with
-    | Some v -> if !is_lut.(index) then ops.v_lut_view v else v
-    | None -> failwith "Stream_exec: reference to an unassigned index"
-  in
   let raw index =
     match !values.(index) with
     | Some v -> v
     | None -> failwith "Stream_exec: reference to an unassigned index"
+  in
+  let classic index = if !is_lut.(index) then Gates.lut_to_classic (raw index) else raw index in
+  let set_value dst v =
+    !values.(dst) <- Some v;
+    !levels.(dst) <- 0
   in
   (* Segment queues, one parallel + one inline list per level (index l-1),
      built in reverse arrival order. *)
@@ -219,21 +162,16 @@ let run_waves ?(obs = Trace.null) ?(window = 1 lsl 15) ~run_wave ops read =
     end
   in
   let segments = ref 0 in
-  let waves = ref 0 in
   let boots = ref 0 in
   let nots = ref 0 in
   let widths = ref [] in
   let walls = ref [] in
-  let task_of = function
-    | P_gate { gate; in0; in1; _ } -> T_gate { gate; a = classic in0; b = classic in1 }
-    | P_lut { table; ins; _ } ->
-      let arity = Array.length ins in
-      let operands =
-        if arity = 1 then [| classic ins.(0) |] else Array.map raw ins
-      in
-      T_lut { arity; table; operands; ins }
+  let add_job bd = function
+    | P_gate { gate; in0; in1; dst } -> Wave.add_gate bd ~dst gate (classic in0) (classic in1)
+    | P_lut { table; ins; dst } ->
+      let operands = if Array.length ins = 1 then [| classic ins.(0) |] else Array.map raw ins in
+      Wave.add_lut bd ~dst ~table ~ins operands
   in
-  let dst_of = function P_gate { dst; _ } -> dst | P_lut { dst; _ } -> dst in
   let flush () =
     if !seg_depth > 0 then begin
       incr segments;
@@ -241,30 +179,31 @@ let run_waves ?(obs = Trace.null) ?(window = 1 lsl 15) ~run_wave ops read =
         let par = List.rev !seg_par.(l - 1) and inl = List.rev !seg_inl.(l - 1) in
         !seg_par.(l - 1) <- [];
         !seg_inl.(l - 1) <- [];
+        let t0 = Trace.now obs in
+        let alloc0 = if traced then Exec_obs.alloc_words () else 0.0 in
+        let jobs, outs =
+          if par = [] then ([||], [||])
+          else begin
+            let bd = Wave.gather () in
+            List.iter (add_job bd) par;
+            let jobs, dsts = Wave.gathered bd in
+            let outs = run_wave jobs in
+            if Array.length outs <> Array.length dsts then
+              failwith "Stream_exec: wave runner returned the wrong number of results";
+            Array.iteri (fun i dst -> set_value dst outs.(i)) dsts;
+            (jobs, outs)
+          end
+        in
+        List.iter (fun (in0, dst) -> set_value dst (Lwe.neg (classic in0))) inl;
+        nots := !nots + List.length inl;
         if par <> [] then begin
-          incr waves;
-          let t0 = Unix.gettimeofday () in
-          let tasks = Array.of_list (List.map task_of par) in
-          let results = run_wave tasks in
-          if Array.length results <> Array.length tasks then
-            failwith "Stream_exec: wave runner returned the wrong number of results";
-          List.iteri
-            (fun i p ->
-              let dst = dst_of p in
-              !values.(dst) <- Some results.(i);
-              !levels.(dst) <- 0)
-            par;
-          boots := !boots + Array.length tasks;
-          widths := Array.length tasks :: !widths;
-          walls := (Unix.gettimeofday () -. t0) :: !walls
-        end;
-        List.iter
-          (fun (in0, dst) ->
-            let v = classic in0 in
-            !values.(dst) <- Some (ops.v_gate Gate.Not v v);
-            !levels.(dst) <- 0;
-            incr nots)
-          inl
+          boots := !boots + Array.length jobs;
+          widths := Array.length jobs :: !widths;
+          walls := (Trace.now obs -. t0) :: !walls;
+          if traced then
+            Wave.wave_probe obs tr p ~probe ~jobs:(Array.length jobs)
+              ~outputs:(Array.length outs) ~nots:(List.length inl) ~alloc0
+        end
       done;
       seg_depth := 0;
       seg_boots := 0
@@ -287,18 +226,20 @@ let run_waves ?(obs = Trace.null) ?(window = 1 lsl 15) ~run_wave ops read =
     incr next;
     if !seg_boots >= window then flush ()
   in
+  (* NOTs evaluated outside any wave, counted once at the end. *)
+  let early_nots = ref 0 in
   Binary.iter_source read (fun inst ->
       match inst with
       | Binary.Header { gate_total = g } ->
-        if not !first then failwith "Stream_exec: duplicate header";
-        first := false;
+        if !gate_total >= 0 then failwith "Stream_exec: duplicate header";
         gate_total := g
       | Binary.Input_decl { index } ->
         require_header ();
         if index <> !next then failwith "Stream_exec: non-sequential input index";
+        if !input_ordinal >= Array.length inputs then
+          invalid_arg "Stream_exec.run_waves: wrong number of inputs for the stream";
         ensure index;
-        !values.(index) <- Some (ops.v_input !input_ordinal);
-        !levels.(index) <- 0;
+        set_value index inputs.(!input_ordinal);
         incr input_ordinal;
         incr next
       | Binary.Gate_inst { gate; in0; in1 } ->
@@ -308,18 +249,16 @@ let run_waves ?(obs = Trace.null) ?(window = 1 lsl 15) ~run_wave ops read =
         if Gate.is_unary gate then begin
           let base = level_of in0 in
           if base = 0 then begin
-            let v = classic in0 in
-            !values.(!next) <- Some (ops.v_gate gate v v);
-            !levels.(!next) <- 0;
+            set_value !next (Lwe.neg (classic in0));
             incr nots;
-            incr next
+            incr early_nots
           end
           else begin
             seg_ensure base;
             !seg_inl.(base - 1) <- (in0, !next) :: !seg_inl.(base - 1);
-            !levels.(!next) <- base;
-            incr next
-          end
+            !levels.(!next) <- base
+          end;
+          incr next
         end
         else begin
           let la = level_of in0 and lb = level_of in1 in
@@ -334,11 +273,7 @@ let run_waves ?(obs = Trace.null) ?(window = 1 lsl 15) ~run_wave ops read =
         Array.iter
           (fun idx ->
             let l = level_of idx in
-            if arity > 1 && not !is_lut.(idx) then
-              raise
-                (Wire.Corrupt
-                   (Printf.sprintf
-                      "Stream_exec: lut%d operand %d is not lutdom-encoded" arity idx));
+            if arity > 1 && not !is_lut.(idx) then raise (not_lutdom arity idx);
             if l > !base then base := l)
           ins;
         !is_lut.(!next) <- true;
@@ -350,268 +285,28 @@ let run_waves ?(obs = Trace.null) ?(window = 1 lsl 15) ~run_wave ops read =
   if !gate_total < 0 then failwith "Stream_exec: missing header instruction";
   flush ();
   let result = Array.of_list (List.rev_map classic !outputs) in
-  let stats =
-    {
-      segments_run = !segments;
-      waves_run = !waves;
-      bootstraps_run = !boots;
-      nots_run = !nots;
-      wave_widths = Array.of_list (List.rev !widths);
-      wave_wall = Array.of_list (List.rev !walls);
-    }
-  in
-  if Trace.enabled obs then begin
-    let tr = Trace.new_track obs ~name:"stream-waves" in
+  let wave_width = Array.of_list (List.rev !widths) in
+  if traced then begin
     Trace.span tr ~cat:"run" ~name:"stream_waves" ~t0:t_start ~t1:(Trace.now obs);
-    Trace.counter tr ~name:"segments" (float_of_int stats.segments_run);
-    Trace.counter tr ~name:"waves" (float_of_int stats.waves_run);
-    Trace.counter tr ~name:"bootstraps" (float_of_int stats.bootstraps_run);
-    Trace.counter tr ~name:"nots" (float_of_int stats.nots_run);
+    Trace.counter tr ~name:"segments" (float_of_int !segments);
+    Trace.counter tr ~name:"waves" (float_of_int (Array.length wave_width));
+    Trace.counter tr ~name:"nots" (float_of_int !early_nots);
     Trace.drain obs
   end;
-  (result, stats)
-
-(* Plaintext LUT cell: lutdom and classic coincide (a bit is a bit), so the
-   view is the identity.  The message index m is the MSB-first operand
-   word, matching [Netlist.eval] and [Gates.lut2]/[lut3]. *)
-let plain_lut ~arity:_ ~table ops =
-  let m = Array.fold_left (fun acc b -> (acc lsl 1) lor Bool.to_int b) 0 ops in
-  (table lsr m) land 1 = 1
-
-let run_bits bytes ins =
-  let ops =
+  ( result,
     {
-      v_gate = Gate.eval;
-      v_input = (fun i -> ins.(i));
-      v_lut = plain_lut;
-      v_lut_view = Fun.id;
-    }
-  in
-  run_legacy ops bytes
-
-let run_encrypted_legacy ?(obs = Trace.null) cloud bytes cts =
-  let ctx = Pytfhe_tfhe.Gates.context cloud in
-  let ops =
-    {
-      v_gate = (fun g a b -> Tfhe_eval.gate_of g cloud a b);
-      v_input = (fun i -> cts.(i));
-      v_lut = (fun ~arity ~table ops -> Pytfhe_tfhe.Gates.lut_cell_in ctx ~arity ~table ops);
-      v_lut_view = Pytfhe_tfhe.Gates.lut_to_classic;
-    }
-  in
-  if not (Trace.enabled obs) then run_legacy ops bytes
-  else begin
-    (* Crypto-cost probes ride on a wrapper so the untraced closure stays
-       allocation-identical to before. *)
-    let boots = ref 0 in
-    let counted =
-      { ops with
-        v_gate =
-          (fun g a b ->
-            if not (Gate.is_unary g) then incr boots;
-            ops.v_gate g a b);
-        v_lut =
-          (fun ~arity ~table operands ->
-            incr boots;
-            ops.v_lut ~arity ~table operands);
-      }
-    in
-    let result = run_legacy ~obs counted bytes in
-    let params = cloud.Pytfhe_tfhe.Gates.cloud_params in
-    let tr = Trace.new_track obs ~name:"stream-crypto" in
-    Exec_obs.noise_gauges tr params;
-    Trace.counter tr ~name:"key_switches" (float_of_int !boots);
-    Trace.counter tr ~name:"ffts"
-      (float_of_int (!boots * Exec_obs.ffts_per_bootstrap params));
-    Trace.drain obs;
-    result
-  end
-
-let run ?(opts = Exec_opts.default) ops bytes =
-  Exec_opts.check_scalar_only ~who:"Stream_exec.run" opts;
-  run_legacy ~obs:opts.Exec_opts.obs ops bytes
-
-let run_encrypted ?(opts = Exec_opts.default) cloud bytes cts =
-  Exec_opts.check_scalar_only ~who:"Stream_exec.run_encrypted" opts;
-  run_encrypted_legacy ~obs:opts.Exec_opts.obs cloud bytes cts
-
-(* --- Encrypted streaming through the wave driver --------------------------
-
-   Single-process encrypted execution of a streamed binary: bootstrapped
-   work arrives as resolved-operand tasks one wave at a time, so no netlist
-   is ever materialised.  Per gate/cell the operation sequence matches the
-   [Tfhe_eval] netlist walks (combine → bootstrap → key switch, indicator
-   rotations shared within a wave), so outputs are ciphertext-bit-exact
-   with them — rotation sharing does not cross wave boundaries here, which
-   cannot change values because indicator rotations are deterministic. *)
-
-module Gates = Pytfhe_tfhe.Gates
-module Lwe = Pytfhe_tfhe.Lwe
-module Params = Pytfhe_tfhe.Params
-
-type stream_cell =
-  | C_sign of { idx : int; table : int; operand : Lwe.sample }
-  | C_group of {
-      mutable idxs : int list;  (* reversed *)
-      mutable tables : int list;  (* reversed, aligned with idxs *)
-      arity : int;
-      raws : Lwe.sample array;
-    }
-
-(* Group a wave's LUT tasks by operand tuple, first-appearance order, like
-   [Tfhe_eval.build_lut_cells] does over netlist ids. *)
-let stream_lut_cells tasks lut_idx =
-  let ds = ref [] in
-  let groups = Hashtbl.create 16 in
-  List.iter
-    (fun i ->
-      match tasks.(i) with
-      | T_lut { arity = 1; table; operands; _ } ->
-        ds := C_sign { idx = i; table; operand = operands.(0) } :: !ds
-      | T_lut { arity; table; operands; ins } -> (
-        let key = Tfhe_eval.lut_key ins in
-        match Hashtbl.find_opt groups key with
-        | Some (C_group g) ->
-          g.idxs <- i :: g.idxs;
-          g.tables <- table :: g.tables
-        | Some (C_sign _) -> assert false
-        | None ->
-          let g = C_group { idxs = [ i ]; tables = [ table ]; arity; raws = operands } in
-          Hashtbl.add groups key g;
-          ds := g :: !ds)
-      | T_gate _ -> assert false)
-    lut_idx;
-  Array.of_list (List.rev !ds)
-
-let stream_runner_scalar ctx tasks =
-  let rotations = Hashtbl.create 16 in
-  Array.map
-    (function
-      | T_gate { gate; a; b } -> Tfhe_eval.apply_gate ctx gate a b
-      | T_lut { arity = 1; table; operands; _ } -> Gates.lut1_in ctx ~table operands.(0)
-      | T_lut { arity; table; operands; ins } ->
-        let key = Tfhe_eval.lut_key ins in
-        let ind =
-          match Hashtbl.find_opt rotations key with
-          | Some ind -> ind
-          | None ->
-            let ind = Gates.lut_indicators_in ctx ~arity operands in
-            Hashtbl.add rotations key ind;
-            ind
-        in
-        Gates.lut_select_in ctx ~msize:(1 lsl arity) ~table ind)
-    tasks
-
-let stream_runner_batched bc ~batch ~n tasks =
-  let total = Array.length tasks in
-  let out = Array.make total None in
-  let gate_idx = ref [] and lut_idx = ref [] in
-  Array.iteri
-    (fun i t ->
-      match t with
-      | T_gate _ -> gate_idx := i :: !gate_idx
-      | T_lut _ -> lut_idx := i :: !lut_idx)
-    tasks;
-  let gates = Array.of_list (List.rev !gate_idx) in
-  let cwidth = Array.length gates in
-  let pos = ref 0 in
-  while !pos < cwidth do
-    let len = min batch (cwidth - !pos) in
-    let base = !pos in
-    let combined =
-      Array.init len (fun i ->
-          match tasks.(gates.(base + i)) with
-          | T_gate { gate; a; b } -> Gates.combine ~n (Tfhe_eval.plan_of gate) a b
-          | T_lut _ -> assert false)
-    in
-    let outs = Gates.bootstrap_batch bc combined in
-    for i = 0 to len - 1 do
-      out.(gates.(base + i)) <- Some outs.(i)
-    done;
-    pos := !pos + len
-  done;
-  let cells = stream_lut_cells tasks (List.rev !lut_idx) in
-  let ncells = Array.length cells in
-  let pos = ref 0 in
-  while !pos < ncells do
-    let len = min batch (ncells - !pos) in
-    let chunk = Array.sub cells !pos len in
-    let kinds =
-      Array.map
-        (function
-          | C_sign { table; _ } -> Gates.sign_cell ~table
-          | C_group g ->
-            Gates.Cell_lut { arity = g.arity; tables = Array.of_list (List.rev g.tables) })
-        chunk
-    in
-    let combined =
-      Array.map
-        (function
-          | C_sign { operand; _ } -> operand
-          | C_group g -> Gates.lut_combine ~n ~arity:g.arity g.raws)
-        chunk
-    in
-    let outs = Gates.bootstrap_batch_cells bc kinds combined in
-    Array.iteri
-      (fun j d ->
-        match d with
-        | C_sign { idx; _ } -> out.(idx) <- Some outs.(j).(0)
-        | C_group g -> List.iteri (fun k i -> out.(i) <- Some outs.(j).(k)) (List.rev g.idxs))
-      chunk;
-    pos := !pos + len
-  done;
-  Array.map (function Some v -> v | None -> assert false) out
-
-let encrypted_stream_ops ctx inputs ~who =
-  {
-    v_gate = (fun g a b -> Tfhe_eval.apply_gate ctx g a b);
-    v_input =
-      (fun i ->
-        if i >= Array.length inputs then
-          invalid_arg (who ^ ": wrong number of inputs for the stream")
-        else inputs.(i));
-    (* The wave driver routes bootstrapped cells through [run_wave]; this
-       is only a safety net should that contract ever loosen. *)
-    v_lut = (fun ~arity ~table ops -> Gates.lut_cell_in ctx ~arity ~table ops);
-    v_lut_view = Gates.lut_to_classic;
-  }
+      Wave.bootstraps = !boots;
+      nots = !nots;
+      wave_wall = Array.of_list (List.rev !walls);
+      wave_width;
+    } )
 
 let run_encrypted_stream ?(opts = Exec_opts.default) ?window cloud read cts =
   let start = Unix.gettimeofday () in
-  let obs = opts.Exec_opts.obs in
   let p = cloud.Gates.cloud_params in
-  let ctx = Gates.context cloud in
-  let ops = encrypted_stream_ops ctx cts ~who:"Stream_exec.run_encrypted_stream" in
-  let bc_counters = ref None in
-  let run_wave =
-    match opts.Exec_opts.batch with
-    | None -> stream_runner_scalar ctx
-    | Some b ->
-      if b < 1 then invalid_arg "Stream_exec.run_encrypted_stream: batch must be >= 1";
-      let bc = Gates.batch_context cloud ~cap:b in
-      bc_counters := Some (fun () -> Gates.batch_counters bc);
-      stream_runner_batched bc ~batch:b ~n:p.Params.lwe.Params.n
+  let e = Wave.engine cloud ~cap:opts.Exec_opts.batch in
+  let outputs, ws =
+    run_waves ~obs:opts.Exec_opts.obs ?window ~probe:(Tfhe_eval.traffic_probe p e)
+      ~run_wave:(Wave.exec e) cloud read cts
   in
-  let outputs, ws = run_waves ~obs ?window ~run_wave ops read in
-  let batch_size = match opts.Exec_opts.batch with Some b -> b | None -> 0 in
-  let launches, bsk, ks =
-    match !bc_counters with
-    | None -> (0, 0, 0)
-    | Some counters ->
-      let c = counters () in
-      ( c.Gates.batch_launches,
-        c.Gates.bsk_rows * Exec_obs.bsk_row_bytes p,
-        c.Gates.ks_blocks * Exec_obs.ks_block_bytes p )
-  in
-  ( outputs,
-    {
-      Tfhe_eval.bootstraps_executed = ws.bootstraps_run;
-      nots_executed = ws.nots_run;
-      wall_time = Unix.gettimeofday () -. start;
-      wave_wall = ws.wave_wall;
-      wave_width = ws.wave_widths;
-      batch_size;
-      batch_launches = launches;
-      bsk_bytes_streamed = bsk;
-      ks_bytes_streamed = ks;
-    } )
+  (outputs, Tfhe_eval.stats_of ~start ~cap:opts.Exec_opts.batch p e ws)

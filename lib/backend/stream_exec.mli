@@ -3,116 +3,50 @@
     The paper's executor never builds a graph structure: the sequential
     index "naming" of Fig. 5 lets it scan the 128-bit instruction stream
     once, keeping a value table indexed by gate number (§IV-C's "fast TFHE
-    program DAG traversal").  This module is that executor, for both
-    plaintext bits and real ciphertexts — unlike {!Plain_eval.run_binary},
-    no netlist is materialised, so memory is one value per instruction. *)
-
-type 'v ops = {
-  v_gate : Pytfhe_circuit.Gate.t -> 'v -> 'v -> 'v;
-  v_input : int -> 'v;  (** Fetch input [i] (in input-instruction order). *)
-  v_lut : arity:int -> table:int -> 'v array -> 'v;
-      (** Evaluate one programmable LUT cell.  Arity-1 cells receive a
-          classic operand; arity-2/3 cells receive lutdom operands.  The
-          result is lutdom-encoded. *)
-  v_lut_view : 'v -> 'v;  (** The free lutdom → classic view. *)
-}
-
-val run : ?opts:Exec_opts.t -> 'v ops -> bytes -> 'v array
-(** Execute an assembled binary over any value domain; returns the outputs
-    in output-instruction order.  Raises [Failure] on malformed streams
-    (bad magic sizes, forward references, missing header) and
-    [Pytfhe_util.Wire.Corrupt] on structurally corrupt LUT records — a
-    multi-input cell whose operand is not lutdom-encoded (the per-record
-    field checks already live in the {!Pytfhe_circuit.Binary} decoder).
-    With an enabled [opts.obs] sink, emits one span for the whole pass plus
-    the instruction-mix counters on a ["stream"] track.  The stream walk is
-    inherently scalar: [opts.batch]/non-default [opts.soa] raise
-    [Invalid_argument] rather than being silently dropped. *)
+    program DAG traversal").  This module is that executor — a plaintext
+    one-pass interpreter, and the streamed-binary wave source every
+    encrypted backend's [run_stream] is built on.  No netlist is
+    materialised either way. *)
 
 val run_bits : bytes -> bool array -> bool array
-(** Plaintext-bit instantiation. *)
-
-val run_encrypted :
-  ?opts:Exec_opts.t ->
-  Pytfhe_tfhe.Gates.cloud_keyset -> bytes -> Pytfhe_tfhe.Lwe.sample array ->
-  Pytfhe_tfhe.Lwe.sample array
-(** Homomorphic instantiation: each gate instruction triggers one
-    bootstrapped-gate evaluation.  Traced runs add key-switch/FFT counters
-    and the noise gauges on a ["stream-crypto"] track.  Same
-    [Invalid_argument] contract as {!run} for the batch/soa knobs. *)
-
-val run_source :
-  ?obs:Pytfhe_obs.Trace.sink -> 'v ops -> (unit -> bytes option) -> 'v array
-(** Like {!run}, pulling the binary from a chunked source
-    ({!Pytfhe_circuit.Binary.iter_source}) instead of a resident byte
-    buffer — the executor for streamed compilations, where the binary is
-    produced wave by wave and never materialised.  Headers carrying
-    {!Pytfhe_circuit.Binary.streamed_gate_total} skip the gate-budget
-    check. *)
+(** Execute an assembled binary on plaintext bits; returns the outputs in
+    output-instruction order.  Raises [Failure] on malformed streams (bad
+    sizes, forward references, missing or duplicate header, more gates
+    than the header declares) and [Pytfhe_util.Wire.Corrupt] on
+    structurally corrupt LUT records — a multi-input cell whose operand is
+    not lutdom-encoded (the per-record field checks live in the
+    {!Pytfhe_circuit.Binary} decoder). *)
 
 (** {1 Segmented wave driver}
 
-    The streaming counterpart of the levelized executors.  Instructions are
+    The streaming counterpart of {!Wave.run_netlist}.  Instructions are
     consumed as they arrive; bootstrapped gates and LUT cells are queued by
     wave (level = 1 + max operand level within the current segment) and
-    handed to a backend callback one wave at a time, so batching and
-    parallel backends see the same wave structure a materialised netlist
-    would give them — without the netlist.  When the queued bootstrap count
-    reaches [window] the segment flushes level by level, bounding peak
-    queued work.  NOT gates are evaluated inline (immediately when their
-    operand is computed, after the producing wave otherwise), matching
+    handed to [run_wave] one wave at a time as the same {!Wave.job}s a
+    materialised netlist would give — LUT cells over one operand tuple in
+    one rotation group.  When the queued bootstrap count reaches [window]
+    the segment flushes level by level, bounding peak queued work.  NOT
+    gates are evaluated inline (immediately when their operand is
+    computed, after the producing wave otherwise), matching
     {!Pytfhe_circuit.Levelize.waves} semantics. *)
-
-type 'v task =
-  | T_gate of { gate : Pytfhe_circuit.Gate.t; a : 'v; b : 'v }
-      (** One bootstrapped binary gate; operands are classic views, already
-          resolved. *)
-  | T_lut of { arity : int; table : int; operands : 'v array; ins : int array }
-      (** One LUT cell; arity-1 operands are classic views, arity-2/3 are
-          raw lutdom values.  [ins] are the stream indices of the operands —
-          tasks of one wave sharing the same [ins] may share blind
-          rotations. *)
-
-type wave_stats = {
-  segments_run : int;
-  waves_run : int;
-  bootstraps_run : int;
-  nots_run : int;
-  wave_widths : int array;  (** Tasks per executed wave, in order. *)
-  wave_wall : float array;  (** Wall seconds per executed wave. *)
-}
 
 val run_waves :
   ?obs:Pytfhe_obs.Trace.sink ->
   ?window:int ->
-  run_wave:('v task array -> 'v array) ->
-  'v ops ->
+  ?probe:(Pytfhe_obs.Trace.track -> unit) ->
+  run_wave:(Wave.job array -> Pytfhe_tfhe.Lwe.sample array) ->
+  Pytfhe_tfhe.Gates.cloud_keyset ->
   (unit -> bytes option) ->
-  'v array * wave_stats
-(** Execute a streamed binary wave by wave.  [run_wave] must return one
-    result per task, in task order.  [ops.v_gate] is only consulted for
-    inline NOT gates and [ops.v_lut] never — bootstrapped work goes through
-    [run_wave].  Default [window] is 32768 queued bootstraps per segment.
-    Error contract matches {!run}. *)
-
-(** Rotation units of one wave's LUT tasks, for encrypted wave runners:
-    one [C_sign] per arity-1 cell, one [C_group] per distinct multi-input
-    operand tuple (lists reversed, aligned).  [idx]/[idxs] are task
-    positions in the wave. *)
-type stream_cell =
-  | C_sign of { idx : int; table : int; operand : Pytfhe_tfhe.Lwe.sample }
-  | C_group of {
-      mutable idxs : int list;
-      mutable tables : int list;
-      arity : int;
-      raws : Pytfhe_tfhe.Lwe.sample array;
-    }
-
-val stream_lut_cells :
-  Pytfhe_tfhe.Lwe.sample task array -> int list -> stream_cell array
-(** Group the LUT tasks at the given positions (in order) into rotation
-    units, first-appearance order — the streaming counterpart of
-    {!Tfhe_eval.build_lut_cells}. *)
+  Pytfhe_tfhe.Lwe.sample array ->
+  Pytfhe_tfhe.Lwe.sample array * Wave.stats
+(** Execute a streamed binary wave by wave; [run_wave] must return every
+    job's outputs flat, in job order.  Default [window] is 32768 queued
+    bootstraps per segment.  [stats.wave_width]/[wave_wall] cover executed
+    waves in order.  With an enabled [obs] sink, each executed wave's
+    counters ({!Wave.wave_probe}, plus [probe]) land on a
+    ["stream-waves"] track, which ends with one span for the whole run.
+    Error contract of {!run_bits}, plus [Invalid_argument] when the stream
+    declares more inputs than given. *)
 
 val run_encrypted_stream :
   ?opts:Exec_opts.t ->
@@ -121,19 +55,7 @@ val run_encrypted_stream :
   (unit -> bytes option) ->
   Pytfhe_tfhe.Lwe.sample array ->
   Pytfhe_tfhe.Lwe.sample array * Tfhe_eval.stats
-(** Single-process encrypted execution of a streamed binary through
-    {!run_waves}: scalar per-wave when [opts.batch] is unset, through the
-    key-streaming batch kernel otherwise (LUT cells grouped by operand
-    tuple for rotation sharing, as in {!Tfhe_eval}).  Outputs are
-    ciphertext-bit-exact with {!Tfhe_eval.run} over the materialised
-    netlist.  [opts.soa] is ignored — the wave driver's value table is
-    per-slot by construction. *)
-
-val run_legacy : ?obs:Pytfhe_obs.Trace.sink -> 'v ops -> bytes -> 'v array
-(** @deprecated The pre-{!Exec_opts} signature, kept for one release. *)
-
-val run_encrypted_legacy :
-  ?obs:Pytfhe_obs.Trace.sink ->
-  Pytfhe_tfhe.Gates.cloud_keyset -> bytes -> Pytfhe_tfhe.Lwe.sample array ->
-  Pytfhe_tfhe.Lwe.sample array
-(** @deprecated The pre-{!Exec_opts} signature, kept for one release. *)
+(** Single-process encrypted execution of a streamed binary: {!run_waves}
+    over one {!Wave.engine} of capacity [opts.batch].  Outputs are
+    ciphertext-bit-exact with {!Tfhe_eval.run} over the parsed netlist.
+    For a resident binary pass a pull source over its bytes. *)

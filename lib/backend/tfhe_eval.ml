@@ -1,6 +1,7 @@
-module Netlist = Pytfhe_circuit.Netlist
-module Gate = Pytfhe_circuit.Gate
-module Levelize = Pytfhe_circuit.Levelize
+(* The sequential placement: every wave runs on the calling thread's one
+   engine.  It is the correctness baseline the other backends are compared
+   against, and the wave source is the shared netlist source. *)
+
 module Trace = Pytfhe_obs.Trace
 open Pytfhe_tfhe
 
@@ -16,520 +17,35 @@ type stats = {
   ks_bytes_streamed : int;
 }
 
-let gate_of g =
-  match g with
-  | Gate.Nand -> Gates.nand_gate
-  | Gate.And -> Gates.and_gate
-  | Gate.Or -> Gates.or_gate
-  | Gate.Nor -> Gates.nor_gate
-  | Gate.Xnor -> Gates.xnor_gate
-  | Gate.Xor -> Gates.xor_gate
-  | Gate.Not -> fun ck a _ -> Gates.not_gate ck a
-  | Gate.Andny -> Gates.andny_gate
-  | Gate.Andyn -> Gates.andyn_gate
-  | Gate.Orny -> Gates.orny_gate
-  | Gate.Oryn -> Gates.oryn_gate
+let stats_of ~start ~cap p e (ws : Wave.stats) =
+  let c = Wave.counters e in
+  {
+    bootstraps_executed = ws.Wave.bootstraps;
+    nots_executed = ws.Wave.nots;
+    wall_time = Unix.gettimeofday () -. start;
+    wave_wall = ws.Wave.wave_wall;
+    wave_width = ws.Wave.wave_width;
+    batch_size = cap;
+    batch_launches = c.Gates.batch_launches;
+    bsk_bytes_streamed = c.Gates.bsk_rows * Exec_obs.bsk_row_bytes p;
+    ks_bytes_streamed = c.Gates.ks_blocks * Exec_obs.ks_block_bytes p;
+  }
 
-let apply_gate ctx g a b =
-  match g with
-  | Gate.Nand -> Gates.nand_gate_in ctx a b
-  | Gate.And -> Gates.and_gate_in ctx a b
-  | Gate.Or -> Gates.or_gate_in ctx a b
-  | Gate.Nor -> Gates.nor_gate_in ctx a b
-  | Gate.Xnor -> Gates.xnor_gate_in ctx a b
-  | Gate.Xor -> Gates.xor_gate_in ctx a b
-  | Gate.Not -> Lwe.neg a
-  | Gate.Andny -> Gates.andny_gate_in ctx a b
-  | Gate.Andyn -> Gates.andyn_gate_in ctx a b
-  | Gate.Orny -> Gates.orny_gate_in ctx a b
-  | Gate.Oryn -> Gates.oryn_gate_in ctx a b
-
-(* The linear phase combination of a bootstrapped gate, as data — shared
-   with [Par_eval]'s batched path.  [Not] has no bootstrap, so no plan. *)
-let plan_of g =
-  match g with
-  | Gate.Nand -> Gates.nand_plan
-  | Gate.And -> Gates.and_plan
-  | Gate.Or -> Gates.or_plan
-  | Gate.Nor -> Gates.nor_plan
-  | Gate.Xnor -> Gates.xnor_plan
-  | Gate.Xor -> Gates.xor_plan
-  | Gate.Andny -> Gates.andny_plan
-  | Gate.Andyn -> Gates.andyn_plan
-  | Gate.Orny -> Gates.orny_plan
-  | Gate.Oryn -> Gates.oryn_plan
-  | Gate.Not -> invalid_arg "Tfhe_eval.plan_of: Not is not a bootstrapped gate"
-
-let prepare net inputs ~who =
-  let input_list = Netlist.inputs net in
-  if Array.length inputs <> List.length input_list then
-    invalid_arg (who ^ ": input arity mismatch");
-  let n = Netlist.node_count net in
-  let values : Lwe.sample option array = Array.make n None in
-  List.iteri (fun i (_, id) -> values.(id) <- Some inputs.(i)) input_list;
-  values
-
-(* LUT cells produce lutdom-encoded ciphertexts; every classic consumer
-   (gate operand, NOT, primary output) reads them through the free
-   lutdom → classic view.  The view is a deterministic linear map, so
-   materialising it per use keeps all execution paths bit-exact. *)
-let classic_view net values id =
-  let v = Option.get values.(id) in
-  if Netlist.is_lut net id then Gates.lut_to_classic v else v
-
-let collect net values =
-  Netlist.outputs net
-  |> List.map (fun (_, id) -> classic_view net values id)
-  |> Array.of_list
-
-(* Rotation memo key: multi-input cells over the same operand tuple share
-   one blind rotation (the indicators depend only on the operands). *)
-let lut_key ins =
-  let get i = if Array.length ins > i then ins.(i) else -1 in
-  (Array.length ins, ins.(0), get 1, get 2)
-
-(* Scalar evaluation of one LUT cell, with rotation sharing through
-   [rotations]. Returns the number of fresh rotations performed (0 or 1). *)
-let apply_lut_node net values ctx rotations id ~table ins =
-  let arity = Array.length ins in
-  if arity = 1 then begin
-    values.(id) <- Some (Gates.lut1_in ctx ~table (classic_view net values ins.(0)));
-    1
-  end
-  else begin
-    let key = lut_key ins in
-    let fresh = ref 0 in
-    let ind =
-      match Hashtbl.find_opt rotations key with
-      | Some ind -> ind
-      | None ->
-        let ops = Array.map (fun a -> Option.get values.(a)) ins in
-        let ind = Gates.lut_indicators_in ctx ~arity ops in
-        Hashtbl.add rotations key ind;
-        fresh := 1;
-        ind
-    in
-    values.(id) <- Some (Gates.lut_select_in ctx ~msize:(1 lsl arity) ~table ind);
-    !fresh
-  end
-
-(* The untraced id-order walk: ids are topologically sorted by
-   construction, so a single pass suffices.  This is the hot path — it
-   must not pay for observability beyond the one [Trace.enabled] load in
-   [run]. *)
-let run_untraced cloud net values =
-  let ctx = Gates.default_context cloud in
-  let rotations = Hashtbl.create 64 in
-  let bootstraps = ref 0 and nots = ref 0 in
-  for id = 0 to Netlist.node_count net - 1 do
-    match Netlist.kind net id with
-    | Netlist.Input _ -> ()
-    | Netlist.Const b -> values.(id) <- Some (Gates.constant cloud b)
-    | Netlist.Gate (g, a, b) ->
-      let va = classic_view net values a and vb = classic_view net values b in
-      if Gate.is_unary g then incr nots else incr bootstraps;
-      values.(id) <- Some (apply_gate ctx g va vb)
-    | Netlist.Lut { table; ins } ->
-      bootstraps := !bootstraps + apply_lut_node net values ctx rotations id ~table ins
-  done;
-  (!bootstraps, !nots, [||], [||])
-
-(* The traced walk evaluates wave by wave instead of in id order, so each
-   wave gets one well-delimited span.  Gate results depend only on the
-   operand ciphertexts, so any topological order produces identical
-   outputs — the traced-vs-untraced qcheck suite holds this to bit
-   exactness. *)
-let run_traced obs cloud net values =
-  let ctx = Gates.default_context cloud in
-  let sched = Levelize.run net in
-  let waves = Levelize.waves sched net in
-  let nwaves = Array.length waves in
-  let wave_wall = Array.make nwaves 0.0 in
-  let wave_width = Array.map (fun w -> Array.length w.Levelize.parallel) waves in
-  for id = 0 to Netlist.node_count net - 1 do
-    match Netlist.kind net id with
-    | Netlist.Const b -> values.(id) <- Some (Gates.constant cloud b)
-    | Netlist.Input _ | Netlist.Gate _ | Netlist.Lut _ -> ()
-  done;
-  let tr = Trace.new_track obs ~name:"cpu" in
-  Exec_obs.noise_gauges tr cloud.Gates.cloud_params;
-  let rotations = Hashtbl.create 64 in
-  let bootstraps = ref 0 and nots = ref 0 in
-  Array.iteri
-    (fun w wave ->
-      let t0 = Trace.now obs in
-      let a0 = Exec_obs.alloc_words () in
-      let wb = ref 0 and wn = ref 0 in
-      let eval id =
-        match Netlist.kind net id with
-        | Netlist.Gate (g, a, b) ->
-          let va = classic_view net values a and vb = classic_view net values b in
-          if Gate.is_unary g then incr wn else incr wb;
-          values.(id) <- Some (apply_gate ctx g va vb)
-        | Netlist.Lut { table; ins } ->
-          wb := !wb + apply_lut_node net values ctx rotations id ~table ins
-        | Netlist.Input _ | Netlist.Const _ -> assert false
-      in
-      Array.iter eval wave.Levelize.parallel;
-      Array.iter eval wave.Levelize.inline;
-      let t1 = Trace.now obs in
-      wave_wall.(w) <- t1 -. t0;
-      bootstraps := !bootstraps + !wb;
-      nots := !nots + !wn;
-      Trace.span tr ~cat:"wave" ~name:(Printf.sprintf "wave %d" w) ~t0 ~t1;
-      Exec_obs.wave_counters tr cloud.Gates.cloud_params ~bootstraps:!wb
-        ~nots:!wn
-        ~width:wave_width.(w)
-        ~alloc_words:(Exec_obs.alloc_words () -. a0);
-      Trace.drain obs)
-    waves;
-  (!bootstraps, !nots, wave_wall, wave_width)
-
-(* Wave-batched LUT cells.  Multi-input cells are grouped by operand tuple
-   in first-appearance (id) order — one rotation per group, every member
-   table selected from the shared indicators — and arity-1 cells become
-   sign jobs of the same mixed batch.  Works over get/set closures so the
-   record and SoA walks share it; the mixed-job kernel is bit-exact with
-   the scalar cells.  Returns the rotation count. *)
-type lut_cell_build =
-  | B_sign of { node : Netlist.id; table : int; operand : Netlist.id }
-  | B_group of {
-      ins : Netlist.id array;
-      mutable tables : int list;  (* reversed *)
-      mutable nodes : Netlist.id list;  (* reversed, aligned with tables *)
-    }
-
-let build_lut_cells net lut_ids =
-  let ds = ref [] in
-  let groups = Hashtbl.create 16 in
-  Array.iter
-    (fun id ->
-      match Netlist.kind net id with
-      | Netlist.Lut { table; ins } when Array.length ins = 1 ->
-        ds := B_sign { node = id; table; operand = ins.(0) } :: !ds
-      | Netlist.Lut { table; ins } -> (
-        let key = lut_key ins in
-        match Hashtbl.find_opt groups key with
-        | Some (B_group g) ->
-          g.tables <- table :: g.tables;
-          g.nodes <- id :: g.nodes
-        | Some (B_sign _) -> assert false
-        | None ->
-          let g = B_group { ins; tables = [ table ]; nodes = [ id ] } in
-          Hashtbl.add groups key g;
-          ds := g :: !ds)
-      | _ -> assert false)
-    lut_ids;
-  Array.of_list (List.rev !ds)
-
-(* Batched execution of built cells through the mixed-job kernel, in
-   launches of at most [batch] cells. *)
-let run_lut_cells net ~get ~set bc ~batch ~n ds =
-  let classic_of id =
-    let v = get id in
-    if Netlist.is_lut net id then Gates.lut_to_classic v else v
-  in
-  let total = Array.length ds in
-  let pos = ref 0 in
-  while !pos < total do
-    let len = min batch (total - !pos) in
-    let chunk = Array.sub ds !pos len in
-    let cells =
-      Array.map
-        (function
-          | B_sign { table; _ } -> Gates.sign_cell ~table
-          | B_group g ->
-            Gates.Cell_lut
-              { arity = Array.length g.ins; tables = Array.of_list (List.rev g.tables) })
-        chunk
-    in
-    let combined =
-      Array.map
-        (function
-          | B_sign { operand; _ } -> classic_of operand
-          | B_group g -> Gates.lut_combine ~n ~arity:(Array.length g.ins) (Array.map get g.ins))
-        chunk
-    in
-    let outs = Gates.bootstrap_batch_cells bc cells combined in
-    Array.iteri
-      (fun j d ->
-        match d with
-        | B_sign { node; _ } -> set node outs.(j).(0)
-        | B_group g -> List.iteri (fun k nid -> set nid outs.(j).(k)) (List.rev g.nodes))
-      chunk;
-    pos := !pos + len
-  done;
-  total
-
-(* Scalar execution of built cells: one indicator rotation per group,
-   one select + key switch per member.  Same operation sequence as the
-   batched kernel, hence bit-exact with it. *)
-let run_lut_cells_scalar net ~get ~set ctx ds =
-  let classic_of id =
-    let v = get id in
-    if Netlist.is_lut net id then Gates.lut_to_classic v else v
-  in
-  Array.iter
-    (function
-      | B_sign { node; table; operand } ->
-        set node (Gates.lut1_in ctx ~table (classic_of operand))
-      | B_group g ->
-        let arity = Array.length g.ins in
-        let ind = Gates.lut_indicators_in ctx ~arity (Array.map get g.ins) in
-        List.iter2
-          (fun nid table -> set nid (Gates.lut_select_in ctx ~msize:(1 lsl arity) ~table ind))
-          (List.rev g.nodes) (List.rev g.tables))
-    ds;
-  Array.length ds
-
-let run_wave_luts net ~get ~set bc ~batch ~n lut_ids =
-  if Array.length lut_ids = 0 then 0
-  else run_lut_cells net ~get ~set bc ~batch ~n (build_lut_cells net lut_ids)
-
-let partition_wave net par =
-  if Netlist.has_luts net then
-    ( Array.of_seq (Seq.filter (fun id -> not (Netlist.is_lut net id)) (Array.to_seq par)),
-      Array.of_seq (Seq.filter (fun id -> Netlist.is_lut net id) (Array.to_seq par)) )
-  else (par, [||])
-
-(* The batched wave walk: every wave's bootstrapped gates run through the
-   key-streaming kernel in chunks of at most [batch] gates (the final chunk
-   of a wave may be short), NOTs inline after the wave's parallel phase.
-   Per gate the combine → bootstrap → key-switch sequence is identical to
-   the scalar walks, so outputs are ciphertext-bit-exact with them. *)
-let run_batched obs cloud net values ~batch =
-  let p = cloud.Gates.cloud_params in
-  let n = p.Params.lwe.Params.n in
-  let traced = Trace.enabled obs in
-  let bc = Gates.batch_context cloud ~cap:batch in
-  let sched = Levelize.run net in
-  let waves = Levelize.waves sched net in
-  let nwaves = Array.length waves in
-  let wave_wall = Array.make nwaves 0.0 in
-  let wave_width = Array.map (fun w -> Array.length w.Levelize.parallel) waves in
-  for id = 0 to Netlist.node_count net - 1 do
-    match Netlist.kind net id with
-    | Netlist.Const b -> values.(id) <- Some (Gates.constant cloud b)
-    | Netlist.Input _ | Netlist.Gate _ | Netlist.Lut _ -> ()
-  done;
-  let tr = Trace.new_track obs ~name:"cpu" in
-  if traced then Exec_obs.noise_gauges tr p;
-  let bootstraps = ref 0 and nots = ref 0 in
-  Array.iteri
-    (fun w wave ->
-      let t0 = Trace.now obs in
-      let a0 = Exec_obs.alloc_words () in
-      let c0 = Gates.batch_counters bc in
-      let classic, luts = partition_wave net wave.Levelize.parallel in
-      let width = Array.length wave.Levelize.parallel in
-      let wb = ref 0 and wn = ref 0 in
-      let pos = ref 0 in
-      let cwidth = Array.length classic in
-      while !pos < cwidth do
-        let len = min batch (cwidth - !pos) in
-        let base = !pos in
-        let combined =
-          Array.init len (fun i ->
-              match Netlist.kind net classic.(base + i) with
-              | Netlist.Gate (g, a, b) ->
-                let va = classic_view net values a and vb = classic_view net values b in
-                Gates.combine ~n (plan_of g) va vb
-              | Netlist.Input _ | Netlist.Const _ | Netlist.Lut _ -> assert false)
-        in
-        let outs = Gates.bootstrap_batch bc combined in
-        for i = 0 to len - 1 do
-          values.(classic.(base + i)) <- Some outs.(i)
-        done;
-        wb := !wb + len;
-        pos := !pos + len
-      done;
-      wb :=
-        !wb
-        + run_wave_luts net
-            ~get:(fun id -> Option.get values.(id))
-            ~set:(fun id v -> values.(id) <- Some v)
-            bc ~batch ~n luts;
-      Array.iter
-        (fun id ->
-          match Netlist.kind net id with
-          | Netlist.Gate (g, a, _) when Gate.is_unary g ->
-            incr wn;
-            values.(id) <- Some (Lwe.neg (classic_view net values a))
-          | _ -> assert false)
-        wave.Levelize.inline;
-      let t1 = Trace.now obs in
-      wave_wall.(w) <- t1 -. t0;
-      bootstraps := !bootstraps + !wb;
-      nots := !nots + !wn;
-      if traced then begin
-        Trace.span tr ~cat:"wave" ~name:(Printf.sprintf "wave %d" w) ~t0 ~t1;
-        Exec_obs.wave_counters tr p ~bootstraps:!wb ~nots:!wn ~width
-          ~alloc_words:(Exec_obs.alloc_words () -. a0);
-        let c1 = Gates.batch_counters bc in
-        Exec_obs.batch_wave_counters tr p ~cap:batch
-          ~launches:(c1.Gates.batch_launches - c0.Gates.batch_launches)
-          ~gates:(c1.Gates.batch_gates - c0.Gates.batch_gates)
-          ~bsk_rows:(c1.Gates.bsk_rows - c0.Gates.bsk_rows)
-          ~ks_blocks:(c1.Gates.ks_blocks - c0.Gates.ks_blocks);
-        Trace.drain obs
-      end)
-    waves;
-  let c = Gates.batch_counters bc in
-  (!bootstraps, !nots, wave_wall, wave_width, c)
-
-(* The struct-of-arrays batched walk: the whole value table is one flat
-   [Lwe_array] (node id = row), wave phases are combined straight into a
-   staging array, and each sub-batch runs through the row-batched
-   bootstrap + key-switch kernels — no per-gate record exists anywhere
-   between the inputs and the collected outputs.  Per gate the
-   combine → bootstrap → key-switch operation sequence is identical to the
-   record paths, so outputs stay ciphertext-bit-exact. *)
-let run_batched_soa obs cloud net inputs ~batch =
-  let p = cloud.Gates.cloud_params in
-  let n = p.Params.lwe.Params.n in
-  let input_list = Netlist.inputs net in
-  if Array.length inputs <> List.length input_list then
-    invalid_arg "Tfhe_eval.run: input arity mismatch";
-  let traced = Trace.enabled obs in
-  let bc = Gates.batch_context cloud ~cap:batch in
-  let sched = Levelize.run net in
-  let waves = Levelize.waves sched net in
-  let nwaves = Array.length waves in
-  let wave_wall = Array.make nwaves 0.0 in
-  let wave_width = Array.map (fun w -> Array.length w.Levelize.parallel) waves in
-  let values = Lwe_array.create ~n (Netlist.node_count net) in
-  List.iteri (fun i (_, id) -> Lwe_array.set values id inputs.(i)) input_list;
-  for id = 0 to Netlist.node_count net - 1 do
-    match Netlist.kind net id with
-    | Netlist.Const b -> Lwe_array.set values id (Gates.constant cloud b)
-    | Netlist.Input _ | Netlist.Gate _ | Netlist.Lut _ -> ()
-  done;
-  (* lutdom rows read at classic use sites go through the record-level
-     view; the linear maps are identical to the row kernels, so this
-     stays bit-exact *)
-  let soa_view id =
-    let v = Lwe_array.get values id in
-    if Netlist.is_lut net id then Gates.lut_to_classic v else v
-  in
-  let staging = Lwe_array.create ~n batch in
-  let tr = Trace.new_track obs ~name:"cpu" in
-  if traced then Exec_obs.noise_gauges tr p;
-  let bootstraps = ref 0 and nots = ref 0 in
-  Array.iteri
-    (fun w wave ->
-      let t0 = Trace.now obs in
-      let a0 = Exec_obs.alloc_words () in
-      let c0 = Gates.batch_counters bc in
-      let classic, luts = partition_wave net wave.Levelize.parallel in
-      let width = Array.length wave.Levelize.parallel in
-      let wb = ref 0 and wn = ref 0 in
-      let pos = ref 0 in
-      let cwidth = Array.length classic in
-      while !pos < cwidth do
-        let len = min batch (cwidth - !pos) in
-        let base = !pos in
-        for i = 0 to len - 1 do
-          match Netlist.kind net classic.(base + i) with
-          | Netlist.Gate (g, a, b) ->
-            if Netlist.is_lut net a || Netlist.is_lut net b then
-              Lwe_array.set staging i (Gates.combine ~n (plan_of g) (soa_view a) (soa_view b))
-            else
-              Gates.combine_rows_into (plan_of g) ~a:values ~arow:a ~b:values ~brow:b
-                ~dst:staging ~drow:i
-          | Netlist.Input _ | Netlist.Const _ | Netlist.Lut _ -> assert false
-        done;
-        let outs = Gates.bootstrap_batch_rows bc (Lwe_array.slice staging ~pos:0 ~len) in
-        for i = 0 to len - 1 do
-          Lwe_array.blit ~src:outs ~src_pos:i ~dst:values ~dst_pos:classic.(base + i) ~len:1
-        done;
-        wb := !wb + len;
-        pos := !pos + len
-      done;
-      wb :=
-        !wb
-        + run_wave_luts net
-            ~get:(fun id -> Lwe_array.get values id)
-            ~set:(fun id v -> Lwe_array.set values id v)
-            bc ~batch ~n luts;
-      Array.iter
-        (fun id ->
-          match Netlist.kind net id with
-          | Netlist.Gate (g, a, _) when Gate.is_unary g ->
-            incr wn;
-            if Netlist.is_lut net a then Lwe_array.set values id (Lwe.neg (soa_view a))
-            else Lwe_array.neg_into ~dst:values ~drow:id ~src:values ~srow:a
-          | _ -> assert false)
-        wave.Levelize.inline;
-      let t1 = Trace.now obs in
-      wave_wall.(w) <- t1 -. t0;
-      bootstraps := !bootstraps + !wb;
-      nots := !nots + !wn;
-      if traced then begin
-        Trace.span tr ~cat:"wave" ~name:(Printf.sprintf "wave %d" w) ~t0 ~t1;
-        Exec_obs.wave_counters tr p ~bootstraps:!wb ~nots:!wn ~width
-          ~alloc_words:(Exec_obs.alloc_words () -. a0);
-        let c1 = Gates.batch_counters bc in
-        Exec_obs.batch_wave_counters tr p ~cap:batch
-          ~launches:(c1.Gates.batch_launches - c0.Gates.batch_launches)
-          ~gates:(c1.Gates.batch_gates - c0.Gates.batch_gates)
-          ~bsk_rows:(c1.Gates.bsk_rows - c0.Gates.bsk_rows)
-          ~ks_blocks:(c1.Gates.ks_blocks - c0.Gates.ks_blocks);
-        Trace.drain obs
-      end)
-    waves;
-  let outputs =
-    Netlist.outputs net |> List.map (fun (_, id) -> soa_view id) |> Array.of_list
-  in
-  let c = Gates.batch_counters bc in
-  (outputs, !bootstraps, !nots, wave_wall, wave_width, c)
-
-let run_legacy ?(obs = Trace.null) ?batch ?(soa = true) cloud net inputs =
-  let start = Unix.gettimeofday () in
-  match batch with
-  | Some b ->
-    if b < 1 then invalid_arg "Tfhe_eval.run: batch must be >= 1";
-    let outputs, bootstraps, nots, wave_wall, wave_width, c =
-      if soa then run_batched_soa obs cloud net inputs ~batch:b
-      else begin
-        let values = prepare net inputs ~who:"Tfhe_eval.run" in
-        let bootstraps, nots, wave_wall, wave_width, c =
-          run_batched obs cloud net values ~batch:b
-        in
-        (collect net values, bootstraps, nots, wave_wall, wave_width, c)
-      end
-    in
-    let p = cloud.Gates.cloud_params in
-    ( outputs,
-      {
-        bootstraps_executed = bootstraps;
-        nots_executed = nots;
-        wall_time = Unix.gettimeofday () -. start;
-        wave_wall;
-        wave_width;
-        batch_size = b;
-        batch_launches = c.Gates.batch_launches;
-        bsk_bytes_streamed = c.Gates.bsk_rows * Exec_obs.bsk_row_bytes p;
-        ks_bytes_streamed = c.Gates.ks_blocks * Exec_obs.ks_block_bytes p;
-      } )
-  | None ->
-    let values = prepare net inputs ~who:"Tfhe_eval.run" in
-    let bootstraps, nots, wave_wall, wave_width =
-      if Trace.enabled obs then run_traced obs cloud net values
-      else run_untraced cloud net values
-    in
-    ( collect net values,
-      {
-        bootstraps_executed = bootstraps;
-        nots_executed = nots;
-        wall_time = Unix.gettimeofday () -. start;
-        wave_wall;
-        wave_width;
-        batch_size = 0;
-        batch_launches = 0;
-        bsk_bytes_streamed = 0;
-        ks_bytes_streamed = 0;
-      } )
+(* The engine's key traffic for one wave, as the wave's trace counters. *)
+let traffic_probe p e =
+  let last = ref (Wave.counters e) in
+  fun tr ->
+    let now = Wave.counters e in
+    Exec_obs.batch_wave_counters tr p ~cap:(Wave.capacity e) !last now;
+    last := now
 
 let run ?(opts = Exec_opts.default) cloud net inputs =
-  run_legacy ~obs:opts.Exec_opts.obs ?batch:opts.Exec_opts.batch
-    ~soa:opts.Exec_opts.soa cloud net inputs
+  let start = Unix.gettimeofday () in
+  let p = cloud.Gates.cloud_params in
+  let e = Wave.engine cloud ~cap:opts.Exec_opts.batch in
+  let obs = opts.Exec_opts.obs in
+  let outputs, ws =
+    Wave.run_netlist ~obs ~track:(Trace.new_track obs ~name:"cpu") ~probe:(traffic_probe p e)
+      ~run_wave:(Wave.exec e) cloud net inputs
+  in
+  (outputs, stats_of ~start ~cap:opts.Exec_opts.batch p e ws)

@@ -1,28 +1,22 @@
-(** The reference encrypted backend: evaluate a TFHE program gate by gate on
-    real LWE ciphertexts with the cloud keyset.
+(** The reference encrypted backend: evaluate a TFHE program wave by wave
+    on real LWE ciphertexts with the cloud keyset, on the calling thread.
 
     This is the single-core executor every other backend's numbers are
     normalised to; the test suite runs whole compiled circuits through it
     and checks the decrypted outputs against {!Plain_eval}. *)
 
 type stats = {
-  bootstraps_executed : int;
+  bootstraps_executed : int;  (** Jobs executed: a LUT rotation group is one. *)
   nots_executed : int;
   wall_time : float;  (** Seconds of real local compute. *)
-  wave_wall : float array;
-      (** Wall seconds per wave — only filled on traced or batched runs
-          (which execute wave by wave); empty on the untraced id-order
-          walk. *)
-  wave_width : int array;  (** Bootstrapped gates per wave (traced/batched runs). *)
-  batch_size : int;  (** The [?batch] capacity used; 0 on the scalar path. *)
-  batch_launches : int;  (** Batched bootstrap kernel launches (0 scalar). *)
+  wave_wall : float array;  (** Wall seconds per wave. *)
+  wave_width : int array;  (** Jobs per wave. *)
+  batch_size : int;  (** The engine's launch capacity ([opts.batch]). *)
+  batch_launches : int;  (** Kernel launches. *)
   bsk_bytes_streamed : int;
-      (** Bytes of bootstrapping key streamed from memory by the batched
-          kernel ([Bootstrap] row counter × {!Exec_obs.bsk_row_bytes});
-          0 on the scalar path. *)
-  ks_bytes_streamed : int;
-      (** Bytes of key-switch table streamed by the batched kernel; 0 on
-          the scalar path. *)
+      (** Bytes of bootstrapping key streamed from memory ([Bootstrap] row
+          counter × {!Exec_obs.bsk_row_bytes}). *)
+  ks_bytes_streamed : int;  (** Bytes of key-switch table streamed. *)
 }
 
 val run :
@@ -31,105 +25,20 @@ val run :
   Pytfhe_circuit.Netlist.t ->
   Pytfhe_tfhe.Lwe.sample array ->
   Pytfhe_tfhe.Lwe.sample array * stats
-(** [run cloud net inputs] homomorphically evaluates every gate in
-    topological order.  [inputs] follow the netlist's input declaration
-    order; outputs follow the output declaration order.  Execution knobs
-    ride in [?opts] (default {!Exec_opts.default}); below, [obs] / [batch]
-    / [soa] name its fields.
+(** [run cloud net inputs] homomorphically evaluates the levelized waves
+    of [net] through {!Wave.exec} in launches of at most [opts.batch] jobs
+    (default {!Exec_opts.default}).  [inputs] follow the netlist's input
+    declaration order; outputs follow the output declaration order.
+    Outputs are ciphertext-bit-exact for every batch size.  With an
+    enabled [opts.obs] sink each wave gets a span, the standard counters
+    and the engine's launch/key-traffic counters on a ["cpu"] track.
+    Raises [Invalid_argument] on an input arity mismatch or [batch < 1]. *)
 
-    With an enabled [obs] sink the walk switches from id order to the
-    levelized wave order — a different topological order of the same DAG,
-    so outputs are bit-exact either way — and emits one span plus the
-    standard counter set per wave on a ["cpu"] track.
+val stats_of :
+  start:float -> cap:int -> Pytfhe_tfhe.Params.t -> Wave.engine -> Wave.stats -> stats
+(** The stats record of a run on one engine that started at [start]
+    (shared with the streaming cpu run). *)
 
-    With [?batch:b] (b ≥ 1) each wave's bootstrapped gates run through the
-    key-streaming batch kernel in chunks of at most [b] gates: the
-    bootstrapping key and key-switch table are streamed from memory once
-    per chunk instead of once per gate.  By default ([?soa:true]) the
-    batched walk keeps the whole value table in one struct-of-arrays
-    {!Pytfhe_tfhe.Lwe_array} (node id = row) and runs the row-batched
-    kernels — no per-gate ciphertext record is materialized between the
-    inputs and the collected outputs.  [?soa:false] selects the older
-    record-per-gate batched walk (kept for benchmark attribution of the
-    layout change).  Outputs are ciphertext-bit-exact across scalar,
-    record-batched and SoA-batched paths for every batch size; a traced
-    batched run additionally emits [batch_waves]/[batch_fill]/
-    [bsk_bytes_streamed]/[ks_bytes_streamed] counters per wave. *)
-
-val run_legacy :
-  ?obs:Pytfhe_obs.Trace.sink ->
-  ?batch:int ->
-  ?soa:bool ->
-  Pytfhe_tfhe.Gates.cloud_keyset ->
-  Pytfhe_circuit.Netlist.t ->
-  Pytfhe_tfhe.Lwe.sample array ->
-  Pytfhe_tfhe.Lwe.sample array * stats
-(** @deprecated The pre-{!Exec_opts} flag triple, kept for one release;
-    [run_legacy ?obs ?batch ?soa] ≡ [run ~opts:(Exec_opts.of_flags ...)]. *)
-
-val plan_of : Pytfhe_circuit.Gate.t -> Pytfhe_tfhe.Gates.combine_plan
-(** The linear phase combination of a bootstrapped IR gate (shared with
-    [Par_eval]'s batched path).  Raises [Invalid_argument] on [Not], which
-    is evaluated noiselessly. *)
-
-val gate_of : Pytfhe_circuit.Gate.t ->
-  Pytfhe_tfhe.Gates.cloud_keyset -> Pytfhe_tfhe.Lwe.sample -> Pytfhe_tfhe.Lwe.sample ->
-  Pytfhe_tfhe.Lwe.sample
-(** The bootstrapped-gate implementation behind each IR gate type. *)
-
-val apply_gate :
-  Pytfhe_tfhe.Gates.context -> Pytfhe_circuit.Gate.t ->
-  Pytfhe_tfhe.Lwe.sample -> Pytfhe_tfhe.Lwe.sample -> Pytfhe_tfhe.Lwe.sample
-(** Same dispatch through an explicit per-thread evaluation context — the
-    primitive {!Par_eval} runs on every worker domain.  [Not] ignores its
-    second operand. *)
-
-(** {2 LUT-cell execution plumbing (shared with [Par_eval])}
-
-    LUT cells produce lutdom-encoded ciphertexts; classic consumers read
-    them through the free lutdom → classic view.  Multi-input cells over
-    the same operand tuple share one blind rotation: {!build_lut_cells}
-    groups a wave's cells deterministically (first-appearance order), and
-    the runners execute built cells — scalar or through the mixed-job
-    batch kernel, bit-exact with each other. *)
-
-type lut_cell_build
-
-val lut_key : int array -> int * int * int * int
-(** The rotation-sharing key of a LUT cell's operand tuple — (arity, op0,
-    op1 or -1, op2 or -1).  Cells agreeing on this key may share one blind
-    rotation. *)
-
-val classic_view :
-  Pytfhe_circuit.Netlist.t -> Pytfhe_tfhe.Lwe.sample option array ->
-  Pytfhe_circuit.Netlist.id -> Pytfhe_tfhe.Lwe.sample
-(** The node's value as a classic ciphertext (applies the lutdom view to
-    [Lut] nodes). *)
-
-val partition_wave :
-  Pytfhe_circuit.Netlist.t -> Pytfhe_circuit.Netlist.id array ->
-  Pytfhe_circuit.Netlist.id array * Pytfhe_circuit.Netlist.id array
-(** Split a wave's bootstrapped nodes into (classic gates, LUT cells),
-    both preserving order.  O(1) pass-through when the netlist has no
-    LUT cells. *)
-
-val build_lut_cells :
-  Pytfhe_circuit.Netlist.t -> Pytfhe_circuit.Netlist.id array -> lut_cell_build array
-(** Group a wave's LUT-cell node ids into rotation units: one unit per
-    arity-1 cell, one per distinct multi-input operand tuple. *)
-
-val run_lut_cells :
-  Pytfhe_circuit.Netlist.t ->
-  get:(Pytfhe_circuit.Netlist.id -> Pytfhe_tfhe.Lwe.sample) ->
-  set:(Pytfhe_circuit.Netlist.id -> Pytfhe_tfhe.Lwe.sample -> unit) ->
-  Pytfhe_tfhe.Gates.batch_context -> batch:int -> n:int -> lut_cell_build array -> int
-(** Execute built cells through the mixed-job batch kernel in launches of
-    at most [batch] cells; [n] is the LWE dimension.  Returns the number
-    of blind rotations performed (= number of cells). *)
-
-val run_lut_cells_scalar :
-  Pytfhe_circuit.Netlist.t ->
-  get:(Pytfhe_circuit.Netlist.id -> Pytfhe_tfhe.Lwe.sample) ->
-  set:(Pytfhe_circuit.Netlist.id -> Pytfhe_tfhe.Lwe.sample -> unit) ->
-  Pytfhe_tfhe.Gates.context -> lut_cell_build array -> int
-(** Scalar execution of built cells; bit-exact with {!run_lut_cells}. *)
+val traffic_probe : Pytfhe_tfhe.Params.t -> Wave.engine -> Pytfhe_obs.Trace.track -> unit
+(** A per-wave probe emitting the engine's launch and key-traffic deltas
+    ({!Exec_obs.batch_wave_counters}) since its previous call. *)

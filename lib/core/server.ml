@@ -51,9 +51,6 @@ let run ?opts backend cloud compiled inputs =
   let (module E : Executor.S) = executor backend in
   E.run ?opts cloud compiled.Pipeline.netlist inputs
 
-let run_legacy ?obs ?batch ?soa backend cloud compiled inputs =
-  run ~opts:(Exec_opts.of_flags ?obs ?batch ?soa ()) backend cloud compiled inputs
-
 (* ------------------------------------------------------------------ *)
 (* Cost-model simulation                                               *)
 (* ------------------------------------------------------------------ *)

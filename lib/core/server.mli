@@ -56,26 +56,10 @@ val run :
     backend, returning the unified stats record.  Execution knobs ride in
     [?opts] (default {!Pytfhe_backend.Executor.default_opts}): an enabled
     [opts.obs] sink collects spans/counters/gauges (see
-    {!Pytfhe_obs.Trace} and [docs/observability.md]); [opts.batch = Some b]
-    routes the Cpu/Multicore backends through the key-streaming batched
-    kernel in sub-batches of at most [b] gates, and [opts.soa] (default
-    [true]) runs those sub-batches through the struct-of-arrays row
-    kernels on contiguous {!Pytfhe_tfhe.Lwe_array} waves (bit-exact with
-    the scalar path either way) — see [docs/perf.md].  Multiprocess
-    raises [Invalid_argument] on the batch/soa knobs instead of silently
-    dropping them. *)
-
-val run_legacy :
-  ?obs:Pytfhe_obs.Trace.sink ->
-  ?batch:int ->
-  ?soa:bool ->
-  exec_backend ->
-  Pytfhe_tfhe.Gates.cloud_keyset ->
-  Pipeline.compiled ->
-  Pytfhe_tfhe.Lwe.sample array ->
-  Pytfhe_tfhe.Lwe.sample array * Pytfhe_backend.Executor.stats
-(** @deprecated The pre-[Executor.opts] flag triple, kept for one
-    release; equivalent to [run ~opts:{ obs; batch; soa }]. *)
+    {!Pytfhe_obs.Trace} and [docs/observability.md]); [opts.batch] is the
+    launch capacity of every backend's {!Pytfhe_backend.Wave} engines
+    (default 8; outputs are bit-exact for every value) — see
+    [docs/perf.md]. *)
 
 (** {2 Cost-model simulation} *)
 

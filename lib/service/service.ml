@@ -15,11 +15,11 @@
      crosses the wire), SSES opens a session whose params + transform tag
      must match the registered keyset, SREQ executes under a session.
    - Cross-request packing is per tenant: ciphertexts under different
-     keys can never share a launch.  Within a tenant the scheduler takes
-     ready gates from requests in admission order until the batch
-     capacity is filled; per gate the combine → bootstrap → key-switch
-     sequence is identical to Tfhe_eval's batched walk, so replies are
-     ciphertext-bit-exact with a per-tenant Server.run.
+     keys can never share a launch.  Each request walks its netlist with a
+     Wave.cursor; within a tenant the scheduler takes ready jobs — gates
+     and LUT rotation groups alike — from requests in admission order
+     until the batch capacity is filled and runs them as one Wave.exec,
+     so replies are ciphertext-bit-exact with a per-tenant Server.run.
    - Failure isolation: a frame whose payload fails validation draws an
      SERR on that connection and nothing else; a connection dying takes
      its own sessions and in-flight requests with it; evicting a keyset
@@ -29,13 +29,10 @@ module Wire = Pytfhe_util.Wire
 module Trace = Pytfhe_obs.Trace
 module Quantile = Pytfhe_obs.Quantile
 module Netlist = Pytfhe_circuit.Netlist
-module Gate = Pytfhe_circuit.Gate
-module Levelize = Pytfhe_circuit.Levelize
 module Framing = Pytfhe_backend.Framing
 module Dist_eval = Pytfhe_backend.Dist_eval
-module Tfhe_eval = Pytfhe_backend.Tfhe_eval
+module Wave = Pytfhe_backend.Wave
 module Executor = Pytfhe_backend.Executor
-module Exec_opts = Pytfhe_backend.Exec_opts
 module Exec_obs = Pytfhe_backend.Exec_obs
 module Server = Pytfhe_core.Server
 module Pipeline = Pytfhe_core.Pipeline
@@ -199,7 +196,7 @@ let default_config =
     idle_timeout = 0.05;
   }
 
-let default_opts = { Executor.default_opts with Exec_opts.batch = Some 8 }
+let default_opts = Executor.default_opts
 
 (* ------------------------------------------------------------------ *)
 (* Server state                                                        *)
@@ -223,29 +220,21 @@ type request = {
   rq_client : string;
   rq_generation : int;
   rq_compiled : Pipeline.compiled;
-  rq_waves : Levelize.wave array;
-  rq_values : Lwe.sample option array;
   rq_inputs : Lwe.sample array;
-  mutable rq_wave : int;
-  mutable rq_classic : Netlist.id list;  (* unexecuted classic gates of the current wave *)
+  mutable rq_cursor : Wave.cursor option;  (* from admission on *)
+  mutable rq_next : int;  (* next unexecuted job of the cursor's wave *)
+  mutable rq_outs : Lwe.sample list;  (* that wave's outputs so far, reversed *)
   rq_submitted : float;
   mutable rq_started : float;
   mutable rq_bootstraps : int;
   mutable rq_done : bool;
 }
 
-type tenant = {
-  t_ck : Gates.cloud_keyset;
-  t_n : int;
-  t_cap : int;
-  t_bc : Gates.batch_context;
-  t_staging : Lwe_array.t;
-}
+type tenant = { t_ck : Gates.cloud_keyset; t_engine : Wave.engine }
 
 type state = {
   cfg : config;
   opts : Executor.opts;
-  cap : int;
   ring : Keyring.t;
   sessions : (int, session) Hashtbl.t;
   tenants : (string * int, tenant) Hashtbl.t;  (* (client, generation) *)
@@ -348,29 +337,12 @@ let tenant_state st client generation ck =
   match Hashtbl.find_opt st.tenants key with
   | Some t -> t
   | None ->
-    let p = ck.Gates.cloud_params in
-    Params.precompute p;
-    let n = p.Params.lwe.Params.n in
-    let cap = st.cap in
-    let t =
-      {
-        t_ck = ck;
-        t_n = n;
-        t_cap = cap;
-        t_bc = Gates.batch_context ck ~cap;
-        t_staging = Lwe_array.create ~n cap;
-      }
-    in
+    Params.precompute ck.Gates.cloud_params;
+    let t = { t_ck = ck; t_engine = Wave.engine ck ~cap:st.opts.Executor.batch } in
     Hashtbl.replace st.tenants key t;
     t
 
-let classic_view rq id = Tfhe_eval.classic_view rq.rq_compiled.Pipeline.netlist rq.rq_values id
-
-let finish st rq =
-  let net = rq.rq_compiled.Pipeline.netlist in
-  let outputs =
-    Netlist.outputs net |> List.map (fun (_, id) -> classic_view rq id) |> Array.of_list
-  in
+let reply st rq outputs =
   let now = Unix.gettimeofday () in
   rq.rq_done <- true;
   st.c_completed <- st.c_completed + 1;
@@ -392,43 +364,16 @@ let fail_request st rq code message =
       send_err st rq.rq_conn ~tenant:rq.rq_client ~req:rq.rq_id code message
   end
 
-(* Load the current wave: run its LUT cells immediately (per-request,
-   batched through the tenant's context) and expose its classic gates to
-   the cross-request packing frontier. *)
-let load_wave st t rq =
-  let net = rq.rq_compiled.Pipeline.netlist in
-  let wave = rq.rq_waves.(rq.rq_wave) in
-  let classic, luts = Tfhe_eval.partition_wave net wave.Levelize.parallel in
-  if Array.length luts > 0 then begin
-    let rots =
-      Tfhe_eval.run_lut_cells net
-        ~get:(fun id -> Option.get rq.rq_values.(id))
-        ~set:(fun id v -> rq.rq_values.(id) <- Some v)
-        t.t_bc ~batch:t.t_cap ~n:t.t_n
-        (Tfhe_eval.build_lut_cells net luts)
-    in
-    rq.rq_bootstraps <- rq.rq_bootstraps + rots;
-    st.c_lut_rotations <- st.c_lut_rotations + rots
-  end;
-  rq.rq_classic <- Array.to_list classic
-
-(* Called whenever the current wave's classic gates are exhausted: run the
-   wave's inline NOTs, move on, and keep going through waves that carry no
-   classic gates (pure-LUT or pure-NOT waves execute right here). *)
-let rec advance st t rq =
-  let net = rq.rq_compiled.Pipeline.netlist in
-  Array.iter
-    (fun id ->
-      match Netlist.kind net id with
-      | Netlist.Gate (g, a, _) when Gate.is_unary g ->
-        rq.rq_values.(id) <- Some (Lwe.neg (classic_view rq a))
-      | _ -> assert false)
-    rq.rq_waves.(rq.rq_wave).Levelize.inline;
-  rq.rq_wave <- rq.rq_wave + 1;
-  if rq.rq_wave >= Array.length rq.rq_waves then finish st rq
-  else begin
-    load_wave st t rq;
-    if rq.rq_classic = [] then advance st t rq
+(* Move a request whose current wave has no jobs left to run: store the
+   wave's outputs, and keep going through job-free (NOT-only) waves until
+   jobs are ready again or the program is done. *)
+let rec settle st rq c =
+  if Wave.finished c then reply st rq (Wave.results c)
+  else if rq.rq_next = Array.length (Wave.jobs c) then begin
+    Wave.deliver c (Array.of_list (List.rev rq.rq_outs));
+    rq.rq_next <- 0;
+    rq.rq_outs <- [];
+    settle st rq c
   end
 
 let admit st rq =
@@ -439,24 +384,16 @@ let admit st rq =
   | Some e when e.Keyring.generation <> rq.rq_generation ->
     fail_request st rq Unknown "keyset re-registered; reopen the session"
   | Some e -> (
-    let net = rq.rq_compiled.Pipeline.netlist in
-    let input_list = Netlist.inputs net in
-    List.iteri (fun i (_, id) -> rq.rq_values.(id) <- Some rq.rq_inputs.(i)) input_list;
     match st.cfg.backend with
     | Server.Cpu ->
       let t = tenant_state st rq.rq_client rq.rq_generation e.Keyring.keyset in
-      for id = 0 to Netlist.node_count net - 1 do
-        match Netlist.kind net id with
-        | Netlist.Const b -> rq.rq_values.(id) <- Some (Gates.constant t.t_ck b)
-        | _ -> ()
-      done;
+      let c =
+        Wave.cursor ~schedule:rq.rq_compiled.Pipeline.schedule t.t_ck
+          rq.rq_compiled.Pipeline.netlist rq.rq_inputs
+      in
+      rq.rq_cursor <- Some c;
       st.active <- st.active @ [ rq ];
-      if Array.length rq.rq_waves = 0 then finish st rq
-      else begin
-        rq.rq_wave <- 0;
-        load_wave st t rq;
-        if rq.rq_classic = [] then advance st t rq
-      end
+      settle st rq c
     | backend -> (
       (* Pass-through mode: no cross-request packing; each request runs
          whole through the selected executor, in admission order. *)
@@ -465,18 +402,7 @@ let admit st rq =
           Server.run ~opts:st.opts backend e.Keyring.keyset rq.rq_compiled rq.rq_inputs
         in
         rq.rq_bootstraps <- es.Executor.bootstraps_executed;
-        rq.rq_done <- true;
-        st.c_completed <- st.c_completed + 1;
-        let now = Unix.gettimeofday () in
-        st.latencies <- (now -. rq.rq_submitted) :: st.latencies;
-        let buf = Buffer.create 4096 in
-        Wire.write_magic buf "SREP";
-        Wire.write_i64 buf rq.rq_id;
-        Wire.write_f64 buf (rq.rq_started -. rq.rq_submitted);
-        Wire.write_f64 buf (now -. rq.rq_started);
-        Wire.write_i64 buf rq.rq_bootstraps;
-        Wire.write_array buf Lwe.write_sample outputs;
-        send_frame st rq.rq_conn ~tenant:rq.rq_client (Buffer.to_bytes buf)
+        reply st rq outputs
       with Failure msg | Invalid_argument msg -> fail_request st rq Internal msg))
 
 let prune_active st = st.active <- List.filter (fun rq -> not rq.rq_done) st.active
@@ -487,13 +413,17 @@ let admit_waiting st =
   done;
   prune_active st
 
-(* One batched bootstrap launch: pick the tenant owning the oldest ready
-   request, fill up to [cap] ready gates from that tenant's requests in
-   admission order, execute them as one launch, then advance every request
+let has_jobs rq =
+  match rq.rq_cursor with
+  | Some c -> (not rq.rq_done) && rq.rq_next < Array.length (Wave.jobs c)
+  | None -> false
+
+(* One launch: pick the tenant owning the oldest ready request, fill up to
+   the batch capacity with ready jobs from that tenant's requests in
+   admission order, run them as one Wave.exec, then settle every request
    whose wave drained. *)
 let launch_one st =
-  let ready rq = (not rq.rq_done) && rq.rq_classic <> [] in
-  match List.find_opt ready st.active with
+  match List.find_opt has_jobs st.active with
   | None -> false
   | Some first ->
     let client = first.rq_client and generation = first.rq_generation in
@@ -502,56 +432,45 @@ let launch_one st =
       | Some t -> t
       | None -> assert false (* pinned at admission *)
     in
-    let jobs = ref [] and budget = ref st.cap in
+    let picked = ref [] and budget = ref (Wave.capacity t.t_engine) in
     List.iter
       (fun rq ->
-        if ready rq && rq.rq_client = client && rq.rq_generation = generation then
-          while !budget > 0 && rq.rq_classic <> [] do
-            (match rq.rq_classic with
-            | id :: rest ->
-              jobs := (rq, id) :: !jobs;
-              rq.rq_classic <- rest
-            | [] -> assert false);
+        if has_jobs rq && rq.rq_client = client && rq.rq_generation = generation then begin
+          let jobs = Wave.jobs (Option.get rq.rq_cursor) in
+          while !budget > 0 && rq.rq_next < Array.length jobs do
+            picked := (rq, jobs.(rq.rq_next)) :: !picked;
+            rq.rq_next <- rq.rq_next + 1;
             decr budget
-          done)
+          done
+        end)
       st.active;
-    let jobs = Array.of_list (List.rev !jobs) in
-    let len = Array.length jobs in
-    let combined =
-      Array.map
-        (fun (rq, id) ->
-          match Netlist.kind rq.rq_compiled.Pipeline.netlist id with
-          | Netlist.Gate (g, a, b) ->
-            Gates.combine ~n:t.t_n (Tfhe_eval.plan_of g) (classic_view rq a)
-              (classic_view rq b)
-          | _ -> assert false)
-        jobs
-    in
-    let outs =
-      if st.opts.Exec_opts.soa then begin
-        Array.iteri (fun i s -> Lwe_array.set t.t_staging i s) combined;
-        let rows = Gates.bootstrap_batch_rows t.t_bc (Lwe_array.slice t.t_staging ~pos:0 ~len) in
-        Array.init len (Lwe_array.get rows)
-      end
-      else Gates.bootstrap_batch t.t_bc combined
-    in
-    Array.iteri
-      (fun i (rq, id) ->
-        rq.rq_values.(id) <- Some outs.(i);
-        rq.rq_bootstraps <- rq.rq_bootstraps + 1)
-      jobs;
+    let picked = Array.of_list (List.rev !picked) in
+    let outs = Wave.exec t.t_engine (Array.map snd picked) in
+    let pos = ref 0 in
+    Array.iter
+      (fun (rq, job) ->
+        for k = 0 to Wave.outputs job - 1 do
+          rq.rq_outs <- outs.(!pos + k) :: rq.rq_outs
+        done;
+        pos := !pos + Wave.outputs job;
+        rq.rq_bootstraps <- rq.rq_bootstraps + 1;
+        match job with
+        | Wave.Group _ -> st.c_lut_rotations <- st.c_lut_rotations + 1
+        | Wave.Gate _ -> ())
+      picked;
+    let len = Array.length picked in
     st.c_launches <- st.c_launches + 1;
     st.c_gates <- st.c_gates + len;
-    (* Advance each distinct request that drained its wave. *)
+    (* Settle each distinct request whose wave drained. *)
     Array.iter
-      (fun (rq, _) -> if (not rq.rq_done) && rq.rq_classic = [] then advance st t rq)
-      jobs;
+      (fun (rq, _) -> if not rq.rq_done then settle st rq (Option.get rq.rq_cursor))
+      picked;
     prune_active st;
-    if Trace.enabled st.opts.Exec_opts.obs then begin
+    if Trace.enabled st.opts.Executor.obs then begin
       Exec_obs.service_counters st.tr
         ~queue_depth:(Queue.length st.queue)
-        ~active:(List.length st.active) ~launches:1 ~gates:len ~cap:st.cap;
-      Trace.drain st.opts.Exec_opts.obs
+        ~active:(List.length st.active) ~launches:1 ~gates:len ~cap:(Wave.capacity t.t_engine);
+      Trace.drain st.opts.Executor.obs
     end;
     true
 
@@ -703,11 +622,10 @@ let handle_frame st conn payload =
               rq_client = s.s_client;
               rq_generation = s.s_generation;
               rq_compiled = compiled;
-              rq_waves = Levelize.waves compiled.Pipeline.schedule net;
-              rq_values = Array.make (Netlist.node_count net) None;
               rq_inputs = inputs;
-              rq_wave = 0;
-              rq_classic = [];
+              rq_cursor = None;
+              rq_next = 0;
+              rq_outs = [];
               rq_submitted = Unix.gettimeofday ();
               rq_started = 0.0;
               rq_bootstraps = 0;
@@ -787,16 +705,8 @@ let ingest st conn buf n =
 (* The select loop                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let serve ?opts ?(config = default_config) ?(ready = fun _ -> ()) () =
-  let opts =
-    match opts with
-    | Some o -> o
-    | None -> ( match config.backend with Server.Cpu -> default_opts | _ -> Executor.default_opts)
-  in
-  (match config.backend with
-  | Server.Multiprocess _ -> Exec_opts.check_scalar_only ~who:"Service.serve" opts
-  | _ -> ());
-  let cap = match opts.Exec_opts.batch with Some b when b >= 1 -> b | _ -> 1 in
+let serve ?(opts = default_opts) ?(config = default_config) ?(ready = fun _ -> ()) () =
+  if opts.Executor.batch < 1 then invalid_arg "Service.serve: batch must be >= 1";
   (* A tenant hanging up while a reply is in flight must surface as EPIPE
      on that connection, not kill the server process.  Left installed on
      return: in-process peers (tests, benches) may still be flushing
@@ -816,7 +726,6 @@ let serve ?opts ?(config = default_config) ?(ready = fun _ -> ()) () =
     {
       cfg = config;
       opts;
-      cap;
       ring = Keyring.create ();
       sessions = Hashtbl.create 16;
       tenants = Hashtbl.create 16;
@@ -837,13 +746,13 @@ let serve ?opts ?(config = default_config) ?(ready = fun _ -> ()) () =
       c_lut_rotations = 0;
       c_max_queue = 0;
       latencies = [];
-      tr = Trace.new_track opts.Exec_opts.obs ~name:"service";
+      tr = Trace.new_track opts.Executor.obs ~name:"service";
     }
   in
   ready port;
   let rbuf = Bytes.create 65536 in
   let have_work () = st.active <> [] || not (Queue.is_empty st.queue) in
-  let have_ready () = List.exists (fun rq -> rq.rq_classic <> []) st.active in
+  let have_ready () = List.exists has_jobs st.active in
   while st.running || have_work () do
     (* 1. Poll sockets.  Zero timeout while compute is pending so arriving
        requests can join the next launch; block briefly when idle. *)
@@ -892,11 +801,11 @@ let serve ?opts ?(config = default_config) ?(ready = fun _ -> ()) () =
     if have_ready () then ignore (launch_one st)
   done;
   (* Emit per-tenant traffic before the sink is drained for the last time. *)
-  if Trace.enabled opts.Exec_opts.obs then begin
+  if Trace.enabled opts.Executor.obs then begin
     Hashtbl.iter
       (fun id (i, o) -> Exec_obs.tenant_bytes st.tr ~id ~bytes_in:!i ~bytes_out:!o)
       st.traffic;
-    Trace.drain opts.Exec_opts.obs
+    Trace.drain opts.Executor.obs
   end;
   List.iter (fun c -> if c.alive then close_conn st c) st.conns;
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());

@@ -7,9 +7,10 @@
     never cross the wire — and executes submitted programs (PyTFHE binaries)
     against them.
 
-    The scheduler is the point of the exercise: independent ready gates from
-    {e concurrent requests sharing a keyset} are packed into the same
-    batched/SoA bootstrap launch, so a stream of narrow circuits (the worst
+    The scheduler is the point of the exercise: independent ready jobs —
+    gates and LUT rotation groups — from {e concurrent requests sharing a
+    keyset} are packed into the same {!Pytfhe_backend.Wave.exec} launch,
+    so a stream of narrow circuits (the worst
     case for per-request batching: a serial chain exposes one ready gate at
     a time) still fills the batch kernel.  On serial-chain workloads a batch
     fill above 1.0 is only reachable by cross-request packing — the service
@@ -53,13 +54,15 @@ type stats = {
   requests_admitted : int;
   requests_completed : int;
   requests_failed : int;
-  batch_launches : int;  (** Cross-request bootstrap launches. *)
-  batched_gates : int;  (** Classic gates executed through those launches. *)
+  batch_launches : int;  (** Cross-request {!Pytfhe_backend.Wave.exec} launches. *)
+  batched_gates : int;
+      (** Jobs executed through those launches (a LUT rotation group is
+          one). *)
   batch_fill : float;
-      (** [batched_gates / batch_launches] — mean gates per launch.  On
+      (** [batched_gates / batch_launches] — mean jobs per launch.  On
           serial-chain workloads, a value above 1.0 proves cross-request
           packing. *)
-  lut_rotations : int;  (** Blind rotations spent on LUT cells. *)
+  lut_rotations : int;  (** Of those jobs, the LUT rotation groups. *)
   queue_depth : int;  (** Admission queue length at snapshot time. *)
   active_requests : int;
   max_queue_depth : int;  (** High-water mark over the server's lifetime. *)
@@ -97,9 +100,8 @@ type config = {
 val default_config : config
 
 val default_opts : Pytfhe_backend.Executor.opts
-(** {!Pytfhe_backend.Executor.default_opts} with [batch = Some 8] — the
-    packing scheduler wants a batch capacity.  Used when [serve] is given
-    no [opts] and the backend is [Cpu]. *)
+(** {!Pytfhe_backend.Executor.default_opts}: the packing scheduler
+    launches at most [batch] = 8 jobs at a time. *)
 
 (** {1 The server} *)
 
@@ -113,11 +115,7 @@ val serve :
     and return final statistics.  [ready] is called with the bound port
     once the socket is listening (the hook a test or bench uses to learn
     an ephemeral port before connecting).  [opts.batch] sets the packing
-    capacity; [opts.soa] selects rows-in/rows-out staging through
-    {!Pytfhe_tfhe.Lwe_array}; [opts.obs] receives
-    [service_queue_depth]/[service_batch_fill]/per-tenant byte counters.
-
-    Raises [Invalid_argument] when [config.backend] is [Multiprocess] and
-    [opts] asks for batch or a non-default layout — the distributed
-    executor batches worker-side, and silently dropping the knobs would
-    misreport what ran. *)
+    capacity (and is passed through to the pass-through backends);
+    [opts.obs] receives [service_queue_depth]/[service_batch_fill]/
+    per-tenant byte counters.  Raises [Invalid_argument] when
+    [opts.batch < 1]. *)

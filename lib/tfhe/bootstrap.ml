@@ -118,9 +118,9 @@ let row_bytes (p : Params.t) =
   | Pytfhe_fft.Transform.Fft -> rows * (p.tlwe.k + 1) * (p.tlwe.ring_n / 2) * 16
   | Pytfhe_fft.Transform.Ntt -> rows * (p.tlwe.k + 1) * p.tlwe.ring_n * 8
 
-(* The loop interchange: key entry i is read once for the whole batch.
-   Shared between the uniform-test-vector batch and the mixed-job batch —
-   per accumulator the CMux sequence is identical to the scalar walk. *)
+(* The loop interchange over record accumulators, for the mixed-job batch:
+   key entry i is read once for the whole batch, and per accumulator the
+   CMux sequence is identical to the scalar walk. *)
 let batch_cmux_sweep (p : Params.t) (bt : batch) key (ss : Lwe.sample array) ~count =
   let n2 = 2 * p.tlwe.ring_n in
   for i = 0 to Array.length key.bsk - 1 do
@@ -135,36 +135,11 @@ let batch_cmux_sweep (p : Params.t) (bt : batch) key (ss : Lwe.sample array) ~co
     if !touched then bt.bsk_rows_streamed <- bt.bsk_rows_streamed + 1
   done
 
-let blind_rotate_batch_into (p : Params.t) (bt : batch) key ~testvect (ss : Lwe.sample array)
-    ~count =
-  let n = p.tlwe.ring_n in
-  let n2 = 2 * n in
-  for b = 0 to count - 1 do
-    let acc = bt.baccs.(b) in
-    let barb = Torus.mod_switch_from ss.(b).Lwe.b ~msize:n2 in
-    Array.iter (fun m -> Array.fill m 0 n 0) acc.Tlwe.mask;
-    Poly.mul_by_xai_into acc.Tlwe.body ((n2 - barb) mod n2) testvect
-  done;
-  batch_cmux_sweep p bt key ss ~count
-
-let batch_with p bt key ~mu (ss : Lwe.sample array) =
-  let count = Array.length ss in
-  if count = 0 then [||]
-  else begin
-    if count > bt.bcap then
-      invalid_arg "Bootstrap.batch_with: batch larger than the workspace capacity";
-    Array.fill bt.btestvect 0 (Array.length bt.btestvect) mu;
-    blind_rotate_batch_into p bt key ~testvect:bt.btestvect ss ~count;
-    bt.launches <- bt.launches + 1;
-    bt.gates_batched <- bt.gates_batched + count;
-    Array.init count (fun b -> Tlwe.extract_lwe p bt.baccs.(b))
-  end
-
-(* The SoA variant of the batched rotation: the accumulators are rows of
-   one flat [Trlwe_array], so the interchanged inner loop sweeps contiguous
-   storage while key entry i stays resident.  The per-row operation
-   sequence (rotation amounts, CMux order, float conversions) is identical
-   to [blind_rotate_batch_into] — and therefore to the scalar walk. *)
+(* The SoA batched rotation: the accumulators are rows of one flat
+   [Trlwe_array], so the interchanged inner loop sweeps contiguous storage
+   while key entry i stays resident.  The per-row operation sequence
+   (rotation amounts, CMux order, float conversions) is identical to the
+   scalar walk. *)
 let blind_rotate_batch_rows (p : Params.t) (bt : batch) key ~testvect (src : Lwe_array.t) ~count
     =
   let n = p.tlwe.ring_n in

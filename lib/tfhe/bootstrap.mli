@@ -92,18 +92,12 @@ val batch_create : Params.t -> cap:int -> batch
 
 val batch_capacity : batch -> int
 
-val batch_with : Params.t -> batch -> key -> mu:Torus.t -> Lwe.sample array -> Lwe.sample array
-(** Bootstrap every sample of the array (length ≤ the batch capacity) to
-    ±[mu] under the extracted key, streaming the bootstrapping key once for
-    the whole batch.  Element [i] of the result is bit-identical to
-    [bootstrap_with p ctx key ~mu ss.(i)]. *)
-
 val batch_rows_into :
   Params.t -> batch -> key -> mu:Torus.t -> src:Lwe_array.t -> dst:Lwe_array.t -> unit
-(** The struct-of-arrays {!batch_with}: bootstrap every row of [src]
-    (dimension n, length ≤ capacity) to ±[mu] under the extracted key,
-    writing rows [0, length src) of [dst] (dimension k·N) — no per-gate
-    record materialization.  The accumulators live in a flat
+(** Bootstrap every row of [src] (dimension n, length ≤ capacity) to
+    ±[mu] under the extracted key, streaming the bootstrapping key once
+    for the whole batch and writing rows [0, length src) of [dst]
+    (dimension k·N) — no per-gate record materialization.  The accumulators live in a flat
     {!Trlwe_array}, so the interchanged inner loop sweeps contiguous
     storage while each bootstrapping-key entry stays resident.  Row [i] of
     [dst] is bit-identical to [bootstrap_with p ctx key ~mu] of row [i] of
@@ -113,7 +107,8 @@ type batch_stats = { bsk_rows_streamed : int; launches : int; gates_batched : in
 (** Cumulative key-traffic accounting since the last reset:
     [bsk_rows_streamed] counts bootstrapping-key entries read from memory
     (each entry is {!row_bytes} wide in FFT form), [launches] counts
-    {!batch_with} calls and [gates_batched] the samples they processed. *)
+    {!batch_rows_into} and {!batch_jobs} calls and [gates_batched] the
+    samples they processed. *)
 
 val batch_stats : batch -> batch_stats
 val batch_reset_stats : batch -> unit
@@ -181,7 +176,7 @@ type job =
   | Job_lut of int  (** indicator rotation for the given message-space size *)
 
 val batch_jobs : Params.t -> batch -> key -> job array -> Lwe.sample array -> Lwe.sample array array
-(** Heterogeneous {!batch_with}: run one blind rotation per member with a
+(** Heterogeneous batch: run one blind rotation per member with a
     per-member test vector, streaming the bootstrapping key once for the
     whole batch.  Member [i]'s result is [\[| extracted \|]] for
     [Job_sign mu] (bit-identical to [bootstrap_with ~mu]) and the indicator

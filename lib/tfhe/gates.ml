@@ -152,17 +152,6 @@ let batch_context ck ~cap =
 
 let batch_capacity bc = Bootstrap.batch_capacity bc.bboot
 
-let bootstrap_batch bc (combined : Lwe.sample array) =
-  let p = bc.bkeyset.cloud_params in
-  let extracted = Bootstrap.batch_with p bc.bboot bc.bkeyset.bootstrap_key ~mu:(Params.mu p) combined in
-  if Array.length extracted = 0 then [||]
-  else begin
-    let out, blocks = Keyswitch.apply_batch bc.bkeyset.keyswitch_key extracted in
-    bc.ks_blocks <- bc.ks_blocks + blocks;
-    bc.ks_launches <- bc.ks_launches + 1;
-    out
-  end
-
 (* The SoA wave pipeline: combined phase rows in, key-switched output rows
    out, zero per-gate record materialization in between.  The returned
    array is a view into the context's own scratch — valid until the next

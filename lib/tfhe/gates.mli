@@ -85,8 +85,8 @@ val xnor_plan : combine_plan
 
 val combine : n:int -> combine_plan -> Lwe.sample -> Lwe.sample -> Lwe.sample
 (** The linear phase combination [const ± scale·a ± scale·b] at LWE
-    dimension [n]; feed the result to {!bootstrap_in} (scalar) or
-    {!bootstrap_batch} (batched). *)
+    dimension [n]; feed the result to {!bootstrap_in} (scalar) or, as a
+    row, to {!bootstrap_batch_rows} (batched). *)
 
 (** {2 Per-thread evaluation contexts}
 
@@ -131,8 +131,9 @@ val mux_gate_in : context -> Lwe.sample -> Lwe.sample -> Lwe.sample -> Lwe.sampl
     A {!batch_context} wraps the {!Bootstrap.batch} key-streaming kernel and
     the batched key switch for executor use: combine the phases of up to
     [cap] gates (mixed gate types are fine — they all use the μ = 1/8 sign
-    bootstrap), then one {!bootstrap_batch} call streams the bootstrapping
-    key and the key-switch table once each for the whole batch.  Outputs are
+    bootstrap), then one {!bootstrap_batch_rows} call streams the
+    bootstrapping key and the key-switch table once each for the whole
+    batch.  Outputs are
     ciphertext-bit-exact with the scalar [_in] gates.  Like {!context},
     a batch context is private to one domain. *)
 
@@ -143,16 +144,10 @@ val batch_context : cloud_keyset -> cap:int -> batch_context
 
 val batch_capacity : batch_context -> int
 
-val bootstrap_batch : batch_context -> Lwe.sample array -> Lwe.sample array
-(** Sign-bootstrap + key-switch every already-combined ciphertext of the
-    array (length ≤ capacity; a short final batch is fine).  Element [i] is
-    bit-identical to [bootstrap_in ctx arr.(i)]. *)
-
 val bootstrap_batch_rows : batch_context -> Lwe_array.t -> Lwe_array.t
-(** The struct-of-arrays {!bootstrap_batch}: sign-bootstrap + key-switch
-    every row of an already-combined {!Lwe_array} (length ≤ capacity)
-    through the row-batched kernels, with no per-gate record
-    materialization.  Row [i] of the result is bit-identical to
+(** Sign-bootstrap + key-switch every row of an already-combined
+    {!Lwe_array} (length ≤ capacity; a short final batch is fine) through
+    the row-batched kernels, with no per-gate record materialization.  Row [i] of the result is bit-identical to
     [bootstrap_in ctx] of row [i].  The returned array is a slice of the
     context's own output scratch — valid until the next call on this
     context; blit the rows out before relaunching. *)

@@ -95,6 +95,18 @@ let random_lut ?(inputs = 4) ?(gates = 14) ?(outputs = 4) ~seed () =
     !nodes;
   net
 
+(* Two arity-1 reencodes feeding three arity-2 cells over the same operand
+   pair: five LUT cells, three blind rotations (the three cells share one
+   rotation group). *)
+let shared_lut_pair () =
+  let net = Netlist.create ~hash_consing:false ~fold_constants:false () in
+  let ra = Netlist.lut net ~table:0b10 [| Netlist.input net "a" |] in
+  let rb = Netlist.lut net ~table:0b10 [| Netlist.input net "b" |] in
+  List.iteri
+    (fun i table -> Netlist.mark_output net (Printf.sprintf "o%d" i) (Netlist.lut net ~table [| ra; rb |]))
+    [ 0x6; 0x8; 0xE ];
+  net
+
 let random ?(inputs = 4) ?(gates = 10) ?(outputs = 3) ~seed () =
   let rng = Rng.create ~seed () in
   let net = Netlist.create ~hash_consing:false ~fold_constants:false () in

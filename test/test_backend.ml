@@ -385,7 +385,16 @@ let test_stream_exec_encrypted () =
   let rng = Rng.create ~seed:78 () in
   let ins = Array.init 4 (fun _ -> Rng.bool rng) in
   let cts = Array.map (Pytfhe_tfhe.Gates.encrypt_bit rng sk) ins in
-  let outs = Stream_exec.run_encrypted ck bytes cts in
+  let read =
+    let sent = ref false in
+    fun () ->
+      if !sent then None
+      else begin
+        sent := true;
+        Some bytes
+      end
+  in
+  let outs, _ = Stream_exec.run_encrypted_stream ck read cts in
   let expected = Stream_exec.run_bits bytes ins in
   Alcotest.(check (array bool)) "encrypted stream execution" expected
     (Array.map (Pytfhe_tfhe.Gates.decrypt_bit sk) outs)

@@ -1,6 +1,6 @@
-(* The batched key-streaming execution path (Bootstrap.batch_with /
-   Keyswitch.apply_batch / Gates.bootstrap_batch and the ?batch knob on the
-   executors).
+(* The batched key-streaming execution path (Bootstrap.batch_rows_into /
+   Keyswitch.apply_batch_rows_into / Gates.bootstrap_batch_rows, and the
+   batch knob of the executors' wave engine).
 
    The contract under test is bit-exactness: the batched kernel reorders the
    *loop nest* (bootstrapping-key entry outermost, batch member innermost)
@@ -18,9 +18,6 @@ module Lwe_array = Pytfhe_tfhe.Lwe_array
 open Pytfhe_backend
 
 let keys = lazy (Gates.key_gen (Rng.create ~seed:909 ()) Params.test)
-
-(* The consolidated execution-options record, built from the old flags. *)
-let bopts ?batch ?soa () = Exec_opts.of_flags ?batch ?soa ()
 
 (* ------------------------------------------------------------------ *)
 (* Lwe_array storage                                                   *)
@@ -214,11 +211,11 @@ let test_bootstrap_batch_matches_scalar () =
   (* Mixed gate types in one batch: they all share the sign bootstrap. *)
   let plans = [| Gates.and_plan; Gates.xor_plan; Gates.nor_plan |] in
   let combined = Array.map (fun pl -> Gates.combine ~n pl a b) plans in
-  let batched = Gates.bootstrap_batch bc combined in
+  let batched = Gates.bootstrap_batch_rows bc (Lwe_array.of_samples ~n combined) in
   Array.iteri
     (fun i c ->
-      Alcotest.(check bool) "batched element = scalar bootstrap" true
-        (batched.(i) = Gates.bootstrap_in ctx c))
+      Alcotest.(check bool) "batched row = scalar bootstrap" true
+        (Lwe_array.get batched i = Gates.bootstrap_in ctx c))
     combined;
   let c = Gates.batch_counters bc in
   Alcotest.(check int) "one launch" 1 c.Gates.batch_launches;
@@ -231,7 +228,7 @@ let test_bootstrap_batch_matches_scalar () =
   Alcotest.(check int) "counters reset" 0
     (c.Gates.batch_launches + c.Gates.batch_gates + c.Gates.bsk_rows + c.Gates.ks_blocks);
   Alcotest.(check int) "empty batch is a no-op" 0
-    (Array.length (Gates.bootstrap_batch bc [||]));
+    (Lwe_array.length (Gates.bootstrap_batch_rows bc (Lwe_array.create ~n 0)));
   Alcotest.(check bool) "rejects cap < 1" true
     (try
        ignore (Gates.batch_context ck ~cap:0);
@@ -239,7 +236,7 @@ let test_bootstrap_batch_matches_scalar () =
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "rejects oversized batch" true
     (try
-       ignore (Gates.bootstrap_batch bc (Array.make 5 a));
+       ignore (Gates.bootstrap_batch_rows bc (Lwe_array.of_samples ~n (Array.make 5 a)));
        false
      with Invalid_argument _ -> true)
 
@@ -274,15 +271,15 @@ let test_batched_matches_scalar =
       let rng = Rng.create ~seed:(2000 + s2) () in
       let ins = Array.init (Netlist.input_count net) (fun _ -> Rng.bool rng) in
       let cts = Array.map (Gates.encrypt_bit rng sk) ins in
-      let scalar_out, _ = Tfhe_eval.run ck net cts in
+      let scalar_out, _ = Tfhe_eval.run ~opts:{ Executor.default_opts with batch = 1 } ck net cts in
       let plain = Array.of_list (List.map snd (Plain_eval.run net ins)) in
       if Array.map (Gates.decrypt_bit sk) scalar_out <> plain then
         QCheck.Test.fail_report "scalar path disagrees with plain_eval";
       let widest = Array.fold_left max 1 (Levelize.run net).Levelize.widths in
       List.for_all
         (fun b ->
-          let cpu_out, _ = Tfhe_eval.run ~opts:(bopts ~batch:b ()) ck net cts in
-          let par_out, _ = Par_eval.run ~workers:2 ~opts:(bopts ~batch:b ()) ck net cts in
+          let cpu_out, _ = Tfhe_eval.run ~opts:{ Executor.default_opts with batch = b } ck net cts in
+          let par_out, _ = Par_eval.run ~workers:2 ~opts:{ Executor.default_opts with batch = b } ck net cts in
           cpu_out = scalar_out && par_out = scalar_out)
         [ 1; 3; 8; widest ])
 
@@ -294,8 +291,8 @@ let test_non_divisible_wave () =
   let rng = Rng.create ~seed:404 () in
   let ins = Array.init 6 (fun _ -> Rng.bool rng) in
   let cts = Array.map (Gates.encrypt_bit rng sk) ins in
-  let scalar_out, _ = Tfhe_eval.run ck net cts in
-  let outs, st = Tfhe_eval.run ~opts:(bopts ~batch:3 ()) ck net cts in
+  let scalar_out, _ = Tfhe_eval.run ~opts:{ Executor.default_opts with batch = 1 } ck net cts in
+  let outs, st = Tfhe_eval.run ~opts:{ Executor.default_opts with batch = 3 } ck net cts in
   Alcotest.(check bool) "ciphertexts identical" true (outs = scalar_out);
   Alcotest.(check (array bool)) "decrypts to plain eval"
     (Array.of_list (List.map snd (Plain_eval.run net ins)))
@@ -306,12 +303,12 @@ let test_non_divisible_wave () =
   Alcotest.(check bool) "ks traffic accounted" true (st.Tfhe_eval.ks_bytes_streamed > 0);
   Alcotest.(check bool) "rejects batch < 1" true
     (try
-       ignore (Tfhe_eval.run ~opts:(bopts ~batch:0 ()) ck net cts);
+       ignore (Tfhe_eval.run ~opts:{ Executor.default_opts with batch = 0 } ck net cts);
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "par_eval rejects batch < 1" true
     (try
-       ignore (Par_eval.run ~workers:2 ~opts:(bopts ~batch:0 ()) ck net cts);
+       ignore (Par_eval.run ~workers:2 ~opts:{ Executor.default_opts with batch = 0 } ck net cts);
        false
      with Invalid_argument _ -> true)
 
@@ -321,8 +318,8 @@ let test_key_traffic_drops_with_batch () =
   let rng = Rng.create ~seed:405 () in
   let ins = Array.init 9 (fun _ -> Rng.bool rng) in
   let cts = Array.map (Gates.encrypt_bit rng sk) ins in
-  let out1, st1 = Tfhe_eval.run ~opts:(bopts ~batch:1 ()) ck net cts in
-  let out8, st8 = Tfhe_eval.run ~opts:(bopts ~batch:8 ()) ck net cts in
+  let out1, st1 = Tfhe_eval.run ~opts:{ Executor.default_opts with batch = 1 } ck net cts in
+  let out8, st8 = Tfhe_eval.run ~opts:{ Executor.default_opts with batch = 8 } ck net cts in
   Alcotest.(check bool) "batch sizes agree on ciphertexts" true (out1 = out8);
   (* Streaming the key once per 8-gate wave instead of once per gate must
      cut accounted key traffic by far more than 2x. *)
@@ -331,12 +328,12 @@ let test_key_traffic_drops_with_batch () =
   Alcotest.(check bool) "ks traffic drops too" true
     (st1.Tfhe_eval.ks_bytes_streamed > st8.Tfhe_eval.ks_bytes_streamed)
 
-(* The ?soa knob: both batched layouts (record staging and flat Lwe_array
-   waves) must produce the scalar walk's exact ciphertexts, on both the
-   sequential and the multicore executor.  The multiprocess executor's
-   array-frame path is covered in test_dist.ml. *)
-let test_soa_matches_record =
-  QCheck.Test.make ~name:"soa and record batched layouts bit-exact with scalar" ~count:3
+(* The engine's struct-of-arrays staging must produce the one-gate
+   launch's exact ciphertexts at every capacity, on both the sequential
+   and the multicore executor.  The multiprocess executor is covered in
+   test_dist.ml. *)
+let test_soa_matches_one_gate =
+  QCheck.Test.make ~name:"soa batched layout bit-exact with one-gate launches" ~count:3
     QCheck.(pair (int_range 0 10_000) (int_range 0 10_000))
     (fun (s1, s2) ->
       let sk, ck = Lazy.force keys in
@@ -344,16 +341,14 @@ let test_soa_matches_record =
       let rng = Rng.create ~seed:(3000 + s2) () in
       let ins = Array.init (Netlist.input_count net) (fun _ -> Rng.bool rng) in
       let cts = Array.map (Gates.encrypt_bit rng sk) ins in
-      let scalar_out, _ = Tfhe_eval.run ck net cts in
+      let scalar_out, _ = Tfhe_eval.run ~opts:{ Executor.default_opts with batch = 1 } ck net cts in
       let widest = Array.fold_left max 1 (Levelize.run net).Levelize.widths in
       List.for_all
         (fun b ->
-          let soa_out, _ = Tfhe_eval.run ~opts:(bopts ~batch:b ~soa:true ()) ck net cts in
-          let rec_out, _ = Tfhe_eval.run ~opts:(bopts ~batch:b ~soa:false ()) ck net cts in
-          let par_soa, _ = Par_eval.run ~workers:2 ~opts:(bopts ~batch:b ~soa:true ()) ck net cts in
-          let par_rec, _ = Par_eval.run ~workers:2 ~opts:(bopts ~batch:b ~soa:false ()) ck net cts in
-          soa_out = scalar_out && rec_out = scalar_out && par_soa = scalar_out
-          && par_rec = scalar_out)
+          let opts = { Executor.default_opts with batch = b } in
+          let soa_out, _ = Tfhe_eval.run ~opts ck net cts in
+          let par_soa, _ = Par_eval.run ~workers:2 ~opts ck net cts in
+          soa_out = scalar_out && par_soa = scalar_out)
         [ 1; 3; 8; widest ])
 
 let test_executor_batch_knob () =
@@ -363,15 +358,15 @@ let test_executor_batch_knob () =
   let ins = Array.init 4 (fun _ -> Rng.bool rng) in
   let cts = Array.map (Gates.encrypt_bit rng sk) ins in
   let module Cpu = (val Executor.cpu) in
-  let scalar_out, _ = Cpu.run ck net cts in
-  let outs, st = Cpu.run ~opts:(bopts ~batch:2 ()) ck net cts in
+  let scalar_out, _ = Cpu.run ~opts:{ Executor.default_opts with batch = 1 } ck net cts in
+  let outs, st = Cpu.run ~opts:{ Executor.default_opts with batch = 2 } ck net cts in
   Alcotest.(check bool) "executor cpu batched bit-exact" true (outs = scalar_out);
   (match st.Executor.detail with
   | Executor.Cpu_stats s ->
     Alcotest.(check int) "batch size surfaced through detail" 2 s.Tfhe_eval.batch_size
   | _ -> Alcotest.fail "expected cpu stats");
   let module Mc = (val Executor.multicore ~workers:2 ()) in
-  let outs, st = Mc.run ~opts:(bopts ~batch:2 ()) ck net cts in
+  let outs, st = Mc.run ~opts:{ Executor.default_opts with batch = 2 } ck net cts in
   Alcotest.(check bool) "executor multicore batched bit-exact" true (outs = scalar_out);
   (match st.Executor.detail with
   | Executor.Multicore_stats s ->
@@ -400,7 +395,7 @@ let () =
       ( "executors",
         [
           QCheck_alcotest.to_alcotest test_batched_matches_scalar;
-          QCheck_alcotest.to_alcotest test_soa_matches_record;
+          QCheck_alcotest.to_alcotest test_soa_matches_one_gate;
           Alcotest.test_case "non-divisible wave" `Slow test_non_divisible_wave;
           Alcotest.test_case "key traffic drops with batch" `Slow
             test_key_traffic_drops_with_batch;

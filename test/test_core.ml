@@ -156,13 +156,6 @@ let test_evaluate_distributed_matches_sequential () =
   | Executor.Multiprocess_stats d ->
     Alcotest.(check int) "detail carries the dist stats" 2 d.Pytfhe_backend.Dist_eval.workers_started
   | _ -> Alcotest.fail "multiprocess run returned non-multiprocess detail");
-  (* the deprecated flag-triple wrapper stays bit-exact with ?opts *)
-  let wrap_seq, _ = Server.run_legacy Server.Cpu cloud compiled cts in
-  let wrap_par, _ =
-    Server.run_legacy ~batch:2 (Server.Multicore { workers = 2 }) cloud compiled cts
-  in
-  Alcotest.(check bool) "deprecated run_legacy agrees" true
-    (wrap_seq = seq_out && wrap_par = seq_out);
   Alcotest.(check (array bool)) "decrypts to 5+2=7 (LSB first)" [| true; true; true |]
     (Client.decrypt_bits client outs)
 

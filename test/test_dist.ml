@@ -11,14 +11,15 @@
 module Rng = Pytfhe_util.Rng
 module Netlist = Pytfhe_circuit.Netlist
 module Binary = Pytfhe_circuit.Binary
+module Stats = Pytfhe_circuit.Stats
 module Gates = Pytfhe_tfhe.Gates
+module Trace = Pytfhe_obs.Trace
+module Metrics = Pytfhe_obs.Metrics
 open Pytfhe_backend
 
 let keys = lazy (Gates.key_gen (Rng.create ~seed:909 ()) Pytfhe_tfhe.Params.test)
 
 let random_bits rng n = Array.init n (fun _ -> Rng.bool rng)
-
-let bopts ?batch ?soa () = Exec_opts.of_flags ?batch ?soa ()
 
 (* Sequential encrypted reference plus plaintext truth for [net]/[ins]. *)
 let reference ck net cts = fst (Tfhe_eval.run ck net cts)
@@ -54,8 +55,8 @@ let test_cross_backend =
 
 (* The LUT analog of the cross-backend suite, doubled: the same seeded
    LUT-bearing DAG is run as generated AND after Opt.lut_cover, and every
-   executor — plain walk, streamed binary, sequential encrypted (per-gate,
-   batched, SoA), domain-parallel, multi-process — must reproduce the
+   executor — plain walk, streamed binary, sequential encrypted (one-gate
+   and batched launches), domain-parallel, multi-process — must reproduce the
    original netlist's plaintext truth bit-for-bit on both versions. *)
 let test_cross_backend_lut =
   QCheck.Test.make
@@ -79,14 +80,16 @@ let test_cross_backend_lut =
           let seq_out = reference ck n cts in
           if Array.map (Gates.decrypt_bit sk) seq_out <> truth then
             QCheck.Test.fail_report "tfhe_eval disagrees with plain_eval on a LUT netlist";
-          let batched, _ = Tfhe_eval.run ~opts:(bopts ~batch:3 ()) ck n cts in
-          let soa, _ = Tfhe_eval.run ~opts:(bopts ~batch:3 ~soa:true ()) ck n cts in
+          let batched, _ = Tfhe_eval.run ~opts:{ Executor.default_opts with batch = 3 } ck n cts in
+          let soa, _ = Tfhe_eval.run ~opts:{ Executor.default_opts with batch = 1 } ck n cts in
           if batched <> seq_out || soa <> seq_out then
             QCheck.Test.fail_report "batched/SoA paths disagree on a LUT netlist";
           List.for_all
             (fun workers ->
               let par_out, _ = Par_eval.run ~workers ck n cts in
-              let par_soa, _ = Par_eval.run ~workers ~opts:(bopts ~batch:3 ~soa:true ()) ck n cts in
+              let par_soa, _ =
+                Par_eval.run ~workers ~opts:{ Executor.default_opts with batch = 3 } ck n cts
+              in
               let dist_out, st = Dist_eval.run (Dist_eval.config workers) ck n cts in
               par_out = seq_out && par_soa = seq_out && dist_out = seq_out
               && st.Dist_eval.workers_lost = 0)
@@ -117,26 +120,49 @@ let test_dist_stats_and_validation () =
     (try ignore (Dist_eval.run (Dist_eval.config 2) ck net (Array.sub cts 0 2)); false
      with Invalid_argument _ -> true)
 
-(* Both wire layouts — per-sample DREQ/DREP frames and struct-of-arrays
-   DRQ2/DRP2 frames — must produce the sequential executor's exact
-   ciphertexts.  Every other test in this file runs the array frames (the
-   default), so this is the legacy path's regression test, plus the check
-   that the two layouts agree with each other. *)
-let test_array_frames_toggle () =
+(* Every executor counts a LUT rotation group once, in its stats and in
+   the summed [bootstraps] trace counter, on [run] and on [run_stream]:
+   the count is the compiled program's [Stats] bootstraps — over the
+   netlist for [run], over the parsed binary for [run_stream] at the
+   default window. *)
+let test_bootstrap_counts () =
   let sk, ck = Lazy.force keys in
-  let net = Gen_circuit.wide ~width:5 ~depth:3 in
-  let rng = Rng.create ~seed:51 () in
-  let ins = random_bits rng 6 in
-  let cts = Array.map (Gates.encrypt_bit rng sk) ins in
-  let seq_out = reference ck net cts in
-  let arr_out, arr_st = Dist_eval.run (Dist_eval.config ~array_frames:true 2) ck net cts in
-  let leg_out, leg_st = Dist_eval.run (Dist_eval.config ~array_frames:false 2) ck net cts in
-  Alcotest.(check bool) "array frames bit-exact" true (arr_out = seq_out);
-  Alcotest.(check bool) "legacy frames bit-exact" true (leg_out = seq_out);
-  Alcotest.(check int) "same bootstrap count" leg_st.Dist_eval.bootstraps_executed
-    arr_st.Dist_eval.bootstraps_executed;
-  Alcotest.(check bool) "both layouts moved bytes" true
-    (arr_st.Dist_eval.bytes_to_workers > 0 && leg_st.Dist_eval.bytes_to_workers > 0)
+  let source b =
+    let sent = ref false in
+    fun () ->
+      if !sent then None
+      else begin
+        sent := true;
+        Some b
+      end
+  in
+  List.iteri
+    (fun i net ->
+      let bytes = Binary.assemble net in
+      let on_net = (Stats.compute net).Stats.bootstraps in
+      let on_binary = (Stats.compute (Binary.parse bytes)).Stats.bootstraps in
+      let rng = Rng.create ~seed:(60 + i) () in
+      let cts = Array.map (Gates.encrypt_bit rng sk) (random_bits rng (Netlist.input_count net)) in
+      List.iter
+        (fun (module E : Executor.S) ->
+          let check what expected run =
+            let label = Printf.sprintf "net %d %s %s" i E.name what in
+            let _, st = run Trace.null in
+            Alcotest.(check int) (label ^ ": bootstraps_executed") expected
+              st.Executor.bootstraps_executed;
+            let obs = Trace.create () in
+            let _, st = run obs in
+            Alcotest.(check (float 0.)) (label ^ ": summed bootstraps counter")
+              (float_of_int st.Executor.bootstraps_executed)
+              (List.assoc "bootstraps" (Metrics.counters (Trace.events obs)))
+          in
+          check "run" on_net (fun obs -> E.run ~opts:{ Executor.default_opts with obs } ck net cts);
+          check "run_stream" on_binary (fun obs ->
+              E.run_stream ~opts:{ Executor.default_opts with obs } ck (source bytes) cts))
+        [ Executor.cpu; Executor.multicore ~workers:2 (); Executor.multiprocess ~workers:2 () ])
+    [ Gen_circuit.shared_lut_pair (); Gen_circuit.random_lut ~seed:7 () ];
+  Alcotest.(check int) "the shared-pair program is three rotations" 3
+    (Stats.compute (Gen_circuit.shared_lut_pair ())).Stats.bootstraps
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)
@@ -270,6 +296,71 @@ let test_dist_ntt_end_to_end () =
   Alcotest.(check bool) "ntt dist bit-exact with sequential" true (outs = seq_out);
   Alcotest.(check int) "no workers lost" 0 st.Dist_eval.workers_lost
 
+(* ------------------------------------------------------------------ *)
+(* The DJOB request decoder                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Decode a payload built by hand; every malformed one must raise
+   Wire.Corrupt, with no worker process involved. *)
+let test_request_decoder () =
+  let sk, ck = Lazy.force keys in
+  let n = ck.Gates.cloud_params.Params.lwe.Params.n in
+  let rng = Rng.create ~seed:44 () in
+  let c () = Gates.encrypt_bit rng sk (Rng.bool rng) in
+  let jobs =
+    [|
+      Wave.Gate { gate = Pytfhe_circuit.Gate.Xor; a = c (); b = c () };
+      Wave.Group { arity = 2; operands = [| c (); c () |]; tables = [| 0x6; 0x8 |] };
+      Wave.Group { arity = 1; operands = [| c () |]; tables = [| 0b10 |] };
+    |]
+  in
+  let valid = Bytes.to_string (Dist_eval.encode_request ~req_id:5 ~cap:8 ~n jobs) in
+  let req_id, cap, back = Dist_eval.decode_request ~n valid in
+  Alcotest.(check bool) "valid request round-trips" true (req_id = 5 && cap = 8 && back = jobs);
+  (* A payload from parts: job headers as (code, tables) and [rows]
+     operand rows of dimension [dim]. *)
+  let payload ?(cap = 8) ?(dim = n) ~rows headers =
+    let buf = Buffer.create 256 in
+    Wire.write_magic buf "DJOB";
+    Wire.write_i64 buf 1;
+    Wire.write_i64 buf cap;
+    Wire.write_array buf
+      (fun buf (code, tables) ->
+        Wire.write_u8 buf code;
+        if code >= 128 then Wire.write_array buf Wire.write_u8 (Array.of_list tables))
+      (Array.of_list headers);
+    Pytfhe_tfhe.Lwe_array.write buf (Pytfhe_tfhe.Lwe_array.create ~n:dim rows);
+    Buffer.contents buf
+  in
+  let xor = Pytfhe_circuit.Gate.to_code Pytfhe_circuit.Gate.Xor in
+  Alcotest.(check bool) "hand-built payload decodes" true
+    (match Dist_eval.decode_request ~n (payload ~rows:4 [ (xor, []); (130, [ 0x6 ]) ]) with
+    | _, _, [| Wave.Gate _; Wave.Group { arity = 2; _ } |] -> true
+    | _ -> false);
+  List.iter
+    (fun (label, bytes) ->
+      Alcotest.(check bool) label true
+        (match Dist_eval.decode_request ~n bytes with
+        | _ -> false
+        | exception Wire.Corrupt _ -> true))
+    [
+      ("truncated payload", String.sub valid 0 (String.length valid - 7));
+      ("header cut", String.sub valid 0 14);
+      ("NOT gate code", payload ~rows:2 [ (Pytfhe_circuit.Gate.(to_code Not), []) ]);
+      ("unknown gate code", payload ~rows:2 [ (127, []) ]);
+      ("unknown job code", payload ~rows:2 [ (200, [ 1 ]) ]);
+      ("arity 0", payload ~rows:0 [ (128, [ 1 ]) ]);
+      ("arity 4", payload ~rows:4 [ (132, [ 1 ]) ]);
+      ("table too wide for arity 1", payload ~rows:1 [ (129, [ 0b100 ]) ]);
+      ("table too wide for arity 2", payload ~rows:2 [ (130, [ 0x10 ]) ]);
+      ("group without tables", payload ~rows:2 [ (130, []) ]);
+      ("arity-1 group with two tables", payload ~rows:1 [ (129, [ 0b10; 0b01 ]) ]);
+      ("too few operand rows", payload ~rows:3 [ (xor, []); (130, [ 0x6 ]) ]);
+      ("too many operand rows", payload ~rows:5 [ (xor, []); (130, [ 0x6 ]) ]);
+      ("operand dimension", payload ~dim:(n + 1) ~rows:2 [ (xor, []) ]);
+      ("launch capacity 0", payload ~cap:0 ~rows:2 [ (xor, []) ]);
+    ]
+
 (* Must run before anything else: in a spawned worker process this serves
    the gate protocol and never returns. *)
 let () = Dist_eval.worker_entry ()
@@ -282,7 +373,7 @@ let () =
           QCheck_alcotest.to_alcotest test_cross_backend;
           QCheck_alcotest.to_alcotest test_cross_backend_lut;
           Alcotest.test_case "stats and validation" `Slow test_dist_stats_and_validation;
-          Alcotest.test_case "array-frames toggle" `Slow test_array_frames_toggle;
+          Alcotest.test_case "bootstrap counts" `Slow test_bootstrap_counts;
         ] );
       ( "faults",
         [
@@ -291,6 +382,11 @@ let () =
           Alcotest.test_case "truncated reply frame" `Slow test_fault_truncated_frame;
           Alcotest.test_case "stalled worker retries" `Slow test_fault_stall_retries;
           Alcotest.test_case "all workers lost" `Slow test_fault_all_workers_lost;
+        ] );
+      ( "wire",
+        [
+          Alcotest.test_case "DJOB decoder rejects malformed requests" `Quick
+            test_request_decoder;
         ] );
       ( "transform",
         [

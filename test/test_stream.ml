@@ -201,7 +201,7 @@ let test_cpu_stream_batched =
   QCheck.Test.make ~name:"cpu run_stream batched bit-exact" ~count:3
     QCheck.(int_range 0 10_000)
     (fun seed ->
-      let opts = { Executor.default_opts with Exec_opts.batch = Some 3 } in
+      let opts = { Executor.default_opts with batch = 3 } in
       check_executor_stream Executor.cpu ~opts (Gen_circuit.random_lut ~seed ()) seed)
 
 let test_par_stream_matches =
