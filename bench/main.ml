@@ -1146,16 +1146,14 @@ let obs_bench () =
     !m
   in
   let t_base = best baseline in
-  let t_null = best (fun () -> ignore (Pytfhe_backend.Tfhe_eval.run cloud net ins)) in
+  let run opts = Executor.run ~opts Executor.Cpu cloud (Pytfhe_backend.Wave.Netlist net) ins in
+  let t_null = best (fun () -> ignore (run Executor.default_opts)) in
   let last_sink = ref Trace.null in
   let t_traced =
     best (fun () ->
         let s = Trace.create () in
         last_sink := s;
-        ignore
-          (Pytfhe_backend.Tfhe_eval.run
-             ~opts:{ Pytfhe_backend.Executor.default_opts with obs = s }
-             cloud net ins))
+        ignore (run { Executor.default_opts with obs = s }))
   in
   let evs = Trace.events !last_sink in
   let nevents = List.length evs in
@@ -1164,9 +1162,9 @@ let obs_bench () =
   let enabled_overhead = (t_traced -. t_base) /. t_base in
   Format.printf "@.%-36s %12s %10s@." "EXECUTOR" "WALL" "OVERHEAD";
   Format.printf "%-36s %12s %10s@." "uninstrumented id-order loop" (human_time t_base) "-";
-  Format.printf "%-36s %12s %+9.2f%%@." "Tfhe_eval.run, sink disabled" (human_time t_null)
+  Format.printf "%-36s %12s %+9.2f%%@." "Executor.run Cpu, sink disabled" (human_time t_null)
     (100.0 *. disabled_overhead);
-  Format.printf "%-36s %12s %+9.2f%%@." "Tfhe_eval.run, sink enabled" (human_time t_traced)
+  Format.printf "%-36s %12s %+9.2f%%@." "Executor.run Cpu, sink enabled" (human_time t_traced)
     (100.0 *. enabled_overhead);
   Format.printf "enabled run captured %d events (%d spans over %d waves)@." nevents nspans chain;
   Format.printf "disabled-sink overhead %s the 2%% budget%s@."
@@ -1251,7 +1249,12 @@ let batch_bench () =
       (fun b ->
         let (outs, st), wall =
           best (fun () ->
-              Tfhe_eval.run ~opts:{ Pytfhe_backend.Executor.default_opts with batch = b } cloud net cts)
+              match
+                Executor.run ~opts:{ Executor.default_opts with batch = b } Executor.Cpu cloud
+                  (Pytfhe_backend.Wave.Netlist net) cts
+              with
+              | outs, { Executor.detail = Executor.Cpu_stats st; _ } -> (outs, st)
+              | _ -> assert false)
         in
         let bsk_per_gate =
           float_of_int st.Tfhe_eval.bsk_bytes_streamed /. float_of_int (max 1 bootstraps)

@@ -265,7 +265,7 @@ let run_cmd =
       let ins = Array.init n (fun _ -> Pytfhe_util.Rng.bool rng) in
       let cts = Client.encrypt_bits client ins in
       Format.printf "evaluating %d gates homomorphically on the %s backend...@."
-        compiled.Pipeline.stats.Stats.gates (Server.exec_backend_name exec);
+        compiled.Pipeline.stats.Stats.gates (Executor.placement_name exec);
       let outs, stats =
         Server.run ~opts:{ Executor.obs; batch } exec cloud compiled cts
       in
@@ -510,7 +510,7 @@ let encrypt_cmd =
   Cmd.v (Cmd.info "encrypt" ~doc:"Encrypt plaintext bits with the secret key") Term.(const run $ secret $ bits $ out)
 
 let eval_cmd =
-  let run cloud program input out stream transform trace metrics =
+  let run cloud program input out transform trace metrics =
     let keyset = Server.load_cloud_keyset cloud in
     (match transform with
     | Some t when keyset.Pytfhe_tfhe.Gates.cloud_params.Pytfhe_tfhe.Params.transform <> t ->
@@ -523,56 +523,26 @@ let eval_cmd =
     let cts = Pytfhe_core.Ciphertext_file.read input in
     let obs = sink_for ~trace ~metrics in
     let t0 = Unix.gettimeofday () in
-    (* the paper's executor: stream the 128-bit instructions directly *)
-    let outs =
-      if stream then begin
-        (* Pull the program from disk chunk by chunk — the binary is never
-           resident, so a program bigger than memory still evaluates. *)
-        Format.printf "evaluating %s (streamed) on %d input ciphertexts ...@." program
-          (Array.length cts);
-        In_channel.with_open_bin program (fun ic ->
-            let outs, _ =
-              Pytfhe_backend.Stream_exec.run_encrypted_stream
-                ~opts:{ Executor.default_opts with obs } keyset (Binary.read_source ic) cts
-            in
-            outs)
-      end
-      else begin
-        let bytes = Binary.read_file program in
-        Format.printf "evaluating %d instructions on %d input ciphertexts ...@."
-          (Binary.instruction_count bytes) (Array.length cts);
-        let pos = ref 0 in
-        let read () =
-          if !pos >= Bytes.length bytes then None
-          else begin
-            pos := Bytes.length bytes;
-            Some bytes
-          end
-        in
-        fst
-          (Pytfhe_backend.Stream_exec.run_encrypted_stream
-             ~opts:{ Executor.default_opts with obs } keyset read cts)
-      end
+    (* The paper's executor: pull the 128-bit instructions from disk chunk
+       by chunk, so a program bigger than memory still evaluates. *)
+    Format.printf "evaluating %s on %d input ciphertexts ...@." program (Array.length cts);
+    let outs, _ =
+      In_channel.with_open_bin program (fun ic ->
+          Executor.run ~opts:{ Executor.default_opts with obs } Executor.Cpu keyset
+            (Pytfhe_backend.Wave.Pull (Binary.read_source ic)) cts)
     in
     Pytfhe_core.Ciphertext_file.write out outs;
     Format.printf "done in %.1fs -> %s@." (Unix.gettimeofday () -. t0) out;
     export_obs obs ~trace ~metrics
-      ~extra:[ ("backend", Pytfhe_util.Json.String "stream") ]
+      ~extra:[ ("backend", Pytfhe_util.Json.String "cpu") ]
   in
   let cloud = Arg.(required & opt (some file) None & info [ "cloud" ] ~docv:"FILE" ~doc:"Cloud keyset (no secrets inside).") in
   let program = Arg.(required & opt (some file) None & info [ "program" ] ~docv:"FILE" ~doc:"Assembled PyTFHE binary.") in
   let input = Arg.(required & opt (some file) None & info [ "input" ] ~docv:"FILE" ~doc:"Input ciphertext bundle.") in
   let out = Arg.(value & opt string "output.ct" & info [ "o" ] ~docv:"FILE" ~doc:"Output ciphertext bundle.") in
-  let stream =
-    Arg.(value & flag
-         & info [ "stream" ]
-             ~doc:"Pull the program from disk chunk by chunk instead of loading it resident \
-                   (pairs with $(b,pytfhe compile --stream); required for binaries larger \
-                   than memory).")
-  in
   Cmd.v
     (Cmd.info "eval" ~doc:"Homomorphically evaluate a PyTFHE binary on a ciphertext bundle (server side)")
-    Term.(const run $ cloud $ program $ input $ out $ stream $ transform_arg $ trace_arg $ metrics_arg)
+    Term.(const run $ cloud $ program $ input $ out $ transform_arg $ trace_arg $ metrics_arg)
 
 let trace_validate_cmd =
   let run path =
@@ -602,13 +572,13 @@ let trace_validate_cmd =
 (* FHE-as-a-service: serve / submit                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Round-trippable executor names shared with Server.exec_backend_name,
+(* Round-trippable placement names shared with Executor.placement_name,
    so `pytfhe serve --backend dist:4` prints back exactly "dist:4". *)
 let exec_conv =
   let parse s =
-    match Server.exec_backend_of_name s with Ok b -> Ok b | Error m -> Error (`Msg m)
+    match Executor.placement_of_name s with Ok b -> Ok b | Error m -> Error (`Msg m)
   in
-  Arg.conv (parse, fun fmt b -> Format.pp_print_string fmt (Server.exec_backend_name b))
+  Arg.conv (parse, fun fmt b -> Format.pp_print_string fmt (Executor.placement_name b))
 
 let serve_cmd =
   let run host port backend batch max_active max_queue =
@@ -621,7 +591,7 @@ let serve_cmd =
       Service.serve ~opts ~config
         ~ready:(fun p ->
           Format.printf "pytfhe service listening on %s:%d (backend %s, batch %d)@." host p
-            (Server.exec_backend_name backend)
+            (Executor.placement_name backend)
             batch;
           Format.print_flush ())
         ()
@@ -637,13 +607,14 @@ let serve_cmd =
   let backend =
     Arg.(value & opt exec_conv Server.Cpu
          & info [ "backend" ] ~docv:"BACKEND"
-             ~doc:"Executor: $(b,cpu) (in-process cross-request batch scheduler), \
-                   $(b,par)/$(b,par:N) or $(b,dist)/$(b,dist:N) (pass-through, one request \
-                   at a time through that executor).")
+             ~doc:"Placement the cross-request scheduler packs onto: $(b,cpu) (one \
+                   engine per tenant), $(b,par)/$(b,par:N) (engines on one domain pool) or \
+                   $(b,dist)/$(b,dist:N) (a worker session per tenant).")
   in
   let batch =
     Arg.(value & opt int Service.default_opts.Executor.batch & info [ "batch" ] ~docv:"N"
-           ~doc:"Launch capacity (>= 1) of the cross-request scheduler, in jobs.")
+           ~doc:"Launch capacity (>= 1) of every engine, in jobs; a launch packs up to \
+                 this many jobs per domain or worker.")
   in
   let max_active = Arg.(value & opt int 32 & info [ "max-active" ] ~docv:"N" ~doc:"Concurrently executing request bound.") in
   let max_queue = Arg.(value & opt int 256 & info [ "max-queue" ] ~docv:"N" ~doc:"Admission queue bound (excess submissions fail busy).") in

@@ -1,9 +1,9 @@
-(* Real multi-process distributed evaluation of TFHE netlists.
+(* Real multi-process distributed evaluation of TFHE programs.
 
    Where Sched_cpu *prices* the paper's Ray cluster (§IV-D, Fig. 10) through
    a cost model, this executor actually crosses the process boundary: it
    spawns N worker processes, ships the cloud keyset once at startup, and
-   then, for every wave either wave source produces, sends each worker one
+   then, for every wave Wave.drive produces, sends each worker one
    contiguous shard of the wave's jobs — job headers plus one operand
    Lwe_array inside a length-prefixed frame over a Unix socketpair — and
    collects the outputs, which the worker computed with Wave.exec, at a
@@ -35,8 +35,8 @@
    Because each job runs the identical torus operation sequence as on the
    other placements — only in another address space, with the operands
    round-tripped through the exact 32-bit wire encoding — the output
-   ciphertexts are bit-exact with Tfhe_eval.run for any worker count and
-   any fault pattern the executor survives. *)
+   ciphertexts are bit-exact with the cpu placement for any worker count
+   and any fault pattern the executor survives. *)
 
 module Gate = Pytfhe_circuit.Gate
 module Wire = Pytfhe_util.Wire
@@ -121,19 +121,6 @@ type stats = {
   wave_width : int array;
   wall_time : float;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Framing: shared PTFD envelope (see Framing)                         *)
-(* ------------------------------------------------------------------ *)
-
-let frame_magic = Framing.frame_magic
-
-exception Frame_closed = Framing.Frame_closed
-exception Frame_timeout = Framing.Frame_timeout
-
-let write_all = Framing.write_all
-let write_frame = Framing.write_frame
-let read_frame = Framing.read_frame
 
 (* ------------------------------------------------------------------ *)
 (* Worker process                                                      *)
@@ -254,7 +241,7 @@ let decode_request ~n payload =
    must never run the parent's at_exit handlers or flush its inherited
    stdio buffers. *)
 let worker_main fd =
-  let hello = read_frame fd in
+  let hello = Framing.read_frame fd in
   let r = Wire.reader_of_string hello in
   let index, obs_on, obs_epoch, faults, ck = parse_hello r in
   (* Build the transform tables once, up front: the job loop below must
@@ -268,7 +255,7 @@ let worker_main fd =
      spawned binary really is a worker. *)
   let rdy = Buffer.create 8 in
   Wire.write_magic rdy "DRDY";
-  ignore (write_frame fd (Buffer.to_bytes rdy));
+  ignore (Framing.write_frame fd (Buffer.to_bytes rdy));
   (* Launches split a frame's jobs the same way for every capacity in
      [min cap jobs, cap], so an engine in that range is reused; a new one
      is sized to the frame, which bounds it by what the frame carries. *)
@@ -284,7 +271,7 @@ let worker_main fd =
   in
   let served = ref 0 in
   let rec loop () =
-    let payload = read_frame fd in
+    let payload = Framing.read_frame fd in
     if String.length payload < 4 then Unix._exit 4;
     (match String.sub payload 0 4 with
     | "DBYE" -> Unix._exit 0
@@ -312,7 +299,7 @@ let worker_main fd =
          accepts the shard — a worker dying right after the reply (or
          sending a faulted one) loses at most its own last span,
          truncating the trace but never corrupting it.  The crypto
-         counters are the wave source's: counted here too, every job
+         counters are Wave.drive's: counted here too, every job
          would be counted twice. *)
       if Trace.enabled wsink then begin
         let ep = Trace.epoch wsink in
@@ -326,26 +313,26 @@ let worker_main fd =
           Wire.write_magic tb "DTRC";
           Wire.write_i64 tb req_id;
           Wire.write_array tb Trace.write_event (Array.of_list events);
-          ignore (write_frame fd (Buffer.to_bytes tb))
+          ignore (Framing.write_frame fd (Buffer.to_bytes tb))
       end;
       if List.exists (fun f -> f.action = Flip_reply) due then begin
         (* Framing stays intact; the payload magic is flipped, so the
            coordinator's parser must reject the frame and re-request. *)
         Bytes.set reply 0 (Char.chr (Char.code (Bytes.get reply 0) lxor 0x20));
-        ignore (write_frame fd reply)
+        ignore (Framing.write_frame fd reply)
       end
       else if List.exists (fun f -> f.action = Truncate_reply) due then begin
         (* Announce the full frame, deliver half of it, and die: the
            coordinator sees EOF mid-frame, never a hang. *)
         let len = Bytes.length reply in
         let header = Bytes.create 12 in
-        Bytes.blit_string frame_magic 0 header 0 4;
+        Bytes.blit_string Framing.frame_magic 0 header 0 4;
         Bytes.set_int64_le header 4 (Int64.of_int len);
-        write_all fd header 0 12;
-        write_all fd reply 0 (len / 2);
+        Framing.write_all fd header 0 12;
+        Framing.write_all fd reply 0 (len / 2);
         Unix._exit 3
       end
-      else ignore (write_frame fd reply)
+      else ignore (Framing.write_frame fd reply)
     | _ -> Unix._exit 4);
     loop ()
   in
@@ -364,8 +351,7 @@ type worker = {
 }
 
 (* One worker's contiguous slice of a wave's jobs.  Jobs carry resolved
-   operands, so shards are netlist-free and the same dispatch path serves
-   both wave sources. *)
+   operands, so shards carry no program structure. *)
 type shard = {
   jobs : Wave.job array;
   outputs : int;  (* outputs the reply must carry *)
@@ -436,7 +422,7 @@ let worker_entry () =
     (* All exits go through Unix._exit: a worker must never run the host
        program's at_exit handlers or flush inherited stdio buffers. *)
     (try worker_main Unix.stdin with
-    | Frame_closed -> Unix._exit 0 (* coordinator hung up: normal shutdown *)
+    | Framing.Frame_closed -> Unix._exit 0 (* coordinator hung up: normal shutdown *)
     | _ -> Unix._exit 2)
   | Some _ | None -> ()
 
@@ -476,7 +462,8 @@ let send_shard st sh =
   let t0 = Unix.gettimeofday () in
   st.next_req <- st.next_req + 1;
   sh.req_id <- st.next_req;
-  let n = write_frame w.fd (encode_request ~req_id:sh.req_id ~cap:st.cap ~n:st.lwe_n sh.jobs) in
+  let payload = encode_request ~req_id:sh.req_id ~cap:st.cap ~n:st.lwe_n sh.jobs in
+  let n = Framing.write_frame w.fd payload in
   let now = Unix.gettimeofday () in
   st.bytes_out <- st.bytes_out + n;
   st.t_dispatch <- st.t_dispatch +. (now -. t0);
@@ -500,7 +487,7 @@ let rec reassign st pending sh =
     sh.attempts <- 0;
     st.reassignments <- st.reassignments + 1;
     (try send_shard st sh
-     with Frame_closed ->
+     with Framing.Frame_closed ->
        st.lost <- st.lost + 1;
        kill_worker target;
        (* the pool shrank under us: try the next survivor *)
@@ -538,7 +525,7 @@ let on_ready st pending w =
       sh.attempts <- sh.attempts + 1;
       st.retries <- st.retries + 1;
       try send_shard st sh
-      with Frame_closed -> declare_lost st pending w
+      with Framing.Frame_closed -> declare_lost st pending w
     end
     else declare_lost st pending w
   in
@@ -560,7 +547,7 @@ let on_ready st pending w =
   in
   match
     let deadline = Unix.gettimeofday () +. st.cfg.request_timeout in
-    let payload = read_frame ~deadline w.fd in
+    let payload = Framing.read_frame ~deadline w.fd in
     st.bytes_in <- st.bytes_in + String.length payload + 12;
     if String.length payload >= 4 && String.sub payload 0 4 = "DTRC" then begin
       parse_trc payload;
@@ -576,8 +563,8 @@ let on_ready st pending w =
       Some (req_id, compute, Lwe_array.to_samples arr)
     end
   with
-  | exception Frame_closed -> declare_lost st pending w
-  | exception Frame_timeout -> declare_lost st pending w
+  | exception Framing.Frame_closed -> declare_lost st pending w
+  | exception Framing.Frame_timeout -> declare_lost st pending w
   | exception Wire.Corrupt _ ->
     (match List.find_opt (fun q -> q.owner == w) !pending with
     | Some sh -> resend_corrupt sh
@@ -621,7 +608,7 @@ let dispatch st jobs =
     (fun sh ->
       if sh.req_id = 0 then
         try send_shard st sh
-        with Frame_closed -> declare_lost st pending sh.owner)
+        with Framing.Frame_closed -> declare_lost st pending sh.owner)
     !pending;
   while !pending <> [] do
     let now = Unix.gettimeofday () in
@@ -669,7 +656,7 @@ let shutdown members =
       if w.alive then begin
         let bye = Buffer.create 8 in
         Wire.write_magic bye "DBYE";
-        (try ignore (write_frame w.fd (Buffer.to_bytes bye)) with _ -> ());
+        (try ignore (Framing.write_frame w.fd (Buffer.to_bytes bye)) with _ -> ());
         (try Unix.close w.fd with Unix.Unix_error _ -> ());
         w.alive <- false;
         (* DBYE exits promptly; SIGKILL covers a worker wedged in a fault *)
@@ -679,21 +666,12 @@ let shutdown members =
       else reap w)
     members
 
-(* A live worker pool plus its dispatch state: the startup half of a run
-   (sigpipe, transform tables, spawn, hello, DRDY barrier), reusable by
-   both the materialised and the streaming executor. *)
-type session = {
-  s_cloud : Gates.cloud_keyset;
-  s_st : state;
-  s_members : worker array;
-  s_keyset_bytes : int;
-  s_started : float;  (* wall clock when the session began *)
-  s_startup : float;  (* seconds to bring the pool up *)
-  s_restore : unit -> unit;
-}
-
-let session_start ~obs ~cap cfg cloud =
+(* A worker session bound to one keyset: sigpipe, transform tables, spawn,
+   hello, the DRDY barrier, then one DJOB per live worker per wave. *)
+let bind (opts : Exec_opts.t) cfg cloud =
+  if opts.batch < 1 then invalid_arg "Dist_eval.bind: batch must be >= 1";
   let start = Unix.gettimeofday () in
+  let obs = opts.obs in
   let previous_sigpipe =
     try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None
   in
@@ -723,7 +701,7 @@ let session_start ~obs ~cap cfg cloud =
     {
       cfg;
       lwe_n = cloud.Gates.cloud_params.Params.lwe.Params.n;
-      cap;
+      cap = opts.batch;
       members;
       obs;
       wtracks;
@@ -753,7 +731,7 @@ let session_start ~obs ~cap cfg cloud =
          try
            let n = Framing.write_frame_parts w.fd [ prefix; keyset_blob ] in
            st.bytes_out <- st.bytes_out + n
-         with Frame_closed ->
+         with Framing.Frame_closed ->
            st.lost <- st.lost + 1;
            kill_worker w)
        members;
@@ -765,75 +743,48 @@ let session_start ~obs ~cap cfg cloud =
      Array.iter
        (fun w ->
          if w.alive then
-         match read_frame ~deadline:ready_deadline w.fd with
+         match Framing.read_frame ~deadline:ready_deadline w.fd with
          | payload when String.length payload >= 4 && String.sub payload 0 4 = "DRDY" ->
            st.bytes_in <- st.bytes_in + String.length payload + 12
-         | _ | (exception Frame_closed) | (exception Frame_timeout)
+         | _ | (exception Framing.Frame_closed) | (exception Framing.Frame_timeout)
          | (exception Wire.Corrupt _) ->
            st.lost <- st.lost + 1;
            kill_worker w)
        members;
      if live_workers st = [] then
        failwith
-         "Dist_eval.run: no worker came up — does the host executable call \
+         "Dist_eval: no worker came up — does the host executable call \
           Dist_eval.worker_entry at the start of main?"
    with exn ->
      shutdown members;
      restore_sigpipe ();
      raise exn);
+  let startup_time = Unix.gettimeofday () -. start in
+  (* Wire traffic and fault handling of one wave, as deltas.  The crypto
+     counters are Wave.drive's; the workers ship only their shard spans. *)
+  let snapshot () =
+    [ ("bytes_to_workers", st.bytes_out); ("bytes_from_workers", st.bytes_in);
+      ("retries", st.retries); ("reassignments", st.reassignments);
+      ("corrupt_frames", st.corrupt_frames); ("heartbeat_misses", st.heartbeat_misses) ]
+  in
+  let last = ref (snapshot ()) in
   {
-    s_cloud = cloud;
-    s_st = st;
-    s_members = members;
-    s_keyset_bytes = Bytes.length keyset_blob;
-    s_started = start;
-    s_startup = Unix.gettimeofday () -. start;
-    s_restore = restore_sigpipe;
-  }
-
-let session_shutdown s =
-  shutdown s.s_members;
-  s.s_restore ()
-
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "workers=%d (%d lost) bootstraps=%d nots=%d requests=%d retries=%d reassignments=%d \
-     corrupt=%d hb-misses=%d wall=%.3fs dispatch=%.3fs transfer=%.3fs compute=%.3fs \
-     sent=%dB recv=%dB"
-    s.workers_started s.workers_lost s.bootstraps_executed s.nots_executed s.requests_sent
-    s.retries s.reassignments s.corrupt_frames s.heartbeat_misses s.wall_time
-    s.dispatch_time s.transfer_time s.compute_time s.bytes_to_workers s.bytes_from_workers
-
-(* Start a session, hand [source] the wave runner and the per-wave wire
-   probe, and turn what it returns into stats. *)
-let with_session ~who ~(opts : Exec_opts.t) cfg cloud source =
-  if opts.batch < 1 then invalid_arg (who ^ ": batch must be >= 1");
-  let session = session_start ~obs:opts.obs ~cap:opts.batch cfg cloud in
-  let st = session.s_st in
-  Fun.protect
-    ~finally:(fun () -> session_shutdown session)
-    (fun () ->
-      (* Wire traffic and fault handling of one wave, as deltas.  The
-         crypto counters come from the wave source; the workers ship only
-         their shard spans. *)
-      let snapshot () =
-        [ ("bytes_to_workers", st.bytes_out); ("bytes_from_workers", st.bytes_in);
-          ("retries", st.retries); ("reassignments", st.reassignments);
-          ("corrupt_frames", st.corrupt_frames); ("heartbeat_misses", st.heartbeat_misses) ]
-      in
-      let last = ref (snapshot ()) in
-      let probe tr =
+    Wave.run_wave =
+      (fun jobs ->
+        try dispatch st jobs
+        with All_workers_lost -> failwith "Dist_eval: all workers lost (crashed or unresponsive)");
+    capacity = (fun () -> List.length (live_workers st) * opts.batch);
+    workers = cfg.workers;
+    track = "coordinator";
+    probe =
+      (fun tr ->
         let now = snapshot () in
         List.iter2
           (fun (name, v1) (_, v0) -> Trace.counter tr ~name (float_of_int (v1 - v0)))
           now !last;
-        last := now
-      in
-      let outputs, (ws : Wave.stats) =
-        try source ~run_wave:(dispatch st) ~probe
-        with All_workers_lost -> failwith (who ^ ": all workers lost (crashed or unresponsive)")
-      in
-      ( outputs,
+        last := now);
+    finish =
+      (fun ~start (ws : Wave.stats) ->
         {
           workers_started = cfg.workers;
           workers_lost = st.lost;
@@ -844,26 +795,28 @@ let with_session ~who ~(opts : Exec_opts.t) cfg cloud source =
           reassignments = st.reassignments;
           corrupt_frames = st.corrupt_frames;
           heartbeat_misses = st.heartbeat_misses;
-          keyset_bytes = session.s_keyset_bytes;
+          keyset_bytes = Bytes.length keyset_blob;
           bytes_to_workers = st.bytes_out;
           bytes_from_workers = st.bytes_in;
-          startup_time = session.s_startup;
+          startup_time;
           dispatch_time = st.t_dispatch;
           transfer_time = st.t_transfer;
           compute_time = st.t_compute;
           wave_wall = ws.Wave.wave_wall;
           wave_width = ws.Wave.wave_width;
-          wall_time = Unix.gettimeofday () -. session.s_started;
-        } ))
+          wall_time = Unix.gettimeofday () -. start;
+        });
+    release =
+      (fun () ->
+        shutdown members;
+        restore_sigpipe ());
+  }
 
-let run ?(opts = Exec_opts.default) cfg cloud net inputs =
-  (* Checked before any worker is spawned. *)
-  if Array.length inputs <> List.length (Pytfhe_circuit.Netlist.inputs net) then
-    invalid_arg "Dist_eval.run: input arity mismatch";
-  with_session ~who:"Dist_eval.run" ~opts cfg cloud (fun ~run_wave ~probe ->
-      let track = Trace.new_track opts.obs ~name:"coordinator" in
-      Wave.run_netlist ~obs:opts.obs ~track ~probe ~run_wave cloud net inputs)
-
-let run_stream ?(opts = Exec_opts.default) ?window cfg cloud read inputs =
-  with_session ~who:"Dist_eval.run_stream" ~opts cfg cloud (fun ~run_wave ~probe ->
-      Stream_exec.run_waves ~obs:opts.obs ?window ~probe ~run_wave cloud read inputs)
+let pp_stats fmt s =
+  Format.fprintf fmt
+    "workers=%d (%d lost) bootstraps=%d nots=%d requests=%d retries=%d reassignments=%d \
+     corrupt=%d hb-misses=%d wall=%.3fs dispatch=%.3fs transfer=%.3fs compute=%.3fs \
+     sent=%dB recv=%dB"
+    s.workers_started s.workers_lost s.bootstraps_executed s.nots_executed s.requests_sent
+    s.retries s.reassignments s.corrupt_frames s.heartbeat_misses s.wall_time
+    s.dispatch_time s.transfer_time s.compute_time s.bytes_to_workers s.bytes_from_workers

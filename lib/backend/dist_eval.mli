@@ -11,7 +11,7 @@
     [Unix.socketpair] channel — which the worker runs through
     {!Wave.exec}; the outputs are collected at a wave barrier.
 
-    Outputs are bit-exact with {!Tfhe_eval.run} for any worker count: every
+    Outputs are bit-exact with the cpu placement for any worker count: every
     job performs the identical torus operation sequence, and the 32-bit
     ciphertext wire encoding round-trips exactly.
 
@@ -32,19 +32,19 @@
     [PYTFHE_DIST_WORKER] environment variable set (posix_spawn under the
     hood, via [Unix.create_process]), because the OCaml 5 runtime forbids
     [Unix.fork] in any process that has ever created a domain — and
-    {!Par_eval} creates domains.  {b Every executable that calls {!run}
-    must call {!worker_entry} as the first thing in main}; the startup
+    {!Par_eval} creates domains.  {b Every executable that binds this
+    placement must call {!worker_entry} as the first thing in main}; the startup
     handshake fails fast, with a message naming the missing hook, if it
     does not.
 
     The protocol is documented in [docs/backends.md]. *)
 
 val worker_entry : unit -> unit
-(** In a process spawned by {!run} (recognized by the [PYTFHE_DIST_WORKER]
+(** In a process spawned by {!bind} (recognized by the [PYTFHE_DIST_WORKER]
     environment variable), serves the gate protocol on the stdin socket
     and [_exit]s when the coordinator hangs up — it never returns.  In any
     other process it is a no-op.  Call it first in main of every
-    executable that uses {!run}. *)
+    executable that uses {!bind}. *)
 
 (** {2 Fault injection}
 
@@ -114,50 +114,29 @@ type stats = {
       (** Round-trip seconds not accounted to worker compute: wire
           transfer, frame parsing, barrier waits. *)
   compute_time : float;  (** Sum of worker-reported gate-evaluation seconds. *)
-  wave_wall : float array;  (** Wall seconds per wave. *)
-  wave_width : int array;  (** Jobs per wave. *)
+  wave_wall : float array;  (** Wall seconds per executed wave. *)
+  wave_width : int array;  (** Jobs per executed wave. *)
   wall_time : float;
 }
 
-val run :
-  ?opts:Exec_opts.t ->
-  config ->
-  Pytfhe_tfhe.Gates.cloud_keyset ->
-  Pytfhe_circuit.Netlist.t ->
-  Pytfhe_tfhe.Lwe.sample array ->
-  Pytfhe_tfhe.Lwe.sample array * stats
-(** [run cfg cloud net inputs] forks [cfg.workers] processes and evaluates
-    the program wave by wave across them, returning outputs in declaration
-    order.  Workers launch at most [opts.batch] jobs at a time.  Raises
-    [Invalid_argument] on input arity mismatch or [batch < 1], and
-    [Failure] if every worker is lost.
+val bind : Exec_opts.t -> config -> Pytfhe_tfhe.Gates.cloud_keyset -> stats Wave.binding
+(** A worker session: spawns [cfg.workers] processes and ships [cloud] to
+    each once.  Each wave then goes out as one [DJOB] per live worker, a
+    contiguous shard whose jobs the worker launches at most [opts.batch]
+    at a time, so the binding's capacity is [live workers × batch].
+    Releasing the binding shuts the workers down and reaps them.  Raises
+    [Invalid_argument] when [batch < 1] and [Failure] when no worker comes
+    up; [run_wave] raises [Failure] once every worker is lost.
 
     With an enabled [obs] sink, the hello frame carries the sink's epoch
     and each worker collects per-shard spans in a local sink, shipping
     them back in an optional [DTRC] frame sent just before each reply; the
-    coordinator merges them onto per-worker tracks and adds wave spans,
-    the standard per-wave counters, wire-byte / retry / reassignment /
-    heartbeat-miss counters and the noise gauges on a ["coordinator"]
+    coordinator merges them onto per-worker tracks.  {!Wave.drive}'s wave
+    spans, counters and noise gauges, and this binding's wire-byte /
+    retry / reassignment / heartbeat-miss probe go on a ["coordinator"]
     track.  A worker lost mid-wave truncates the trace (its unshipped
-    spans die with it) but never corrupts it — a malformed [DTRC] frame
-    is counted in [corrupt_frames] and dropped. *)
-
-val run_stream :
-  ?opts:Exec_opts.t ->
-  ?window:int ->
-  config ->
-  Pytfhe_tfhe.Gates.cloud_keyset ->
-  (unit -> bytes option) ->
-  Pytfhe_tfhe.Lwe.sample array ->
-  Pytfhe_tfhe.Lwe.sample array * stats
-(** Distributed execution of a streamed binary through
-    {!Stream_exec.run_waves}: the coordinator never materialises a
-    netlist — each wave's jobs go out in the same shard requests, with
-    the same fault tolerance as {!run}.  Outputs are ciphertext-bit-exact
-    with {!run} for any worker count and any [window].
-    [stats.wave_width] / [stats.wave_wall] cover executed waves in order
-    rather than netlist levels.  Same [Invalid_argument] contract as
-    {!run} for [batch]. *)
+    spans die with it) but never corrupts it — a malformed [DTRC] frame is
+    counted in [corrupt_frames] and dropped. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 

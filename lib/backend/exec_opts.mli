@@ -1,8 +1,8 @@
 (** Execution options, one record for every executor, the server, the
     CLI and the service.  {!Executor} re-exports it as [Executor.opts] so
     callers outside the backend library never need to name this module;
-    it lives below {!Executor} so {!Tfhe_eval}, {!Par_eval}, {!Dist_eval}
-    and {!Stream_exec} accept it natively. *)
+    it lives below {!Executor} so the placements' bindings
+    ({!Tfhe_eval}, {!Par_eval}, {!Dist_eval}) accept it natively. *)
 
 type t = {
   obs : Pytfhe_obs.Trace.sink;

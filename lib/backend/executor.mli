@@ -1,13 +1,11 @@
-(** The unified executor API: one signature every real backend implements,
-    one stats record every caller consumes, one options record every
-    caller passes.
+(** The executor API: one placement type, one entry point, one stats
+    record every caller consumes, one options record every caller passes.
 
-    {!Tfhe_eval}, {!Par_eval} and {!Dist_eval} each grew their own run
-    function and mutually incompatible stats; this module packages them as
-    first-class modules of a common signature {!S} so callers — the
-    server, the CLI, the bench harness, the service scheduler — select a
-    backend as a value and handle results uniformly.  Backend-specific
-    numbers stay reachable through {!type-stats.detail}. *)
+    Every run is the same loop: a {!Wave.cursor} reads the program from a
+    {!Wave.source} and a placement, bound to the cloud keyset, executes
+    each of its waves.  {!Tfhe_eval}, {!Par_eval} and {!Dist_eval} only
+    provide the bindings; backend-specific numbers stay reachable through
+    {!type-stats.detail}. *)
 
 type opts = Exec_opts.t = {
   obs : Pytfhe_obs.Trace.sink;
@@ -29,15 +27,77 @@ type detail =
   | Multiprocess_stats of Dist_eval.stats
 
 type stats = {
-  backend : string;  (** The implementing module's {!S.name}. *)
+  backend : string;  (** ["cpu"], ["par"] or ["dist"]. *)
   workers : int;  (** Domains or processes used; 1 for the CPU backend. *)
   bootstraps_executed : int;  (** Jobs executed: a LUT rotation group is one. *)
   nots_executed : int;
   wall_time : float;  (** End-to-end wall seconds. *)
-  wave_wall : float array;  (** Wall seconds per wave. *)
-  wave_width : int array;  (** Jobs per wave. *)
+  wave_wall : float array;  (** Wall seconds per executed wave. *)
+  wave_width : int array;  (** Jobs per executed wave. *)
   detail : detail;  (** The backend's full native stats. *)
 }
+
+(** {1 Placements} *)
+
+(** Where waves execute.  All three are bit-exact with each other for any
+    worker count and batch size. *)
+type placement =
+  | Cpu  (** One engine on the calling thread ({!Tfhe_eval}). *)
+  | Multicore of { workers : int }
+      (** {!Par_eval} on a pool of OCaml 5 domains; [workers = 0] means
+          [Domain.recommended_domain_count ()]. *)
+  | Multiprocess of { workers : int; config : Dist_eval.config option }
+      (** {!Dist_eval} on worker OS processes; [config] overrides [workers]
+          when given.  The calling executable must invoke
+          {!Dist_eval.worker_entry} at the start of main. *)
+
+val placement_name : placement -> string
+(** The canonical spelling — ["cpu"], ["par"], ["par:4"], ["dist:2"] —
+    chosen to round-trip through {!placement_of_name} and to match the
+    CLI's [--backend] argument and the bench artifacts.  (An explicit
+    [Multiprocess config] renders as [dist:N]; the rest of the config has
+    no spelling.) *)
+
+val placement_of_name : string -> (placement, string) result
+(** Parse a spelling: [cpu], [par], [par:N], [dist], [dist:N] (bare
+    [dist] means 2 workers).  [Error] carries a human-readable message
+    listing the accepted forms. *)
+
+type binding = detail Wave.binding
+(** A placement bound to one cloud keyset. *)
+
+val pool : placement -> Par_eval.pool option
+(** A domain pool sized for a [Multicore] placement; [None] otherwise.
+    One pool serves every binding {!bind} makes on it. *)
+
+val bind :
+  ?opts:opts -> ?pool:Par_eval.pool -> placement -> Pytfhe_tfhe.Gates.cloud_keyset -> binding
+(** Bind a placement: cpu holds one engine, par one engine per domain of
+    [pool] (without [pool], a pool of its own that {!Wave.binding.release}
+    shuts down), dist a worker session.  Its capacity is [opts.batch]
+    times the domains or live workers.  Raises [Invalid_argument] when
+    [opts.batch < 1] or a [Multicore] worker count is negative. *)
+
+val run :
+  ?opts:opts ->
+  ?window:int ->
+  placement ->
+  Pytfhe_tfhe.Gates.cloud_keyset ->
+  Wave.source ->
+  Pytfhe_tfhe.Lwe.sample array ->
+  Pytfhe_tfhe.Lwe.sample array * stats
+(** [run placement cloud source inputs] evaluates the program
+    homomorphically (inputs and outputs in declaration order): a
+    {!Wave.cursor} of segment bound [window] over [source], {!bind}, then
+    {!Wave.drive}; the binding is released however the run ends.  Raises
+    what {!Wave.cursor} and {!bind} raise, and [Failure] when every dist
+    worker is lost. *)
+
+(** {1 First-class views}
+
+    Each a one-line view of {!run}: [run] over a {!Wave.Netlist} source,
+    [run_stream] over a {!Wave.Pull} source (see
+    {!Pytfhe_circuit.Binary.read_source} for a file). *)
 
 module type S = sig
   val name : string
@@ -56,31 +116,18 @@ module type S = sig
     (unit -> bytes option) ->
     Pytfhe_tfhe.Lwe.sample array ->
     Pytfhe_tfhe.Lwe.sample array * stats
-  (** Execute a streamed binary pulled from a chunked source, without
-      materialising a netlist, through {!Stream_exec.run_waves} (segment
-      size [window] queued bootstraps; see
-      {!Pytfhe_circuit.Binary.read_source} for a file-backed source).
-      Outputs are ciphertext-bit-exact with [run] over the parsed
-      netlist.  [stats.wave_width]/[wave_wall] cover executed waves in
-      order. *)
 end
-(** Outputs are ciphertext-bit-exact across all implementations and batch
-    sizes.  Every implementation runs its waves through {!Wave.exec}; the
-    multiprocess backend's workers build their engines with
-    [opts.batch]. *)
 
 val cpu : (module S)
-(** {!Tfhe_eval} — sequential, the correctness baseline.  Name ["cpu"]. *)
+(** [Cpu].  Name ["cpu"]. *)
 
 val multicore : ?workers:int -> unit -> (module S)
-(** {!Par_eval} on [workers] domains (default
-    [Domain.recommended_domain_count ()]).  Name ["par"]. *)
+(** [Multicore { workers }] (default 0: the recommended domain count).
+    Name ["par"]. *)
 
 val multiprocess : ?workers:int -> ?config:Dist_eval.config -> unit -> (module S)
-(** {!Dist_eval} on [config.workers] processes; [config] wins over
-    [workers] (default: [Dist_eval.config 2]).  Name ["dist"].  The usual
-    caveat applies: the host executable must call
-    {!Dist_eval.worker_entry} first in main. *)
+(** [Multiprocess { workers; config }] (default 2 workers).  Name
+    ["dist"]. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 (** Uniform one-line rendering, followed by the backend's own [pp] where

@@ -6,7 +6,7 @@
    its own Wave.engine.  The slices write disjoint result arrays, and the
    pool's mutex handshake is the inter-wave happens-before edge.
 
-   The executor is bit-exact with Tfhe_eval.run: each job performs the
+   The placement is bit-exact with the cpu one: each job performs the
    identical float/torus operation sequence, only on a different domain. *)
 
 module Levelize = Pytfhe_circuit.Levelize
@@ -74,7 +74,9 @@ let pool_worker pool index =
     end
   done
 
-let pool_create helpers =
+let pool workers =
+  if workers < 1 then invalid_arg "Par_eval.pool: workers must be >= 1";
+  let helpers = workers - 1 in
   let pool =
     {
       helpers;
@@ -118,7 +120,7 @@ let pool_run pool job =
     | None, None -> ()
   end
 
-let pool_shutdown pool =
+let shutdown pool =
   Mutex.lock pool.mutex;
   pool.stop <- true;
   Condition.broadcast pool.work_ready;
@@ -155,18 +157,13 @@ let sum_counters engines =
     { Gates.batch_launches = 0; batch_gates = 0; bsk_rows = 0; ks_blocks = 0 }
     engines
 
-(* Bring up the pool and one engine per domain, hand [source] the wave
-   runner and the per-wave key-traffic probe, and turn what it returns
-   into stats. *)
-let with_domains ~who ?workers ~(opts : Exec_opts.t) cloud source =
-  let workers =
-    match workers with Some w -> w | None -> Domain.recommended_domain_count ()
-  in
-  if workers < 1 then invalid_arg (who ^ ": workers must be >= 1");
-  let start = Unix.gettimeofday () in
+(* One engine per domain of [pool]; each wave is cut into one contiguous
+   slice per domain. *)
+let bind (opts : Exec_opts.t) pool cloud =
+  let workers = pool.helpers + 1 in
   let p = cloud.Gates.cloud_params in
-  (* Transform tables (FFT twiddles or NTT residue tables) are built once
-     here, before any worker domain exists: the caches are atomic
+  (* Transform tables (FFT twiddles or NTT residue tables) are built here,
+     before the pool's domains run a job: the caches are atomic
      snapshot/CAS lists, so a helper domain racing a first build would
      duplicate work and churn the cache mid-wave. *)
   Params.precompute p;
@@ -179,7 +176,6 @@ let with_domains ~who ?workers ~(opts : Exec_opts.t) cloud source =
   let dom_tracks =
     Array.init workers (fun d -> Trace.new_track obs ~name:(Printf.sprintf "domain %d" d))
   in
-  let pool = pool_create (workers - 1) in
   let run_wave jobs =
     let total = Array.length jobs in
     let results = Array.make workers [||] in
@@ -202,43 +198,39 @@ let with_domains ~who ?workers ~(opts : Exec_opts.t) cloud source =
   (* Only read at pool barriers, where the mutex handshake makes the helper
      domains' counter updates visible. *)
   let last = ref (sum_counters engines) in
-  let probe tr =
-    let now = sum_counters engines in
-    Exec_obs.batch_wave_counters tr p ~cap:opts.batch !last now;
-    last := now
-  in
-  let outputs, (ws : Wave.stats) =
-    Fun.protect ~finally:(fun () -> pool_shutdown pool) (fun () -> source ~run_wave ~probe)
-  in
-  let wall_time = Unix.gettimeofday () -. start in
-  let busy = Array.fold_left ( +. ) 0.0 per_domain_busy in
-  let c = sum_counters engines in
-  ( outputs,
-    {
-      workers;
-      bootstraps_executed = ws.Wave.bootstraps;
-      nots_executed = ws.Wave.nots;
-      per_domain_bootstraps;
-      per_domain_busy;
-      wave_wall = ws.Wave.wave_wall;
-      wave_width = ws.Wave.wave_width;
-      wall_time;
-      achieved_speedup = (if wall_time > 0.0 then busy /. wall_time else 0.0);
-      ideal_speedup = ideal_of_widths ws.Wave.wave_width ws.Wave.bootstraps workers;
-      batch_size = opts.batch;
-      batch_launches = c.Gates.batch_launches;
-      bsk_bytes_streamed = c.Gates.bsk_rows * Exec_obs.bsk_row_bytes p;
-      ks_bytes_streamed = c.Gates.ks_blocks * Exec_obs.ks_block_bytes p;
-    } )
-
-let run ?workers ?(opts = Exec_opts.default) cloud net inputs =
-  with_domains ~who:"Par_eval.run" ?workers ~opts cloud (fun ~run_wave ~probe ->
-      let track = Trace.new_track opts.Exec_opts.obs ~name:"waves" in
-      Wave.run_netlist ~obs:opts.Exec_opts.obs ~track ~probe ~run_wave cloud net inputs)
-
-let run_stream ?workers ?(opts = Exec_opts.default) ?window cloud read inputs =
-  with_domains ~who:"Par_eval.run_stream" ?workers ~opts cloud (fun ~run_wave ~probe ->
-      Stream_exec.run_waves ~obs:opts.Exec_opts.obs ?window ~probe ~run_wave cloud read inputs)
+  {
+    Wave.run_wave;
+    capacity = (fun () -> workers * opts.batch);
+    workers;
+    track = "waves";
+    probe =
+      (fun tr ->
+        let now = sum_counters engines in
+        Exec_obs.batch_wave_counters tr p ~cap:opts.batch !last now;
+        last := now);
+    finish =
+      (fun ~start (ws : Wave.stats) ->
+        let wall_time = Unix.gettimeofday () -. start in
+        let busy = Array.fold_left ( +. ) 0.0 per_domain_busy in
+        let c = sum_counters engines in
+        {
+          workers;
+          bootstraps_executed = ws.Wave.bootstraps;
+          nots_executed = ws.Wave.nots;
+          per_domain_bootstraps;
+          per_domain_busy;
+          wave_wall = ws.Wave.wave_wall;
+          wave_width = ws.Wave.wave_width;
+          wall_time;
+          achieved_speedup = (if wall_time > 0.0 then busy /. wall_time else 0.0);
+          ideal_speedup = ideal_of_widths ws.Wave.wave_width ws.Wave.bootstraps workers;
+          batch_size = opts.batch;
+          batch_launches = c.Gates.batch_launches;
+          bsk_bytes_streamed = c.Gates.bsk_rows * Exec_obs.bsk_row_bytes p;
+          ks_bytes_streamed = c.Gates.ks_blocks * Exec_obs.ks_block_bytes p;
+        });
+    release = ignore;
+  }
 
 let pp_stats fmt s =
   Format.fprintf fmt

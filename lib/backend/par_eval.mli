@@ -8,7 +8,7 @@
     scratch or test-vector buffer is shared; inline [Not] gates run on
     the calling domain after each wave's barrier.
 
-    Outputs are bit-exact with {!Tfhe_eval.run} — same ciphertexts, same
+    Outputs are bit-exact with the cpu placement — same ciphertexts, same
     declaration-order output array — for any worker count. *)
 
 type stats = {
@@ -19,8 +19,8 @@ type stats = {
   per_domain_busy : float array;
       (** Seconds each domain spent inside gate kernels (excludes barrier
           waits); their sum approximates single-core compute time. *)
-  wave_wall : float array;  (** Wall seconds per wave. *)
-  wave_width : int array;  (** Jobs per wave. *)
+  wave_wall : float array;  (** Wall seconds per executed wave. *)
+  wave_width : int array;  (** Jobs per executed wave. *)
   wall_time : float;  (** End-to-end wall seconds. *)
   achieved_speedup : float;
       (** Total busy time / wall time — the parallelism actually realised
@@ -36,42 +36,29 @@ type stats = {
   ks_bytes_streamed : int;  (** Key-switch table bytes streamed. *)
 }
 
-val run :
-  ?workers:int ->
-  ?opts:Exec_opts.t ->
-  Pytfhe_tfhe.Gates.cloud_keyset ->
-  Pytfhe_circuit.Netlist.t ->
-  Pytfhe_tfhe.Lwe.sample array ->
-  Pytfhe_tfhe.Lwe.sample array * stats
-(** [run ~workers cloud net inputs] evaluates the program wave by wave on
-    [workers] domains (default: [Domain.recommended_domain_count ()]),
-    each engine launching at most [opts.batch] jobs (default
-    {!Exec_opts.default}).  [workers = 1] degenerates to sequential
-    execution on the calling domain, with no domains spawned.  Outputs
-    are bit-exact with {!Tfhe_eval.run} for any workers × batch.  Raises
-    [Invalid_argument] on input arity mismatch, [workers < 1] or
-    [batch < 1].
+type pool
+(** A fork-join pool of domains: the calling domain plus [workers - 1]
+    helpers.  One pool serves any number of bindings, one wave at a time. *)
+
+val pool : int -> pool
+(** [pool workers] spawns the helper domains.  Raises [Invalid_argument]
+    when [workers < 1]; [pool 1] spawns none. *)
+
+val shutdown : pool -> unit
+(** Stop and join the helper domains. *)
+
+val bind : Exec_opts.t -> pool -> Pytfhe_tfhe.Gates.cloud_keyset -> stats Wave.binding
+(** One {!Wave.engine} of capacity [opts.batch] per domain of [pool]; a
+    wave is cut into one contiguous slice per domain, so the binding's
+    capacity is [workers × batch].  Outputs are bit-exact with the cpu
+    placement for any worker count.  Releasing the binding leaves the pool
+    running.
 
     With an enabled [opts.obs] sink, each domain writes a span per slice
-    to its own lock-free ["domain d"] track (drained by the coordinator at
-    the wave barrier, whose mutex handshake orders the buffers), and the
-    coordinator emits one span plus the standard and key-traffic counter
-    sets per wave on a ["waves"] track. *)
-
-val run_stream :
-  ?workers:int ->
-  ?opts:Exec_opts.t ->
-  ?window:int ->
-  Pytfhe_tfhe.Gates.cloud_keyset ->
-  (unit -> bytes option) ->
-  Pytfhe_tfhe.Lwe.sample array ->
-  Pytfhe_tfhe.Lwe.sample array * stats
-(** Multicore execution of a streamed binary through
-    {!Stream_exec.run_waves}, with the same per-domain slicing as {!run}:
-    no netlist is materialised.  Outputs are ciphertext-bit-exact with
-    {!run} for any worker count and any [window].  [stats.wave_width] /
-    [stats.wave_wall] cover executed waves in order rather than netlist
-    levels. *)
+    to its own lock-free ["domain d"] track (drained by the caller at the
+    wave barrier, whose mutex handshake orders the buffers); {!Wave.drive}'s
+    wave spans, counters and this binding's key-traffic probe go on a
+    ["waves"] track. *)
 
 val ideal_speedup : Pytfhe_circuit.Levelize.schedule -> int -> float
 (** The wave-synchronous speedup bound of a schedule, for benches that

@@ -1,8 +1,7 @@
 (* The sequential placement: every wave runs on the calling thread's one
-   engine.  It is the correctness baseline the other backends are compared
-   against, and the wave source is the shared netlist source. *)
+   engine.  It is the correctness baseline the other placements are
+   compared against. *)
 
-module Trace = Pytfhe_obs.Trace
 open Pytfhe_tfhe
 
 type stats = {
@@ -17,35 +16,34 @@ type stats = {
   ks_bytes_streamed : int;
 }
 
-let stats_of ~start ~cap p e (ws : Wave.stats) =
-  let c = Wave.counters e in
-  {
-    bootstraps_executed = ws.Wave.bootstraps;
-    nots_executed = ws.Wave.nots;
-    wall_time = Unix.gettimeofday () -. start;
-    wave_wall = ws.Wave.wave_wall;
-    wave_width = ws.Wave.wave_width;
-    batch_size = cap;
-    batch_launches = c.Gates.batch_launches;
-    bsk_bytes_streamed = c.Gates.bsk_rows * Exec_obs.bsk_row_bytes p;
-    ks_bytes_streamed = c.Gates.ks_blocks * Exec_obs.ks_block_bytes p;
-  }
-
-(* The engine's key traffic for one wave, as the wave's trace counters. *)
-let traffic_probe p e =
-  let last = ref (Wave.counters e) in
-  fun tr ->
-    let now = Wave.counters e in
-    Exec_obs.batch_wave_counters tr p ~cap:(Wave.capacity e) !last now;
-    last := now
-
-let run ?(opts = Exec_opts.default) cloud net inputs =
-  let start = Unix.gettimeofday () in
+let bind (opts : Exec_opts.t) cloud =
   let p = cloud.Gates.cloud_params in
-  let e = Wave.engine cloud ~cap:opts.Exec_opts.batch in
-  let obs = opts.Exec_opts.obs in
-  let outputs, ws =
-    Wave.run_netlist ~obs ~track:(Trace.new_track obs ~name:"cpu") ~probe:(traffic_probe p e)
-      ~run_wave:(Wave.exec e) cloud net inputs
-  in
-  (outputs, stats_of ~start ~cap:opts.Exec_opts.batch p e ws)
+  let e = Wave.engine cloud ~cap:opts.batch in
+  let last = ref (Wave.counters e) in
+  {
+    Wave.run_wave = Wave.exec e;
+    capacity = (fun () -> opts.batch);
+    workers = 1;
+    track = "cpu";
+    (* The engine's key traffic for one wave, as the wave's counters. *)
+    probe =
+      (fun tr ->
+        let now = Wave.counters e in
+        Exec_obs.batch_wave_counters tr p ~cap:opts.batch !last now;
+        last := now);
+    finish =
+      (fun ~start (ws : Wave.stats) ->
+        let c = Wave.counters e in
+        {
+          bootstraps_executed = ws.Wave.bootstraps;
+          nots_executed = ws.Wave.nots;
+          wall_time = Unix.gettimeofday () -. start;
+          wave_wall = ws.Wave.wave_wall;
+          wave_width = ws.Wave.wave_width;
+          batch_size = opts.batch;
+          batch_launches = c.Gates.batch_launches;
+          bsk_bytes_streamed = c.Gates.bsk_rows * Exec_obs.bsk_row_bytes p;
+          ks_bytes_streamed = c.Gates.ks_blocks * Exec_obs.ks_block_bytes p;
+        });
+    release = ignore;
+  }

@@ -1,4 +1,4 @@
-(* The wave engine and the netlist wave source.
+(* The wave engine, the instruction cursor and the run loop.
 
    [exec] is the only code in the executors that bootstraps: a wave's
    classic gates are combined into SoA staging rows and run through the
@@ -10,7 +10,8 @@
 
 module Netlist = Pytfhe_circuit.Netlist
 module Gate = Pytfhe_circuit.Gate
-module Levelize = Pytfhe_circuit.Levelize
+module Binary = Pytfhe_circuit.Binary
+module Wire = Pytfhe_util.Wire
 module Trace = Pytfhe_obs.Trace
 open Pytfhe_tfhe
 
@@ -105,178 +106,351 @@ let exec e jobs =
   out
 
 (* ------------------------------------------------------------------ *)
-(* Gathering a wave's jobs                                             *)
+(* The cursor                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* One slot per job in first-appearance order; a group collects its
-   members' tables and destinations as they arrive (both reversed). *)
+type source = Bytes of bytes | Pull of (unit -> bytes option) | Netlist of Netlist.t
+
+(* What a source yields: an instruction or, from a netlist only, a
+   constant — a trivial ciphertext at the next index. *)
+type item = Inst of Binary.instruction | Const of bool
+
+(* A netlist read in id order as the binary its node ids would assemble
+   to (node id = index - 1), outputs last. *)
+let netlist_items net =
+  let id = ref (-1) and outs = ref (Netlist.outputs net) in
+  fun () ->
+    let i = !id in
+    incr id;
+    if i < 0 then Some (Inst (Binary.Header { gate_total = Binary.streamed_gate_total }))
+    else if i < Netlist.node_count net then
+      Some
+        (match Netlist.kind net i with
+        | Netlist.Input _ -> Inst (Binary.Input_decl { index = i + 1 })
+        | Netlist.Const b -> Const b
+        | Netlist.Gate (gate, a, b) -> Inst (Binary.Gate_inst { gate; in0 = a + 1; in1 = b + 1 })
+        | Netlist.Lut { table; ins } -> Inst (Binary.Lut_inst { table; ins = Array.map succ ins }))
+    else
+      match !outs with
+      | (_, o) :: rest ->
+        outs := rest;
+        Some (Inst (Binary.Output_decl { index = o + 1 }))
+      | [] -> None
+
+let rec items = function
+  | Netlist net -> netlist_items net
+  | Bytes b ->
+    let sent = ref false in
+    items (Pull (fun () -> if !sent then None else (sent := true; Some b)))
+  | Pull read ->
+    let next = Binary.reader read in
+    fun () -> Option.map (fun i -> Inst i) (next ())
+
+(* An instruction waiting in the current segment. *)
+type pending =
+  | P_gate of { gate : Gate.t; in0 : int; in1 : int; dst : int }
+  | P_lut of { table : int; ins : int array; dst : int }
+  | P_not of { src : int; dst : int }
+
+(* A value-table slot.  [lut]: a lutdom ciphertext (a LUT cell's output);
+   [level]: the segment level that computes it. *)
 type slot =
-  | S_job of job * int
-  | S_group of {
-      arity : int;
-      operands : Lwe.sample array;
-      mutable tables : int list;
-      mutable dsts : int list;
-    }
-
-type gather = { mutable slots : slot list; keys : (int * int * int * int, slot) Hashtbl.t }
-
-let gather () = { slots = []; keys = Hashtbl.create 8 }
-let add_gate bd ~dst gate a b = bd.slots <- S_job (Gate { gate; a; b }, dst) :: bd.slots
-
-(* Multi-input cells over the same operand tuple share one blind rotation
-   (the indicators depend only on the operands). *)
-let add_lut bd ~dst ~table ~ins operands =
-  let arity = Array.length ins in
-  if arity = 1 then
-    bd.slots <- S_job (Group { arity; operands; tables = [| table |] }, dst) :: bd.slots
-  else begin
-    let get i = if arity > i then ins.(i) else -1 in
-    let key = (arity, ins.(0), get 1, get 2) in
-    match Hashtbl.find_opt bd.keys key with
-    | Some (S_group g) ->
-      g.tables <- table :: g.tables;
-      g.dsts <- dst :: g.dsts
-    | Some (S_job _) -> assert false
-    | None ->
-      let g = S_group { arity; operands; tables = [ table ]; dsts = [ dst ] } in
-      Hashtbl.add bd.keys key g;
-      bd.slots <- g :: bd.slots
-  end
-
-let gathered bd =
-  let slots = Array.of_list (List.rev bd.slots) in
-  let jobs =
-    Array.map
-      (function
-        | S_job (j, _) -> j
-        | S_group g ->
-          Group
-            { arity = g.arity; operands = g.operands; tables = Array.of_list (List.rev g.tables) })
-      slots
-  in
-  let dsts =
-    Array.concat
-      (Array.to_list
-         (Array.map
-            (function S_job (_, d) -> [| d |] | S_group g -> Array.of_list (List.rev g.dsts))
-            slots))
-  in
-  (jobs, dsts)
-
-type stats = { bootstraps : int; nots : int; wave_wall : float array; wave_width : int array }
-
-let wave_probe obs tr p ~probe ~jobs ~outputs ~nots ~alloc0 =
-  Exec_obs.wave_counters tr p ~jobs ~outputs ~nots ~alloc_words:(Exec_obs.alloc_words () -. alloc0);
-  probe tr;
-  Trace.drain obs
-
-(* ------------------------------------------------------------------ *)
-(* The netlist source                                                  *)
-(* ------------------------------------------------------------------ *)
+  | Unassigned
+  | Pending of { level : int; lut : bool }
+  | Ready of { v : Lwe.sample; lut : bool }
 
 type cursor = {
-  net : Netlist.t;
-  waves : Levelize.wave array;
-  values : Lwe.sample option array;
-  mutable wave : int;
+  cloud : Gates.cloud_keyset;
+  next_item : unit -> item option;
+  inputs : Lwe.sample array;
+  window : int;
+  mutable slots : slot array;  (* the value table, by stream index *)
+  mutable next : int;  (* index of the next value *)
+  mutable inputs_seen : int;
+  mutable gate_total : int;  (* -1 until the header *)
+  mutable gates_seen : int;
+  mutable outputs : int list;  (* reversed *)
+  mutable eof : bool;
+  mutable seg : pending list array;  (* the segment, per level (index l - 1), reversed *)
+  mutable depth : int;
+  mutable queued : int;  (* bootstraps in the segment *)
+  mutable level : int;  (* the level whose jobs are current *)
   mutable jobs : job array;
-  mutable dsts : Netlist.id array;
+  mutable dsts : int array;
   mutable nots : int;
 }
+
+let fail msg = failwith ("Wave.cursor: " ^ msg)
+
+let grow a size fill =
+  let b = Array.make (max (2 * Array.length a) size) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let level_of c index =
+  match if index < 1 || index >= c.next then Unassigned else c.slots.(index) with
+  | Ready _ -> 0
+  | Pending { level; _ } -> level
+  | Unassigned -> fail "reference to an unassigned index"
+
+let is_lut c index =
+  match c.slots.(index) with Ready { lut; _ } | Pending { lut; _ } -> lut | Unassigned -> false
+
+let raw c index = match c.slots.(index) with Ready { v; _ } -> v | _ -> assert false
 
 (* LUT cells produce lutdom ciphertexts; classic consumers (gate operands,
    arity-1 cells, NOTs, outputs) read them through the free, exact
    lutdom -> classic view. *)
-let classic c id =
-  let v = Option.get c.values.(id) in
-  if Netlist.is_lut c.net id then Gates.lut_to_classic v else v
+let classic c index = if is_lut c index then Gates.lut_to_classic (raw c index) else raw c index
 
-let load c w =
-  c.wave <- w;
-  if w < Array.length c.waves then begin
-    let bd = gather () in
-    Array.iter
-      (fun id ->
-        match Netlist.kind c.net id with
-        | Netlist.Gate (g, a, b) -> add_gate bd ~dst:id g (classic c a) (classic c b)
-        | Netlist.Lut { table; ins } ->
-          let operands =
-            if Array.length ins = 1 then [| classic c ins.(0) |]
-            else Array.map (fun a -> Option.get c.values.(a)) ins
-          in
-          add_lut bd ~dst:id ~table ~ins operands
-        | Netlist.Input _ | Netlist.Const _ -> assert false)
-      c.waves.(w).Levelize.parallel;
-    let jobs, dsts = gathered bd in
+let set c dst v = c.slots.(dst) <- Ready { v; lut = is_lut c dst }
+
+(* The next index's slot. *)
+let assign c slot =
+  if c.next >= Array.length c.slots then c.slots <- grow c.slots (c.next + 16) Unassigned;
+  c.slots.(c.next) <- slot;
+  c.next <- c.next + 1
+
+let enqueue c l p =
+  if l > Array.length c.seg then c.seg <- grow c.seg l [];
+  c.seg.(l - 1) <- p :: c.seg.(l - 1)
+
+(* Level = 1 + the highest operand level within the segment. *)
+let queue c ~lut l p =
+  enqueue c l p;
+  c.depth <- max c.depth l;
+  c.queued <- c.queued + 1;
+  assign c (Pending { level = l; lut })
+
+let count_gate c =
+  c.gates_seen <- c.gates_seen + 1;
+  (* A streamed header carries the sentinel, not a count. *)
+  if c.gate_total <> Binary.streamed_gate_total && c.gates_seen > c.gate_total then
+    fail "more gates than the header declared"
+
+let feed c = function
+  | Const b -> assign c (Ready { v = Gates.constant c.cloud b; lut = false })
+  | Inst (Binary.Header { gate_total }) ->
+    if c.gate_total >= 0 then fail "duplicate header";
+    c.gate_total <- gate_total
+  | Inst _ when c.gate_total < 0 -> fail "missing header instruction"
+  | Inst (Binary.Input_decl { index }) ->
+    if index <> c.next then fail "non-sequential input index";
+    if c.inputs_seen >= Array.length c.inputs then
+      invalid_arg "Wave.cursor: more input declarations than inputs";
+    assign c (Ready { v = c.inputs.(c.inputs_seen); lut = false });
+    c.inputs_seen <- c.inputs_seen + 1
+  | Inst (Binary.Gate_inst { gate; in0; _ }) when Gate.is_unary gate ->
+    (* NOT is noiseless: evaluated at once when its operand is computed,
+       right after the operand's level otherwise. *)
+    count_gate c;
+    let base = level_of c in0 in
+    if base = 0 then begin
+      assign c (Ready { v = Lwe.neg (classic c in0); lut = false });
+      c.nots <- c.nots + 1
+    end
+    else begin
+      enqueue c base (P_not { src = in0; dst = c.next });
+      assign c (Pending { level = base; lut = false })
+    end
+  | Inst (Binary.Gate_inst { gate; in0; in1 }) ->
+    count_gate c;
+    queue c ~lut:false
+      (1 + max (level_of c in0) (level_of c in1))
+      (P_gate { gate; in0; in1; dst = c.next })
+  | Inst (Binary.Lut_inst { table; ins }) ->
+    count_gate c;
+    let arity = Array.length ins in
+    let base =
+      Array.fold_left
+        (fun acc idx ->
+          let l = level_of c idx in
+          if arity > 1 && not (is_lut c idx) then
+            raise
+              (Wire.Corrupt
+                 (Printf.sprintf "Wave.cursor: lut%d operand %d is not lutdom-encoded" arity idx));
+          max acc l)
+        0 ins
+    in
+    queue c ~lut:true (1 + base) (P_lut { table; ins; dst = c.next })
+  | Inst (Binary.Output_decl { index }) ->
+    ignore (level_of c index);
+    c.outputs <- index :: c.outputs
+
+(* Read instructions until the segment holds [window] bootstraps or the
+   source ends. *)
+let rec fill c =
+  if c.queued < c.window then
+    match c.next_item () with
+    | Some it ->
+      feed c it;
+      fill c
+    | None ->
+      c.eof <- true;
+      if c.gate_total < 0 then fail "missing header instruction";
+      if c.inputs_seen <> Array.length c.inputs then
+        invalid_arg
+          (Printf.sprintf "Wave.cursor: the program declares %d inputs, %d given" c.inputs_seen
+             (Array.length c.inputs))
+
+(* A level's jobs in arrival order, and the destination of every output
+   in flat output order.  Multi-input cells over the same operand tuple
+   join one rotation group at the first one's place (the indicators depend
+   only on the operands). *)
+let gather c pending =
+  let groups = Hashtbl.create 8 and slots = ref [] in
+  List.iter
+    (function
+      | P_gate { gate; in0; in1; dst } ->
+        slots := `Job (Gate { gate; a = classic c in0; b = classic c in1 }, dst) :: !slots
+      | P_lut { table; ins = [| i |]; dst } ->
+        let operands = [| classic c i |] in
+        slots := `Job (Group { arity = 1; operands; tables = [| table |] }, dst) :: !slots
+      | P_lut { table; ins; dst } -> (
+        match Hashtbl.find_opt groups ins with
+        | Some members -> members := (table, dst) :: !members
+        | None ->
+          let members = ref [ (table, dst) ] in
+          Hashtbl.add groups ins members;
+          slots := `Group (ins, members) :: !slots)
+      | P_not _ -> ())
+    pending;
+  let slots = Array.of_list (List.rev !slots) in
+  let jobs =
+    Array.map
+      (function
+        | `Job (job, _) -> job
+        | `Group (ins, members) ->
+          let tables = Array.of_list (List.rev_map fst !members) in
+          Group { arity = Array.length ins; operands = Array.map (raw c) ins; tables })
+      slots
+  in
+  let dsts =
+    Array.map
+      (function
+        | `Job (_, dst) -> [| dst |]
+        | `Group (_, members) -> Array.of_list (List.rev_map snd !members))
+      slots
+  in
+  (jobs, Array.concat (Array.to_list dsts))
+
+(* Make the current level's jobs current; once the segment is drained,
+   read the next one first.  Every level of a segment has a job: a
+   level-l instruction has an operand pending at level l - 1. *)
+let rec load c =
+  if c.level <= c.depth then begin
+    let jobs, dsts = gather c (List.rev c.seg.(c.level - 1)) in
     c.jobs <- jobs;
     c.dsts <- dsts
   end
-  else begin
+  else if c.eof then begin
     c.jobs <- [||];
     c.dsts <- [||]
   end
+  else begin
+    c.level <- 1;
+    c.depth <- 0;
+    c.queued <- 0;
+    fill c;
+    load c
+  end
 
-let cursor ?schedule cloud net inputs =
-  let input_list = Netlist.inputs net in
-  if Array.length inputs <> List.length input_list then
-    invalid_arg "Wave.cursor: input arity mismatch";
-  let values = Array.make (Netlist.node_count net) None in
-  List.iteri (fun i (_, id) -> values.(id) <- Some inputs.(i)) input_list;
-  for id = 0 to Netlist.node_count net - 1 do
-    match Netlist.kind net id with
-    | Netlist.Const b -> values.(id) <- Some (Gates.constant cloud b)
-    | Netlist.Input _ | Netlist.Gate _ | Netlist.Lut _ -> ()
-  done;
-  let sched = match schedule with Some s -> s | None -> Levelize.run net in
+let cursor ?(window = 1 lsl 15) cloud source inputs =
+  if window < 1 then invalid_arg "Wave.cursor: window must be positive";
   let c =
-    { net; waves = Levelize.waves sched net; values; wave = 0; jobs = [||]; dsts = [||]; nots = 0 }
+    {
+      cloud;
+      next_item = items source;
+      inputs;
+      window;
+      slots = [||];
+      next = 1;
+      inputs_seen = 0;
+      gate_total = -1;
+      gates_seen = 0;
+      outputs = [];
+      eof = false;
+      seg = [||];
+      depth = 0;
+      queued = 0;
+      level = 1;
+      jobs = [||];
+      dsts = [||];
+      nots = 0;
+    }
   in
-  load c 0;
+  load c;
   c
 
 let jobs c = c.jobs
-let finished c = c.wave >= Array.length c.waves
+let finished c = c.eof && c.level > c.depth
 
 let deliver c outs =
+  if finished c then invalid_arg "Wave.deliver: the cursor is finished";
   if Array.length outs <> Array.length c.dsts then
     invalid_arg "Wave.deliver: output count does not match the wave";
-  Array.iteri (fun i id -> c.values.(id) <- Some outs.(i)) c.dsts;
-  (* NOTs may read this wave's fresh results and each other (ascending). *)
-  Array.iter
-    (fun id ->
-      match Netlist.kind c.net id with
-      | Netlist.Gate (_, a, _) ->
-        c.values.(id) <- Some (Lwe.neg (classic c a));
+  Array.iteri (fun i dst -> set c dst outs.(i)) c.dsts;
+  (* This level's NOTs may read its fresh results and each other, in
+     arrival order. *)
+  List.iter
+    (function
+      | P_not { src; dst } ->
+        set c dst (Lwe.neg (classic c src));
         c.nots <- c.nots + 1
-      | Netlist.Input _ | Netlist.Const _ | Netlist.Lut _ -> assert false)
-    c.waves.(c.wave).Levelize.inline;
-  load c (c.wave + 1)
+      | P_gate _ | P_lut _ -> ())
+    (List.rev c.seg.(c.level - 1));
+  c.seg.(c.level - 1) <- [];
+  c.level <- c.level + 1;
+  load c
 
-let results c = Netlist.outputs c.net |> List.map (fun (_, id) -> classic c id) |> Array.of_list
+let results c = Array.of_list (List.rev_map (classic c) c.outputs)
 
-let run_netlist ~obs ~track ?(probe = ignore) ~run_wave cloud net inputs =
-  let c = cursor cloud net inputs in
-  let p = cloud.Gates.cloud_params in
+(* ------------------------------------------------------------------ *)
+(* The run loop                                                        *)
+(* ------------------------------------------------------------------ *)
+
+type stats = { bootstraps : int; nots : int; wave_wall : float array; wave_width : int array }
+
+type 'stats binding = {
+  run_wave : job array -> Lwe.sample array;
+  capacity : unit -> int;
+  workers : int;
+  track : string;
+  probe : Trace.track -> unit;
+  finish : start:float -> stats -> 'stats;
+  release : unit -> unit;
+}
+
+let drive ~obs b c =
+  let p = c.cloud.Gates.cloud_params in
+  let track = Trace.new_track obs ~name:b.track in
   let traced = Trace.enabled obs in
   if traced then Exec_obs.noise_gauges track p;
-  let nw = Array.length c.waves in
-  let wave_wall = Array.make nw 0.0 and wave_width = Array.make nw 0 in
-  let boots = ref 0 in
+  let walls = ref [] and widths = ref [] in
   while not (finished c) do
-    let w = c.wave and jobs = c.jobs and nots0 = c.nots in
+    let jobs = c.jobs and nots0 = c.nots in
     let t0 = Trace.now obs in
     let alloc0 = if traced then Exec_obs.alloc_words () else 0.0 in
-    let outs = if Array.length jobs = 0 then [||] else run_wave jobs in
+    let outs = b.run_wave jobs in
     deliver c outs;
     let t1 = Trace.now obs in
-    wave_wall.(w) <- t1 -. t0;
-    wave_width.(w) <- Array.length jobs;
-    boots := !boots + Array.length jobs;
+    walls := (t1 -. t0) :: !walls;
+    widths := Array.length jobs :: !widths;
     if traced then begin
-      Trace.span track ~cat:"wave" ~name:(Printf.sprintf "wave %d" w) ~t0 ~t1;
-      wave_probe obs track p ~probe ~jobs:(Array.length jobs) ~outputs:(Array.length outs)
-        ~nots:(c.nots - nots0) ~alloc0
+      let name = Printf.sprintf "wave %d" (List.length !walls - 1) in
+      Trace.span track ~cat:"wave" ~name ~t0 ~t1;
+      Exec_obs.wave_counters track p ~jobs:(Array.length jobs) ~outputs:(Array.length outs)
+        ~nots:(c.nots - nots0)
+        ~alloc_words:(Exec_obs.alloc_words () -. alloc0);
+      b.probe track;
+      Trace.drain obs
     end
   done;
-  (results c, { bootstraps = !boots; nots = c.nots; wave_wall; wave_width })
+  let wave_width = Array.of_list (List.rev !widths) in
+  ( results c,
+    {
+      bootstraps = Array.fold_left ( + ) 0 wave_width;
+      nots = c.nots;
+      wave_wall = Array.of_list (List.rev !walls);
+      wave_width;
+    } )

@@ -5,13 +5,13 @@
     an array of {!job}s; {!exec} runs it on a per-domain {!engine} in
     launches of at most the engine's capacity and returns the outputs in
     job order.  Scalar execution is capacity 1, not a second path, and
-    tracing is a sink the wave sources feed, not a second loop.
+    tracing is a sink the run loop feeds, not a second loop.
 
-    Around the engine sit the two wave sources, each parameterised by one
-    [run_wave : job array -> Lwe.sample array]: the netlist source
-    ({!run_netlist}, built on a {!cursor}) and the streamed-binary source
-    {!Stream_exec.run_waves}.  A placement — cpu, par, dist, the service —
-    only decides where [run_wave] executes. *)
+    Around the engine sits the one wave source, a pull {!cursor} over the
+    instruction stream (§IV-C: one scan, a value table indexed by the
+    sequential numbering of Fig. 5), and the one run loop {!drive}.  A
+    placement — cpu, par, dist, each request of the service — only
+    decides where a {!binding}'s [run_wave] executes. *)
 
 (** {1 Jobs} *)
 
@@ -61,80 +61,81 @@ val exec : engine -> job array -> Pytfhe_tfhe.Lwe.sample array
 val counters : engine -> Pytfhe_tfhe.Gates.batch_counters
 (** Cumulative launch and key-traffic counters of the engine. *)
 
-(** {1 Wave-source plumbing} *)
+(** {1 The cursor} *)
 
-type gather
-(** Gathers one wave's jobs: LUT cells over the same operand tuple join one
-    group, in first-appearance order. *)
-
-val gather : unit -> gather
-
-val add_gate :
-  gather -> dst:int -> Pytfhe_circuit.Gate.t -> Pytfhe_tfhe.Lwe.sample ->
-  Pytfhe_tfhe.Lwe.sample -> unit
-
-val add_lut :
-  gather -> dst:int -> table:int -> ins:int array -> Pytfhe_tfhe.Lwe.sample array -> unit
-(** [ins] names the operands (netlist ids or stream indices) for grouping;
-    the samples are the classic view for arity 1 and raw lutdom values
-    otherwise. *)
-
-val gathered : gather -> job array * int array
-(** The wave's jobs, and the destination of every output in flat output
-    order. *)
-
-type stats = {
-  bootstraps : int;  (** Jobs executed. *)
-  nots : int;
-  wave_wall : float array;  (** Wall seconds per wave. *)
-  wave_width : int array;  (** Jobs per wave. *)
-}
-
-val wave_probe :
-  Pytfhe_obs.Trace.sink -> Pytfhe_obs.Trace.track -> Pytfhe_tfhe.Params.t ->
-  probe:(Pytfhe_obs.Trace.track -> unit) -> jobs:int -> outputs:int -> nots:int ->
-  alloc0:float -> unit
-(** Emit one executed wave's counters on [track] (jobs as [bootstraps] and
-    [wave_width], outputs as [key_switches]), the placement's own [probe],
-    then drain — the sink must be enabled and every writer at the wave
-    barrier. *)
-
-(** {1 The netlist source} *)
+type source =
+  | Bytes of bytes  (** A resident assembled binary. *)
+  | Pull of (unit -> bytes option)
+      (** A binary pulled in chunks of any framing, e.g.
+          {!Pytfhe_circuit.Binary.read_source}. *)
+  | Netlist of Pytfhe_circuit.Netlist.t
+      (** A netlist read in id order as the instructions its ids would
+          assemble to; its constants are trivial ciphertexts, not
+          bootstrapped gates. *)
 
 type cursor
-(** One netlist's execution state: value table, constants, the levelized
-    waves and the current wave's jobs. *)
+(** One program's execution state: the value table, the current segment
+    and the current wave's jobs. *)
 
 val cursor :
-  ?schedule:Pytfhe_circuit.Levelize.schedule ->
-  Pytfhe_tfhe.Gates.cloud_keyset ->
-  Pytfhe_circuit.Netlist.t ->
-  Pytfhe_tfhe.Lwe.sample array ->
-  cursor
-(** Start at wave 0.  Raises [Invalid_argument] when [inputs] does not
-    match the netlist's input count. *)
+  ?window:int -> Pytfhe_tfhe.Gates.cloud_keyset -> source -> Pytfhe_tfhe.Lwe.sample array -> cursor
+(** Start a run of [source] on [inputs] (input-declaration order).
+    Instructions are read as needed: bootstrapped gates and LUT cells are
+    queued by level (1 + the highest operand level within the segment)
+    until the segment holds [window] (default 32768) bootstraps or the
+    source ends; the segment then runs level by level, so queued work stays
+    bounded however long the program is.  NOTs are evaluated at once when
+    their operand is computed, right after its level otherwise.  A level's
+    LUT cells over one operand tuple form one rotation group.
+
+    Raises, here or from {!deliver} when a later segment is read:
+    [Invalid_argument] when the number of input declarations is not
+    [Array.length inputs] or [window < 1]; [Failure] on a malformed stream
+    (bad length, missing or duplicate header, non-sequential input index,
+    reference to an unassigned index, more gates than the header
+    declares); [Pytfhe_util.Wire.Corrupt] on a corrupt LUT record or a
+    multi-input LUT cell over a classic operand. *)
 
 val jobs : cursor -> job array
-(** The current wave's jobs (empty on a NOT-only wave). *)
+(** The current wave's jobs; never empty until {!finished}. *)
 
 val deliver : cursor -> Pytfhe_tfhe.Lwe.sample array -> unit
-(** Store the current wave's outputs (flat, job order), run its inline
-    NOTs and move to the next wave. *)
+(** Store the current wave's outputs (flat, job order), run the NOTs that
+    wait on them and move to the next wave. *)
 
 val finished : cursor -> bool
 
 val results : cursor -> Pytfhe_tfhe.Lwe.sample array
 (** The outputs, classic views in declaration order, once {!finished}. *)
 
-val run_netlist :
+(** {1 The run loop} *)
+
+type stats = {
+  bootstraps : int;  (** Jobs executed. *)
+  nots : int;
+  wave_wall : float array;  (** Wall seconds per executed wave. *)
+  wave_width : int array;  (** Jobs per executed wave. *)
+}
+
+type 'stats binding = {
+  run_wave : job array -> Pytfhe_tfhe.Lwe.sample array;
+      (** Every job's outputs, flat in job order. *)
+  capacity : unit -> int;  (** Jobs one [run_wave] call launches at once. *)
+  workers : int;  (** Domains or processes. *)
+  track : string;  (** The trace track of {!drive}'s wave spans. *)
+  probe : Pytfhe_obs.Trace.track -> unit;  (** The placement's per-wave counters. *)
+  finish : start:float -> stats -> 'stats;
+      (** The placement's own stats of a run that started at [start]. *)
+  release : unit -> unit;  (** Free what the binding holds. *)
+}
+(** A placement bound to one cloud keyset: where waves execute. *)
+
+val drive :
   obs:Pytfhe_obs.Trace.sink ->
-  track:Pytfhe_obs.Trace.track ->
-  ?probe:(Pytfhe_obs.Trace.track -> unit) ->
-  run_wave:(job array -> Pytfhe_tfhe.Lwe.sample array) ->
-  Pytfhe_tfhe.Gates.cloud_keyset ->
-  Pytfhe_circuit.Netlist.t ->
-  Pytfhe_tfhe.Lwe.sample array ->
+  'stats binding ->
+  cursor ->
   Pytfhe_tfhe.Lwe.sample array * stats
-(** Drive a netlist wave by wave through [run_wave] (never called with an
-    empty wave).  With an enabled [obs] each wave gets a span on [track]
-    and {!wave_probe}'s counters; the noise gauges are sampled once. *)
+(** Run a cursor to the end, one [run_wave] per wave.  With an enabled
+    [obs] each wave gets a span on the binding's track, the standard
+    counters ({!Exec_obs.wave_counters}) and the binding's [probe]; the
+    noise gauges are sampled once. *)

@@ -380,52 +380,30 @@ let iter bytes f =
     f (instruction_of_words (Bytes.get_int64_le bytes (16 * i)) (Bytes.get_int64_le bytes ((16 * i) + 8)))
   done
 
-let iter_source read f =
-  (* Chunks arrive with arbitrary framing; a partial 16-byte instruction is
-     carried across chunk boundaries in [pending]. *)
-  let pending = Bytes.create 16 in
-  let fill = ref 0 in
-  let any = ref false in
-  let feed chunk =
-    let len = Bytes.length chunk in
-    let pos = ref 0 in
-    if !fill > 0 then begin
-      let take = min (16 - !fill) len in
-      Bytes.blit chunk 0 pending !fill take;
-      fill := !fill + take;
-      pos := take;
-      if !fill = 16 then begin
-        f (instruction_of_words (Bytes.get_int64_le pending 0) (Bytes.get_int64_le pending 8));
-        any := true;
-        fill := 0
-      end
-    end;
-    while len - !pos >= 16 do
-      f (instruction_of_words (Bytes.get_int64_le chunk !pos) (Bytes.get_int64_le chunk (!pos + 8)));
+let reader read =
+  (* Chunks arrive with arbitrary framing; the unread tail of one chunk (a
+     partial instruction) is carried in front of the next. *)
+  let buf = ref Bytes.empty and pos = ref 0 and any = ref false in
+  let rec next () =
+    if Bytes.length !buf - !pos >= 16 then begin
+      let p = !pos in
+      pos := p + 16;
       any := true;
-      pos := !pos + 16
-    done;
-    let rest = len - !pos in
-    if rest > 0 then begin
-      Bytes.blit chunk !pos pending 0 rest;
-      fill := rest
+      Some (instruction_of_words (Bytes.get_int64_le !buf p) (Bytes.get_int64_le !buf (p + 8)))
     end
+    else
+      match read () with
+      | Some chunk ->
+        let rest = Bytes.length !buf - !pos in
+        buf := if rest = 0 then chunk else Bytes.cat (Bytes.sub !buf !pos rest) chunk;
+        pos := 0;
+        next ()
+      | None ->
+        if Bytes.length !buf > !pos then failwith "Binary: truncated instruction stream";
+        if not !any then failwith "Binary.reader: empty stream";
+        None
   in
-  let rec loop () =
-    match read () with
-    | Some chunk ->
-      feed chunk;
-      loop ()
-    | None ->
-      if !fill <> 0 then failwith "Binary: truncated instruction stream";
-      if not !any then failwith "Binary.iter_source: empty stream"
-  in
-  loop ()
-
-let parse_source read =
-  let p = Parser.create () in
-  iter_source read (Parser.feed p);
-  Parser.finish p
+  next
 
 let read_source ?(chunk = 1 lsl 16) ic =
   let buf = Bytes.create chunk in

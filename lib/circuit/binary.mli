@@ -101,20 +101,17 @@ val read_file : string -> bytes
 
 val iter : bytes -> (instruction -> unit) -> unit
 (** Streaming decode: apply the callback to each instruction in order
-    without materialising a list (used by the streaming executor on
+    without materialising a list (used by the plaintext interpreter on
     multi-million-gate programs). *)
 
-val iter_source : (unit -> bytes option) -> (instruction -> unit) -> unit
-(** Like {!iter} over a pull source: [read ()] returns the next chunk of
-    the stream (arbitrary framing — instructions may straddle chunks) or
-    [None] at end of stream.  Raises [Failure] on a truncated trailing
-    instruction or an empty stream. *)
-
-val parse_source : (unit -> bytes option) -> Netlist.t
-(** Like {!parse} over a pull source — the netlist is rebuilt
-    incrementally, so only the dense netlist store (not the binary) is ever
-    resident. *)
+val reader : (unit -> bytes option) -> unit -> instruction option
+(** A pull decoder over a pull source: [reader read] returns a function
+    giving the next instruction, or [None] at end of stream.  [read ()]
+    returns the next chunk of the stream (arbitrary framing — instructions
+    may straddle chunks) or [None] at end of stream; a resident binary is a
+    source of one chunk.  Raises [Failure] on a truncated trailing
+    instruction or an empty stream, and what the record decoder raises. *)
 
 val read_source : ?chunk:int -> in_channel -> unit -> bytes option
 (** A pull source over an open channel, reading [chunk]-byte blocks
-    (default 64 KiB) — plug into {!iter_source}/{!parse_source}. *)
+    (default 64 KiB) — plug into {!reader}. *)

@@ -97,41 +97,6 @@ module Inc = struct
       widths = Growable.to_array t.counts; total_bootstraps = t.total }
 end
 
-type wave = { parallel : Netlist.id array; inline : Netlist.id array }
-
-let waves s net =
-  let nw = s.depth + 1 in
-  let par_count = Array.make nw 0 in
-  let inl_count = Array.make nw 0 in
-  (* Not gates are inline (free); everything else bootstrapped — LUT cells
-     included. *)
-  let visit f =
-    for id = 0 to Netlist.node_count net - 1 do
-      match Netlist.kind net id with
-      | Netlist.Input _ | Netlist.Const _ -> ()
-      | Netlist.Gate (g, _, _) -> f id (Gate.is_unary g)
-      | Netlist.Lut _ -> f id false
-    done
-  in
-  visit (fun id inl ->
-      let l = s.level.(id) in
-      if inl then inl_count.(l) <- inl_count.(l) + 1 else par_count.(l) <- par_count.(l) + 1);
-  let parallel = Array.init nw (fun w -> Array.make par_count.(w) 0) in
-  let inline = Array.init nw (fun w -> Array.make inl_count.(w) 0) in
-  let par_fill = Array.make nw 0 in
-  let inl_fill = Array.make nw 0 in
-  visit (fun id inl ->
-      let l = s.level.(id) in
-      if inl then begin
-        inline.(l).(inl_fill.(l)) <- id;
-        inl_fill.(l) <- inl_fill.(l) + 1
-      end
-      else begin
-        parallel.(l).(par_fill.(l)) <- id;
-        par_fill.(l) <- par_fill.(l) + 1
-      end);
-  Array.init nw (fun w -> { parallel = parallel.(w); inline = inline.(w) })
-
 let max_width s = Array.fold_left max 0 s.widths
 
 let average_width s =

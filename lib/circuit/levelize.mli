@@ -49,23 +49,6 @@ module Inc : sig
       exactly with [run net] over the same netlist. *)
 end
 
-type wave = {
-  parallel : Netlist.id array;
-      (** Bootstrapped gates of this level, ascending id.  Their fan-ins all
-          live in strictly earlier waves, so they may execute in any order —
-          or concurrently — within the wave. *)
-  inline : Netlist.id array;
-      (** Noiseless [Not] gates at this level, ascending id.  They may read
-          this wave's [parallel] results (and each other, ids ascending), so
-          they run after the parallel phase of the same wave. *)
-}
-
-val waves : schedule -> Netlist.t -> wave array
-(** [waves s net] materialises the schedule as [s.depth + 1] executable
-    waves (wave 0 holds only unary gates fed by inputs/constants).  This is
-    the work list a parallel executor fans out, one wave barrier at a
-    time. *)
-
 val max_width : schedule -> int
 (** Widest wave — the peak exploitable parallelism. *)
 

@@ -45,42 +45,6 @@ let compile ?(obs = Trace.null) ?(optimize = true) ?(lut_cover = false) ~name ne
   Trace.drain obs;
   { prog_name = name; netlist; binary; stats; schedule; opt_report }
 
-let of_binary ?max_bytes ~name binary =
-  (* Admission control happens on the raw length, before a single
-     instruction is decoded — an oversized submission must not cost the
-     service a parse. *)
-  (match max_bytes with
-  | Some cap when Bytes.length binary > cap ->
-    raise
-      (Pytfhe_util.Wire.Corrupt
-         (Printf.sprintf "Pipeline.of_binary: program is %d bytes, over the %d-byte admission cap"
-            (Bytes.length binary) cap))
-  | _ -> ());
-  let netlist = Binary.parse binary in
-  {
-    prog_name = name;
-    netlist;
-    binary;
-    stats = Stats.compute netlist;
-    schedule = Levelize.run netlist;
-    opt_report = None;
-  }
-
-let of_binary_source ~name read =
-  let netlist = Binary.parse_source read in
-  (* The source is gone once pulled; re-assemble the canonical binary from
-     the parsed netlist (byte-identical to the submitted stream modulo the
-     header sentinel, which re-assembly resolves to the exact count). *)
-  let binary = Binary.assemble netlist in
-  {
-    prog_name = name;
-    netlist;
-    binary;
-    stats = Stats.compute netlist;
-    schedule = Levelize.run netlist;
-    opt_report = None;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Streaming compilation                                               *)
 (* ------------------------------------------------------------------ *)
@@ -149,8 +113,8 @@ let compile_stream_to_file ?obs ?hash_consing ?fold_constants ?window ?chunk ~na
           ~sink:(output_bytes oc) builder
       in
       (* The sink is seekable: rewrite the sentinel header with the exact
-         gate total, so the file round-trips through [of_binary] with a
-         working gate-budget check. *)
+         gate total, so executors reading the file get a working
+         gate-budget check. *)
       let hdr = Bytes.make 16 '\000' in
       Binary.patch_header hdr report.gates;
       seek_out oc 0;

@@ -29,27 +29,6 @@ val compile :
     compile phase (optimize or lut-cover/assemble/stats/levelize) on a
     ["compile"] track. *)
 
-val of_binary : ?max_bytes:int -> name:string -> bytes -> compiled
-(** Rehydrate a compiled program from an assembled PyTFHE binary — the
-    ingestion path of the FHE-as-a-service server, whose clients submit
-    programs as binaries, not netlists.  Recomputes stats and the BFS
-    schedule from the parsed netlist; [opt_report] is [None] (synthesis
-    happened, if at all, on the submitting side).  With [?max_bytes], a
-    binary longer than the cap is rejected with
-    [Pytfhe_util.Wire.Corrupt] {e before} any instruction is decoded —
-    the service's admission check against oversized submissions.  Raises
-    [Pytfhe_util.Wire.Corrupt] on structurally corrupt LUT records and
-    [Failure] on malformed streams, like {!Pytfhe_circuit.Binary.parse}. *)
-
-val of_binary_source : name:string -> (unit -> bytes option) -> compiled
-(** Like {!of_binary} over a chunked pull source
-    ({!Pytfhe_circuit.Binary.parse_source}): the submitted stream is
-    parsed incrementally, so the client's binary is never resident in
-    full during ingestion.  The returned [binary] is the canonical
-    re-assembly of the parsed netlist — byte-identical to the submitted
-    stream except that a sentinel (streamed) header resolves to the exact
-    gate count. *)
-
 (** {2 Streaming compilation}
 
     The bounded-memory path for paper-scale programs: the builder

@@ -4,52 +4,13 @@ open Pytfhe_backend
 (* Real execution                                                      *)
 (* ------------------------------------------------------------------ *)
 
-type exec_backend =
+type exec_backend = Executor.placement =
   | Cpu
   | Multicore of { workers : int }
   | Multiprocess of { workers : int; config : Dist_eval.config option }
 
-(* Round-trippable names: [exec_backend_of_name (exec_backend_name b)]
-   recovers [b] (modulo an explicit [config], which has no spelling), and
-   the spellings are exactly what the CLI's [--backend] flag accepts, so
-   "serve --backend dist" and the bench artifacts agree on names. *)
-let exec_backend_name = function
-  | Cpu -> "cpu"
-  | Multicore { workers } ->
-    if workers = 0 then "par" else Printf.sprintf "par:%d" workers
-  | Multiprocess { workers; config } ->
-    let w = match config with Some c -> c.Dist_eval.workers | None -> workers in
-    Printf.sprintf "dist:%d" w
-
-let exec_backend_of_name s =
-  let workers_of tail ~who =
-    match int_of_string_opt tail with
-    | Some w when w >= 1 -> Ok w
-    | _ -> Error (Printf.sprintf "%s: worker count must be a positive integer, got %S" who tail)
-  in
-  match String.split_on_char ':' s with
-  | [ "cpu" ] -> Ok Cpu
-  | [ "par" ] -> Ok (Multicore { workers = 0 })
-  | [ "par"; w ] ->
-    Result.map (fun workers -> Multicore { workers }) (workers_of w ~who:"par")
-  | [ "dist" ] -> Ok (Multiprocess { workers = 2; config = None })
-  | [ "dist"; w ] ->
-    Result.map (fun workers -> Multiprocess { workers; config = None }) (workers_of w ~who:"dist")
-  | _ ->
-    Error
-      (Printf.sprintf
-         "unknown backend %S (expected cpu, par, par:N, dist or dist:N)" s)
-
-let executor = function
-  | Cpu -> Executor.cpu
-  | Multicore { workers } ->
-    if workers = 0 then Executor.multicore () else Executor.multicore ~workers ()
-  | Multiprocess { workers; config } ->
-    Executor.multiprocess ~workers ?config ()
-
 let run ?opts backend cloud compiled inputs =
-  let (module E : Executor.S) = executor backend in
-  E.run ?opts cloud compiled.Pipeline.netlist inputs
+  Executor.run ?opts backend cloud (Wave.Netlist compiled.Pipeline.netlist) inputs
 
 (* ------------------------------------------------------------------ *)
 (* Cost-model simulation                                               *)

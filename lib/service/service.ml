@@ -1,41 +1,46 @@
 (* The FHE-as-a-service server: a persistent TCP endpoint that holds many
    tenants' cloud keysets and executes their submitted programs, packing
    independent ready gates from concurrent requests that share a keyset
-   into the same batched bootstrap launch.
+   into the same launch of the configured placement.
 
    Design notes:
 
    - One thread, one select loop.  Admission, frame parsing, scheduling
-     and execution all happen on the scheduler thread: a bootstrap launch
-     is the unit of progress, and the loop re-polls every socket between
+     and execution all happen on the scheduler thread: a launch is the
+     unit of progress, and the loop re-polls every socket between
      launches, so newly arrived requests join the packing frontier at the
      next launch boundary (latency granularity = one launch).
    - The key-management model is the TFHE SecretKey/CloudKey split: SREG
      registers a *cloud* keyset under a client id (the secret keyset never
      crosses the wire), SSES opens a session whose params + transform tag
      must match the registered keyset, SREQ executes under a session.
+   - A request is its submitted bytes plus a Wave.cursor over them; no
+     netlist is ever built.  Each tenant generation binds the placement
+     once (cpu: an engine; par: per-domain engines on the service's one
+     pool; dist: a worker session).
    - Cross-request packing is per tenant: ciphertexts under different
-     keys can never share a launch.  Each request walks its netlist with a
-     Wave.cursor; within a tenant the scheduler takes ready jobs — gates
-     and LUT rotation groups alike — from requests in admission order
-     until the batch capacity is filled and runs them as one Wave.exec,
-     so replies are ciphertext-bit-exact with a per-tenant Server.run.
+     keys can never share a launch.  Within a tenant the scheduler takes
+     ready jobs — gates and LUT rotation groups alike — from requests in
+     admission order up to the binding's capacity and runs them as one
+     run_wave, so replies are ciphertext-bit-exact with a per-tenant
+     Server.run.
    - Failure isolation: a frame whose payload fails validation draws an
-     SERR on that connection and nothing else; a connection dying takes
-     its own sessions and in-flight requests with it; evicting a keyset
-     fails exactly that tenant's in-flight requests. *)
+     SERR on that connection and nothing else; a program the cursor
+     rejects fails only its own request; a connection dying takes its own
+     sessions and in-flight requests with it; evicting a keyset fails
+     exactly that tenant's in-flight requests; a placement failing a
+     launch fails that launch's requests and drops the binding. *)
 
 module Wire = Pytfhe_util.Wire
 module Trace = Pytfhe_obs.Trace
 module Quantile = Pytfhe_obs.Quantile
-module Netlist = Pytfhe_circuit.Netlist
 module Framing = Pytfhe_backend.Framing
 module Dist_eval = Pytfhe_backend.Dist_eval
+module Par_eval = Pytfhe_backend.Par_eval
 module Wave = Pytfhe_backend.Wave
 module Executor = Pytfhe_backend.Executor
 module Exec_obs = Pytfhe_backend.Exec_obs
 module Server = Pytfhe_core.Server
-module Pipeline = Pytfhe_core.Pipeline
 open Pytfhe_tfhe
 
 (* ------------------------------------------------------------------ *)
@@ -219,7 +224,7 @@ type request = {
   rq_conn : conn;
   rq_client : string;
   rq_generation : int;
-  rq_compiled : Pipeline.compiled;
+  rq_program : bytes;
   rq_inputs : Lwe.sample array;
   mutable rq_cursor : Wave.cursor option;  (* from admission on *)
   mutable rq_next : int;  (* next unexecuted job of the cursor's wave *)
@@ -230,11 +235,13 @@ type request = {
   mutable rq_done : bool;
 }
 
-type tenant = { t_ck : Gates.cloud_keyset; t_engine : Wave.engine }
+(* A tenant generation's keyset and, while bound, its placement. *)
+type tenant = { t_ck : Gates.cloud_keyset; mutable t_binding : Executor.binding option }
 
 type state = {
   cfg : config;
   opts : Executor.opts;
+  pool : Par_eval.pool option;  (* the one domain pool of a par placement *)
   ring : Keyring.t;
   sessions : (int, session) Hashtbl.t;
   tenants : (string * int, tenant) Hashtbl.t;  (* (client, generation) *)
@@ -277,7 +284,7 @@ let count_out st id bytes =
 
 let snapshot st =
   {
-    backend = Server.exec_backend_name st.cfg.backend;
+    backend = Executor.placement_name st.cfg.backend;
     keysets_registered = st.c_registered;
     keysets_evicted = st.c_evicted;
     sessions_opened = st.c_sessions;
@@ -332,15 +339,17 @@ let send_err st conn ?tenant ~req code message =
 (* Request lifecycle                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let tenant_state st client generation ck =
-  let key = (client, generation) in
-  match Hashtbl.find_opt st.tenants key with
-  | Some t -> t
+let binding st t =
+  match t.t_binding with
+  | Some b -> b
   | None ->
-    Params.precompute ck.Gates.cloud_params;
-    let t = { t_ck = ck; t_engine = Wave.engine ck ~cap:st.opts.Executor.batch } in
-    Hashtbl.replace st.tenants key t;
-    t
+    let b = Executor.bind ~opts:st.opts ?pool:st.pool st.cfg.backend t.t_ck in
+    t.t_binding <- Some b;
+    b
+
+let release t =
+  Option.iter (fun b -> b.Wave.release ()) t.t_binding;
+  t.t_binding <- None
 
 let reply st rq outputs =
   let now = Unix.gettimeofday () in
@@ -364,17 +373,21 @@ let fail_request st rq code message =
       send_err st rq.rq_conn ~tenant:rq.rq_client ~req:rq.rq_id code message
   end
 
-(* Move a request whose current wave has no jobs left to run: store the
-   wave's outputs, and keep going through job-free (NOT-only) waves until
-   jobs are ready again or the program is done. *)
-let rec settle st rq c =
-  if Wave.finished c then reply st rq (Wave.results c)
-  else if rq.rq_next = Array.length (Wave.jobs c) then begin
-    Wave.deliver c (Array.of_list (List.rev rq.rq_outs));
-    rq.rq_next <- 0;
-    rq.rq_outs <- [];
-    settle st rq c
-  end
+(* Once a request has run every job of its current wave: store the
+   wave's outputs, and reply when the program is done.  A program the
+   cursor rejects from a later segment fails only its own request. *)
+let settle st rq =
+  let c = Option.get rq.rq_cursor in
+  match
+    if (not (Wave.finished c)) && rq.rq_next = Array.length (Wave.jobs c) then begin
+      Wave.deliver c (Array.of_list (List.rev rq.rq_outs));
+      rq.rq_next <- 0;
+      rq.rq_outs <- []
+    end
+  with
+  | exception (Failure msg | Invalid_argument msg | Wire.Corrupt msg) ->
+    fail_request st rq Corrupt msg
+  | () -> if Wave.finished c then reply st rq (Wave.results c)
 
 let admit st rq =
   st.c_admitted <- st.c_admitted + 1;
@@ -384,26 +397,22 @@ let admit st rq =
   | Some e when e.Keyring.generation <> rq.rq_generation ->
     fail_request st rq Unknown "keyset re-registered; reopen the session"
   | Some e -> (
-    match st.cfg.backend with
-    | Server.Cpu ->
-      let t = tenant_state st rq.rq_client rq.rq_generation e.Keyring.keyset in
-      let c =
-        Wave.cursor ~schedule:rq.rq_compiled.Pipeline.schedule t.t_ck
-          rq.rq_compiled.Pipeline.netlist rq.rq_inputs
-      in
-      rq.rq_cursor <- Some c;
-      st.active <- st.active @ [ rq ];
-      settle st rq c
-    | backend -> (
-      (* Pass-through mode: no cross-request packing; each request runs
-         whole through the selected executor, in admission order. *)
-      try
-        let outputs, es =
-          Server.run ~opts:st.opts backend e.Keyring.keyset rq.rq_compiled rq.rq_inputs
-        in
-        rq.rq_bootstraps <- es.Executor.bootstraps_executed;
-        reply st rq outputs
-      with Failure msg | Invalid_argument msg -> fail_request st rq Internal msg))
+    let key = (rq.rq_client, rq.rq_generation) in
+    if not (Hashtbl.mem st.tenants key) then
+      Hashtbl.replace st.tenants key { t_ck = e.Keyring.keyset; t_binding = None };
+    let t = Hashtbl.find st.tenants key in
+    (* The cursor reads the program's first segment here: a program that
+       fits one segment is checked in full before it runs. *)
+    match Wave.cursor t.t_ck (Wave.Bytes rq.rq_program) rq.rq_inputs with
+    | exception (Failure msg | Invalid_argument msg | Wire.Corrupt msg) ->
+      fail_request st rq Corrupt msg
+    | c -> (
+      match binding st t with
+      | exception (Failure msg | Invalid_argument msg) -> fail_request st rq Internal msg
+      | _ ->
+        rq.rq_cursor <- Some c;
+        st.active <- st.active @ [ rq ];
+        settle st rq))
 
 let prune_active st = st.active <- List.filter (fun rq -> not rq.rq_done) st.active
 
@@ -413,97 +422,104 @@ let admit_waiting st =
   done;
   prune_active st
 
+(* A generation keeps its binding while it is current or has admitted
+   requests running; an evicted or re-registered one loses it after its
+   last request. *)
+let release_stale st =
+  Hashtbl.filter_map_inplace
+    (fun (client, generation) t ->
+      let current =
+        Option.map (fun e -> e.Keyring.generation) (Keyring.find st.ring client) = Some generation
+      in
+      if current
+         || List.exists (fun rq -> rq.rq_client = client && rq.rq_generation = generation) st.active
+      then Some t
+      else begin
+        release t;
+        None
+      end)
+    st.tenants
+
 let has_jobs rq =
   match rq.rq_cursor with
   | Some c -> (not rq.rq_done) && rq.rq_next < Array.length (Wave.jobs c)
   | None -> false
 
 (* One launch: pick the tenant owning the oldest ready request, fill up to
-   the batch capacity with ready jobs from that tenant's requests in
-   admission order, run them as one Wave.exec, then settle every request
-   whose wave drained. *)
+   its binding's capacity with ready jobs from that tenant's requests in
+   admission order, run them as one run_wave, then settle every request
+   whose wave drained.  A placement failure fails the launch's requests
+   and releases the binding; the tenant binds afresh when next needed. *)
 let launch_one st =
   match List.find_opt has_jobs st.active with
-  | None -> false
-  | Some first ->
+  | None -> ()
+  | Some first -> (
     let client = first.rq_client and generation = first.rq_generation in
-    let t =
-      match Hashtbl.find_opt st.tenants (client, generation) with
-      | Some t -> t
-      | None -> assert false (* pinned at admission *)
-    in
-    let picked = ref [] and budget = ref (Wave.capacity t.t_engine) in
-    List.iter
-      (fun rq ->
-        if has_jobs rq && rq.rq_client = client && rq.rq_generation = generation then begin
-          let jobs = Wave.jobs (Option.get rq.rq_cursor) in
-          while !budget > 0 && rq.rq_next < Array.length jobs do
-            picked := (rq, jobs.(rq.rq_next)) :: !picked;
-            rq.rq_next <- rq.rq_next + 1;
-            decr budget
-          done
-        end)
-      st.active;
-    let picked = Array.of_list (List.rev !picked) in
-    let outs = Wave.exec t.t_engine (Array.map snd picked) in
-    let pos = ref 0 in
-    Array.iter
-      (fun (rq, job) ->
-        for k = 0 to Wave.outputs job - 1 do
-          rq.rq_outs <- outs.(!pos + k) :: rq.rq_outs
-        done;
-        pos := !pos + Wave.outputs job;
-        rq.rq_bootstraps <- rq.rq_bootstraps + 1;
-        match job with
-        | Wave.Group _ -> st.c_lut_rotations <- st.c_lut_rotations + 1
-        | Wave.Gate _ -> ())
-      picked;
-    let len = Array.length picked in
-    st.c_launches <- st.c_launches + 1;
-    st.c_gates <- st.c_gates + len;
-    (* Settle each distinct request whose wave drained. *)
-    Array.iter
-      (fun (rq, _) -> if not rq.rq_done then settle st rq (Option.get rq.rq_cursor))
-      picked;
-    prune_active st;
-    if Trace.enabled st.opts.Executor.obs then begin
-      Exec_obs.service_counters st.tr
-        ~queue_depth:(Queue.length st.queue)
-        ~active:(List.length st.active) ~launches:1 ~gates:len ~cap:(Wave.capacity t.t_engine);
-      Trace.drain st.opts.Executor.obs
-    end;
-    true
+    let t = Hashtbl.find st.tenants (client, generation) (* pinned at admission *) in
+    let ready rq = has_jobs rq && rq.rq_client = client && rq.rq_generation = generation in
+    match binding st t with
+    | exception (Failure msg | Invalid_argument msg) ->
+      List.iter (fun rq -> if ready rq then fail_request st rq Internal msg) st.active
+    | b ->
+      let picked = ref [] and budget = ref (b.Wave.capacity ()) in
+      List.iter
+        (fun rq ->
+          if ready rq then begin
+            let jobs = Wave.jobs (Option.get rq.rq_cursor) in
+            while !budget > 0 && rq.rq_next < Array.length jobs do
+              picked := (rq, jobs.(rq.rq_next)) :: !picked;
+              rq.rq_next <- rq.rq_next + 1;
+              decr budget
+            done
+          end)
+        st.active;
+      let picked = Array.of_list (List.rev !picked) in
+      let len = Array.length picked in
+      (match b.Wave.run_wave (Array.map snd picked) with
+      | exception (Failure msg | Invalid_argument msg) ->
+        Array.iter (fun (rq, _) -> fail_request st rq Internal msg) picked;
+        release t
+      | outs ->
+        let pos = ref 0 in
+        Array.iter
+          (fun (rq, job) ->
+            for k = 0 to Wave.outputs job - 1 do
+              rq.rq_outs <- outs.(!pos + k) :: rq.rq_outs
+            done;
+            pos := !pos + Wave.outputs job;
+            rq.rq_bootstraps <- rq.rq_bootstraps + 1;
+            match job with
+            | Wave.Group _ -> st.c_lut_rotations <- st.c_lut_rotations + 1
+            | Wave.Gate _ -> ())
+          picked;
+        st.c_launches <- st.c_launches + 1;
+        st.c_gates <- st.c_gates + len;
+        Array.iter (fun (rq, _) -> if not rq.rq_done then settle st rq) picked);
+      prune_active st;
+      if Trace.enabled st.opts.Executor.obs then begin
+        Exec_obs.service_counters st.tr
+          ~queue_depth:(Queue.length st.queue)
+          ~active:(List.length st.active) ~launches:1 ~gates:len ~cap:(b.Wave.capacity ());
+        Trace.drain st.opts.Executor.obs
+      end)
 
 (* ------------------------------------------------------------------ *)
 (* Frame handling                                                      *)
 (* ------------------------------------------------------------------ *)
 
+let each_request st f =
+  List.iter f st.active;
+  Queue.iter f st.queue
+
 let close_conn st conn =
   if conn.alive then begin
     conn.alive <- false;
     (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-    (* Sessions die with their connection. *)
-    let dead =
-      Hashtbl.fold
-        (fun sid s acc -> if s.s_conn == conn then sid :: acc else acc)
-        st.sessions []
-    in
-    List.iter (Hashtbl.remove st.sessions) dead;
-    (* In-flight requests from this connection have nowhere to reply. *)
-    List.iter
-      (fun rq ->
-        if rq.rq_conn == conn && not rq.rq_done then begin
-          rq.rq_done <- true;
-          st.c_failed <- st.c_failed + 1
-        end)
-      st.active;
-    Queue.iter
-      (fun rq ->
-        if rq.rq_conn == conn && not rq.rq_done then begin
-          rq.rq_done <- true;
-          st.c_failed <- st.c_failed + 1
-        end)
-      st.queue;
+    (* Sessions die with their connection, and its in-flight requests
+       have nowhere to reply. *)
+    Hashtbl.filter_map_inplace (fun _ s -> if s.s_conn == conn then None else Some s) st.sessions;
+    each_request st (fun rq ->
+        if rq.rq_conn == conn then fail_request st rq Internal "connection closed");
     prune_active st
   end
 
@@ -512,31 +528,17 @@ let evict_client st conn id =
   let existed = Keyring.evict st.ring id in
   if existed then begin
     st.c_evicted <- st.c_evicted + 1;
-    (* Drop every cached generation of the tenant's execution state. *)
-    let stale =
-      Hashtbl.fold
-        (fun (c, g) _ acc -> if c = id then (c, g) :: acc else acc)
-        st.tenants []
-    in
-    List.iter (Hashtbl.remove st.tenants) stale;
-    (* Fail exactly this tenant's in-flight and queued requests. *)
-    List.iter
-      (fun rq -> if rq.rq_client = id then fail_request st rq Evicted "keyset evicted")
-      st.active;
-    Queue.iter
-      (fun rq -> if rq.rq_client = id then fail_request st rq Evicted "keyset evicted")
-      st.queue;
+    (* Fail exactly this tenant's in-flight and queued requests, and
+       release every generation's binding. *)
+    each_request st (fun rq ->
+        if rq.rq_client = id then fail_request st rq Evicted "keyset evicted");
     prune_active st;
+    release_stale st;
     let drained = Queue.fold (fun acc rq -> if rq.rq_done then acc else rq :: acc) [] st.queue in
     Queue.clear st.queue;
     List.iter (fun rq -> Queue.push rq st.queue) (List.rev drained);
     (* Sessions bound to the evicted keyset become invalid. *)
-    let dead =
-      Hashtbl.fold
-        (fun sid s acc -> if s.s_client = id then sid :: acc else acc)
-        st.sessions []
-    in
-    List.iter (Hashtbl.remove st.sessions) dead
+    Hashtbl.filter_map_inplace (fun _ s -> if s.s_client = id then None else Some s) st.sessions
   end;
   send_ack st conn ~tenant:id ~value:(if existed then 1 else 0)
     (if existed then "evicted" else "not registered")
@@ -599,19 +601,17 @@ let handle_frame st conn payload =
     | Some s -> (
       count_in st s.s_client size;
       try
-        let name = Wire.read_string r in
+        let _name = Wire.read_string r in
         let program = Wire.read_string r in
         let inputs = Wire.read_array r Lwe.read_sample in
-        let compiled =
-          Pipeline.of_binary ~max_bytes:st.cfg.max_program_bytes ~name (Bytes.of_string program)
-        in
-        let net = compiled.Pipeline.netlist in
-        if List.length (Netlist.inputs net) <> Array.length inputs then
+        (* Admission control happens on the raw length, before a single
+           instruction is decoded: size is the one property judged
+           without paying for a parse. *)
+        if String.length program > st.cfg.max_program_bytes then
           raise
             (Wire.Corrupt
-               (Printf.sprintf "Service: program %s expects %d inputs, got %d" name
-                  (List.length (Netlist.inputs net))
-                  (Array.length inputs)));
+               (Printf.sprintf "Service: program is %d bytes, over the %d-byte admission cap"
+                  (String.length program) st.cfg.max_program_bytes));
         if Queue.length st.queue >= st.cfg.max_queue then
           send_err st conn ~tenant:s.s_client ~req Busy "admission queue full"
         else begin
@@ -621,7 +621,7 @@ let handle_frame st conn payload =
               rq_conn = conn;
               rq_client = s.s_client;
               rq_generation = s.s_generation;
-              rq_compiled = compiled;
+              rq_program = Bytes.unsafe_of_string program;
               rq_inputs = inputs;
               rq_cursor = None;
               rq_next = 0;
@@ -726,6 +726,7 @@ let serve ?(opts = default_opts) ?(config = default_config) ?(ready = fun _ -> (
     {
       cfg = config;
       opts;
+      pool = Executor.pool config.backend;
       ring = Keyring.create ();
       sessions = Hashtbl.create 16;
       tenants = Hashtbl.create 16;
@@ -798,8 +799,11 @@ let serve ?(opts = default_opts) ?(config = default_config) ?(ready = fun _ -> (
     (* 2. Admit waiting requests up to the active-set bound. *)
     admit_waiting st;
     (* 3. One batched launch of packed ready gates. *)
-    if have_ready () then ignore (launch_one st)
+    if have_ready () then launch_one st;
+    release_stale st
   done;
+  Hashtbl.iter (fun _ t -> release t) st.tenants;
+  Option.iter Par_eval.shutdown st.pool;
   (* Emit per-tenant traffic before the sink is drained for the last time. *)
   if Trace.enabled opts.Executor.obs then begin
     Hashtbl.iter

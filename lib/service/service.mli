@@ -7,18 +7,20 @@
     never cross the wire — and executes submitted programs (PyTFHE binaries)
     against them.
 
-    The scheduler is the point of the exercise: independent ready jobs —
-    gates and LUT rotation groups — from {e concurrent requests sharing a
-    keyset} are packed into the same {!Pytfhe_backend.Wave.exec} launch,
-    so a stream of narrow circuits (the worst
-    case for per-request batching: a serial chain exposes one ready gate at
-    a time) still fills the batch kernel.  On serial-chain workloads a batch
-    fill above 1.0 is only reachable by cross-request packing — the service
-    bench asserts exactly that.
+    The scheduler is the point of the exercise: each request is its
+    submitted bytes plus a {!Pytfhe_backend.Wave.cursor}, and independent
+    ready jobs — gates and LUT rotation groups — from {e concurrent
+    requests sharing a keyset} are packed into one launch of the
+    configured placement, so a stream of narrow circuits (the worst case
+    for per-request batching: a serial chain exposes one ready gate at a
+    time) still fills the batch kernel.  On serial-chain workloads a batch
+    fill above 1.0 is only reachable by cross-request packing — the
+    service bench asserts exactly that.
 
     Failure semantics: a malformed payload draws an [SERR] on its own
-    connection and nothing else dies; envelope corruption (bad frame magic
-    or implausible length) closes only that connection; evicting a keyset
+    connection and nothing else dies; a program the cursor rejects fails
+    only its own request; envelope corruption (bad frame magic or
+    implausible length) closes only that connection; evicting a keyset
     fails only that tenant's queued and in-flight requests.  Replies are
     ciphertext-bit-exact with a per-tenant {!Pytfhe_core.Server.run} of the
     same program.
@@ -54,7 +56,7 @@ type stats = {
   requests_admitted : int;
   requests_completed : int;
   requests_failed : int;
-  batch_launches : int;  (** Cross-request {!Pytfhe_backend.Wave.exec} launches. *)
+  batch_launches : int;  (** Cross-request launches ([run_wave] calls). *)
   batched_gates : int;
       (** Jobs executed through those launches (a LUT rotation group is
           one). *)
@@ -84,16 +86,12 @@ type config = {
   max_program_bytes : int;
       (** Largest program binary accepted in an [SREQ] (default 64 MiB).
           An oversized submission draws [Corrupt] {e before} the server
-          decodes a single instruction of it
-          ({!Pytfhe_core.Pipeline.of_binary}'s [max_bytes] check) — size
-          is the one property admission control can judge without paying
-          for a parse. *)
+          decodes a single instruction of it — size is the one property
+          admission control can judge without paying for a parse. *)
   backend : Pytfhe_core.Server.exec_backend;
-      (** {!Pytfhe_core.Server.Cpu} (default) runs the cross-request
-          packing scheduler in-process.  [Multicore]/[Multiprocess] are
-          pass-through modes: each request runs whole through that
-          executor in admission order — no cross-request packing, useful
-          to put the service endpoint in front of the other backends. *)
+      (** The placement launches run on ({!Pytfhe_core.Server.Cpu} by
+          default).  Every placement packs across requests; a [Multicore]
+          one shares one domain pool across tenants. *)
   idle_timeout : float;  (** Socket-poll timeout when no work is pending. *)
 }
 
@@ -114,8 +112,8 @@ val serve :
 (** Run the server until a [SHUT] frame arrives, then drain remaining work
     and return final statistics.  [ready] is called with the bound port
     once the socket is listening (the hook a test or bench uses to learn
-    an ephemeral port before connecting).  [opts.batch] sets the packing
-    capacity (and is passed through to the pass-through backends);
-    [opts.obs] receives [service_queue_depth]/[service_batch_fill]/
-    per-tenant byte counters.  Raises [Invalid_argument] when
-    [opts.batch < 1]. *)
+    an ephemeral port before connecting).  [opts.batch] is every engine's
+    launch capacity (a launch packs up to [batch] jobs per domain or
+    worker); [opts.obs] receives [service_queue_depth]/
+    [service_batch_fill]/per-tenant byte counters.  Raises
+    [Invalid_argument] when [opts.batch < 1]. *)

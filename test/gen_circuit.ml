@@ -127,3 +127,19 @@ let random ?(inputs = 4) ?(gates = 10) ?(outputs = 3) ~seed () =
     (fun i id -> if i < outputs then Netlist.mark_output net (Printf.sprintf "o%d" i) id)
     !nodes;
   net
+
+(* Raw 128-bit instructions with chosen (a, b, tag) fields — lets the
+   tests reach decoder paths [Binary.assemble] can never emit. *)
+let craft insts =
+  let buf = Buffer.create 64 in
+  List.iter
+    (fun (a, b, tag) ->
+      let b64 = Int64.of_int b in
+      let lo = Int64.logor (Int64.shift_left b64 4) (Int64.of_int (tag land 0xF)) in
+      let hi =
+        Int64.logor (Int64.shift_left (Int64.of_int a) 2) (Int64.shift_right_logical b64 60)
+      in
+      Buffer.add_int64_le buf lo;
+      Buffer.add_int64_le buf hi)
+    insts;
+  Buffer.to_bytes buf

@@ -273,22 +273,6 @@ let test_stream_exec_handles_constants () =
   Alcotest.(check (array bool)) "other polarity" [| true |]
     (Stream_exec.run_bits bytes [| false |])
 
-(* Raw 128-bit instructions with chosen (a, b, tag) fields — lets the
-   tests reach decoder paths [Binary.assemble] can never emit. *)
-let craft insts =
-  let buf = Buffer.create 64 in
-  List.iter
-    (fun (a, b, tag) ->
-      let b64 = Int64.of_int b in
-      let lo = Int64.logor (Int64.shift_left b64 4) (Int64.of_int (tag land 0xF)) in
-      let hi =
-        Int64.logor (Int64.shift_left (Int64.of_int a) 2) (Int64.shift_right_logical b64 60)
-      in
-      Buffer.add_int64_le buf lo;
-      Buffer.add_int64_le buf hi)
-    insts;
-  Buffer.to_bytes buf
-
 let test_stream_exec_rejects_malformed () =
   let reject label ins bytes =
     Alcotest.(check bool) label true
@@ -313,16 +297,16 @@ let test_stream_exec_rejects_malformed () =
   let all_ones = 0x3FFFFFFFFFFFFFFF in
   (* tag 0xD is not a gate opcode (gates are 1-11), a LUT record (0xC) nor
      a declaration *)
-  reject0 "unknown instruction tag" (craft [ (0, 0, 0x0); (1, 2, 0xD) ]);
+  reject0 "unknown instruction tag" (Gen_circuit.craft [ (0, 0, 0x0); (1, 2, 0xD) ]);
   (* a gate whose fan-in points past every assigned index *)
   reject "forward gate reference" [| true |]
-    (craft [ (0, 1, 0x0); (all_ones, 1, 0xF); (5, 1, 6) ]);
+    (Gen_circuit.craft [ (0, 1, 0x0); (all_ones, 1, 0xF); (5, 1, 6) ]);
   (* more gates than the header declared *)
   reject "gate count overflow" [| true |]
-    (craft [ (0, 0, 0x0); (all_ones, 1, 0xF); (1, 1, 6) ]);
+    (Gen_circuit.craft [ (0, 0, 0x0); (all_ones, 1, 0xF); (1, 1, 6) ]);
   (* duplicate header mid-stream *)
   reject "duplicate header" [| true |]
-    (craft [ (0, 1, 0x0); (all_ones, 1, 0xF); (0, 1, 0x0); (1, 1, 6) ])
+    (Gen_circuit.craft [ (0, 1, 0x0); (all_ones, 1, 0xF); (0, 1, 0x0); (1, 1, 6) ])
 
 (* Structurally corrupt LUT records (tag 0xC).  Every case must surface as
    [Wire.Corrupt] — a graceful rejection of a hostile stream — and never as
@@ -339,7 +323,7 @@ let test_stream_exec_rejects_malformed_lut () =
   in
   (* index 0 is the reserved null slot, so the first input lands at 1 *)
   let header_and_input = [ (0, 1, 0x0); (0x3FFFFFFFFFFFFFFF, 1, 0xF) ] in
-  let lut b = craft (header_and_input @ [ (1, b, 0xC) ]) in
+  let lut b = Gen_circuit.craft (header_and_input @ [ (1, b, 0xC) ]) in
   (* arity field 0: no such LUT record *)
   reject_corrupt "lut arity 0" [| true |] (lut 0);
   (* arity 1 admits 4 tables; 0b100 needs arity 2 *)
@@ -361,7 +345,7 @@ let test_stream_exec_rejects_malformed_lut () =
      classic operands (duplicates would canonicalise to arity 1):
      Binary.parse reports corruption, not Invalid_argument *)
   let two_input_lut2 =
-    craft
+    Gen_circuit.craft
       [ (0, 1, 0x0); (0x3FFFFFFFFFFFFFFF, 1, 0xF); (0x3FFFFFFFFFFFFFFF, 2, 0xF);
         (1, 2 lor (0b0110 lsl 2) lor (2 lsl 10), 0xC) ]
   in
@@ -385,16 +369,7 @@ let test_stream_exec_encrypted () =
   let rng = Rng.create ~seed:78 () in
   let ins = Array.init 4 (fun _ -> Rng.bool rng) in
   let cts = Array.map (Pytfhe_tfhe.Gates.encrypt_bit rng sk) ins in
-  let read =
-    let sent = ref false in
-    fun () ->
-      if !sent then None
-      else begin
-        sent := true;
-        Some bytes
-      end
-  in
-  let outs, _ = Stream_exec.run_encrypted_stream ck read cts in
+  let outs, _ = Executor.run Executor.Cpu ck (Wave.Bytes bytes) cts in
   let expected = Stream_exec.run_bits bytes ins in
   Alcotest.(check (array bool)) "encrypted stream execution" expected
     (Array.map (Pytfhe_tfhe.Gates.decrypt_bit sk) outs)
@@ -416,7 +391,7 @@ let test_tfhe_eval_full_adder () =
     (fun (av, bv, cv) ->
       let ins = [| av; bv; cv |] in
       let cts = Array.map (Pytfhe_tfhe.Gates.encrypt_bit rng sk) ins in
-      let outs, stats = Tfhe_eval.run ck net cts in
+      let outs, stats = Runs.cpu ck net cts in
       let decrypted = Array.map (Pytfhe_tfhe.Gates.decrypt_bit sk) outs in
       let expected = Array.of_list (List.map snd (Plain_eval.run net ins)) in
       Alcotest.(check (array bool)) "encrypted = plain" expected decrypted;
@@ -434,7 +409,7 @@ let test_tfhe_eval_with_constants_and_not () =
   List.iter
     (fun v ->
       let cts = [| Pytfhe_tfhe.Gates.encrypt_bit rng sk v |] in
-      let outs, _ = Tfhe_eval.run ck net cts in
+      let outs, _ = Runs.cpu ck net cts in
       Alcotest.(check bool) "not through constant and" (not v)
         (Pytfhe_tfhe.Gates.decrypt_bit sk outs.(0)))
     [ true; false ]
@@ -455,13 +430,13 @@ let test_par_eval_matches_sequential =
       let rng = Rng.create ~seed:(1000 + s2) () in
       let ins = Array.init (Netlist.input_count net) (fun _ -> Rng.bool rng) in
       let cts = Array.map (Pytfhe_tfhe.Gates.encrypt_bit rng sk) ins in
-      let seq_out, _ = Tfhe_eval.run ck net cts in
+      let seq_out, _ = Runs.cpu ck net cts in
       let plain = Array.of_list (List.map snd (Plain_eval.run net ins)) in
       let decrypted = Array.map (Pytfhe_tfhe.Gates.decrypt_bit sk) seq_out in
       if decrypted <> plain then QCheck.Test.fail_report "sequential disagrees with plain_eval";
       List.for_all
         (fun workers ->
-          let par_out, st = Par_eval.run ~workers ck net cts in
+          let par_out, st = Runs.par ~workers ck net cts in
           par_out = seq_out && st.Par_eval.workers = workers)
         [ 1; 2; 4 ])
 
@@ -471,8 +446,8 @@ let test_par_eval_stats () =
   let rng = Rng.create ~seed:55 () in
   let ins = Array.init 5 (fun _ -> Rng.bool rng) in
   let cts = Array.map (Pytfhe_tfhe.Gates.encrypt_bit rng sk) ins in
-  let seq_out, seq_stats = Tfhe_eval.run ck net cts in
-  let outs, st = Par_eval.run ~workers:3 ck net cts in
+  let seq_out, seq_stats = Runs.cpu ck net cts in
+  let outs, st = Runs.par ~workers:3 ck net cts in
   Alcotest.(check bool) "ciphertexts identical" true (outs = seq_out);
   Alcotest.(check int) "bootstrap totals agree" seq_stats.Tfhe_eval.bootstraps_executed
     st.Par_eval.bootstraps_executed;
@@ -481,16 +456,16 @@ let test_par_eval_stats () =
   Alcotest.(check int) "one stats entry per domain" 3
     (Array.length st.Par_eval.per_domain_bootstraps);
   let sched = Levelize.run net in
-  Alcotest.(check int) "one wave per level" (sched.Levelize.depth + 1)
+  Alcotest.(check int) "one wave per level" sched.Levelize.depth
     (Array.length st.Par_eval.wave_wall);
   Alcotest.(check int) "wave widths cover every bootstrap" st.Par_eval.bootstraps_executed
     (Array.fold_left ( + ) 0 st.Par_eval.wave_width);
   Alcotest.(check (float 1e-9)) "ideal speedup matches the exposed bound"
     (Par_eval.ideal_speedup sched 3) st.Par_eval.ideal_speedup;
   Alcotest.(check bool) "rejects workers < 1" true
-    (try ignore (Par_eval.run ~workers:0 ck net cts); false with Invalid_argument _ -> true);
+    (try ignore (Runs.par ~workers:(-1) ck net cts); false with Invalid_argument _ -> true);
   Alcotest.(check bool) "rejects input arity mismatch" true
-    (try ignore (Par_eval.run ~workers:2 ck net (Array.sub cts 0 2)); false
+    (try ignore (Runs.par ~workers:2 ck net (Array.sub cts 0 2)); false
      with Invalid_argument _ -> true)
 
 let test_par_eval_full_adder () =
@@ -509,7 +484,7 @@ let test_par_eval_full_adder () =
     (fun (av, bv, cv) ->
       let ins = [| av; bv; cv |] in
       let cts = Array.map (Pytfhe_tfhe.Gates.encrypt_bit rng sk) ins in
-      let outs, stats = Par_eval.run ~workers:4 ck net cts in
+      let outs, stats = Runs.par ~workers:4 ck net cts in
       let decrypted = Array.map (Pytfhe_tfhe.Gates.decrypt_bit sk) outs in
       let expected = Array.of_list (List.map snd (Plain_eval.run net ins)) in
       Alcotest.(check (array bool)) "parallel encrypted = plain" expected decrypted;

@@ -271,15 +271,15 @@ let test_batched_matches_scalar =
       let rng = Rng.create ~seed:(2000 + s2) () in
       let ins = Array.init (Netlist.input_count net) (fun _ -> Rng.bool rng) in
       let cts = Array.map (Gates.encrypt_bit rng sk) ins in
-      let scalar_out, _ = Tfhe_eval.run ~opts:{ Executor.default_opts with batch = 1 } ck net cts in
+      let scalar_out, _ = Runs.cpu ~opts:{ Executor.default_opts with batch = 1 } ck net cts in
       let plain = Array.of_list (List.map snd (Plain_eval.run net ins)) in
       if Array.map (Gates.decrypt_bit sk) scalar_out <> plain then
         QCheck.Test.fail_report "scalar path disagrees with plain_eval";
       let widest = Array.fold_left max 1 (Levelize.run net).Levelize.widths in
       List.for_all
         (fun b ->
-          let cpu_out, _ = Tfhe_eval.run ~opts:{ Executor.default_opts with batch = b } ck net cts in
-          let par_out, _ = Par_eval.run ~workers:2 ~opts:{ Executor.default_opts with batch = b } ck net cts in
+          let cpu_out, _ = Runs.cpu ~opts:{ Executor.default_opts with batch = b } ck net cts in
+          let par_out, _ = Runs.par ~workers:2 ~opts:{ Executor.default_opts with batch = b } ck net cts in
           cpu_out = scalar_out && par_out = scalar_out)
         [ 1; 3; 8; widest ])
 
@@ -291,8 +291,8 @@ let test_non_divisible_wave () =
   let rng = Rng.create ~seed:404 () in
   let ins = Array.init 6 (fun _ -> Rng.bool rng) in
   let cts = Array.map (Gates.encrypt_bit rng sk) ins in
-  let scalar_out, _ = Tfhe_eval.run ~opts:{ Executor.default_opts with batch = 1 } ck net cts in
-  let outs, st = Tfhe_eval.run ~opts:{ Executor.default_opts with batch = 3 } ck net cts in
+  let scalar_out, _ = Runs.cpu ~opts:{ Executor.default_opts with batch = 1 } ck net cts in
+  let outs, st = Runs.cpu ~opts:{ Executor.default_opts with batch = 3 } ck net cts in
   Alcotest.(check bool) "ciphertexts identical" true (outs = scalar_out);
   Alcotest.(check (array bool)) "decrypts to plain eval"
     (Array.of_list (List.map snd (Plain_eval.run net ins)))
@@ -303,12 +303,12 @@ let test_non_divisible_wave () =
   Alcotest.(check bool) "ks traffic accounted" true (st.Tfhe_eval.ks_bytes_streamed > 0);
   Alcotest.(check bool) "rejects batch < 1" true
     (try
-       ignore (Tfhe_eval.run ~opts:{ Executor.default_opts with batch = 0 } ck net cts);
+       ignore (Runs.cpu ~opts:{ Executor.default_opts with batch = 0 } ck net cts);
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "par_eval rejects batch < 1" true
     (try
-       ignore (Par_eval.run ~workers:2 ~opts:{ Executor.default_opts with batch = 0 } ck net cts);
+       ignore (Runs.par ~workers:2 ~opts:{ Executor.default_opts with batch = 0 } ck net cts);
        false
      with Invalid_argument _ -> true)
 
@@ -318,8 +318,8 @@ let test_key_traffic_drops_with_batch () =
   let rng = Rng.create ~seed:405 () in
   let ins = Array.init 9 (fun _ -> Rng.bool rng) in
   let cts = Array.map (Gates.encrypt_bit rng sk) ins in
-  let out1, st1 = Tfhe_eval.run ~opts:{ Executor.default_opts with batch = 1 } ck net cts in
-  let out8, st8 = Tfhe_eval.run ~opts:{ Executor.default_opts with batch = 8 } ck net cts in
+  let out1, st1 = Runs.cpu ~opts:{ Executor.default_opts with batch = 1 } ck net cts in
+  let out8, st8 = Runs.cpu ~opts:{ Executor.default_opts with batch = 8 } ck net cts in
   Alcotest.(check bool) "batch sizes agree on ciphertexts" true (out1 = out8);
   (* Streaming the key once per 8-gate wave instead of once per gate must
      cut accounted key traffic by far more than 2x. *)
@@ -341,13 +341,13 @@ let test_soa_matches_one_gate =
       let rng = Rng.create ~seed:(3000 + s2) () in
       let ins = Array.init (Netlist.input_count net) (fun _ -> Rng.bool rng) in
       let cts = Array.map (Gates.encrypt_bit rng sk) ins in
-      let scalar_out, _ = Tfhe_eval.run ~opts:{ Executor.default_opts with batch = 1 } ck net cts in
+      let scalar_out, _ = Runs.cpu ~opts:{ Executor.default_opts with batch = 1 } ck net cts in
       let widest = Array.fold_left max 1 (Levelize.run net).Levelize.widths in
       List.for_all
         (fun b ->
           let opts = { Executor.default_opts with batch = b } in
-          let soa_out, _ = Tfhe_eval.run ~opts ck net cts in
-          let par_soa, _ = Par_eval.run ~workers:2 ~opts ck net cts in
+          let soa_out, _ = Runs.cpu ~opts ck net cts in
+          let par_soa, _ = Runs.par ~workers:2 ~opts ck net cts in
           soa_out = scalar_out && par_soa = scalar_out)
         [ 1; 3; 8; widest ])
 

@@ -214,17 +214,17 @@ let test_backend_names () =
   Alcotest.(check bool) "gpu name mentions model" true
     (String.length (Server.sim_platform_name (Server.Gpu Pytfhe_backend.Cost_model.gpu_4090)) > 4);
   (* executor names round-trip through the CLI parser *)
-  Alcotest.(check string) "exec cpu" "cpu" (Server.exec_backend_name Server.Cpu);
+  Alcotest.(check string) "exec cpu" "cpu" (Executor.placement_name Server.Cpu);
   Alcotest.(check string) "exec multicore" "par:2"
-    (Server.exec_backend_name (Server.Multicore { workers = 2 }));
+    (Executor.placement_name (Server.Multicore { workers = 2 }));
   Alcotest.(check string) "exec multiprocess" "dist:3"
-    (Server.exec_backend_name (Server.Multiprocess { workers = 3; config = None }));
+    (Executor.placement_name (Server.Multiprocess { workers = 3; config = None }));
   List.iter
     (fun b ->
-      match Server.exec_backend_of_name (Server.exec_backend_name b) with
+      match Executor.placement_of_name (Executor.placement_name b) with
       | Ok b' ->
-        Alcotest.(check string) "name round-trips" (Server.exec_backend_name b)
-          (Server.exec_backend_name b')
+        Alcotest.(check string) "name round-trips" (Executor.placement_name b)
+          (Executor.placement_name b')
       | Error e -> Alcotest.fail e)
     [
       Server.Cpu;
@@ -232,10 +232,10 @@ let test_backend_names () =
       Server.Multicore { workers = 4 };
       Server.Multiprocess { workers = 2; config = None };
     ];
-  (match Server.exec_backend_of_name "dist" with
+  (match Executor.placement_of_name "dist" with
   | Ok (Server.Multiprocess { workers = 2; _ }) -> ()
   | _ -> Alcotest.fail "bare dist should parse to 2 workers");
-  (match Server.exec_backend_of_name "gpu" with
+  (match Executor.placement_of_name "gpu" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown backend name must be rejected")
 

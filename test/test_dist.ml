@@ -22,7 +22,7 @@ let keys = lazy (Gates.key_gen (Rng.create ~seed:909 ()) Pytfhe_tfhe.Params.test
 let random_bits rng n = Array.init n (fun _ -> Rng.bool rng)
 
 (* Sequential encrypted reference plus plaintext truth for [net]/[ins]. *)
-let reference ck net cts = fst (Tfhe_eval.run ck net cts)
+let reference ck net cts = fst (Runs.cpu ck net cts)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-backend differential suite                                    *)
@@ -46,8 +46,8 @@ let test_cross_backend =
         QCheck.Test.fail_report "tfhe_eval disagrees with plain_eval";
       List.for_all
         (fun workers ->
-          let par_out, _ = Par_eval.run ~workers ck net cts in
-          let dist_out, st = Dist_eval.run (Dist_eval.config workers) ck net cts in
+          let par_out, _ = Runs.par ~workers ck net cts in
+          let dist_out, st = Runs.dist (Dist_eval.config workers) ck net cts in
           par_out = seq_out && dist_out = seq_out
           && st.Dist_eval.workers_started = workers
           && st.Dist_eval.workers_lost = 0)
@@ -80,17 +80,17 @@ let test_cross_backend_lut =
           let seq_out = reference ck n cts in
           if Array.map (Gates.decrypt_bit sk) seq_out <> truth then
             QCheck.Test.fail_report "tfhe_eval disagrees with plain_eval on a LUT netlist";
-          let batched, _ = Tfhe_eval.run ~opts:{ Executor.default_opts with batch = 3 } ck n cts in
-          let soa, _ = Tfhe_eval.run ~opts:{ Executor.default_opts with batch = 1 } ck n cts in
+          let batched, _ = Runs.cpu ~opts:{ Executor.default_opts with batch = 3 } ck n cts in
+          let soa, _ = Runs.cpu ~opts:{ Executor.default_opts with batch = 1 } ck n cts in
           if batched <> seq_out || soa <> seq_out then
             QCheck.Test.fail_report "batched/SoA paths disagree on a LUT netlist";
           List.for_all
             (fun workers ->
-              let par_out, _ = Par_eval.run ~workers ck n cts in
+              let par_out, _ = Runs.par ~workers ck n cts in
               let par_soa, _ =
-                Par_eval.run ~workers ~opts:{ Executor.default_opts with batch = 3 } ck n cts
+                Runs.par ~workers ~opts:{ Executor.default_opts with batch = 3 } ck n cts
               in
-              let dist_out, st = Dist_eval.run (Dist_eval.config workers) ck n cts in
+              let dist_out, st = Runs.dist (Dist_eval.config workers) ck n cts in
               par_out = seq_out && par_soa = seq_out && dist_out = seq_out
               && st.Dist_eval.workers_lost = 0)
             [ 1; 2; 4 ])
@@ -102,8 +102,8 @@ let test_dist_stats_and_validation () =
   let rng = Rng.create ~seed:41 () in
   let ins = random_bits rng 5 in
   let cts = Array.map (Gates.encrypt_bit rng sk) ins in
-  let seq_out, seq_stats = Tfhe_eval.run ck net cts in
-  let outs, st = Dist_eval.run (Dist_eval.config 2) ck net cts in
+  let seq_out, seq_stats = Runs.cpu ck net cts in
+  let outs, st = Runs.dist (Dist_eval.config 2) ck net cts in
   Alcotest.(check bool) "ciphertexts identical" true (outs = seq_out);
   Alcotest.(check int) "bootstrap totals agree" seq_stats.Tfhe_eval.bootstraps_executed
     st.Dist_eval.bootstraps_executed;
@@ -117,7 +117,7 @@ let test_dist_stats_and_validation () =
   Alcotest.(check bool) "rejects workers < 1" true
     (try ignore (Dist_eval.config 0); false with Invalid_argument _ -> true);
   Alcotest.(check bool) "rejects input arity mismatch" true
-    (try ignore (Dist_eval.run (Dist_eval.config 2) ck net (Array.sub cts 0 2)); false
+    (try ignore (Runs.dist (Dist_eval.config 2) ck net (Array.sub cts 0 2)); false
      with Invalid_argument _ -> true)
 
 (* Every executor counts a LUT rotation group once, in its stats and in
@@ -178,7 +178,7 @@ let run_with_faults ?request_timeout ?max_retries ?backoff ~workers faults =
   let cts = Array.map (Gates.encrypt_bit rng sk) ins in
   let seq_out = reference ck net cts in
   let cfg = Dist_eval.config ?request_timeout ?max_retries ?backoff ~faults workers in
-  let outs, st = Dist_eval.run cfg ck net cts in
+  let outs, st = Runs.dist cfg ck net cts in
   Alcotest.(check bool) "outputs bit-exact despite fault" true (outs = seq_out);
   st
 
@@ -232,7 +232,7 @@ let test_fault_all_workers_lost () =
     Dist_eval.config ~faults:[ { Dist_eval.victim = 0; after_requests = 1; action = Dist_eval.Crash } ] 1
   in
   Alcotest.(check bool) "single worker crash raises Failure" true
-    (try ignore (Dist_eval.run cfg ck net cts); false with Failure _ -> true)
+    (try ignore (Runs.dist cfg ck net cts); false with Failure _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* DHEL transform negotiation                                          *)
@@ -292,7 +292,7 @@ let test_dist_ntt_end_to_end () =
   let ins = random_bits rng 5 in
   let cts = Array.map (Gates.encrypt_bit rng sk) ins in
   let seq_out = reference ck net cts in
-  let outs, st = Dist_eval.run (Dist_eval.config 2) ck net cts in
+  let outs, st = Runs.dist (Dist_eval.config 2) ck net cts in
   Alcotest.(check bool) "ntt dist bit-exact with sequential" true (outs = seq_out);
   Alcotest.(check int) "no workers lost" 0 st.Dist_eval.workers_lost
 

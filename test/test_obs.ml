@@ -17,7 +17,6 @@ module Gates = Pytfhe_tfhe.Gates
 module Trace = Pytfhe_obs.Trace
 module Metrics = Pytfhe_obs.Metrics
 module Executor = Pytfhe_backend.Executor
-module Tfhe_eval = Pytfhe_backend.Tfhe_eval
 module Dist_eval = Pytfhe_backend.Dist_eval
 module Pipeline = Pytfhe_core.Pipeline
 module Server = Pytfhe_core.Server
@@ -67,18 +66,18 @@ let test_traced_bit_exact =
           let spans = List.length (wave_spans (Trace.events obs)) in
           if untraced <> ref_out then
             QCheck.Test.fail_reportf "untraced %s disagrees with cpu"
-              (Server.exec_backend_name backend);
+              (Executor.placement_name backend);
           if traced <> ref_out then
             QCheck.Test.fail_reportf "traced %s disagrees with untraced"
-              (Server.exec_backend_name backend);
+              (Executor.placement_name backend);
           if waves = 0 || spans < waves then
             QCheck.Test.fail_reportf "%s: %d wave spans for %d waves"
-              (Server.exec_backend_name backend) spans waves;
+              (Executor.placement_name backend) spans waves;
           (match Trace.validate_chrome (Trace.to_chrome obs) with
           | Ok () -> ()
           | Error m ->
             QCheck.Test.fail_reportf "%s: invalid trace: %s"
-              (Server.exec_backend_name backend) m);
+              (Executor.placement_name backend) m);
           true)
         backends)
 
@@ -257,14 +256,14 @@ let test_dist_crash_trace () =
   let rng = Rng.create ~seed:52 () in
   let ins = random_bits rng 7 in
   let cts = Array.map (Gates.encrypt_bit rng sk) ins in
-  let seq_out, _ = Tfhe_eval.run ck net cts in
+  let seq_out, _ = Runs.cpu ck net cts in
   let obs = Trace.create () in
   let cfg =
     Dist_eval.config
       ~faults:[ { Dist_eval.victim = 1; after_requests = 2; action = Dist_eval.Crash } ]
       3
   in
-  let outs, st = Dist_eval.run ~opts:{ Executor.default_opts with obs } cfg ck net cts in
+  let outs, st = Runs.dist ~opts:{ Executor.default_opts with obs } cfg ck net cts in
   Alcotest.(check bool) "bit-exact despite crash" true (outs = seq_out);
   Alcotest.(check int) "one worker lost" 1 st.Dist_eval.workers_lost;
   let evs = Trace.events obs in
@@ -281,7 +280,7 @@ let test_dist_traced_stats () =
   let cts = Array.map (Gates.encrypt_bit rng sk) ins in
   let obs = Trace.create () in
   let _, st =
-    Dist_eval.run ~opts:{ Executor.default_opts with obs } (Dist_eval.config 2) ck net cts
+    Runs.dist ~opts:{ Executor.default_opts with obs } (Dist_eval.config 2) ck net cts
   in
   let evs = Trace.events obs in
   let shard_spans =

@@ -14,6 +14,7 @@ module Netlist = Pytfhe_circuit.Netlist
 module Params = Pytfhe_tfhe.Params
 module Transform = Pytfhe_fft.Transform
 module Framing = Pytfhe_backend.Framing
+module Dist_eval = Pytfhe_backend.Dist_eval
 module Executor = Pytfhe_backend.Executor
 module Plain_eval = Pytfhe_backend.Plain_eval
 module Pipeline = Pytfhe_core.Pipeline
@@ -66,22 +67,132 @@ let expect_done = function
 (* Concurrent multi-tenant sessions, bit-exact vs per-tenant Server.run *)
 (* ------------------------------------------------------------------ *)
 
-let test_multi_tenant_bit_exact () =
+(* A serial chain exposes one ready gate per request at a time: a batch
+   fill above 1.0 over the launches of concurrent chains is only reachable
+   by packing jobs from different requests into one launch. *)
+let compiled_chain =
+  lazy (Pipeline.compile ~optimize:false ~name:"svc-chain" (Gen_circuit.chain ~depth:24))
+
+let multi_tenant_on backend =
   let client_a, cloud_a = Lazy.force tenant_a in
   let client_b, cloud_b = Lazy.force tenant_b in
-  let compiled = Lazy.force compiled_wide in
-  let n_in = Netlist.input_count compiled.Pipeline.netlist in
+  let compiled = Lazy.force compiled_wide and chain = Lazy.force compiled_chain in
+  let name = Executor.placement_name backend in
   let rng = Rng.create ~seed:4242 () in
-  let job client () =
-    let ins = Array.init n_in (fun _ -> Rng.bool rng) in
-    (ins, Client.encrypt_bits client ins)
+  let job client compiled =
+    let ins = Array.init (Netlist.input_count compiled.Pipeline.netlist) (fun _ -> Rng.bool rng) in
+    (compiled, ins, Client.encrypt_bits client ins)
   in
-  let jobs_a = Array.init 2 (fun _ -> job client_a ()) in
-  let jobs_b = Array.init 2 (fun _ -> job client_b ()) in
+  (* Two tenants interleaved on the wide program, then three concurrent
+     chains from tenant A. *)
+  let wide =
+    Array.init 4 (fun i ->
+        if i mod 2 = 0 then (0, job client_a compiled) else (1, job client_b compiled))
+  in
+  let chains = Array.init 3 (fun _ -> (0, job client_a chain)) in
+  let tenants = [| (client_a, cloud_a); (client_b, cloud_b) |] in
+  let chain_fill, stats =
+    with_server ~config:{ Service.default_config with backend } (fun port ->
+        let conns = Array.map (fun _ -> Service_client.connect ~port ()) tenants in
+        Fun.protect
+          ~finally:(fun () -> Array.iter Service_client.close conns)
+          (fun () ->
+            let sessions =
+              Array.mapi
+                (fun t (client, cloud) ->
+                  let id = Client.client_id client in
+                  Service_client.register conns.(t) ~client_id:id cloud;
+                  Service_client.open_session conns.(t) ~client_id:id Params.test)
+                tenants
+            in
+            (* Submit a phase's requests so they are in flight concurrently,
+               then await them out of order. *)
+            let phase jobs =
+              let reqs =
+                Array.mapi
+                  (fun i (t, (compiled, _, cts)) ->
+                    submit_compiled conns.(t) ~session:sessions.(t)
+                      ~name:(Printf.sprintf "j%d" i) compiled cts)
+                  jobs
+              in
+              Array.iteri
+                (fun i (t, (compiled, ins, cts)) ->
+                  let outputs, bootstraps =
+                    expect_done (Service_client.await ~timeout:120.0 conns.(t) reqs.(i))
+                  in
+                  let client, cloud = tenants.(t) in
+                  let ref_out, _ = Server.run Server.Cpu cloud compiled cts in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s request %d bit-exact with per-tenant Server.run" name i)
+                    true (outputs = ref_out);
+                  Alcotest.(check (array bool))
+                    (Printf.sprintf "%s request %d decrypts to plain eval" name i)
+                    (Array.of_list (List.map snd (Plain_eval.run compiled.Pipeline.netlist ins)))
+                    (Client.decrypt_bits client outputs);
+                  Alcotest.(check bool) "bootstraps counted" true (bootstraps > 0))
+                jobs
+            in
+            phase wide;
+            let before = Service_client.stats conns.(0) in
+            phase chains;
+            let after = Service_client.stats conns.(0) in
+            float_of_int (after.Service.batched_gates - before.Service.batched_gates)
+            /. float_of_int (after.Service.batch_launches - before.Service.batch_launches)))
+  in
+  let n = Array.length wide + Array.length chains in
+  Alcotest.(check string) "stats name the placement" name stats.Service.backend;
+  Alcotest.(check int) "two keysets registered" 2 stats.Service.keysets_registered;
+  Alcotest.(check int) "two sessions opened" 2 stats.Service.sessions_opened;
+  Alcotest.(check int) (name ^ ": every request completed") n stats.Service.requests_completed;
+  Alcotest.(check int) "no failures" 0 stats.Service.requests_failed;
+  Alcotest.(check bool) (name ^ ": batched launches happened") true
+    (stats.Service.batch_launches > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: cross-request packing on the chains (fill %.2f)" name chain_fill)
+    true (chain_fill > 1.0);
+  Alcotest.(check int) "per-request latencies sampled" n
+    stats.Service.latency.Pytfhe_obs.Quantile.count;
+  Alcotest.(check bool) "per-tenant traffic accounted" true
+    (Array.length stats.Service.tenants = 2
+    && Array.for_all
+         (fun t -> t.Service.bytes_in > 0 && t.Service.bytes_out > 0)
+         stats.Service.tenants);
+  (* Every binding is released by the time serve returns: no worker
+     process outlives it. *)
+  Alcotest.(check bool) (name ^ ": no child process left") true
+    (match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+    | _ -> false
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true)
+
+let test_multi_tenant_bit_exact () =
+  List.iter multi_tenant_on
+    [
+      Server.Cpu;
+      Server.Multicore { workers = 2 };
+      Server.Multiprocess { workers = 2; config = None };
+    ]
+
+(* A dist placement whose worker dies on its second request: the launch
+   it dies in fails its requests with [Internal], the binding goes, the
+   tenant binds afresh on its next admission, and the other tenant never
+   notices. *)
+let test_placement_failure () =
+  let client_a, cloud_a = Lazy.force tenant_a in
+  let client_b, cloud_b = Lazy.force tenant_b in
+  let chain = Lazy.force compiled_chain in
+  let flat =
+    Pipeline.compile ~optimize:false ~name:"svc-flat" (Gen_circuit.wide ~width:4 ~depth:1)
+  in
+  let faults = [ { Dist_eval.victim = 0; after_requests = 2; action = Dist_eval.Crash } ] in
+  let backend = Server.Multiprocess { workers = 1; config = Some (Dist_eval.config ~faults 1) } in
+  let rng = Rng.create ~seed:4343 () in
+  let inputs client compiled =
+    let ins = Array.init (Netlist.input_count compiled.Pipeline.netlist) (fun _ -> Rng.bool rng) in
+    Client.encrypt_bits client ins
+  in
   let (), stats =
-    with_server (fun port ->
-        let ca = Service_client.connect ~port () in
-        let cb = Service_client.connect ~port () in
+    with_server ~config:{ Service.default_config with backend } (fun port ->
+        let ca = Service_client.connect ~port () and cb = Service_client.connect ~port () in
         Fun.protect
           ~finally:(fun () ->
             Service_client.close ca;
@@ -92,44 +203,29 @@ let test_multi_tenant_bit_exact () =
             Service_client.register cb ~client_id:id_b cloud_b;
             let sa = Service_client.open_session ca ~client_id:id_a Params.test in
             let sb = Service_client.open_session cb ~client_id:id_b Params.test in
-            (* Interleave the submissions so both tenants are in flight
-               concurrently, then await out of order. *)
-            let reqs =
-              Array.init 4 (fun i ->
-                  let c, s, (_, cts) =
-                    if i mod 2 = 0 then (ca, sa, jobs_a.(i / 2)) else (cb, sb, jobs_b.(i / 2))
-                  in
-                  (c, submit_compiled c ~session:s ~name:(Printf.sprintf "j%d" i) compiled cts))
+            let run c s cloud compiled cts =
+              let req = submit_compiled c ~session:s ~name:"r" compiled cts in
+              match Service_client.await ~timeout:60.0 c req with
+              | Service_client.Done { outputs; _ } ->
+                Alcotest.(check bool) "reply bit-exact with Server.run" true
+                  (outputs = fst (Server.run Server.Cpu cloud compiled cts));
+                true
+              | Service_client.Failed { code = Service.Internal; _ } -> false
+              | Service_client.Failed { code; message } ->
+                Alcotest.failf "wrong error (%s: %s)" (Service.string_of_error_code code) message
             in
-            Array.iteri
-              (fun i (c, req) ->
-                let outputs, bootstraps = expect_done (Service_client.await ~timeout:60.0 c req) in
-                let client, (ins, cts) =
-                  if i mod 2 = 0 then (client_a, jobs_a.(i / 2)) else (client_b, jobs_b.(i / 2))
-                in
-                let cloud = if i mod 2 = 0 then cloud_a else cloud_b in
-                let ref_out, _ = Server.run Server.Cpu cloud compiled cts in
-                Alcotest.(check bool)
-                  (Printf.sprintf "request %d bit-exact with per-tenant Server.run" i)
-                  true
-                  (outputs = ref_out);
-                Alcotest.(check (array bool))
-                  (Printf.sprintf "request %d decrypts to plain eval" i)
-                  (Array.of_list
-                     (List.map snd (Plain_eval.run compiled.Pipeline.netlist ins)))
-                  (Client.decrypt_bits client outputs);
-                Alcotest.(check bool) "bootstraps counted" true (bootstraps > 0))
-              reqs))
+            Alcotest.(check bool) "the launch the worker dies in fails with Internal" false
+              (run ca sa cloud_a chain (inputs client_a chain));
+            Alcotest.(check bool) "the other tenant is unaffected" true
+              (run cb sb cloud_b flat (inputs client_b flat));
+            Alcotest.(check bool) "the tenant binds afresh" true
+              (run ca sa cloud_a flat (inputs client_a flat))))
   in
-  Alcotest.(check int) "two keysets registered" 2 stats.Service.keysets_registered;
-  Alcotest.(check int) "two sessions opened" 2 stats.Service.sessions_opened;
-  Alcotest.(check int) "four requests completed" 4 stats.Service.requests_completed;
-  Alcotest.(check int) "no failures" 0 stats.Service.requests_failed;
-  Alcotest.(check bool) "batched launches happened" true (stats.Service.batch_launches > 0);
-  Alcotest.(check int) "per-request latencies sampled" 4 stats.Service.latency.Pytfhe_obs.Quantile.count;
-  Alcotest.(check bool) "per-tenant traffic accounted" true
-    (Array.length stats.Service.tenants = 2
-    && Array.for_all (fun t -> t.Service.bytes_in > 0 && t.Service.bytes_out > 0) stats.Service.tenants)
+  Alcotest.(check int) "one request failed" 1 stats.Service.requests_failed;
+  Alcotest.(check bool) "no child process left" true
+    (match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+    | _ -> false
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Handshake rejection and failure isolation                           *)
@@ -318,6 +414,71 @@ let test_program_size_cap () =
   in
   Alcotest.(check int) "nothing executed" 0 stats.Service.requests_completed
 
+(* Malformed programs fail their own request with [Corrupt] — at
+   admission or during execution — and nothing else: a well-formed request
+   on the same session afterwards is bit-exact with Server.run. *)
+let test_program_checks () =
+  let client_a, cloud_a = Lazy.force tenant_a in
+  let compiled = Lazy.force compiled_wide in
+  let binary = compiled.Pipeline.binary in
+  let n_in = Netlist.input_count compiled.Pipeline.netlist in
+  let rng = Rng.create ~seed:98 () in
+  let cts = Client.encrypt_bits client_a (Array.init n_in (fun _ -> Rng.bool rng)) in
+  let all_ones = 0x3FFFFFFFFFFFFFFF in
+  (* A header declaring one gate, two inputs, [inst] at index 3 and its
+     output. *)
+  let program inst =
+    Gen_circuit.craft
+      [ (0, 1, 0x0); (all_ones, 1, 0xF); (all_ones, 2, 0xF); inst; (all_ones, 3, 0x3) ]
+  in
+  let bad =
+    [
+      ("length not a multiple of 16", Bytes.cat binary (Bytes.make 7 '\000'), cts);
+      ( "nonzero reserved LUT bits",
+        program (1, 1 lor (0b10 lsl 2) lor (1 lsl 10), 0xC),
+        Array.sub cts 0 2 );
+      ("gate over an unassigned index", program (1, 5, 6), Array.sub cts 0 2);
+      ( "multi-input LUT over a classic operand",
+        program (1, 2 lor (0x6 lsl 2) lor (2 lsl 10), 0xC),
+        Array.sub cts 0 2 );
+      ("n-1 inputs", binary, Array.sub cts 1 (n_in - 1));
+      ("n+1 inputs", binary, Array.append cts [| cts.(0) |]);
+    ]
+  in
+  let (), stats =
+    with_server (fun port ->
+        let c = Service_client.connect ~port () in
+        Fun.protect
+          ~finally:(fun () -> Service_client.close c)
+          (fun () ->
+            let id = Client.client_id client_a in
+            Service_client.register c ~client_id:id cloud_a;
+            let s = Service_client.open_session c ~client_id:id Params.test in
+            let reqs =
+              List.map
+                (fun (label, program, inputs) ->
+                  (label, Service_client.submit c ~session:s ~name:label ~program ~inputs))
+                bad
+            in
+            let good = submit_compiled c ~session:s ~name:"good" compiled cts in
+            List.iter
+              (fun (label, req) ->
+                match Service_client.await ~timeout:60.0 c req with
+                | Service_client.Failed { code = Service.Corrupt; _ } -> ()
+                | Service_client.Failed { code; message } ->
+                  Alcotest.failf "%s: wrong error (%s: %s)" label
+                    (Service.string_of_error_code code) message
+                | Service_client.Done _ -> Alcotest.failf "%s: accepted" label)
+              reqs;
+            let outputs, _ = expect_done (Service_client.await ~timeout:60.0 c good) in
+            let ref_out, _ = Server.run Server.Cpu cloud_a compiled cts in
+            Alcotest.(check bool) "well-formed request bit-exact after the rejects" true
+              (outputs = ref_out)))
+  in
+  Alcotest.(check int) "only the well-formed request completed" 1 stats.Service.requests_completed;
+  Alcotest.(check int) "every malformed program failed" (List.length bad)
+    stats.Service.requests_failed
+
 (* ------------------------------------------------------------------ *)
 (* Stats wire codec                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -348,16 +509,24 @@ let test_stats_roundtrip () =
   let s' = Service.read_stats (Wire.reader_of_string (Buffer.contents buf)) in
   Alcotest.(check bool) "stats survive the wire" true (s = s')
 
+(* Must run before anything else: in a spawned worker process this serves
+   the gate protocol and never returns. *)
+let () = Dist_eval.worker_entry ()
+
 let () =
   Alcotest.run "service"
     [
       ( "service",
         [
           Alcotest.test_case "multi-tenant bit-exact" `Quick test_multi_tenant_bit_exact;
+          Alcotest.test_case "placement failure fails only that launch" `Quick
+            test_placement_failure;
           Alcotest.test_case "handshake rejection" `Quick test_handshake_rejection;
           Alcotest.test_case "evict fails only that tenant" `Quick
             test_evict_fails_only_that_tenant;
           Alcotest.test_case "program-size admission cap" `Quick test_program_size_cap;
+          Alcotest.test_case "malformed programs fail only their own request" `Quick
+            test_program_checks;
           Alcotest.test_case "stats wire roundtrip" `Quick test_stats_roundtrip;
         ] );
     ]

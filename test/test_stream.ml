@@ -121,9 +121,9 @@ let test_stream_to_file_roundtrip () =
       let bytes = Binary.read_file path in
       let reference = Binary.assemble net in
       Alcotest.(check bool) "file stream = one-shot binary" true (Bytes.equal bytes reference);
-      (* and the file ingests through the service path, with the exact
-         (backpatched) gate total in its header *)
-      ignore (Pipeline.of_binary ~name:"file" bytes);
+      (* and the file parses, with the exact (backpatched) gate total in
+         its header *)
+      ignore (Binary.parse bytes);
       match Binary.disassemble bytes with
       | Binary.Header { gate_total } :: _ ->
         Alcotest.(check int) "header backpatched" report.Pipeline.gates gate_total
@@ -145,28 +145,6 @@ let test_windowed_eviction_reported () =
   in
   Alcotest.(check bool) "evictions happened" true (report.Pipeline.cse_evicted > 0);
   Alcotest.(check bool) "peak bounded" true (report.Pipeline.cse_peak <= 8)
-
-let test_of_binary_max_bytes () =
-  let net = Gen_circuit.random ~seed:3 () in
-  let bytes = Binary.assemble net in
-  Alcotest.(check bool) "under the cap parses" true
-    (ignore (Pipeline.of_binary ~max_bytes:(Bytes.length bytes) ~name:"ok" bytes);
-     true);
-  Alcotest.(check bool) "over the cap rejected before parse" true
-    (try
-       ignore (Pipeline.of_binary ~max_bytes:(Bytes.length bytes - 1) ~name:"big" bytes);
-       false
-     with Pytfhe_util.Wire.Corrupt _ -> true)
-
-let test_of_binary_source () =
-  let net = Gen_circuit.random_lut ~seed:21 () in
-  let bytes = Binary.assemble net in
-  let c = Pipeline.of_binary_source ~name:"src" (source_of_bytes bytes) in
-  Alcotest.(check bool) "source ingest re-assembles identically" true
-    (Bytes.equal c.Pipeline.binary bytes);
-  Alcotest.(check int) "stats agree with whole-buffer ingest"
-    (Netlist.gate_count (Binary.parse bytes))
-    (Netlist.gate_count c.Pipeline.netlist)
 
 (* ------------------------------------------------------------------ *)
 (* run_stream vs run, across executors                                 *)
@@ -219,6 +197,34 @@ let test_dist_stream_matches =
       let e = Executor.multiprocess ~workers:2 () in
       check_executor_stream e (Gen_circuit.random ~seed ()) seed
       && check_executor_stream e (Gen_circuit.random_lut ~seed ()) seed)
+
+(* One input too few or too many is refused with [Invalid_argument] by
+   every placement's [run] and [run_stream] and by [run_bits], before any
+   output comes back. *)
+let test_input_arity () =
+  let net = Gen_circuit.random_lut ~seed:17 () in
+  let bytes = Binary.assemble net in
+  let ins, cts = encrypted_inputs net 17 in
+  let _, ck = Lazy.force keys in
+  let refused f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  let extra = cts.(0) in
+  List.iter
+    (fun (label, cts, ins) ->
+      List.iter
+        (fun (module E : Executor.S) ->
+          Alcotest.(check bool) (Printf.sprintf "%s run %s" E.name label) true
+            (refused (fun () -> E.run ck net cts));
+          Alcotest.(check bool) (Printf.sprintf "%s run_stream %s" E.name label) true
+            (refused (fun () -> E.run_stream ck (source_of_bytes bytes) cts)))
+        [ Executor.cpu; Executor.multicore ~workers:2 (); Executor.multiprocess ~workers:2 () ];
+      Alcotest.(check bool) ("run_bits " ^ label) true
+        (refused (fun () -> Stream_exec.run_bits bytes ins)))
+    [
+      ( "n-1 inputs",
+        Array.sub cts 1 (Array.length cts - 1),
+        Array.sub ins 1 (Array.length ins - 1) );
+      ("n+1 inputs", Array.append cts [| extra |], Array.append ins [| true |]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Frontend template reuse                                             *)
@@ -296,8 +302,6 @@ let () =
           Alcotest.test_case "header sentinel and backpatch" `Quick test_stream_header_sentinel;
           Alcotest.test_case "file roundtrip" `Quick test_stream_to_file_roundtrip;
           Alcotest.test_case "windowed eviction reported" `Quick test_windowed_eviction_reported;
-          Alcotest.test_case "of_binary admission cap" `Quick test_of_binary_max_bytes;
-          Alcotest.test_case "of_binary_source" `Quick test_of_binary_source;
         ] );
       ( "run_stream",
         [
@@ -305,6 +309,8 @@ let () =
           QCheck_alcotest.to_alcotest test_cpu_stream_batched;
           QCheck_alcotest.to_alcotest test_par_stream_matches;
           QCheck_alcotest.to_alcotest test_dist_stream_matches;
+          Alcotest.test_case "n-1 and n+1 inputs refused on cpu/par/dist and run_bits" `Quick
+            test_input_arity;
         ] );
       ( "template reuse",
         [

@@ -267,9 +267,9 @@ let test_cross_transform_netlists =
       let decrypted_under (sk, ck) =
         let rng = Rng.create ~seed:(5000 + s2) () in
         let cts = Array.map (Gates.encrypt_bit rng sk) ins in
-        let seq_out, _ = Tfhe_eval.run ck net cts in
-        let par_out, _ = Par_eval.run ~workers:2 ck net cts in
-        let dist_out, _ = Dist_eval.run (Dist_eval.config 2) ck net cts in
+        let seq_out, _ = Runs.cpu ck net cts in
+        let par_out, _ = Runs.par ~workers:2 ck net cts in
+        let dist_out, _ = Runs.dist (Dist_eval.config 2) ck net cts in
         if par_out <> seq_out then
           QCheck.Test.fail_report "par executor not bit-exact with sequential";
         if dist_out <> seq_out then
@@ -286,7 +286,7 @@ let test_cross_transform_netlists =
 (* Precompute: no table builds once worker domains are running          *)
 (* ------------------------------------------------------------------ *)
 
-(* Par_eval precomputes transform tables before spawning its domain pool;
+(* Par_eval precomputes transform tables before its domains run a job;
    with the cache warm, a parallel NTT run must perform zero further
    table constructions (Ntt.builds is a monotone build counter, so this
    is a table-initialized check, not a timing heuristic). *)
@@ -300,7 +300,7 @@ let test_par_run_builds_no_tables () =
   let ring_n = ck.Gates.cloud_params.Params.tlwe.Params.ring_n in
   Alcotest.(check bool) "ntt tables ready before the run" true (Ntt.tables_ready ring_n);
   let b0 = Ntt.builds () in
-  let _, _ = Par_eval.run ~workers:4 ck net cts in
+  let _, _ = Runs.par ~workers:4 ck net cts in
   Alcotest.(check int) "no ntt table builds during the parallel run" b0 (Ntt.builds ());
   Alcotest.(check bool) "fft transform tables also ready" true
     (Transform.tables_ready Transform.Ntt ring_n)
