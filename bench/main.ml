@@ -427,31 +427,20 @@ let micro () =
   let combined = Lwe.add bit_a bit_b in
   let ext = Bootstrap.bootstrap_wo_keyswitch p bkey ~mu bit_a in
   let ks_a = Array.make p.Params.lwe.Params.n 0 in
-  (* The pre-optimization gate: allocating CMux chain, fresh test vector,
-     allocating key switch.  Measured with the same harness so the
-     words-per-gate reduction stays regression-tracked. *)
-  let legacy_gate () =
-    let tv = Array.make n mu in
-    let rotated = Bootstrap.blind_rotate_reference p ws bkey ~testvect:tv combined in
-    ignore (Keyswitch.apply ck.Gates.keyswitch_key (Tlwe.extract_lwe p rotated))
-  in
   let cases =
     [
       ("fft/forward", fft_iters, fun () -> Negacyclic.forward_into spec poly);
       ("fft/backward", fft_iters, fun () -> Negacyclic.backward_into back spec);
-      ("tfhe/external-product-into", iters, fun () -> Tgsw.external_product_into p ws g c ~dst:prod);
-      ("tfhe/external-product-alloc", iters, fun () -> ignore (Tgsw.external_product p ws g c));
+      ( "tfhe/external-product-add-into",
+        iters,
+        fun () -> Tgsw.external_product_add_into p ws g ~src:c ~acc:prod );
       ( "tfhe/blind-rotate-into",
         iters,
         fun () -> Bootstrap.blind_rotate_into p ws bkey ~testvect ~acc combined );
-      ( "tfhe/blind-rotate-reference",
-        iters,
-        fun () -> ignore (Bootstrap.blind_rotate_reference p ws bkey ~testvect combined) );
       ( "tfhe/keyswitch-into",
         iters,
         fun () -> ignore (Keyswitch.apply_into ck.Gates.keyswitch_key ext ~a:ks_a) );
       ("tfhe/gate-nand", iters, fun () -> ignore (Gates.nand_gate_in ctx bit_a bit_b));
-      ("tfhe/gate-nand-legacy", iters, legacy_gate);
       (* MUX = two blind rotations + one key switch through the context
          scratch; roughly 2x a binary gate's time and allocation. *)
       ("tfhe/gate-mux", iters, fun () -> ignore (Gates.mux_gate_in ctx bit_s bit_a bit_b));
@@ -471,18 +460,9 @@ let micro () =
     (wall, words)
   in
   let gate_wall, gate_words = find "tfhe/gate-nand" in
-  let legacy_wall, legacy_words = find "tfhe/gate-nand-legacy" in
   let mux_wall, mux_words = find "tfhe/gate-mux" in
-  let reduction = legacy_words /. Float.max gate_words 1.0 in
-  Format.printf "@.allocated words per bootstrapped gate: %.0f (in-place) vs %.0f (pre-change)@."
-    gate_words legacy_words;
+  Format.printf "@.allocated words per bootstrapped gate: %.0f@." gate_words;
   Format.printf "allocated words per MUX (two rotations, context scratch): %.0f@." mux_words;
-  (* At the smoke parameters the mandatory output ciphertexts dominate the
-     tiny per-gate totals, so the 10x target only applies to the real run. *)
-  Format.printf "allocation reduction: %.1fx%s@." reduction
-    (if !smoke then ""
-     else if reduction >= 10.0 then "  (meets the 10x target)"
-     else "  (BELOW the 10x target!)");
   if !smoke then Format.printf "(--smoke: skipping BENCH_gate_micro.json)@."
   else begin
     let json =
@@ -503,12 +483,9 @@ let micro () =
                      ])
                  results) );
           ("gate_time_s", Json.Number gate_wall);
-          ("gate_time_legacy_s", Json.Number legacy_wall);
           ("gate_alloc_words", Json.Number gate_words);
-          ("gate_alloc_words_legacy", Json.Number legacy_words);
           ("mux_time_s", Json.Number mux_wall);
           ("mux_alloc_words", Json.Number mux_words);
-          ("alloc_reduction", Json.Number reduction);
         ]
     in
     let path = "BENCH_gate_micro.json" in

@@ -1,12 +1,12 @@
 (* The wave engine, the instruction cursor and the run loop.
 
-   [exec] is the only code in the executors that bootstraps: a wave's
-   classic gates are combined into SoA staging rows and run through the
-   row-batched kernel, its LUT rotation groups through the mixed-job cell
-   kernel, each in launches of at most [cap] jobs.  Per job the
-   combine -> bootstrap -> key-switch sequence is the scalar API's, so
-   outputs are ciphertext-bit-exact with it for every capacity and every
-   split of a wave across engines. *)
+   [exec] is the only code in the executors that bootstraps: a wave's jobs
+   are combined into SoA staging rows and run, gates and LUT rotation
+   groups alike, through the one batched kernel in launches of at most
+   [cap] jobs, in job order.  Per job the combine -> bootstrap ->
+   key-switch sequence is the scalar API's, so outputs are
+   ciphertext-bit-exact with it for every capacity and every split of a
+   wave across engines. *)
 
 module Netlist = Pytfhe_circuit.Netlist
 module Gate = Pytfhe_circuit.Gate
@@ -53,56 +53,32 @@ let plan_of = function
   | Gate.Oryn -> Gates.oryn_plan
   | Gate.Not -> invalid_arg "Wave.exec: Not is not a bootstrapped gate"
 
-let cell_of = function
-  | Group { arity = 1; tables = [| table |]; operands = [| _ |] } -> Gates.sign_cell ~table
+(* Stage a job's combined input in staging row [row] and return its cell. *)
+let stage e row = function
+  | Gate { gate; a; b } ->
+    Lwe_array.set e.staging row (Gates.combine ~n:e.n (plan_of gate) a b);
+    Gates.gate_cell
+  | Group { arity = 1; tables = [| table |]; operands = [| x |] } ->
+    Lwe_array.set e.staging row x;
+    Gates.sign_cell ~table
   | Group { arity = 1; _ } ->
     invalid_arg "Wave.exec: an arity-1 group takes one operand and one table"
   | Group { tables = [||]; _ } -> invalid_arg "Wave.exec: a group without tables"
-  | Group { arity; tables; _ } -> Gates.Cell_lut { arity; tables }
-  | Gate _ -> assert false
-
-let placeholder = { Lwe.a = [||]; b = 0 }
+  | Group { arity; operands; tables } ->
+    Lwe_array.set e.staging row (Gates.lut_combine ~n:e.n ~arity operands);
+    Gates.Cell_lut { arity; tables }
 
 let exec e jobs =
   let off = offsets jobs in
-  let out = Array.make off.(Array.length jobs) placeholder in
-  let indices p =
-    Array.of_seq (Seq.filter (fun i -> p jobs.(i)) (Seq.init (Array.length jobs) Fun.id))
-  in
-  (* [launch] each slice of at most [cap] job indices; it fills [out]. *)
-  let launches idx launch =
-    let pos = ref 0 in
-    while !pos < Array.length idx do
-      let len = min e.cap (Array.length idx - !pos) in
-      launch (Array.sub idx !pos len);
-      pos := !pos + len
-    done
-  in
-  launches (indices (function Gate _ -> true | Group _ -> false)) (fun idx ->
-      Array.iteri
-        (fun row i ->
-          match jobs.(i) with
-          | Gate { gate; a; b } ->
-            Lwe_array.set e.staging row (Gates.combine ~n:e.n (plan_of gate) a b)
-          | Group _ -> assert false)
-        idx;
-      let rows =
-        Gates.bootstrap_batch_rows e.bc (Lwe_array.slice e.staging ~pos:0 ~len:(Array.length idx))
-      in
-      Array.iteri (fun row i -> out.(off.(i)) <- Lwe_array.get rows row) idx);
-  launches (indices (function Group _ -> true | Gate _ -> false)) (fun idx ->
-      let cells = Array.map (fun i -> cell_of jobs.(i)) idx in
-      let combined =
-        Array.map
-          (fun i ->
-            match jobs.(i) with
-            | Group { arity = 1; operands; _ } -> operands.(0)
-            | Group { arity; operands; _ } -> Gates.lut_combine ~n:e.n ~arity operands
-            | Gate _ -> assert false)
-          idx
-      in
-      let res = Gates.bootstrap_batch_cells e.bc cells combined in
-      Array.iteri (fun k i -> Array.blit res.(k) 0 out off.(i) (Array.length res.(k))) idx);
+  let out = Array.make off.(Array.length jobs) { Lwe.a = [||]; b = 0 } in
+  let pos = ref 0 in
+  while !pos < Array.length jobs do
+    let len = min e.cap (Array.length jobs - !pos) in
+    let cells = Array.init len (fun row -> stage e row jobs.(!pos + row)) in
+    let rows = Gates.bootstrap_batch e.bc cells (Lwe_array.slice e.staging ~pos:0 ~len) in
+    Array.blit (Lwe_array.to_samples rows) 0 out off.(!pos) (Lwe_array.length rows);
+    pos := !pos + len
+  done;
   out
 
 (* ------------------------------------------------------------------ *)

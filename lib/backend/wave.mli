@@ -49,14 +49,14 @@ val engine : Pytfhe_tfhe.Gates.cloud_keyset -> cap:int -> engine
 val capacity : engine -> int
 
 val exec : engine -> job array -> Pytfhe_tfhe.Lwe.sample array
-(** Run a wave: gates through {!Pytfhe_tfhe.Gates.bootstrap_batch_rows},
-    groups through {!Pytfhe_tfhe.Gates.bootstrap_batch_cells}, each in
-    launches of at most [capacity], outputs flat in job order (job [i]'s
-    {!outputs} right after those of jobs [0..i-1]).  Ciphertext-bit-exact
-    with the scalar [Gates] API for any capacity.  Raises
-    [Invalid_argument] on a [Not] gate, an arity outside 1–3, an operand
-    count that is not the arity, an arity-1 group without exactly one table
-    or a group without tables. *)
+(** Run a wave through {!Pytfhe_tfhe.Gates.bootstrap_batch} in launches of
+    at most [capacity] jobs taken in job order, so gates and groups share
+    launches (a wave of [w] jobs takes ⌈w / capacity⌉).  Outputs are flat
+    in job order (job [i]'s {!outputs} right after those of jobs
+    [0..i-1]).  Ciphertext-bit-exact with the scalar [Gates] API for any
+    capacity.  Raises [Invalid_argument] on a [Not] gate, an arity outside
+    1–3, an operand count that is not the arity, an arity-1 group without
+    exactly one table or a group without tables. *)
 
 val counters : engine -> Pytfhe_tfhe.Gates.batch_counters
 (** Cumulative launch and key-traffic counters of the engine. *)

@@ -39,40 +39,111 @@ let blind_rotate_with (p : Params.t) ws key ~testvect (s : Lwe.sample) =
 
 let blind_rotate p key ~testvect s = blind_rotate_with p key.ctx.ws key ~testvect s
 
-(* The pre-optimization CMux chain, kept as the reference the property tests
-   and the micro benchmark's allocation comparison run against: every
-   iteration allocates the rotated accumulator, the difference copy and the
-   external-product result. *)
-let blind_rotate_reference (p : Params.t) ws key ~testvect (s : Lwe.sample) =
-  let n2 = 2 * p.tlwe.ring_n in
-  let barb = Torus.mod_switch_from s.b ~msize:n2 in
-  let start = Poly.mul_by_xai ((n2 - barb) mod n2) testvect in
-  let acc = ref (Tlwe.trivial p start) in
-  for i = 0 to Array.length s.a - 1 do
-    let barai = Torus.mod_switch_from s.a.(i) ~msize:n2 in
-    if barai <> 0 then
-      acc := Tgsw.cmux p ws key.bsk.(i) (Tlwe.mul_by_xai barai !acc) !acc
-  done;
-  !acc
+let bootstrap_with p ctx key ~mu s =
+  (* The sign test vector is constant per call: refill the per-context
+     buffer instead of allocating a ring-degree array on every gate, and
+     rotate into the context accumulator. *)
+  Array.fill ctx.testvect 0 (Array.length ctx.testvect) mu;
+  blind_rotate_into p ctx.ws key ~testvect:ctx.testvect ~acc:ctx.acc s;
+  Tlwe.extract_lwe p ctx.acc
+
+let bootstrap_wo_keyswitch p key ~mu s = bootstrap_with p key.ctx key ~mu s
+
+let key_bytes (p : Params.t) =
+  let rows = (p.tlwe.k + 1) * p.tgsw.l in
+  p.lwe.n * rows * (p.tlwe.k + 1) * p.tlwe.ring_n * 4
+
+module Wire = Pytfhe_util.Wire
+
+let write buf k =
+  Wire.write_magic buf "BSKY";
+  Wire.write_array buf Tgsw.write_fft k.bsk
+
+let read p r =
+  Wire.read_magic r "BSKY";
+  let bsk = Wire.read_array r (fun r -> Tgsw.read_fft p r) in
+  if Array.length bsk <> p.Params.lwe.Params.n then
+    raise (Wire.Corrupt "bootstrapping key length does not match LWE dimension");
+  { bsk; ctx = context_create p }
+
+(* Centre the phase inside its slot so symmetric noise cannot push it
+   across a slot boundary. *)
+let centring ~msize = Torus.mod_switch_to 1 ~msize:(4 * msize)
+
+let programmable (p : Params.t) key ~msize f s =
+  let n = p.Params.tlwe.ring_n in
+  if msize <= 0 || n mod msize <> 0 then
+    invalid_arg "Bootstrap.programmable: msize must divide the ring degree";
+  let slot = n / msize in
+  let testvect = Array.init n (fun j -> f (j / slot)) in
+  let centred = { s with Lwe.b = Torus.add s.Lwe.b (centring ~msize) } in
+  let rotated = blind_rotate p key ~testvect centred in
+  Tlwe.extract_lwe p rotated
 
 (* ------------------------------------------------------------------ *)
-(* Batched blind rotation (key streaming)                              *)
+(* Indicator bootstrapping for LUT cells                               *)
 (* ------------------------------------------------------------------ *)
 
-(* A wave of B gates shares one pass over the bootstrapping key: the outer
+(* Every 2-/3-input LUT cell runs the same table-independent rotation: the
+   test vector is a staircase whose top slot carries 1/16 (the lutdom unit)
+   and the table is applied afterwards, as a sum of extracted indicator
+   slots.  Extracting coefficient k·slot of the rotated accumulator yields
+   an encryption of [m = msize−1−k]/16: writing u = m + k, the read lands
+   on slot u for u ≤ msize−1 (positive sign, only u = msize−1 is hot) and
+   on slot u − msize with a negacyclic sign flip otherwise — where the
+   staircase is 0 because u − msize ≤ msize−2.  One blind rotation thus
+   serves any number of tables over the same inputs (multi-value
+   bootstrapping), and fusing nodes that share inputs is pure memoization:
+   the rotation is deterministic, so fused and unfused execution are
+   bit-identical. *)
+
+let lut_amplitude = Torus.mod_switch_to 1 ~msize:16
+
+let fill_lut_testvect (p : Params.t) ~msize tv =
+  let n = p.Params.tlwe.ring_n in
+  if msize <= 0 || n mod msize <> 0 then
+    invalid_arg "Bootstrap.fill_lut_testvect: msize must divide the ring degree";
+  let slot = n / msize in
+  Array.fill tv 0 ((msize - 1) * slot) 0;
+  Array.fill tv ((msize - 1) * slot) slot lut_amplitude
+
+(* Index by message value m: indicator m sits at slot (msize−1−m)·N/msize. *)
+let indicator_pos (p : Params.t) ~msize m = (msize - 1 - m) * (p.Params.tlwe.ring_n / msize)
+
+let lut_extract_indicators (p : Params.t) ~msize acc =
+  Array.init msize (fun m -> Tlwe.extract_lwe_at p ~pos:(indicator_pos p ~msize m) acc)
+
+let lut_indicators (p : Params.t) ctx key ~msize s =
+  fill_lut_testvect p ~msize ctx.testvect;
+  let centred = { s with Lwe.b = Torus.add s.Lwe.b (centring ~msize) } in
+  blind_rotate_into p ctx.ws key ~testvect:ctx.testvect ~acc:ctx.acc centred;
+  lut_extract_indicators p ~msize ctx.acc
+
+(* ------------------------------------------------------------------ *)
+(* The batched bootstrap (key streaming)                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A launch of B rows shares one pass over the bootstrapping key: the outer
    loop walks the n TGSW entries once and the inner loop applies each
    entry's CMux-rotate step to all B accumulators, so the key is streamed
-   from memory once per batch instead of once per gate.  Per accumulator
-   the operation sequence (entries 0..n−1, ascending, with the same rotation
-   amounts) is identical to the scalar {!blind_rotate_into}, and every
-   [Tgsw.cmux_rotate_into] call fully overwrites its workspace scratch, so
-   the batched path is ciphertext-bit-exact with the scalar one. *)
+   from memory once per launch instead of once per row.  The accumulators
+   are rows of one flat [Trlwe_array], so the inner sweep touches
+   contiguous storage while key entry i stays resident.  Per row the
+   operation sequence (test vector, rotation amounts, CMux order, float
+   conversions, extraction) is the scalar walk's, and every
+   [Tgsw.cmux_rotate_row_into] call fully overwrites its workspace
+   scratch, so each slot is ciphertext-bit-exact with {!bootstrap_with}
+   or {!lut_indicators}. *)
+
+type job = Job_sign of Torus.t | Job_lut of int
+
+let job_slots = function Job_sign _ -> 1 | Job_lut msize -> msize
+
 type batch = {
   bcap : int;
   bws : Tgsw.workspace;
   btestvect : Poly.torus_poly;
-  baccs : Tlwe.sample array;
-  taccs : Trlwe_array.t;  (* flat SoA accumulators for the row-batched path *)
+  taccs : Trlwe_array.t;  (* one accumulator row per job *)
   (* Key-traffic accounting, drained by the executors' obs counters. *)
   mutable bsk_rows_streamed : int;
   mutable launches : int;
@@ -81,12 +152,10 @@ type batch = {
 
 let batch_create (p : Params.t) ~cap =
   if cap < 1 then invalid_arg "Bootstrap.batch_create: cap must be >= 1";
-  let n = p.tlwe.ring_n in
   {
     bcap = cap;
     bws = Tgsw.workspace_create p;
-    btestvect = Array.make n 0;
-    baccs = Array.init cap (fun _ -> Tlwe.trivial p (Poly.zero n));
+    btestvect = Array.make p.tlwe.ring_n 0;
     taccs = Trlwe_array.create p ~cap;
     bsk_rows_streamed = 0;
     launches = 0;
@@ -118,190 +187,59 @@ let row_bytes (p : Params.t) =
   | Pytfhe_fft.Transform.Fft -> rows * (p.tlwe.k + 1) * (p.tlwe.ring_n / 2) * 16
   | Pytfhe_fft.Transform.Ntt -> rows * (p.tlwe.k + 1) * p.tlwe.ring_n * 8
 
-(* The loop interchange over record accumulators, for the mixed-job batch:
-   key entry i is read once for the whole batch, and per accumulator the
-   CMux sequence is identical to the scalar walk. *)
-let batch_cmux_sweep (p : Params.t) (bt : batch) key (ss : Lwe.sample array) ~count =
-  let n2 = 2 * p.tlwe.ring_n in
-  for i = 0 to Array.length key.bsk - 1 do
-    let touched = ref false in
-    for b = 0 to count - 1 do
-      let barai = Torus.mod_switch_from ss.(b).Lwe.a.(i) ~msize:n2 in
-      if barai <> 0 then begin
-        touched := true;
-        Tgsw.cmux_rotate_into p bt.bws key.bsk.(i) barai bt.baccs.(b)
-      end
-    done;
-    if !touched then bt.bsk_rows_streamed <- bt.bsk_rows_streamed + 1
-  done
-
-(* The SoA batched rotation: the accumulators are rows of one flat
-   [Trlwe_array], so the interchanged inner loop sweeps contiguous storage
-   while key entry i stays resident.  The per-row operation sequence
-   (rotation amounts, CMux order, float conversions) is identical to the
-   scalar walk. *)
-let blind_rotate_batch_rows (p : Params.t) (bt : batch) key ~testvect (src : Lwe_array.t) ~count
-    =
-  let n = p.tlwe.ring_n in
-  let n2 = 2 * n in
-  for b = 0 to count - 1 do
-    Trlwe_array.clear_masks bt.taccs b;
-    let barb = Torus.mod_switch_from (Lwe_array.body src b) ~msize:n2 in
-    Trlwe_array.rotate_body_from bt.taccs b ((n2 - barb) mod n2) testvect
-  done;
-  for i = 0 to Array.length key.bsk - 1 do
-    let touched = ref false in
-    for b = 0 to count - 1 do
-      let barai = Torus.mod_switch_from (Lwe_array.mask src b i) ~msize:n2 in
-      if barai <> 0 then begin
-        touched := true;
-        Tgsw.cmux_rotate_row_into p bt.bws key.bsk.(i) barai bt.taccs ~row:b
-      end
-    done;
-    if !touched then bt.bsk_rows_streamed <- bt.bsk_rows_streamed + 1
-  done
-
-let batch_rows_into p bt key ~mu ~(src : Lwe_array.t) ~(dst : Lwe_array.t) =
+let batch_rows_into (p : Params.t) (bt : batch) key (jobs : job array) ~(src : Lwe_array.t)
+    ~(dst : Lwe_array.t) =
   let count = Lwe_array.length src in
+  if Array.length jobs <> count then invalid_arg "Bootstrap.batch_rows_into: one job per row";
+  if count > bt.bcap then
+    invalid_arg "Bootstrap.batch_rows_into: batch larger than the workspace capacity";
+  if Lwe_array.dim src <> Array.length key.bsk then
+    invalid_arg "Bootstrap.batch_rows_into: input dimension does not match the key";
+  if Lwe_array.dim dst <> p.Params.tlwe.k * p.Params.tlwe.ring_n then
+    invalid_arg "Bootstrap.batch_rows_into: destination dimension is not the extracted one";
+  if Lwe_array.length dst < Array.fold_left (fun acc j -> acc + job_slots j) 0 jobs then
+    invalid_arg "Bootstrap.batch_rows_into: destination shorter than the batch's slots";
   if count > 0 then begin
-    if count > bt.bcap then
-      invalid_arg "Bootstrap.batch_rows_into: batch larger than the workspace capacity";
-    if Lwe_array.dim src <> Array.length key.bsk then
-      invalid_arg "Bootstrap.batch_rows_into: input dimension does not match the key";
-    if Lwe_array.dim dst <> p.Params.tlwe.k * p.Params.tlwe.ring_n then
-      invalid_arg "Bootstrap.batch_rows_into: destination dimension is not the extracted one";
-    if Lwe_array.length dst < count then
-      invalid_arg "Bootstrap.batch_rows_into: destination shorter than the batch";
-    Array.fill bt.btestvect 0 (Array.length bt.btestvect) mu;
-    blind_rotate_batch_rows p bt key ~testvect:bt.btestvect src ~count;
-    bt.launches <- bt.launches + 1;
-    bt.gates_batched <- bt.gates_batched + count;
-    for b = 0 to count - 1 do
-      Trlwe_array.extract_row_into bt.taccs ~row:b dst ~drow:b
-    done
-  end
-
-let bootstrap_with p ctx key ~mu s =
-  (* The sign test vector is constant per call: refill the per-context
-     buffer instead of allocating a ring-degree array on every gate, and
-     rotate into the context accumulator. *)
-  Array.fill ctx.testvect 0 (Array.length ctx.testvect) mu;
-  blind_rotate_into p ctx.ws key ~testvect:ctx.testvect ~acc:ctx.acc s;
-  Tlwe.extract_lwe p ctx.acc
-
-let bootstrap_wo_keyswitch p key ~mu s = bootstrap_with p key.ctx key ~mu s
-
-let key_bytes (p : Params.t) =
-  let rows = (p.tlwe.k + 1) * p.tgsw.l in
-  p.lwe.n * rows * (p.tlwe.k + 1) * p.tlwe.ring_n * 4
-
-module Wire = Pytfhe_util.Wire
-
-let write buf k =
-  Wire.write_magic buf "BSKY";
-  Wire.write_array buf Tgsw.write_fft k.bsk
-
-let read p r =
-  Wire.read_magic r "BSKY";
-  let bsk = Wire.read_array r (fun r -> Tgsw.read_fft p r) in
-  if Array.length bsk <> p.Params.lwe.Params.n then
-    raise (Wire.Corrupt "bootstrapping key length does not match LWE dimension");
-  { bsk; ctx = context_create p }
-
-let programmable (p : Params.t) key ~msize f s =
-  let n = p.Params.tlwe.ring_n in
-  if msize <= 0 || n mod msize <> 0 then
-    invalid_arg "Bootstrap.programmable: msize must divide the ring degree";
-  let slot = n / msize in
-  let testvect = Array.init n (fun j -> f (j / slot)) in
-  (* Centre the phase inside its slot so symmetric noise cannot push it
-     across a slot boundary. *)
-  let centred = { s with Lwe.b = Torus.add s.Lwe.b (Torus.mod_switch_to 1 ~msize:(4 * msize)) } in
-  let rotated = blind_rotate p key ~testvect centred in
-  Tlwe.extract_lwe p rotated
-
-(* ------------------------------------------------------------------ *)
-(* Indicator bootstrapping for LUT cells                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Every 2-/3-input LUT cell runs the same table-independent rotation: the
-   test vector is a staircase whose top slot carries 1/16 (the lutdom unit)
-   and the table is applied afterwards, as a sum of extracted indicator
-   slots.  Extracting coefficient k·slot of the rotated accumulator yields
-   an encryption of [m = msize−1−k]/16: writing u = m + k, the read lands
-   on slot u for u ≤ msize−1 (positive sign, only u = msize−1 is hot) and
-   on slot u − msize with a negacyclic sign flip otherwise — where the
-   staircase is 0 because u − msize ≤ msize−2.  One blind rotation thus
-   serves any number of tables over the same inputs (multi-value
-   bootstrapping), and fusing nodes that share inputs is pure memoization:
-   the rotation is deterministic, so fused and unfused execution are
-   bit-identical. *)
-
-let lut_amplitude = Torus.mod_switch_to 1 ~msize:16
-
-let fill_lut_testvect (p : Params.t) ~msize tv =
-  let n = p.Params.tlwe.ring_n in
-  if msize <= 0 || n mod msize <> 0 then
-    invalid_arg "Bootstrap.fill_lut_testvect: msize must divide the ring degree";
-  let slot = n / msize in
-  Array.fill tv 0 ((msize - 1) * slot) 0;
-  Array.fill tv ((msize - 1) * slot) slot lut_amplitude
-
-(* The same in-slot centring as {!programmable}, applied to the body so the
-   scalar and batched paths build bit-identical rotation inputs. *)
-let lut_centre ~msize (s : Lwe.sample) =
-  { s with Lwe.b = Torus.add s.Lwe.b (Torus.mod_switch_to 1 ~msize:(4 * msize)) }
-
-let lut_extract_indicators (p : Params.t) ~msize acc =
-  let slot = p.Params.tlwe.ring_n / msize in
-  (* Index by message value m: indicator m sits at slot (msize−1−m)·slot. *)
-  Array.init msize (fun m -> Tlwe.extract_lwe_at p ~pos:((msize - 1 - m) * slot) acc)
-
-let lut_indicators (p : Params.t) ctx key ~msize s =
-  fill_lut_testvect p ~msize ctx.testvect;
-  blind_rotate_into p ctx.ws key ~testvect:ctx.testvect ~acc:ctx.acc (lut_centre ~msize s);
-  lut_extract_indicators p ~msize ctx.acc
-
-(* ------------------------------------------------------------------ *)
-(* Mixed-job batched bootstrapping                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* A wave can mix sign bootstraps (classic gates and arity-1 LUT cells,
-   each with its own ±mu) with indicator rotations (LUT cells); the key is
-   still streamed once for the whole batch.  Per member the operation
-   sequence is identical to the scalar path, so results stay bit-exact. *)
-
-type job = Job_sign of Torus.t | Job_lut of int  (** message-space size *)
-
-let batch_jobs (p : Params.t) (bt : batch) key (jobs : job array) (ss : Lwe.sample array) =
-  let count = Array.length ss in
-  if Array.length jobs <> count then invalid_arg "Bootstrap.batch_jobs: job/sample mismatch";
-  if count = 0 then [||]
-  else begin
-    if count > bt.bcap then
-      invalid_arg "Bootstrap.batch_jobs: batch larger than the workspace capacity";
     let n = p.tlwe.ring_n in
     let n2 = 2 * n in
-    for b = 0 to count - 1 do
-      let acc = bt.baccs.(b) in
-      Array.iter (fun m -> Array.fill m 0 n 0) acc.Tlwe.mask;
-      let body =
-        match jobs.(b) with
-        | Job_sign mu ->
-          Array.fill bt.btestvect 0 n mu;
-          ss.(b).Lwe.b
-        | Job_lut msize ->
-          fill_lut_testvect p ~msize bt.btestvect;
-          Torus.add ss.(b).Lwe.b (Torus.mod_switch_to 1 ~msize:(4 * msize))
-      in
-      let barb = Torus.mod_switch_from body ~msize:n2 in
-      Poly.mul_by_xai_into acc.Tlwe.body ((n2 - barb) mod n2) bt.btestvect
+    Array.iteri
+      (fun b job ->
+        let body =
+          match job with
+          | Job_sign mu ->
+            Array.fill bt.btestvect 0 n mu;
+            Lwe_array.body src b
+          | Job_lut msize ->
+            fill_lut_testvect p ~msize bt.btestvect;
+            Torus.add (Lwe_array.body src b) (centring ~msize)
+        in
+        Trlwe_array.clear_masks bt.taccs b;
+        let barb = Torus.mod_switch_from body ~msize:n2 in
+        Trlwe_array.rotate_body_from bt.taccs b ((n2 - barb) mod n2) bt.btestvect)
+      jobs;
+    for i = 0 to Array.length key.bsk - 1 do
+      let touched = ref false in
+      for b = 0 to count - 1 do
+        let barai = Torus.mod_switch_from (Lwe_array.mask src b i) ~msize:n2 in
+        if barai <> 0 then begin
+          touched := true;
+          Tgsw.cmux_rotate_row_into p bt.bws key.bsk.(i) barai bt.taccs ~row:b
+        end
+      done;
+      if !touched then bt.bsk_rows_streamed <- bt.bsk_rows_streamed + 1
     done;
-    batch_cmux_sweep p bt key ss ~count;
     bt.launches <- bt.launches + 1;
     bt.gates_batched <- bt.gates_batched + count;
-    Array.init count (fun b ->
-        match jobs.(b) with
-        | Job_sign _ -> [| Tlwe.extract_lwe p bt.baccs.(b) |]
-        | Job_lut msize -> lut_extract_indicators p ~msize bt.baccs.(b))
+    let d = ref 0 in
+    Array.iteri
+      (fun b job ->
+        (match job with
+        | Job_sign _ -> Trlwe_array.extract_row_into bt.taccs ~row:b ~pos:0 dst ~drow:!d
+        | Job_lut msize ->
+          for m = 0 to msize - 1 do
+            Trlwe_array.extract_row_into bt.taccs ~row:b ~pos:(indicator_pos p ~msize m) dst
+              ~drow:(!d + m)
+          done);
+        d := !d + job_slots job)
+      jobs
   end

@@ -55,13 +55,6 @@ val blind_rotate_into :
     parameter set's shape and not alias workspace scratch) with the rotated
     test vector.  This is the per-gate hot path. *)
 
-val blind_rotate_reference :
-  Params.t -> Tgsw.workspace -> key -> testvect:Poly.torus_poly -> Lwe.sample -> Tlwe.sample
-(** The pre-optimization CMux chain (allocating a rotated copy, a difference
-    and a product per iteration).  Bit-exact with {!blind_rotate_with};
-    kept as the regression reference for the property tests and for the
-    micro benchmark's words-per-gate comparison. *)
-
 val bootstrap_wo_keyswitch : Params.t -> key -> mu:Torus.t -> Lwe.sample -> Lwe.sample
 (** Refresh a ciphertext to an encryption of ±[mu] (sign of the input
     phase) under the *extracted* key of dimension k·N.  Uses the key's
@@ -72,43 +65,56 @@ val bootstrap_with : Params.t -> context -> key -> mu:Torus.t -> Lwe.sample -> L
     beyond the extracted output ciphertext, and safe to call concurrently
     from several domains as long as each uses its own context. *)
 
-(** {2 Batched bootstrapping (key streaming)}
+(** {2 The batched bootstrap (key streaming)}
 
-    A wave of B gates shares one pass over the bootstrapping key: the batched
-    blind rotation walks the n TGSW key entries once and applies each entry's
-    CMux-rotate step to all B accumulators before moving on, so the
-    (tens-of-MB) key is streamed from memory once per batch instead of once
-    per gate.  The per-accumulator operation sequence is identical to the
-    scalar path, so the results are ciphertext-bit-exact with
-    {!bootstrap_with}. *)
+    A launch of B rows shares one pass over the bootstrapping key: the
+    batched blind rotation walks the n TGSW key entries once and applies
+    each entry's CMux-rotate step to all B accumulators before moving on,
+    so the (tens-of-MB) key is streamed from memory once per launch
+    instead of once per row.  Each row carries its own {!job}, so sign
+    bootstraps and LUT indicator rotations share launches.  The per-row
+    operation sequence is the scalar path's, so every result is
+    ciphertext-bit-exact with {!bootstrap_with} or {!lut_indicators}. *)
+
+type job =
+  | Job_sign of Torus.t  (** sign bootstrap to ±mu: one slot *)
+  | Job_lut of int
+      (** indicator rotation over a message space of this size (centred
+          inside the kernel, like {!lut_indicators}): one slot per
+          message *)
+
+val job_slots : job -> int
+(** Extracted samples a job yields: 1 for [Job_sign], msize for
+    [Job_lut]. *)
 
 type batch
 (** A structure-of-arrays batch workspace: one shared TGSW workspace and
-    test-vector buffer plus [cap] accumulators.  Like {!context}, it is
-    single-threaded state — one per domain. *)
+    test-vector buffer plus [cap] accumulator rows of one
+    {!Trlwe_array}.  Like {!context}, it is single-threaded state — one
+    per domain. *)
 
 val batch_create : Params.t -> cap:int -> batch
-(** Workspace for batches of up to [cap] ≥ 1 gates. *)
+(** Workspace for launches of up to [cap] ≥ 1 rows. *)
 
 val batch_capacity : batch -> int
 
 val batch_rows_into :
-  Params.t -> batch -> key -> mu:Torus.t -> src:Lwe_array.t -> dst:Lwe_array.t -> unit
-(** Bootstrap every row of [src] (dimension n, length ≤ capacity) to
-    ±[mu] under the extracted key, streaming the bootstrapping key once
-    for the whole batch and writing rows [0, length src) of [dst]
-    (dimension k·N) — no per-gate record materialization.  The accumulators live in a flat
-    {!Trlwe_array}, so the interchanged inner loop sweeps contiguous
-    storage while each bootstrapping-key entry stays resident.  Row [i] of
-    [dst] is bit-identical to [bootstrap_with p ctx key ~mu] of row [i] of
-    [src].  Raises [Invalid_argument] on shape mismatches. *)
+  Params.t -> batch -> key -> job array -> src:Lwe_array.t -> dst:Lwe_array.t -> unit
+(** [batch_rows_into p bt key jobs ~src ~dst]: run job [i] on row [i] of
+    [src] (dimension n, length ≤ capacity, one job per row), streaming the
+    bootstrapping key once for the whole launch, and extract every job's
+    slots under the extracted key into [dst] (dimension k·N), flat in job
+    order — no per-row record materialization.  A [Job_sign mu] slot is
+    bit-identical to [bootstrap_with p ctx key ~mu]; slot [m] of a
+    [Job_lut msize] is element [m] of {!lut_indicators} on the uncentred
+    row.  Raises [Invalid_argument] on shape mismatches. *)
 
 type batch_stats = { bsk_rows_streamed : int; launches : int; gates_batched : int }
 (** Cumulative key-traffic accounting since the last reset:
     [bsk_rows_streamed] counts bootstrapping-key entries read from memory
     (each entry is {!row_bytes} wide in FFT form), [launches] counts
-    {!batch_rows_into} and {!batch_jobs} calls and [gates_batched] the
-    samples they processed. *)
+    {!batch_rows_into} calls and [gates_batched] the rows they
+    processed. *)
 
 val batch_stats : batch -> batch_stats
 val batch_reset_stats : batch -> unit
@@ -155,10 +161,6 @@ val fill_lut_testvect : Params.t -> msize:int -> Poly.torus_poly -> unit
 (** Overwrite a ring-degree buffer with the indicator staircase for a
     message space of [msize] (which must divide N). *)
 
-val lut_centre : msize:int -> Lwe.sample -> Lwe.sample
-(** Add the in-slot centring 1/(4·msize) to the body — the exact torus op
-    both the scalar and batched rotations apply before mod-switching. *)
-
 val lut_extract_indicators : Params.t -> msize:int -> Tlwe.sample -> Lwe.sample array
 (** Extract the [msize] indicator slots of a rotated accumulator, indexed
     by message value (element [m] encrypts [\[message = m\]/16]) — under the
@@ -168,18 +170,3 @@ val lut_indicators : Params.t -> context -> key -> msize:int -> Lwe.sample -> Lw
 (** One indicator rotation through a context: centre, rotate the staircase,
     extract all [msize] indicators.  The input phase must carry the
     combined LUT message m/(2·msize). *)
-
-(** {2 Mixed-job batched bootstrapping} *)
-
-type job =
-  | Job_sign of Torus.t  (** sign bootstrap to ±mu (classic gates, arity-1 LUT cells) *)
-  | Job_lut of int  (** indicator rotation for the given message-space size *)
-
-val batch_jobs : Params.t -> batch -> key -> job array -> Lwe.sample array -> Lwe.sample array array
-(** Heterogeneous batch: run one blind rotation per member with a
-    per-member test vector, streaming the bootstrapping key once for the
-    whole batch.  Member [i]'s result is [\[| extracted \|]] for
-    [Job_sign mu] (bit-identical to [bootstrap_with ~mu]) and the indicator
-    array for [Job_lut msize] (bit-identical to {!lut_indicators}).
-    [Job_lut] members must arrive {e uncentred} — the centring is applied
-    inside, like {!lut_indicators} does. *)

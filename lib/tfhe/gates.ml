@@ -125,62 +125,116 @@ let mux_gate ck s x y = mux_gate_in (default_context ck) s x y
 (* Batched wave execution                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Executor-facing wrapper over the Bootstrap/Keyswitch batch kernels: the
-   caller combines the phases of up to [cap] gates (all gate types share the
-   mu = 1/8 sign bootstrap, so a batch may mix types) and gets the
-   key-switched outputs back in one key-streaming pass per key. *)
+(* Executor-facing wrapper over the one batched bootstrap: the caller
+   combines the phases of up to [cap] cells — classic gates and LUT cells
+   alike, each row with its own job — and gets the key-switched outputs
+   back from one key-streaming pass per key.  Per cell the op sequence
+   matches the scalar [_in] path exactly, so outputs are bit-identical to
+   it. *)
+type batch_cell =
+  | Cell_sign of { mu : Torus.t; post : Torus.t }
+  | Cell_lut of { arity : int; tables : int array }
+
+let gate_cell = Cell_sign { mu = mu8 true; post = Torus.zero }
+let cell_outputs = function Cell_sign _ -> 1 | Cell_lut { tables; _ } -> Array.length tables
+
 type batch_context = {
   bkeyset : cloud_keyset;
   bboot : Bootstrap.batch;
-  bextract : Lwe_array.t;  (* cap rows of extracted (k·N) samples *)
-  bout : Lwe_array.t;  (* cap rows of key-switched (n) outputs *)
+  (* Launch scratch, grown on demand: the extracted slots (k·N), one k·N
+     row per output, and the key-switched outputs (n). *)
+  mutable bslots : Lwe_array.t;
+  mutable bsel : Lwe_array.t;
+  mutable bout : Lwe_array.t;
   mutable ks_blocks : int;
-  mutable ks_launches : int;
 }
 
 let batch_context ck ~cap =
   let p = ck.cloud_params in
   let bboot = Bootstrap.batch_create p ~cap in
+  let en = Params.extracted_n p in
   {
     bkeyset = ck;
     bboot;
-    bextract = Lwe_array.create ~n:(Params.extracted_n p) cap;
+    bslots = Lwe_array.create ~n:en cap;
+    bsel = Lwe_array.create ~n:en cap;
     bout = Lwe_array.create ~n:p.lwe.n cap;
     ks_blocks = 0;
-    ks_launches = 0;
   }
 
 let batch_capacity bc = Bootstrap.batch_capacity bc.bboot
 
-(* The SoA wave pipeline: combined phase rows in, key-switched output rows
-   out, zero per-gate record materialization in between.  The returned
-   array is a view into the context's own scratch — valid until the next
-   [bootstrap_batch_rows] call on this context, so the caller blits the
-   rows it needs before relaunching. *)
-let bootstrap_batch_rows bc (src : Lwe_array.t) =
-  let count = Lwe_array.length src in
-  if count = 0 then Lwe_array.slice bc.bout ~pos:0 ~len:0
-  else begin
-    if count > batch_capacity bc then
-      invalid_arg "Gates.bootstrap_batch_rows: batch larger than the workspace capacity";
-    let p = bc.bkeyset.cloud_params in
-    let extracted = Lwe_array.slice bc.bextract ~pos:0 ~len:count in
-    Bootstrap.batch_rows_into p bc.bboot bc.bkeyset.bootstrap_key ~mu:(Params.mu p) ~src
-      ~dst:extracted;
-    let out = Lwe_array.slice bc.bout ~pos:0 ~len:count in
-    let blocks = Keyswitch.apply_batch_rows_into bc.bkeyset.keyswitch_key ~src:extracted ~dst:out in
-    bc.ks_blocks <- bc.ks_blocks + blocks;
-    bc.ks_launches <- bc.ks_launches + 1;
-    out
-  end
+let fit a len =
+  if Lwe_array.length a >= len then a
+  else Lwe_array.create ~n:(Lwe_array.dim a) (max len (2 * Lwe_array.length a))
 
-let combine_rows_into plan ~a ~arow ~b ~brow ~dst ~drow =
-  Lwe_array.combine_into ~dst ~drow ~konst:plan.plan_const ~scale:plan.plan_scale
-    ~sign_a:plan.plan_sign_a ~a ~arow ~sign_b:plan.plan_sign_b ~b ~brow
+(* Combined phase rows in, key-switched output rows out, zero per-cell
+   record materialization in between.  The returned array is a view into
+   the context's own scratch — valid until the next launch on this
+   context, so the caller blits the rows it needs before relaunching. *)
+let bootstrap_batch bc (cells : batch_cell array) (src : Lwe_array.t) =
+  let count = Lwe_array.length src in
+  if Array.length cells <> count then invalid_arg "Gates.bootstrap_batch: one cell per row";
+  if count > batch_capacity bc then
+    invalid_arg "Gates.bootstrap_batch: batch larger than the workspace capacity";
+  let jobs =
+    Array.map
+      (function
+        | Cell_sign { mu; _ } -> Bootstrap.Job_sign mu
+        | Cell_lut { arity; _ } -> Bootstrap.Job_lut (1 lsl arity))
+      cells
+  in
+  let outputs = Array.fold_left (fun acc c -> acc + cell_outputs c) 0 cells in
+  bc.bslots <- fit bc.bslots (Array.fold_left (fun acc j -> acc + Bootstrap.job_slots j) 0 jobs);
+  bc.bsel <- fit bc.bsel outputs;
+  bc.bout <- fit bc.bout outputs;
+  let sel = Lwe_array.slice bc.bsel ~pos:0 ~len:outputs in
+  let out = Lwe_array.slice bc.bout ~pos:0 ~len:outputs in
+  if count > 0 then begin
+    let p = bc.bkeyset.cloud_params in
+    Bootstrap.batch_rows_into p bc.bboot bc.bkeyset.bootstrap_key jobs ~src ~dst:bc.bslots;
+    (* Select in the extracted domain: a sign slot is its own output, a
+       table sums its indicators in ascending message order ([lut_select]). *)
+    let s = ref 0 and o = ref 0 in
+    Array.iter
+      (function
+        | Cell_sign _ ->
+          Lwe_array.blit ~src:bc.bslots ~src_pos:!s ~dst:sel ~dst_pos:!o ~len:1;
+          incr s;
+          incr o
+        | Cell_lut { arity; tables } ->
+          Array.iter
+            (fun table ->
+              Lwe_array.set_trivial sel !o Torus.zero;
+              for m = 0 to (1 lsl arity) - 1 do
+                if (table lsr m) land 1 = 1 then
+                  Lwe_array.add_into ~dst:sel ~drow:!o ~a:sel ~arow:!o ~b:bc.bslots ~brow:(!s + m)
+              done;
+              incr o)
+            tables;
+          s := !s + (1 lsl arity))
+      cells;
+    bc.ks_blocks <-
+      bc.ks_blocks + Keyswitch.apply_batch_rows_into bc.bkeyset.keyswitch_key ~src:sel ~dst:out;
+    (* Arity-1 cells land on lutdom by a trivial offset after the key switch. *)
+    let o = ref 0 in
+    Array.iter
+      (fun c ->
+        (match c with
+        | Cell_sign { post; _ } ->
+          Lwe_array.unsafe_set32 out.Lwe_array.bodies !o (Torus.add (Lwe_array.body out !o) post)
+        | Cell_lut _ -> ());
+        o := !o + cell_outputs c)
+      cells
+  end;
+  out
+
+let bootstrap_batch_rows bc (src : Lwe_array.t) =
+  bootstrap_batch bc (Array.make (Lwe_array.length src) gate_cell) src
 
 type batch_counters = {
   batch_launches : int;  (** batched bootstrap kernel launches *)
-  batch_gates : int;  (** gates processed through those launches *)
+  batch_gates : int;  (** rows processed through those launches *)
   bsk_rows : int;  (** bootstrapping-key entries streamed, unit {!Bootstrap.row_bytes} *)
   ks_blocks : int;  (** key-switch table blocks streamed, unit {!Keyswitch.block_bytes} *)
 }
@@ -196,8 +250,7 @@ let batch_counters bc =
 
 let reset_batch_counters bc =
   Bootstrap.batch_reset_stats bc.bboot;
-  bc.ks_blocks <- 0;
-  bc.ks_launches <- 0
+  bc.ks_blocks <- 0
 
 module Wire = Pytfhe_util.Wire
 
@@ -225,6 +278,8 @@ let read_cloud_keyset r =
   let cloud_params = Params.read r in
   let bootstrap_key = Bootstrap.read cloud_params r in
   let keyswitch_key = Keyswitch.read r in
+  if Keyswitch.dims keyswitch_key <> (Params.extracted_n cloud_params, cloud_params.lwe.n) then
+    raise (Wire.Corrupt "key-switch key does not map k*N to n under the keyset's parameters");
   { cloud_params; bootstrap_key; keyswitch_key }
 
 let half_torus_encode ~msize v = Torus.mod_switch_to v ~msize:(2 * msize)
@@ -347,62 +402,4 @@ let lut3 ck ~table a b c = lut3_in (default_context ck) ~table a b c
 let lut2_multi ck ~tables a b = lut2_multi_in (default_context ck) ~tables a b
 let lut3_multi ck ~tables a b c = lut3_multi_in (default_context ck) ~tables a b c
 
-(* Batched LUT-cell execution: one mixed-job rotation batch (key streamed
-   once), selects in the extracted domain, then one flat key-switch batch
-   over every output.  Per cell the op sequence matches the scalar [_in]
-   path exactly, so outputs are bit-identical to it. *)
-type batch_cell =
-  | Cell_sign of { mu : Torus.t; post : Torus.t }
-  | Cell_lut of { arity : int; tables : int array }
-
 let sign_cell ~table = Cell_sign { mu = lut1_mu ~table; post = lut1_post ~table }
-
-let bootstrap_batch_cells bc (cells : batch_cell array) (combined : Lwe.sample array) =
-  let count = Array.length cells in
-  if Array.length combined <> count then
-    invalid_arg "Gates.bootstrap_batch_cells: cell/sample mismatch";
-  if count = 0 then [||]
-  else begin
-    let p = bc.bkeyset.cloud_params in
-    let jobs =
-      Array.map
-        (function
-          | Cell_sign { mu; _ } -> Bootstrap.Job_sign mu
-          | Cell_lut { arity; _ } -> Bootstrap.Job_lut (1 lsl arity))
-        cells
-    in
-    let extracted = Bootstrap.batch_jobs p bc.bboot bc.bkeyset.bootstrap_key jobs combined in
-    let en = Params.extracted_n p in
-    let selected =
-      Array.map2
-        (fun cell ind ->
-          match cell with
-          | Cell_sign _ -> [| ind.(0) |]
-          | Cell_lut { arity; tables } ->
-            let msize = 1 lsl arity in
-            Array.map (fun table -> lut_select ~n:en ~msize ~table ind) tables)
-        cells extracted
-    in
-    let flat = Array.concat (Array.to_list selected) in
-    let switched =
-      if Array.length flat = 0 then [||]
-      else begin
-        let out, blocks = Keyswitch.apply_batch bc.bkeyset.keyswitch_key flat in
-        bc.ks_blocks <- bc.ks_blocks + blocks;
-        bc.ks_launches <- bc.ks_launches + 1;
-        out
-      end
-    in
-    let n = p.lwe.n in
-    let pos = ref 0 in
-    Array.map2
-      (fun cell sel ->
-        let len = Array.length sel in
-        let out = Array.sub switched !pos len in
-        pos := !pos + len;
-        (match cell with
-        | Cell_sign { post; _ } -> out.(0) <- Lwe.add out.(0) (Lwe.trivial ~n post)
-        | Cell_lut _ -> ());
-        out)
-      cells selected
-  end

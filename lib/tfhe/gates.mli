@@ -128,46 +128,51 @@ val mux_gate_in : context -> Lwe.sample -> Lwe.sample -> Lwe.sample -> Lwe.sampl
 
 (** {2 Batched wave execution}
 
-    A {!batch_context} wraps the {!Bootstrap.batch} key-streaming kernel and
-    the batched key switch for executor use: combine the phases of up to
-    [cap] gates (mixed gate types are fine — they all use the μ = 1/8 sign
-    bootstrap), then one {!bootstrap_batch_rows} call streams the
+    A {!batch_context} wraps the one batched bootstrap
+    ({!Bootstrap.batch_rows_into}) and the batched key switch for executor
+    use: combine the phases of up to [cap] cells — classic gates, arity-1
+    cells and LUT rotation groups may share a launch, each row carrying
+    its own {!batch_cell} — then one {!bootstrap_batch} call streams the
     bootstrapping key and the key-switch table once each for the whole
-    batch.  Outputs are
-    ciphertext-bit-exact with the scalar [_in] gates.  Like {!context},
-    a batch context is private to one domain. *)
+    launch.  Outputs are ciphertext-bit-exact with the scalar [_in] gates
+    and cells.  Like {!context}, a batch context is private to one
+    domain. *)
+
+type batch_cell =
+  | Cell_sign of { mu : Torus.t; post : Torus.t }
+      (** sign bootstrap to ±mu, then add [post] after the key switch
+          (classic gates, arity-1 cells); one output *)
+  | Cell_lut of { arity : int; tables : int array }
+      (** one indicator rotation, one output per table *)
+
+val gate_cell : batch_cell
+(** The {!Cell_sign} of every classic gate: ±1/8, no offset. *)
 
 type batch_context
 
 val batch_context : cloud_keyset -> cap:int -> batch_context
-(** Batch workspace for up to [cap] ≥ 1 gates per launch. *)
+(** Batch workspace for up to [cap] ≥ 1 cells per launch. *)
 
 val batch_capacity : batch_context -> int
 
-val bootstrap_batch_rows : batch_context -> Lwe_array.t -> Lwe_array.t
-(** Sign-bootstrap + key-switch every row of an already-combined
-    {!Lwe_array} (length ≤ capacity; a short final batch is fine) through
-    the row-batched kernels, with no per-gate record materialization.  Row [i] of the result is bit-identical to
-    [bootstrap_in ctx] of row [i].  The returned array is a slice of the
-    context's own output scratch — valid until the next call on this
-    context; blit the rows out before relaunching. *)
+val bootstrap_batch : batch_context -> batch_cell array -> Lwe_array.t -> Lwe_array.t
+(** [bootstrap_batch bc cells combined]: one launch over the rows of
+    [combined] (length ≤ capacity; a short final batch is fine), row [i]
+    running [cells.(i)].  A row holds the cell's already-combined input —
+    the {!combine}d phase of a gate, the classic operand of an arity-1
+    cell, the {!lut_combine} sum (uncentred) of a LUT group.  The result
+    holds every cell's outputs flat in cell order, each bit-identical to
+    the scalar [_in] call.  It is a slice of the context's own output
+    scratch — valid until the next launch on this context; blit the rows
+    out before relaunching. *)
 
-val combine_rows_into :
-  combine_plan ->
-  a:Lwe_array.t ->
-  arow:int ->
-  b:Lwe_array.t ->
-  brow:int ->
-  dst:Lwe_array.t ->
-  drow:int ->
-  unit
-(** The row form of {!combine}: build a gate's phase combination directly
-    into a destination row ({!Lwe_array.combine_into} with the plan's
-    constants), bit-identical to the record path. *)
+val bootstrap_batch_rows : batch_context -> Lwe_array.t -> Lwe_array.t
+(** {!bootstrap_batch} with every row a classic gate ({!gate_cell}): row
+    [i] of the result is bit-identical to [bootstrap_in ctx] of row [i]. *)
 
 type batch_counters = {
   batch_launches : int;  (** batched bootstrap kernel launches *)
-  batch_gates : int;  (** gates processed through those launches *)
+  batch_gates : int;  (** rows processed through those launches *)
   bsk_rows : int;  (** bootstrapping-key entries streamed, unit {!Bootstrap.row_bytes} *)
   ks_blocks : int;  (** key-switch table blocks streamed, unit {!Keyswitch.block_bytes} *)
 }
@@ -285,25 +290,6 @@ val lut2_multi : cloud_keyset -> tables:int array -> Lwe.sample -> Lwe.sample ->
 val lut3_multi :
   cloud_keyset -> tables:int array -> Lwe.sample -> Lwe.sample -> Lwe.sample -> Lwe.sample array
 
-(** {3 Batched LUT-cell execution}
-
-    The wave executors batch LUT cells through one mixed-job rotation (key
-    streamed once per batch), per-table selects, and one flat key-switch
-    batch — bit-identical to the scalar [_in] cells. *)
-
-type batch_cell =
-  | Cell_sign of { mu : Torus.t; post : Torus.t }
-      (** arity-1 cell: sign bootstrap to ±mu, then add [post] *)
-  | Cell_lut of { arity : int; tables : int array }
-      (** one indicator rotation, one output per table *)
-
 val sign_cell : table:int -> batch_cell
-(** The {!Cell_sign} of an arity-1 cell's 2-bit table. *)
-
-val bootstrap_batch_cells :
-  batch_context -> batch_cell array -> Lwe.sample array -> Lwe.sample array array
-(** [bootstrap_batch_cells bc cells combined]: element [i] of the result
-    holds cell [i]'s outputs (one per table; a single element for
-    [Cell_sign]).  [combined.(i)] is the cell's already-combined input —
-    the classic operand for [Cell_sign], the {!lut_combine} sum (uncentred)
-    for [Cell_lut].  Length ≤ the batch capacity. *)
+(** The {!Cell_sign} of an arity-1 cell's 2-bit table:
+    [{ mu = lut1_mu ~table; post = lut1_post ~table }]. *)

@@ -78,59 +78,16 @@ let apply key (s : Lwe.sample) =
   { Lwe.a; b }
 
 (* Batched key switch by loop interchange: the (i, j) digit blocks of the
-   flat table are the outer loops and the batch members the inner one, so
-   each base × (out_n+1) block is streamed from memory once per batch
-   instead of once per member.  Per member the (i, j) visit order — and
-   therefore the exact sequence of torus subtractions — is unchanged from
-   [apply_into], so results are bit-identical.  Returns the number of
-   (i, j) blocks read (those with at least one nonzero digit in the batch),
-   for key-traffic accounting. *)
-let apply_batch_into key (ss : Lwe.sample array) ~count ~(a : int array array) ~(b : int array) =
-  if count > Array.length ss || count > Array.length a || count > Array.length b then
-    invalid_arg "Keyswitch.apply_batch_into: count exceeds buffer lengths";
-  let base = 1 lsl key.base_bit in
-  let prec_offset = 1 lsl (32 - 1 - (key.base_bit * key.ks_t)) in
-  let out_n = key.out_n in
-  let flat = key.flat in
-  for m = 0 to count - 1 do
-    if Array.length ss.(m).Lwe.a <> key.in_n then
-      invalid_arg "Keyswitch.apply_batch_into: input dimension mismatch";
-    if Array.length a.(m) <> out_n then
-      invalid_arg "Keyswitch.apply_batch_into: output buffer dimension mismatch";
-    Array.fill a.(m) 0 out_n 0;
-    b.(m) <- ss.(m).Lwe.b
-  done;
-  let blocks = ref 0 in
-  for i = 0 to key.in_n - 1 do
-    for j = 0 to key.ks_t - 1 do
-      let shift = 32 - ((j + 1) * key.base_bit) in
-      let touched = ref false in
-      for m = 0 to count - 1 do
-        let ai = (Array.unsafe_get (Array.unsafe_get ss m).Lwe.a i + prec_offset) land 0xFFFFFFFF in
-        let aij = (ai lsr shift) land (base - 1) in
-        if aij <> 0 then begin
-          touched := true;
-          let off = entry_off key i j aij in
-          let am = Array.unsafe_get a m in
-          for u = 0 to out_n - 1 do
-            Array.unsafe_set am u
-              (Torus.sub (Array.unsafe_get am u) (Array.unsafe_get flat (off + u)))
-          done;
-          Array.unsafe_set b m
-            (Torus.sub (Array.unsafe_get b m) (Array.unsafe_get flat (off + out_n)))
-        end
-      done;
-      if !touched then incr blocks
-    done
-  done;
-  !blocks
-
-(* The SoA variant of [apply_batch_into]: sources and destinations are rows
-   of flat [Lwe_array]s, so while an (i, j) table block stays resident the
-   batch sweep touches contiguous rows and each row update is a unit-stride
-   run over the destination masks.  The per-member digit visit order is
-   unchanged, so every output row is bit-identical to a scalar
-   [apply_into]. *)
+   flat table are the outer loops and the batch rows the inner one, so each
+   base × (out_n+1) block is streamed from memory once per batch instead of
+   once per row.  Sources and destinations are rows of flat [Lwe_array]s,
+   so while a block stays resident the batch sweep touches contiguous rows
+   and each row update is a unit-stride run over the destination masks.
+   Per row the (i, j) visit order — and therefore the exact sequence of
+   torus subtractions — is unchanged from [apply_into], so every output
+   row is bit-identical to it.  Returns the number of (i, j) blocks read
+   (those with at least one nonzero digit in the batch), for key-traffic
+   accounting. *)
 let apply_batch_rows_into key ~(src : Lwe_array.t) ~(dst : Lwe_array.t) =
   let count = Lwe_array.length src in
   if Lwe_array.dim src <> key.in_n then
@@ -161,7 +118,7 @@ let apply_batch_rows_into key ~(src : Lwe_array.t) ~(dst : Lwe_array.t) =
      roughly two int-array accesses even as a raw load — so stage the
      source phases and the output accumulators in flat int arrays (one
      conversion pass per direction) and run the hot loop entirely on the
-     OCaml heap, exactly like the record kernel.  The scratch is a few
+     OCaml heap, like the scalar [apply_into].  The scratch is a few
      hundred words per batch member, noise next to the table traffic. *)
   let sa = Array.make (count * in_n) 0 in
   let a = Array.make (count * out_n) 0 in
@@ -205,12 +162,7 @@ let apply_batch_rows_into key ~(src : Lwe_array.t) ~(dst : Lwe_array.t) =
   done;
   !blocks
 
-let apply_batch key (ss : Lwe.sample array) =
-  let count = Array.length ss in
-  let a = Array.init count (fun _ -> Array.make key.out_n 0) in
-  let b = Array.make count 0 in
-  let blocks = apply_batch_into key ss ~count ~a ~b in
-  (Array.init count (fun m -> { Lwe.a = a.(m); b = b.(m) }), blocks)
+let dims key = (key.in_n, key.out_n)
 
 let block_bytes key = (1 lsl key.base_bit) * (key.out_n + 1) * 4
 
@@ -253,6 +205,14 @@ let read r =
     raise (Wire.Corrupt "key-switch decomposition parameters out of range");
   if out_n <= 0 || in_n <= 0 then raise (Wire.Corrupt "key-switch dimensions out of range");
   let base = 1 lsl base_bit in
+  (* Bound the declared table by the bytes actually sent before allocating
+     it: in_n·t·base entries of at least 16 + 4·out_n wire bytes each
+     (magic, length prefix, out_n mask words, body).  Dividing the budget
+     down factor by factor never overflows. *)
+  let sent = Wire.remaining r in
+  if out_n > sent
+     || List.fold_left ( / ) (sent / (16 + (4 * out_n))) [ in_n; ks_t; base ] < 1
+  then raise (Wire.Corrupt "key-switch table larger than the payload");
   let key = { ks_t; base_bit; out_n; in_n; flat = Array.make (in_n * ks_t * base * (out_n + 1)) 0 } in
   let table =
     Wire.read_array r (fun r -> Wire.read_array r (fun r -> Wire.read_array r Lwe.read_sample))

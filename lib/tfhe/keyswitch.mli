@@ -25,34 +25,23 @@ val apply_into : key -> Lwe.sample -> a:int array -> Torus.t
     (length out_n) and returns the body.  Raises [Invalid_argument] when
     the input or the buffer dimension does not match the key. *)
 
-val apply_batch_into :
-  key -> Lwe.sample array -> count:int -> a:int array array -> b:int array -> int
-(** Batched {!apply_into} over the first [count] samples, by loop
-    interchange: the (i, j) digit blocks of the table are the outer loops
-    and the batch members the inner one, so each base × (out_n+1) block is
-    streamed from memory once per batch instead of once per member.  Per
-    member the digit visit order is unchanged, so [a.(m)]/[b.(m)] are
-    bit-identical to a scalar [apply_into] on [ss.(m)].  Returns the number
-    of blocks actually read (those with a nonzero digit somewhere in the
-    batch), in units of {!block_bytes}. *)
-
 val apply_batch_rows_into : key -> src:Lwe_array.t -> dst:Lwe_array.t -> int
-(** The struct-of-arrays {!apply_batch_into}: key-switch every row of [src]
-    (dimension in_n) into the same-index row of [dst] (dimension out_n,
-    length ≥ length of [src]).  Same (i, j)-outer loop interchange — a
-    table block streams once per batch — but the batch sweep now touches
-    contiguous rows and each row update is a unit-stride run.  Output rows
-    are bit-identical to scalar {!apply_into}; returns blocks streamed in
-    units of {!block_bytes}.  Raises [Invalid_argument] on shape
-    mismatches. *)
+(** Batched {!apply_into} by loop interchange: key-switch every row of
+    [src] (dimension in_n) into the same-index row of [dst] (dimension
+    out_n, length ≥ length of [src]).  The (i, j) digit blocks of the
+    table are the outer loops and the rows the inner one, so each
+    base × (out_n+1) block is streamed from memory once per batch, and
+    each row update is a unit-stride run.  Output rows are bit-identical
+    to scalar {!apply_into}; returns the blocks actually read (those with
+    a nonzero digit somewhere in the batch) in units of {!block_bytes}.
+    Raises [Invalid_argument] on shape mismatches. *)
 
-val apply_batch : key -> Lwe.sample array -> Lwe.sample array * int
-(** Allocating wrapper over {!apply_batch_into}: key-switch the whole array
-    and also return the number of table blocks streamed. *)
+val dims : key -> int * int
+(** The (input, output) LWE dimensions the key maps between. *)
 
 val block_bytes : key -> int
 (** Bytes of one (i, j) digit block of the table — the unit the
-    {!apply_batch_into} block count is measured in. *)
+    {!apply_batch_rows_into} block count is measured in. *)
 
 val table_bytes : key -> int
 (** Serialized size of the key-switch table at 32 bits per torus element;
@@ -64,4 +53,6 @@ val read : Pytfhe_util.Wire.reader -> key
 (** Validates every dimension of the serialized table (decomposition depth,
     base, entry count and per-entry LWE dimension) and raises
     [Wire.Corrupt] on mismatch instead of failing later with an index
-    error. *)
+    error.  The table the header declares is checked against the bytes
+    left in the reader before anything is allocated, so memory stays
+    bounded by what was sent. *)

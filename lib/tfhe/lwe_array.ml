@@ -95,18 +95,15 @@ let of_samples ~n ss =
 
 let to_samples t = Array.init t.len (get t)
 
-(* Row-granular linear combinations.  Every element is read from both
-   sources before the destination element is written, so a destination row
-   may alias either source row (including through overlapping slices). *)
-
-let check_binop who ~dst ~drow ~a ~arow ~b ~brow =
+(* Row-granular addition.  Every element is read from both sources before
+   the destination element is written, so a destination row may alias
+   either source row (including through overlapping slices). *)
+let add_into ~dst ~drow ~a ~arow ~b ~brow =
+  let who = "Lwe_array.add_into" in
   if a.n <> dst.n || b.n <> dst.n then invalid_arg (who ^ ": dimension mismatch");
   check_row dst drow who;
   check_row a arow who;
-  check_row b brow who
-
-let add_into ~dst ~drow ~a ~arow ~b ~brow =
-  check_binop "Lwe_array.add_into" ~dst ~drow ~a ~arow ~b ~brow;
+  check_row b brow who;
   let n = dst.n in
   let od = drow * n and oa = arow * n and ob = brow * n in
   for i = 0 to n - 1 do
@@ -114,60 +111,6 @@ let add_into ~dst ~drow ~a ~arow ~b ~brow =
       (Torus.add (unsafe_get32 a.masks (oa + i)) (unsafe_get32 b.masks (ob + i)))
   done;
   unsafe_set32 dst.bodies drow (Torus.add (unsafe_get32 a.bodies arow) (unsafe_get32 b.bodies brow))
-
-let sub_into ~dst ~drow ~a ~arow ~b ~brow =
-  check_binop "Lwe_array.sub_into" ~dst ~drow ~a ~arow ~b ~brow;
-  let n = dst.n in
-  let od = drow * n and oa = arow * n and ob = brow * n in
-  for i = 0 to n - 1 do
-    unsafe_set32 dst.masks (od + i)
-      (Torus.sub (unsafe_get32 a.masks (oa + i)) (unsafe_get32 b.masks (ob + i)))
-  done;
-  unsafe_set32 dst.bodies drow (Torus.sub (unsafe_get32 a.bodies arow) (unsafe_get32 b.bodies brow))
-
-let scale_into ~dst ~drow k ~src ~srow =
-  if src.n <> dst.n then invalid_arg "Lwe_array.scale_into: dimension mismatch";
-  check_row dst drow "Lwe_array.scale_into";
-  check_row src srow "Lwe_array.scale_into";
-  let n = dst.n in
-  let od = drow * n and os = srow * n in
-  for i = 0 to n - 1 do
-    unsafe_set32 dst.masks (od + i) (Torus.mul_int k (unsafe_get32 src.masks (os + i)))
-  done;
-  unsafe_set32 dst.bodies drow (Torus.mul_int k (unsafe_get32 src.bodies srow))
-
-let neg_into ~dst ~drow ~src ~srow =
-  if src.n <> dst.n then invalid_arg "Lwe_array.neg_into: dimension mismatch";
-  check_row dst drow "Lwe_array.neg_into";
-  check_row src srow "Lwe_array.neg_into";
-  let n = dst.n in
-  let od = drow * n and os = srow * n in
-  for i = 0 to n - 1 do
-    unsafe_set32 dst.masks (od + i) (Torus.neg (unsafe_get32 src.masks (os + i)))
-  done;
-  unsafe_set32 dst.bodies drow (Torus.neg (unsafe_get32 src.bodies srow))
-
-(* The fused gate phase combination dst ← konst ± scale·a ± scale·b.  The
-   intermediate reductions happen in the same order as the scalar
-   [Gates.combine] (trivial constant, then ±scaled a, then ±scaled b), and
-   torus arithmetic is exact mod 2^32, so the row is bit-identical to the
-   record path whatever the storage layout. *)
-let combine_into ~dst ~drow ~konst ~scale ~sign_a ~a ~arow ~sign_b ~b ~brow =
-  check_binop "Lwe_array.combine_into" ~dst ~drow ~a ~arow ~b ~brow;
-  let n = dst.n in
-  let od = drow * n and oa = arow * n and ob = brow * n in
-  for i = 0 to n - 1 do
-    let sa = Torus.mul_int scale (unsafe_get32 a.masks (oa + i)) in
-    let sb = Torus.mul_int scale (unsafe_get32 b.masks (ob + i)) in
-    let v = if sign_a > 0 then sa else Torus.neg sa in
-    let v = if sign_b > 0 then Torus.add v sb else Torus.sub v sb in
-    unsafe_set32 dst.masks (od + i) v
-  done;
-  let sa = Torus.mul_int scale (unsafe_get32 a.bodies arow) in
-  let sb = Torus.mul_int scale (unsafe_get32 b.bodies brow) in
-  let v = if sign_a > 0 then Torus.add konst sa else Torus.sub konst sa in
-  let v = if sign_b > 0 then Torus.add v sb else Torus.sub v sb in
-  unsafe_set32 dst.bodies drow v
 
 (* Wire frame: header (magic, dimension, length) then the two flat i32
    blocks.  Byte-identical ciphertexts round-trip because the canonical

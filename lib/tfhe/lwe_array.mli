@@ -55,35 +55,14 @@ val mask : t -> int -> int -> Torus.t
 val body : t -> int -> Torus.t
 (** [body t r] — unchecked hot-path read of row [r]'s body. *)
 
-(** {2 Allocation-free row ops}
+(** {2 Allocation-free row op}
 
-    All of these read every source element before writing the destination
-    element, so the destination row may alias either source row (same row
-    of the same array, or overlapping slices). *)
+    It reads every source element before writing the destination element,
+    so the destination row may alias either source row (same row of the
+    same array, or overlapping slices). *)
 
 val add_into : dst:t -> drow:int -> a:t -> arow:int -> b:t -> brow:int -> unit
 (** [dst.(drow) ← a.(arow) + b.(brow)], the row analogue of {!Lwe.add}. *)
-
-val sub_into : dst:t -> drow:int -> a:t -> arow:int -> b:t -> brow:int -> unit
-val scale_into : dst:t -> drow:int -> int -> src:t -> srow:int -> unit
-val neg_into : dst:t -> drow:int -> src:t -> srow:int -> unit
-
-val combine_into :
-  dst:t ->
-  drow:int ->
-  konst:Torus.t ->
-  scale:int ->
-  sign_a:int ->
-  a:t ->
-  arow:int ->
-  sign_b:int ->
-  b:t ->
-  brow:int ->
-  unit
-(** The fused gate phase combination
-    [dst.(drow) ← konst ± scale·a.(arow) ± scale·b.(brow)], reducing in the
-    same order as the scalar {!Gates.combine} so the result row is
-    bit-identical to the record path. *)
 
 val unsafe_get32 : Pytfhe_util.Wire.i32_buffer -> int -> Torus.t
 (** Unchecked canonical-torus read of one flat cell; allocation-free in

@@ -68,33 +68,6 @@ let write buf p =
   Wire.write_i64 buf p.ks.base_bit;
   Wire.write_u8 buf (Transform.kind_code p.transform)
 
-let read r =
-  Wire.read_magic r "TPRM";
-  let name = Wire.read_string r in
-  let n = Wire.read_i64 r in
-  let lwe_stdev = Wire.read_f64 r in
-  let ring_n = Wire.read_i64 r in
-  let k = Wire.read_i64 r in
-  let tlwe_stdev = Wire.read_f64 r in
-  let l = Wire.read_i64 r in
-  let bg_bit = Wire.read_i64 r in
-  let t = Wire.read_i64 r in
-  let base_bit = Wire.read_i64 r in
-  let transform =
-    let code = Wire.read_u8 r in
-    match Transform.kind_of_code code with
-    | Some k -> k
-    | None -> raise (Wire.Corrupt (Printf.sprintf "unknown transform code %d" code))
-  in
-  {
-    name;
-    lwe = { n; lwe_stdev };
-    tlwe = { ring_n; k; tlwe_stdev };
-    tgsw = { l; bg_bit };
-    ks = { t; base_bit };
-    transform;
-  }
-
 let equal a b = a = b
 
 (* Worst-case magnitude of an external-product coefficient in integer
@@ -125,6 +98,37 @@ let validate p =
     && 2.0 *. ntt_peak p >= float_of_int Pytfhe_fft.Ntt.modulus
   then Error "gadget bounds exceed the NTT modulus headroom ((k+1)*l*N*Bg/2*2^31 >= M/2)"
   else Ok ()
+
+let read r =
+  Wire.read_magic r "TPRM";
+  let name = Wire.read_string r in
+  let n = Wire.read_i64 r in
+  let lwe_stdev = Wire.read_f64 r in
+  let ring_n = Wire.read_i64 r in
+  let k = Wire.read_i64 r in
+  let tlwe_stdev = Wire.read_f64 r in
+  let l = Wire.read_i64 r in
+  let bg_bit = Wire.read_i64 r in
+  let t = Wire.read_i64 r in
+  let base_bit = Wire.read_i64 r in
+  let transform =
+    let code = Wire.read_u8 r in
+    match Transform.kind_of_code code with
+    | Some k -> k
+    | None -> raise (Wire.Corrupt (Printf.sprintf "unknown transform code %d" code))
+  in
+  let p =
+    {
+      name;
+      lwe = { n; lwe_stdev };
+      tlwe = { ring_n; k; tlwe_stdev };
+      tgsw = { l; bg_bit };
+      ks = { t; base_bit };
+      transform;
+    }
+  in
+  (* Structural checks before any key decoder sizes a buffer from [p]. *)
+  match validate p with Ok () -> p | Error msg -> raise (Wire.Corrupt ("parameters: " ^ msg))
 
 let custom ?(transform = Transform.Fft) ~name ~n ~lwe_stdev ~ring_n ~k ~tlwe_stdev ~l ~bg_bit
     ~ks_t ~ks_base_bit () =

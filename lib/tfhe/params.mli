@@ -77,7 +77,8 @@ val write : Pytfhe_util.Wire.writer -> t -> unit
     validate compatibility). *)
 
 val read : Pytfhe_util.Wire.reader -> t
-(** Raises {!Pytfhe_util.Wire.Corrupt} on malformed input. *)
+(** Raises {!Pytfhe_util.Wire.Corrupt} on malformed input, including a
+    parameter set {!validate} refuses. *)
 
 val equal : t -> t -> bool
 

@@ -141,14 +141,6 @@ let add_of_floats_to dst f =
 (* Integer ingestion for the NTT backward pass: coefficients arrive as
    exact signed integers (no rounding step), so reduction modulo 2^32 is
    a plain mask — the path stays float-free end to end. *)
-
-let of_ints_into dst (v : int array) =
-  let n = Array.length v in
-  if Array.length dst <> n then invalid_arg "Poly.of_ints_into: size mismatch";
-  for i = 0 to n - 1 do
-    Array.unsafe_set dst i (Torus.of_signed (Array.unsafe_get v i))
-  done
-
 let add_of_ints_to dst (v : int array) =
   let n = Array.length v in
   if Array.length dst <> n then invalid_arg "Poly.add_of_ints_to: size mismatch";

@@ -81,11 +81,6 @@ val add_of_floats_to : torus_poly -> float array -> unit
     coefficient of [f] into [dst] — exactly [add_to dst (of_floats f)]
     without materializing the intermediate polynomial. *)
 
-val of_ints_into : torus_poly -> int array -> unit
-(** Reduce exact signed integer coefficients (the NTT backward output)
-    modulo 2³² into [dst].  No rounding is involved.  Lengths must
-    match. *)
-
 val add_of_ints_to : torus_poly -> int array -> unit
 (** [add_of_ints_to dst v] accumulates exact signed integer coefficients
     into [dst] modulo 2³² — the integer counterpart of

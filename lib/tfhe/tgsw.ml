@@ -136,10 +136,10 @@ let forward_digits ws (digits : Poly.int_poly) =
     Negacyclic.forward_into s ws.dec_float
   | Transform.Dntt s -> Ntt.forward_into s digits
 
-(* backward_into destroys the accumulator domain — safe in all three
-   landing helpers because [product_spectra] rebuilds every accumulator
-   from scratch on the next call (see the contract in negacyclic.mli,
-   shared by ntt.mli). *)
+(* backward_into destroys the accumulator domain — safe in both landing
+   helpers because [product_spectra] rebuilds every accumulator from
+   scratch on the next call (see the contract in negacyclic.mli, shared
+   by ntt.mli). *)
 let backward_add ws comp (target : Poly.torus_poly) =
   match ws.acc_domains.(comp) with
   | Transform.Dfft s ->
@@ -148,15 +148,6 @@ let backward_add ws comp (target : Poly.torus_poly) =
   | Transform.Dntt s ->
     Ntt.backward_into ws.result_int s;
     Poly.add_of_ints_to target ws.result_int
-
-let backward_set ws comp (target : Poly.torus_poly) =
-  match ws.acc_domains.(comp) with
-  | Transform.Dfft s ->
-    Negacyclic.backward_into ws.result_float s;
-    Poly.of_floats_into target ws.result_float
-  | Transform.Dntt s ->
-    Ntt.backward_into ws.result_int s;
-    Poly.of_ints_into target ws.result_int
 
 let backward_add_row ws comp (tr : Trlwe_array.t) ~row =
   match ws.acc_domains.(comp) with
@@ -169,8 +160,8 @@ let backward_add_row ws comp (tr : Trlwe_array.t) ~row =
 
 (* Decompose [src], push every digit row through the forward transform and
    accumulate the row × bootstrapping-key products in the evaluation
-   domain.  Shared by all external-product entry points; leaves the k+1
-   component accumulators in [ws.acc_domains]. *)
+   domain.  Shared by the record and row external products; leaves the
+   k+1 component accumulators in [ws.acc_domains]. *)
 let product_spectra (p : Params.t) ws (g : fft_sample) (src : Tlwe.sample) =
   let k = p.tlwe.k in
   decompose_into p ws src;
@@ -188,19 +179,6 @@ let external_product_add_into (p : Params.t) ws (g : fft_sample) ~src ~(acc : Tl
   for comp = 0 to k do
     backward_add ws comp (if comp < k then acc.Tlwe.mask.(comp) else acc.Tlwe.body)
   done
-
-let external_product_into (p : Params.t) ws (g : fft_sample) (c : Tlwe.sample)
-    ~(dst : Tlwe.sample) =
-  product_spectra p ws g c;
-  let k = p.tlwe.k in
-  for comp = 0 to k do
-    backward_set ws comp (if comp < k then dst.Tlwe.mask.(comp) else dst.Tlwe.body)
-  done
-
-let external_product (p : Params.t) ws (g : fft_sample) (c : Tlwe.sample) =
-  let dst = Tlwe.trivial p (Poly.zero p.tlwe.ring_n) in
-  external_product_into p ws g c ~dst;
-  dst
 
 let cmux_rotate_into (p : Params.t) ws (g : fft_sample) a (acc : Tlwe.sample) =
   (* acc ← acc + g ⊡ ((X^a − 1)·acc): the CMux between acc and X^a·acc,
@@ -223,13 +201,6 @@ let cmux_rotate_row_into (p : Params.t) ws (g : fft_sample) a (tr : Trlwe_array.
   for comp = 0 to p.tlwe.k do
     backward_add_row ws comp tr ~row
   done
-
-let cmux p ws g d1 d0 =
-  let diff = Tlwe.copy d1 in
-  Tlwe.sub_to diff d0;
-  let prod = external_product p ws g diff in
-  Tlwe.add_to prod d0;
-  prod
 
 module Wire = Pytfhe_util.Wire
 

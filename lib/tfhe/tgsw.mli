@@ -53,27 +53,18 @@ val workspace_create : Params.t -> workspace
     selected transform's tables for the parameter set's ring degree, so a
     workspace handed to a worker domain never mutates shared caches. *)
 
-val external_product : Params.t -> workspace -> fft_sample -> Tlwe.sample -> Tlwe.sample
-(** [external_product p ws g c] computes g ⊡ c: a TRLWE sample whose phase
-    is (approximately) m · phase(c).  Allocates the result; the hot path
-    uses {!external_product_into} / {!cmux_rotate_into} instead. *)
-
-val external_product_into :
-  Params.t -> workspace -> fft_sample -> Tlwe.sample -> dst:Tlwe.sample -> unit
-(** [external_product_into p ws g c ~dst] writes g ⊡ c into [dst] without
-    allocating.  [dst] must not alias [c]. *)
-
 val external_product_add_into :
   Params.t -> workspace -> fft_sample -> src:Tlwe.sample -> acc:Tlwe.sample -> unit
-(** [external_product_add_into p ws g ~src ~acc] accumulates g ⊡ src into
+(** [external_product_add_into p ws g ~src ~acc] accumulates g ⊡ src — a
+    TRLWE sample whose phase is (approximately) m · phase(src) — into
     [acc] without allocating.  [src] may be workspace scratch; [acc] must
     not alias [src]. *)
 
 val cmux_rotate_into : Params.t -> workspace -> fft_sample -> int -> Tlwe.sample -> unit
 (** [cmux_rotate_into p ws g a acc] performs the blind-rotation recurrence
-    acc ← acc + g ⊡ ((X^a − 1)·acc) in place — equivalent to
-    [cmux p ws g (Tlwe.mul_by_xai a acc) acc] with zero allocation.
-    [a] must lie in [0, 2N). *)
+    acc ← acc + g ⊡ ((X^a − 1)·acc) in place — the CMux that selects
+    X^a·acc when [g] encrypts 1 and acc when it encrypts 0 — with zero
+    allocation.  [a] must lie in [0, 2N). *)
 
 val cmux_rotate_row_into :
   Params.t -> workspace -> fft_sample -> int -> Trlwe_array.t -> row:int -> unit
@@ -81,10 +72,6 @@ val cmux_rotate_row_into :
     {!Trlwe_array} row — the batched blind rotation's inner step.
     Bit-identical to the record variant: the rotation difference stages
     through the same workspace scratch and the same transform pipeline. *)
-
-val cmux : Params.t -> workspace -> fft_sample -> Tlwe.sample -> Tlwe.sample -> Tlwe.sample
-(** [cmux p ws g d1 d0] homomorphically selects [d1] when [g] encrypts 1 and
-    [d0] when it encrypts 0: d0 + g ⊡ (d1 − d0). *)
 
 val write_fft : Pytfhe_util.Wire.writer -> fft_sample -> unit
 (** Bootstrapping-key rows in their evaluation-domain form, tagged "GFFT"

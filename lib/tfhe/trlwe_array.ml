@@ -16,7 +16,7 @@ module Wire = Pytfhe_util.Wire
 
    Every op mirrors the record-path code it replaces coefficient for
    coefficient ([Poly.mul_by_xai_into] / [mul_by_xai_minus_one_into] /
-   [add_of_floats_to] / [Tlwe.extract_lwe]), and all arithmetic goes
+   [add_of_floats_to] / [Tlwe.extract_lwe_at]), and all arithmetic goes
    through [Torus] / [Poly.torus_of_float], so the batched rotation stays
    ciphertext-bit-exact with the scalar walk. *)
 
@@ -154,11 +154,14 @@ let add_ints_to t ~row ~comp (v : int array) =
    primitive instead of the generic boxing one. *)
 let[@inline] set32 (ba : Wire.i32_buffer) i v = Bigarray.Array1.unsafe_set ba i (Int32.of_int v)
 
-(* Sample extraction, [Tlwe.extract_lwe] row for row: mask coefficient
-   (c·N) is poly_c(0), (c·N + j) is −poly_c(N − j); the body is the body
-   polynomial's constant coefficient. *)
-let extract_row_into t ~row (dst : Lwe_array.t) ~drow =
+(* Sample extraction at coefficient [pos], [Tlwe.extract_lwe_at] row for
+   row: mask coefficient (c·N + j) is poly_c(pos − j) for j ≤ pos and
+   −poly_c(N + pos − j) above; the body is the body polynomial's
+   coefficient [pos]. *)
+let extract_row_into t ~row ~pos (dst : Lwe_array.t) ~drow =
   check_row t row "Trlwe_array.extract_row_into";
+  if pos < 0 || pos >= t.ring_n then
+    invalid_arg "Trlwe_array.extract_row_into: position out of range";
   if dst.Lwe_array.n <> t.k * t.ring_n then
     invalid_arg "Trlwe_array.extract_row_into: destination dimension mismatch";
   if drow < 0 || drow >= dst.Lwe_array.len then
@@ -167,27 +170,12 @@ let extract_row_into t ~row (dst : Lwe_array.t) ~drow =
   let src = t.data in
   let doff = drow * dst.Lwe_array.n in
   for c = 0 to t.k - 1 do
-    let poff = comp_off t row c in
-    set32 dst.Lwe_array.masks (doff + (c * n)) (Array.unsafe_get src poff);
-    for j = 1 to n - 1 do
-      set32 dst.Lwe_array.masks (doff + (c * n) + j)
-        (Torus.neg (Array.unsafe_get src (poff + n - j)))
+    let poff = comp_off t row c and moff = doff + (c * n) in
+    for j = 0 to pos do
+      set32 dst.Lwe_array.masks (moff + j) (Array.unsafe_get src (poff + pos - j))
+    done;
+    for j = pos + 1 to n - 1 do
+      set32 dst.Lwe_array.masks (moff + j) (Torus.neg (Array.unsafe_get src (poff + n + pos - j)))
     done
   done;
-  set32 dst.Lwe_array.bodies drow (Array.unsafe_get src (body_off t row))
-
-(* Record conversions for the test suite. *)
-
-let set_row t r (s : Tlwe.sample) =
-  check_row t r "Trlwe_array.set_row";
-  if Array.length s.Tlwe.mask <> t.k || Array.length s.Tlwe.body <> t.ring_n then
-    invalid_arg "Trlwe_array.set_row: shape mismatch";
-  for c = 0 to t.k do
-    let p = if c < t.k then s.Tlwe.mask.(c) else s.Tlwe.body in
-    Array.blit p 0 t.data (comp_off t r c) t.ring_n
-  done
-
-let get_row t r =
-  check_row t r "Trlwe_array.get_row";
-  let poly c = Array.sub t.data (comp_off t r c) t.ring_n in
-  { Tlwe.mask = Array.init t.k poly; body = poly t.k }
+  set32 dst.Lwe_array.bodies drow (Array.unsafe_get src (body_off t row + pos))

@@ -48,12 +48,7 @@ val add_ints_to : t -> row:int -> comp:int -> int array -> unit
     into component [comp] of row [row] modulo 2³² —
     {!Poly.add_of_ints_to} against the flat row. *)
 
-val extract_row_into : t -> row:int -> Lwe_array.t -> drow:int -> unit
-(** Sample-extract row [row] into row [drow] of an {!Lwe_array} of
-    dimension k·N — {!Tlwe.extract_lwe} without the record detour. *)
-
-val set_row : t -> int -> Tlwe.sample -> unit
-(** Store a record accumulator into row [r] (tests). *)
-
-val get_row : t -> int -> Tlwe.sample
-(** Materialize row [r] as a record (tests; allocates). *)
+val extract_row_into : t -> row:int -> pos:int -> Lwe_array.t -> drow:int -> unit
+(** Sample-extract coefficient [pos] ([0 ≤ pos < N]) of row [row] into
+    row [drow] of an {!Lwe_array} of dimension k·N —
+    {!Tlwe.extract_lwe_at} without the record detour. *)

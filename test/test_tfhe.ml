@@ -255,15 +255,20 @@ let test_tgsw_external_product_zero_one () =
   let n = params.Params.tlwe.ring_n in
   let msg = Array.init n (fun i -> Torus.mod_switch_to (i mod 4) ~msize:4) in
   let c = Tlwe.encrypt_poly rng params key msg in
+  let product g =
+    let acc = Tlwe.trivial params (Poly.zero n) in
+    Tgsw.external_product_add_into params ws g ~src:c ~acc;
+    acc
+  in
   (* m = 1: phases should match the input. *)
   let g1 = Tgsw.to_fft params (Tgsw.encrypt_int rng params key 1) in
-  let p1 = Tlwe.phase key (Tgsw.external_product params ws g1 c) in
+  let p1 = Tlwe.phase key (product g1) in
   Array.iteri
     (fun i m -> if Torus.distance m p1.(i) > 1e-3 then Alcotest.failf "m=1 phase off at %d" i)
     msg;
   (* m = 0: phases should be (near) zero. *)
   let g0 = Tgsw.to_fft params (Tgsw.encrypt_int rng params key 0) in
-  let p0 = Tlwe.phase key (Tgsw.external_product params ws g0 c) in
+  let p0 = Tlwe.phase key (product g0) in
   Array.iteri
     (fun i v -> if Torus.distance 0 v > 1e-3 then Alcotest.failf "m=0 phase not 0 at %d" i)
     p0
@@ -276,9 +281,14 @@ let test_tgsw_cmux_selects () =
   let quarter = Torus.mod_switch_to 1 ~msize:4 in
   let d1 = Tlwe.encrypt_poly rng params key (Array.make n quarter) in
   let d0 = Tlwe.encrypt_poly rng params key (Array.make n (Torus.neg quarter)) in
+  (* The CMux d0 + g ⊡ (d1 − d0). *)
   let check bit expected =
     let g = Tgsw.to_fft params (Tgsw.encrypt_int rng params key bit) in
-    let ph = Tlwe.phase key (Tgsw.cmux params ws g d1 d0) in
+    let diff = Tlwe.copy d1 in
+    Tlwe.sub_to diff d0;
+    let acc = Tlwe.copy d0 in
+    Tgsw.external_product_add_into params ws g ~src:diff ~acc;
+    let ph = Tlwe.phase key acc in
     if Torus.distance expected ph.(0) > 1e-3 then
       Alcotest.failf "cmux bit=%d selected wrong branch" bit
   in
@@ -484,6 +494,86 @@ let test_serialize_rejects_garbage () =
        ignore (Gates.read_cloud_keyset (Wire.reader_of_string "not a keyset at all"));
        false
      with Wire.Corrupt _ -> true)
+
+(* A keyset decoder sizes nothing from a header alone: each crafted payload
+   fails with [Wire.Corrupt] only, within memory bounded by what was sent
+   rather than what it declares. *)
+let test_keyset_decoders_bound_allocation () =
+  let bytes build =
+    let buf = Buffer.create 256 in
+    build buf;
+    Buffer.contents buf
+  in
+  let kswk ~t ~base_bit ~out_n ~in_n buf =
+    Wire.write_magic buf "KSWK";
+    List.iter (Wire.write_i64 buf) [ t; base_bit; out_n; in_n ]
+  in
+  let refused =
+    {
+      params with
+      Params.lwe = { params.Params.lwe with Params.n = 0 };
+      tlwe = { params.Params.tlwe with Params.ring_n = 1 lsl 20 };
+    }
+  in
+  let tiny =
+    Params.custom ~name:"tiny" ~n:4 ~lwe_stdev:(2.0 ** -20.0) ~ring_n:64 ~k:1
+      ~tlwe_stdev:(2.0 ** -30.0) ~l:2 ~bg_bit:6 ~ks_t:2 ~ks_base_bit:2 ()
+  in
+  let rng = Rng.create ~seed:97 () in
+  let _, tiny_ck = Gates.key_gen rng tiny in
+  let wrong_ks =
+    Keyswitch.key_gen rng tiny ~in_key:(Lwe.key_gen rng ~n:8) ~out_key:(Lwe.key_gen rng ~n:4)
+  in
+  let keyswitch r = ignore (Keyswitch.read r) and cloud r = ignore (Gates.read_cloud_keyset r) in
+  let cases =
+    [
+      ( "KSWK declaring 2^20 entries, none sent",
+        keyswitch,
+        bytes (kswk ~t:1 ~base_bit:20 ~out_n:1 ~in_n:1) );
+      ( "KSWK declaring out_n = 2^40",
+        keyswitch,
+        bytes (kswk ~t:1 ~base_bit:2 ~out_n:(1 lsl 40) ~in_n:1) );
+      ( "KSWK whose size overflows an int",
+        keyswitch,
+        bytes (kswk ~t:8 ~base_bit:2 ~out_n:1 ~in_n:(1 lsl 60)) );
+      ( "TPRM with N = 3",
+        (fun r -> ignore (Params.read r)),
+        bytes (fun buf ->
+            Params.write buf { params with Params.tlwe = { params.Params.tlwe with ring_n = 3 } })
+      );
+      ( "CKST with n = 0, N = 2^20 and no key rows",
+        cloud,
+        bytes (fun buf ->
+            Wire.write_magic buf "CKST";
+            Params.write buf refused;
+            Wire.write_magic buf "BSKY";
+            Wire.write_i64 buf 0) );
+      ( "CKST whose key switch maps 8 to 4, not k*N to n",
+        cloud,
+        bytes (fun buf ->
+            Wire.write_magic buf "CKST";
+            Params.write buf tiny;
+            Bootstrap.write buf tiny_ck.Gates.bootstrap_key;
+            Keyswitch.write buf wrong_ks) );
+    ]
+  in
+  List.iter
+    (fun (label, decode, payload) ->
+      Gc.minor ();
+      let before = Gc.allocated_bytes () in
+      let outcome =
+        match decode (Wire.reader_of_string payload) with
+        | () -> "decoded"
+        | exception Wire.Corrupt _ -> "Wire.Corrupt"
+        | exception e -> Printexc.to_string e
+      in
+      Gc.minor ();
+      let allocated = Gc.allocated_bytes () -. before in
+      Alcotest.(check string) (label ^ ": outcome") "Wire.Corrupt" outcome;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f bytes allocated, under 1 MiB" label allocated)
+        true (allocated < 1048576.0))
+    cases
 
 
 (* ------------------------------------------------------------------ *)
@@ -828,59 +918,125 @@ let qcheck_float_conversions_into_match =
       Poly.add_of_floats_to acc f;
       ok_to && ok_of && acc = expected)
 
-let qcheck_external_product_into_matches =
-  QCheck.Test.make ~name:"external_product_into/add_into match external_product" ~count:20
+(* The schoolbook reference the hot path is pinned to, bit for bit: the
+   external product g ⊡ c as Σ_r digit_r · row_r over coefficient-form
+   TGSW rows, each polynomial product a naive negacyclic convolution.  No
+   transform is involved, so one reference serves FFT and NTT sets. *)
+let schoolbook_product p (g : Tgsw.sample) (c : Tlwe.sample) =
+  let k = p.Params.tlwe.Params.k in
+  let digits = Tgsw.decompose p c in
+  let component comp =
+    let acc = Poly.zero p.Params.tlwe.Params.ring_n in
+    Array.iteri
+      (fun r d ->
+        let row = g.Tgsw.rows.(r) in
+        let poly = if comp < k then row.Tlwe.mask.(comp) else row.Tlwe.body in
+        Poly.add_to acc (Poly.mul_int_torus_naive d poly))
+      digits;
+    acc
+  in
+  { Tlwe.mask = Array.init k component; body = component k }
+
+(* acc + g ⊡ ((X^a − 1)·acc): the CMux between X^a·acc and acc. *)
+let schoolbook_cmux_rotate p g a (acc : Tlwe.sample) =
+  let rot =
+    {
+      Tlwe.mask = Array.map (Poly.mul_by_xai_minus_one a) acc.Tlwe.mask;
+      body = Poly.mul_by_xai_minus_one a acc.Tlwe.body;
+    }
+  in
+  let out = Tlwe.copy acc in
+  Tlwe.add_to out (schoolbook_product p g rot);
+  out
+
+let schoolbook_blind_rotate p (bsk : Tgsw.sample array) ~testvect (s : Lwe.sample) =
+  let n2 = 2 * p.Params.tlwe.Params.ring_n in
+  let barb = Torus.mod_switch_from s.Lwe.b ~msize:n2 in
+  let acc = ref (Tlwe.trivial p (Poly.mul_by_xai ((n2 - barb) mod n2) testvect)) in
+  Array.iteri
+    (fun i g ->
+      let barai = Torus.mod_switch_from s.Lwe.a.(i) ~msize:n2 in
+      if barai <> 0 then acc := schoolbook_cmux_rotate p g barai !acc)
+    bsk;
+  !acc
+
+(* The pins run under both transforms.  Each set's bootstrapping key keeps
+   its coefficient-form rows for the reference and reaches the kernel
+   through the BSKY wire format. *)
+let pin_sets =
+  List.map
+    (fun tr ->
+      let p = Params.with_transform params tr in
+      ( p,
+        lazy
+          (let rng = Rng.create ~seed:1201 () in
+           let lwe_key = Lwe.key_gen rng ~n:p.Params.lwe.Params.n in
+           let tlwe_key = Tlwe.key_gen rng p in
+           let rows = Array.map (Tgsw.encrypt_int rng p tlwe_key) lwe_key.Lwe.bits in
+           let buf = Buffer.create 4096 in
+           Wire.write_magic buf "BSKY";
+           Wire.write_array buf Tgsw.write_fft (Array.map (Tgsw.to_fft p) rows);
+           (tlwe_key, rows, Bootstrap.read p (Wire.reader_of_string (Buffer.contents buf)))) ))
+    [ Pytfhe_fft.Transform.Fft; Pytfhe_fft.Transform.Ntt ]
+
+let qcheck_external_product_add_into_matches =
+  QCheck.Test.make ~name:"external product vs schoolbook" ~count:20
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
-      let rng = Rng.create ~seed () in
-      let key = Tlwe.key_gen rng params in
-      let ws = Tgsw.workspace_create params in
-      let n = params.Params.tlwe.ring_n in
-      let c = Tlwe.encrypt_poly rng params key (random_torus_poly rng n) in
-      let g = Tgsw.to_fft params (Tgsw.encrypt_int rng params key (Rng.int rng 2)) in
-      let reference = Tgsw.external_product params ws g c in
-      let dst = Tlwe.trivial params (random_torus_poly rng n) in
-      Tgsw.external_product_into params ws g c ~dst;
-      let acc = Tlwe.encrypt_poly rng params key (random_torus_poly rng n) in
-      let expected_acc = Tlwe.copy acc in
-      Tlwe.add_to expected_acc reference;
-      Tgsw.external_product_add_into params ws g ~src:c ~acc;
-      dst = reference && acc = expected_acc)
+      List.for_all
+        (fun (p, keys) ->
+          let key, _, _ = Lazy.force keys in
+          let rng = Rng.create ~seed () in
+          let ws = Tgsw.workspace_create p in
+          let n = p.Params.tlwe.Params.ring_n in
+          let c = Tlwe.encrypt_poly rng p key (random_torus_poly rng n) in
+          let g = Tgsw.encrypt_int rng p key (Rng.int rng 2) in
+          let acc = Tlwe.encrypt_poly rng p key (random_torus_poly rng n) in
+          let expected = Tlwe.copy acc in
+          Tlwe.add_to expected (schoolbook_product p g c);
+          Tgsw.external_product_add_into p ws (Tgsw.to_fft p g) ~src:c ~acc;
+          acc = expected)
+        pin_sets)
 
 let qcheck_cmux_rotate_into_matches =
   QCheck.Test.make ~name:"cmux_rotate_into matches cmux of rotation" ~count:20
     QCheck.(pair small_nat (int_range 0 1_000_000))
     (fun (a, seed) ->
-      let rng = Rng.create ~seed () in
-      let key = Tlwe.key_gen rng params in
-      let ws = Tgsw.workspace_create params in
-      let n = params.Params.tlwe.ring_n in
-      let a = 1 + (a mod ((2 * n) - 1)) in
-      let acc = Tlwe.encrypt_poly rng params key (random_torus_poly rng n) in
-      let g = Tgsw.to_fft params (Tgsw.encrypt_int rng params key (Rng.int rng 2)) in
-      let expected = Tgsw.cmux params ws g (Tlwe.mul_by_xai a acc) acc in
-      Tgsw.cmux_rotate_into params ws g a acc;
-      acc = expected)
+      List.for_all
+        (fun (p, keys) ->
+          let key, _, _ = Lazy.force keys in
+          let rng = Rng.create ~seed () in
+          let ws = Tgsw.workspace_create p in
+          let n = p.Params.tlwe.Params.ring_n in
+          let a = 1 + (a mod ((2 * n) - 1)) in
+          let acc = Tlwe.encrypt_poly rng p key (random_torus_poly rng n) in
+          let g = Tgsw.encrypt_int rng p key (Rng.int rng 2) in
+          let expected = schoolbook_cmux_rotate p g a acc in
+          Tgsw.cmux_rotate_into p ws (Tgsw.to_fft p g) a acc;
+          acc = expected)
+        pin_sets)
 
 let qcheck_blind_rotate_into_matches_reference =
   QCheck.Test.make ~name:"in-place blind rotation is bit-exact vs reference" ~count:8
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
-      let ck = cloud () in
-      let bkey = ck.Gates.bootstrap_key in
-      let ws = Tgsw.workspace_create params in
-      let rng = Rng.create ~seed () in
-      let n = params.Params.tlwe.ring_n in
-      let testvect = random_torus_poly rng n in
-      let s =
-        { Lwe.a = Array.init params.Params.lwe.Params.n (fun _ -> Rng.bits32 rng);
-          b = Rng.bits32 rng }
-      in
-      let reference = Bootstrap.blind_rotate_reference params ws bkey ~testvect s in
-      let got = Bootstrap.blind_rotate_with params ws bkey ~testvect s in
-      let acc = Tlwe.trivial params (random_torus_poly rng n) in
-      Bootstrap.blind_rotate_into params ws bkey ~testvect ~acc s;
-      got = reference && acc = reference)
+      List.for_all
+        (fun (p, keys) ->
+          let _, rows, bkey = Lazy.force keys in
+          let ws = Tgsw.workspace_create p in
+          let rng = Rng.create ~seed () in
+          let n = p.Params.tlwe.Params.ring_n in
+          let testvect = random_torus_poly rng n in
+          let s =
+            { Lwe.a = Array.init p.Params.lwe.Params.n (fun _ -> Rng.bits32 rng);
+              b = Rng.bits32 rng }
+          in
+          let reference = schoolbook_blind_rotate p rows ~testvect s in
+          let got = Bootstrap.blind_rotate_with p ws bkey ~testvect s in
+          let acc = Tlwe.trivial p (random_torus_poly rng n) in
+          Bootstrap.blind_rotate_into p ws bkey ~testvect ~acc s;
+          got = reference && acc = reference)
+        pin_sets)
 
 let qcheck_keyswitch_apply_into_matches =
   QCheck.Test.make ~name:"keyswitch apply_into matches apply" ~count:50
@@ -1103,7 +1259,7 @@ let () =
           Alcotest.test_case "into rejects aliasing/sizes" `Quick
             test_poly_into_rejects_aliasing_and_sizes;
           QCheck_alcotest.to_alcotest qcheck_float_conversions_into_match;
-          QCheck_alcotest.to_alcotest qcheck_external_product_into_matches;
+          QCheck_alcotest.to_alcotest qcheck_external_product_add_into_matches;
           QCheck_alcotest.to_alcotest qcheck_cmux_rotate_into_matches;
           QCheck_alcotest.to_alcotest qcheck_blind_rotate_into_matches_reference;
           QCheck_alcotest.to_alcotest qcheck_keyswitch_apply_into_matches;
@@ -1123,6 +1279,8 @@ let () =
           Alcotest.test_case "lwe key" `Quick test_serialize_lwe_key;
           Alcotest.test_case "keysets functional" `Slow test_serialize_keysets_functional;
           Alcotest.test_case "rejects garbage" `Quick test_serialize_rejects_garbage;
+          Alcotest.test_case "keyset decoders bound allocation" `Quick
+            test_keyset_decoders_bound_allocation;
         ] );
       ( "gates",
         gate_tests
