@@ -1698,7 +1698,6 @@ module Tensor = Pytfhe_chiseltorch.Tensor
 module Nn = Pytfhe_chiseltorch.Nn
 module Attention = Pytfhe_chiseltorch.Attention
 module Dtype = Pytfhe_chiseltorch.Dtype
-module Stream_exec = Pytfhe_backend.Stream_exec
 
 let e2e_bench () =
   header "e2e — streaming compilation: MNIST conv layer + BERT attention head end to end";
@@ -1809,7 +1808,7 @@ let e2e_bench () =
         let n_in = Netlist.input_count compiled.Pipeline.netlist in
         let rngi = Rng.create ~seed:515 () in
         let ins = Array.init n_in (fun _ -> Rng.bool rngi) in
-        let sbits = Stream_exec.run_bits streamed ins in
+        let sbits = Plain_eval.run_binary streamed ins in
         let expected = Plain_eval.run compiled.Pipeline.netlist ins in
         let plain_match =
           List.for_all2 (fun (_, e) g -> e = g) expected (Array.to_list sbits)

@@ -11,7 +11,6 @@
 module Netlist = Pytfhe_circuit.Netlist
 module Gate = Pytfhe_circuit.Gate
 module Binary = Pytfhe_circuit.Binary
-module Wire = Pytfhe_util.Wire
 module Trace = Pytfhe_obs.Trace
 open Pytfhe_tfhe
 
@@ -115,9 +114,7 @@ let netlist_items net =
 
 let rec items = function
   | Netlist net -> netlist_items net
-  | Bytes b ->
-    let sent = ref false in
-    items (Pull (fun () -> if !sent then None else (sent := true; Some b)))
+  | Bytes b -> items (Pull (Binary.bytes_source b))
   | Pull read ->
     let next = Binary.reader read in
     fun () -> Option.map (fun i -> Inst i) (next ())
@@ -128,23 +125,17 @@ type pending =
   | P_lut of { table : int; ins : int array; dst : int }
   | P_not of { src : int; dst : int }
 
-(* A value-table slot.  [lut]: a lutdom ciphertext (a LUT cell's output);
-   [level]: the segment level that computes it. *)
-type slot =
-  | Unassigned
-  | Pending of { level : int; lut : bool }
-  | Ready of { v : Lwe.sample; lut : bool }
+(* A value-table slot: the segment level that computes it, or the value. *)
+type slot = Pending of int | Ready of Lwe.sample
 
 type cursor = {
   cloud : Gates.cloud_keyset;
   next_item : unit -> item option;
+  check : Binary.Check.t;  (* the stream rules; which values are lutdom *)
   inputs : Lwe.sample array;
   window : int;
   mutable slots : slot array;  (* the value table, by stream index *)
   mutable next : int;  (* index of the next value *)
-  mutable inputs_seen : int;
-  mutable gate_total : int;  (* -1 until the header *)
-  mutable gates_seen : int;
   mutable outputs : int list;  (* reversed *)
   mutable eof : bool;
   mutable seg : pending list array;  (* the segment, per level (index l - 1), reversed *)
@@ -156,34 +147,27 @@ type cursor = {
   mutable nots : int;
 }
 
-let fail msg = failwith ("Wave.cursor: " ^ msg)
-
 let grow a size fill =
   let b = Array.make (max (2 * Array.length a) size) fill in
   Array.blit a 0 b 0 (Array.length a);
   b
 
-let level_of c index =
-  match if index < 1 || index >= c.next then Unassigned else c.slots.(index) with
-  | Ready _ -> 0
-  | Pending { level; _ } -> level
-  | Unassigned -> fail "reference to an unassigned index"
-
-let is_lut c index =
-  match c.slots.(index) with Ready { lut; _ } | Pending { lut; _ } -> lut | Unassigned -> false
-
-let raw c index = match c.slots.(index) with Ready { v; _ } -> v | _ -> assert false
+(* The checker has already refused every reference to an unassigned
+   index. *)
+let level_of c index = match c.slots.(index) with Ready _ -> 0 | Pending level -> level
+let raw c index = match c.slots.(index) with Ready v -> v | Pending _ -> assert false
 
 (* LUT cells produce lutdom ciphertexts; classic consumers (gate operands,
    arity-1 cells, NOTs, outputs) read them through the free, exact
    lutdom -> classic view. *)
-let classic c index = if is_lut c index then Gates.lut_to_classic (raw c index) else raw c index
+let classic c index =
+  if Binary.Check.is_lut c.check index then Gates.lut_to_classic (raw c index) else raw c index
 
-let set c dst v = c.slots.(dst) <- Ready { v; lut = is_lut c dst }
+let set c dst v = c.slots.(dst) <- Ready v
 
 (* The next index's slot. *)
 let assign c slot =
-  if c.next >= Array.length c.slots then c.slots <- grow c.slots (c.next + 16) Unassigned;
+  if c.next >= Array.length c.slots then c.slots <- grow c.slots (c.next + 16) slot;
   c.slots.(c.next) <- slot;
   c.next <- c.next + 1
 
@@ -192,66 +176,45 @@ let enqueue c l p =
   c.seg.(l - 1) <- p :: c.seg.(l - 1)
 
 (* Level = 1 + the highest operand level within the segment. *)
-let queue c ~lut l p =
+let queue c l p =
   enqueue c l p;
   c.depth <- max c.depth l;
   c.queued <- c.queued + 1;
-  assign c (Pending { level = l; lut })
-
-let count_gate c =
-  c.gates_seen <- c.gates_seen + 1;
-  (* A streamed header carries the sentinel, not a count. *)
-  if c.gate_total <> Binary.streamed_gate_total && c.gates_seen > c.gate_total then
-    fail "more gates than the header declared"
+  assign c (Pending l)
 
 let feed c = function
-  | Const b -> assign c (Ready { v = Gates.constant c.cloud b; lut = false })
-  | Inst (Binary.Header { gate_total }) ->
-    if c.gate_total >= 0 then fail "duplicate header";
-    c.gate_total <- gate_total
-  | Inst _ when c.gate_total < 0 -> fail "missing header instruction"
-  | Inst (Binary.Input_decl { index }) ->
-    if index <> c.next then fail "non-sequential input index";
-    if c.inputs_seen >= Array.length c.inputs then
-      invalid_arg "Wave.cursor: more input declarations than inputs";
-    assign c (Ready { v = c.inputs.(c.inputs_seen); lut = false });
-    c.inputs_seen <- c.inputs_seen + 1
-  | Inst (Binary.Gate_inst { gate; in0; _ }) when Gate.is_unary gate ->
-    (* NOT is noiseless: evaluated at once when its operand is computed,
-       right after the operand's level otherwise. *)
-    count_gate c;
-    let base = level_of c in0 in
-    if base = 0 then begin
-      assign c (Ready { v = Lwe.neg (classic c in0); lut = false });
-      c.nots <- c.nots + 1
-    end
-    else begin
-      enqueue c base (P_not { src = in0; dst = c.next });
-      assign c (Pending { level = base; lut = false })
-    end
-  | Inst (Binary.Gate_inst { gate; in0; in1 }) ->
-    count_gate c;
-    queue c ~lut:false
-      (1 + max (level_of c in0) (level_of c in1))
-      (P_gate { gate; in0; in1; dst = c.next })
-  | Inst (Binary.Lut_inst { table; ins }) ->
-    count_gate c;
-    let arity = Array.length ins in
-    let base =
-      Array.fold_left
-        (fun acc idx ->
-          let l = level_of c idx in
-          if arity > 1 && not (is_lut c idx) then
-            raise
-              (Wire.Corrupt
-                 (Printf.sprintf "Wave.cursor: lut%d operand %d is not lutdom-encoded" arity idx));
-          max acc l)
-        0 ins
-    in
-    queue c ~lut:true (1 + base) (P_lut { table; ins; dst = c.next })
-  | Inst (Binary.Output_decl { index }) ->
-    ignore (level_of c index);
-    c.outputs <- index :: c.outputs
+  | Const b ->
+    Binary.Check.constant c.check;
+    assign c (Ready (Gates.constant c.cloud b))
+  | Inst inst -> (
+    Binary.Check.feed c.check inst;
+    match inst with
+    | Binary.Header _ -> ()
+    | Binary.Input_decl _ ->
+      let k = Binary.Check.inputs c.check - 1 in
+      if k >= Array.length c.inputs then
+        invalid_arg "Wave.cursor: more input declarations than inputs";
+      assign c (Ready c.inputs.(k))
+    | Binary.Gate_inst { gate; in0; _ } when Gate.is_unary gate ->
+      (* NOT is noiseless: evaluated at once when its operand is computed,
+         right after the operand's level otherwise. *)
+      let base = level_of c in0 in
+      if base = 0 then begin
+        assign c (Ready (Lwe.neg (classic c in0)));
+        c.nots <- c.nots + 1
+      end
+      else begin
+        enqueue c base (P_not { src = in0; dst = c.next });
+        assign c (Pending base)
+      end
+    | Binary.Gate_inst { gate; in0; in1 } ->
+      queue c
+        (1 + max (level_of c in0) (level_of c in1))
+        (P_gate { gate; in0; in1; dst = c.next })
+    | Binary.Lut_inst { table; ins } ->
+      let base = Array.fold_left (fun acc idx -> max acc (level_of c idx)) 0 ins in
+      queue c (1 + base) (P_lut { table; ins; dst = c.next })
+    | Binary.Output_decl { index } -> c.outputs <- index :: c.outputs)
 
 (* Read instructions until the segment holds [window] bootstraps or the
    source ends. *)
@@ -263,10 +226,10 @@ let rec fill c =
       fill c
     | None ->
       c.eof <- true;
-      if c.gate_total < 0 then fail "missing header instruction";
-      if c.inputs_seen <> Array.length c.inputs then
+      let declared = Binary.Check.inputs c.check in
+      if declared <> Array.length c.inputs then
         invalid_arg
-          (Printf.sprintf "Wave.cursor: the program declares %d inputs, %d given" c.inputs_seen
+          (Printf.sprintf "Wave.cursor: the program declares %d inputs, %d given" declared
              (Array.length c.inputs))
 
 (* A level's jobs in arrival order, and the destination of every output
@@ -337,13 +300,11 @@ let cursor ?(window = 1 lsl 15) cloud source inputs =
     {
       cloud;
       next_item = items source;
+      check = Binary.Check.create ();
       inputs;
       window;
       slots = [||];
       next = 1;
-      inputs_seen = 0;
-      gate_total = -1;
-      gates_seen = 0;
       outputs = [];
       eof = false;
       seg = [||];

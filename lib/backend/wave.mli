@@ -88,13 +88,14 @@ val cursor :
     their operand is computed, right after its level otherwise.  A level's
     LUT cells over one operand tuple form one rotation group.
 
-    Raises, here or from {!deliver} when a later segment is read:
-    [Invalid_argument] when the number of input declarations is not
-    [Array.length inputs] or [window < 1]; [Failure] on a malformed stream
-    (bad length, missing or duplicate header, non-sequential input index,
-    reference to an unassigned index, more gates than the header
-    declares); [Pytfhe_util.Wire.Corrupt] on a corrupt LUT record or a
-    multi-input LUT cell over a classic operand. *)
+    Every instruction is read through {!Pytfhe_circuit.Binary.reader} and
+    {!Pytfhe_circuit.Binary.Check} (a netlist's constant enters the
+    checker as a classic value at the next index), so the cursor accepts
+    exactly the programs {!Pytfhe_circuit.Binary.parse} accepts.  Raises,
+    here or from {!deliver} when a later segment is read:
+    [Pytfhe_util.Wire.Corrupt] on a malformed stream; [Invalid_argument]
+    when the number of input declarations is not [Array.length inputs] or
+    [window < 1]. *)
 
 val jobs : cursor -> job array
 (** The current wave's jobs; never empty until {!finished}. *)

@@ -1,5 +1,9 @@
 module Wire = Pytfhe_util.Wire
 
+(* Every decoding fault is data corruption, not a programming error: it
+   raises [Wire.Corrupt] so executors reject hostile streams gracefully. *)
+let corrupt fmt = Printf.ksprintf (fun msg -> raise (Wire.Corrupt ("Binary: " ^ msg))) fmt
+
 type instruction =
   | Header of { gate_total : int }
   | Input_decl of { index : int }
@@ -48,17 +52,13 @@ let instruction_words = function
   | Output_decl { index } -> encode_words all_ones_62 index tag_output
 
 let decode_lut a b =
-  (* Malformed LUT records are data corruption, not programming errors:
-     they raise {!Wire.Corrupt} so executors reject hostile streams
-     gracefully. *)
-  let corrupt msg = raise (Wire.Corrupt ("Binary: " ^ msg)) in
   let arity = b land 0x3 in
   let table = (b lsr 2) land 0xFF in
   let in1 = (b lsr 10) land lut_operand_mask in
   let in2 = (b lsr 36) land lut_operand_mask in
   if arity = 0 then corrupt "LUT record with arity 0";
   if table >= 1 lsl (1 lsl arity) then
-    corrupt (Printf.sprintf "LUT table %#x too wide for arity %d" table arity);
+    corrupt "LUT table %#x too wide for arity %d" table arity;
   if arity < 3 && in2 <> 0 then corrupt "nonzero reserved operand bits in LUT record";
   if arity < 2 && in1 <> 0 then corrupt "nonzero reserved operand bits in LUT record";
   let ins = Array.sub [| a; in1; in2 |] 0 arity in
@@ -73,7 +73,7 @@ let instruction_of_words lo hi =
   else
     match Gate.of_code tag with
     | Some gate -> Gate_inst { gate; in0 = a; in1 = b }
-    | None -> failwith (Printf.sprintf "Binary.disassemble: unknown instruction tag %d" tag)
+    | None -> corrupt "unknown instruction tag %d" tag
 
 let pp_instruction fmt = function
   | Header { gate_total } -> Format.fprintf fmt "header  gates=%d" gate_total
@@ -274,111 +274,23 @@ let assemble net =
 
 let instruction_count bytes =
   let len = Bytes.length bytes in
-  if len mod 16 <> 0 then failwith "Binary: truncated instruction stream";
+  if len mod 16 <> 0 then corrupt "truncated instruction stream";
   len / 16
 
-let disassemble bytes =
-  let count = instruction_count bytes in
-  if count = 0 then failwith "Binary.disassemble: empty stream";
-  let insts =
-    List.init count (fun i ->
-        instruction_of_words (Bytes.get_int64_le bytes (16 * i)) (Bytes.get_int64_le bytes ((16 * i) + 8)))
-  in
-  (match insts with
-  | Header _ :: _ -> ()
-  | _ -> failwith "Binary.disassemble: missing header instruction");
-  insts
+let bytes_source bytes =
+  let sent = ref false in
+  fun () ->
+    if !sent then None
+    else begin
+      sent := true;
+      Some bytes
+    end
 
-(* Incremental netlist rebuilder over an instruction stream.  Stream indices
-   are sequential from 1, so the index → id table is a dense growable vector
-   rather than a hashtable — O(1) with no boxing at multi-million-gate
-   scale. *)
-module Parser = struct
-  module Growable = Pytfhe_util.Growable
-
-  type t = {
-    net : Netlist.t;
-    table : Growable.t;  (* position index-1 holds the netlist id *)
-    mutable saw_header : bool;
-    mutable n_inputs : int;
-    mutable n_outputs : int;
-  }
-
-  let create () =
-    {
-      net = Netlist.create ~hash_consing:false ~fold_constants:false ();
-      table = Growable.create ~capacity:1024 ();
-      saw_header = false;
-      n_inputs = 0;
-      n_outputs = 0;
-    }
-
-  let resolve p index =
-    if index >= 1 && index <= Growable.length p.table then Growable.get p.table (index - 1)
-    else failwith (Printf.sprintf "Binary.parse: forward or dangling reference %d" index)
-
-  let feed p inst =
-    (match inst with
-    | Header _ -> ()
-    | _ ->
-      if not p.saw_header then failwith "Binary.parse: missing header instruction");
-    match inst with
-    | Header _ -> p.saw_header <- true
-    | Input_decl { index } ->
-      if index <> Growable.length p.table + 1 then
-        failwith "Binary.parse: non-sequential input index";
-      let id = Netlist.input p.net (Printf.sprintf "in%d" p.n_inputs) in
-      p.n_inputs <- p.n_inputs + 1;
-      Growable.push p.table id
-    | Gate_inst { gate; in0; in1 } ->
-      Growable.push p.table (Netlist.gate p.net gate (resolve p in0) (resolve p in1))
-    | Lut_inst { table = lut_table; ins } ->
-      let id =
-        try Netlist.lut p.net ~table:lut_table (Array.map (resolve p) ins)
-        with Invalid_argument msg -> raise (Pytfhe_util.Wire.Corrupt ("Binary.parse: " ^ msg))
-      in
-      Growable.push p.table id
-    | Output_decl { index } ->
-      Netlist.mark_output p.net (Printf.sprintf "out%d" p.n_outputs) (resolve p index);
-      p.n_outputs <- p.n_outputs + 1
-
-  let finish p =
-    if not p.saw_header then failwith "Binary.parse: missing header instruction";
-    p.net
-end
-
-let parse bytes =
-  let p = Parser.create () in
-  let count = instruction_count bytes in
-  if count = 0 then failwith "Binary.disassemble: empty stream";
-  for i = 0 to count - 1 do
-    Parser.feed p
-      (instruction_of_words (Bytes.get_int64_le bytes (16 * i)) (Bytes.get_int64_le bytes ((16 * i) + 8)))
-  done;
-  Parser.finish p
-
-let write_file path bytes =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_bytes oc bytes)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let bytes = Bytes.create len in
-      really_input ic bytes 0 len;
-      bytes)
-
-let iter bytes f =
-  let count = instruction_count bytes in
-  if count = 0 then failwith "Binary.iter: empty stream";
-  for i = 0 to count - 1 do
-    f (instruction_of_words (Bytes.get_int64_le bytes (16 * i)) (Bytes.get_int64_le bytes ((16 * i) + 8)))
-  done
+let read_source ?(chunk = 1 lsl 16) ic =
+  let buf = Bytes.create chunk in
+  fun () ->
+    let n = input ic buf 0 chunk in
+    if n = 0 then None else Some (Bytes.sub buf 0 n)
 
 let reader read =
   (* Chunks arrive with arbitrary framing; the unread tail of one chunk (a
@@ -399,14 +311,112 @@ let reader read =
         pos := 0;
         next ()
       | None ->
-        if Bytes.length !buf > !pos then failwith "Binary: truncated instruction stream";
-        if not !any then failwith "Binary.reader: empty stream";
+        if Bytes.length !buf > !pos then corrupt "truncated instruction stream";
+        if not !any then corrupt "empty stream";
         None
   in
   next
 
-let read_source ?(chunk = 1 lsl 16) ic =
-  let buf = Bytes.create chunk in
-  fun () ->
-    let n = input ic buf 0 chunk in
-    if n = 0 then None else Some (Bytes.sub buf 0 n)
+let disassemble bytes =
+  let next = reader (bytes_source bytes) in
+  let rec go acc = match next () with Some inst -> go (inst :: acc) | None -> List.rev acc in
+  match go [] with
+  | Header _ :: _ as insts -> insts
+  | _ -> corrupt "missing header instruction"
+
+(* The stream rules.  Sequential numbering (Fig. 5) makes each one a check
+   against the next index, so the checker keeps one byte per assigned
+   index: whether that value is lutdom-encoded. *)
+module Check = struct
+  type t = {
+    mutable gate_total : int;  (* -1 until the header *)
+    mutable gates : int;
+    mutable inputs : int;
+    lut : Buffer.t;  (* byte i - 1: '\001' when index i holds a lutdom value *)
+  }
+
+  let create () = { gate_total = -1; gates = 0; inputs = 0; lut = Buffer.create 1024 }
+  let assign c ~lut = Buffer.add_char c.lut (if lut then '\001' else '\000')
+  let is_lut c index = Buffer.nth c.lut (index - 1) = '\001'
+  let inputs c = c.inputs
+  let constant c = assign c ~lut:false
+
+  let operand c index =
+    if index < 1 || index > Buffer.length c.lut then
+      corrupt "reference to an unassigned index %d" index
+
+  let count_gate c =
+    c.gates <- c.gates + 1;
+    (* A streamed header carries the sentinel, not a count. *)
+    if c.gate_total <> streamed_gate_total && c.gates > c.gate_total then
+      corrupt "more gates than the header declared"
+
+  let feed c = function
+    | Header { gate_total } ->
+      if c.gate_total >= 0 then corrupt "duplicate header";
+      c.gate_total <- gate_total
+    | _ when c.gate_total < 0 -> corrupt "missing header instruction"
+    | Input_decl { index } ->
+      if index <> Buffer.length c.lut + 1 then corrupt "non-sequential input index %d" index;
+      c.inputs <- c.inputs + 1;
+      assign c ~lut:false
+    | Gate_inst { in0; in1; _ } ->
+      operand c in0;
+      operand c in1;
+      count_gate c;
+      assign c ~lut:false
+    | Lut_inst { ins; _ } ->
+      let arity = Array.length ins in
+      Array.iter
+        (fun index ->
+          operand c index;
+          if arity > 1 && not (is_lut c index) then
+            corrupt "lut%d operand %d is not lutdom-encoded" arity index)
+        ins;
+      count_gate c;
+      assign c ~lut:true
+    | Output_decl { index } -> operand c index
+end
+
+let parse bytes =
+  let net = Netlist.create ~hash_consing:false ~fold_constants:false () in
+  let c = Check.create () and next = reader (bytes_source bytes) in
+  (* With folding and hash-consing off, every value instruction adds one
+     fresh node, so index i is node i - 1. *)
+  let rec go outputs =
+    match next () with
+    | None -> net
+    | Some inst -> (
+      Check.feed c inst;
+      match inst with
+      | Header _ -> go outputs
+      | Input_decl _ ->
+        ignore (Netlist.input net (Printf.sprintf "in%d" (Check.inputs c - 1)));
+        go outputs
+      | Gate_inst { gate; in0; in1 } ->
+        ignore (Netlist.gate net gate (in0 - 1) (in1 - 1));
+        go outputs
+      | Lut_inst { table; ins } ->
+        ignore (Netlist.lut net ~table (Array.map pred ins));
+        go outputs
+      | Output_decl { index } ->
+        Netlist.mark_output net (Printf.sprintf "out%d" outputs) (index - 1);
+        go (outputs + 1))
+  in
+  go 0
+
+let write_file path bytes =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_bytes oc bytes)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let len = in_channel_length ic in
+      let bytes = Bytes.create len in
+      really_input ic bytes 0 len;
+      bytes)

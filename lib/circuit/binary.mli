@@ -81,37 +81,75 @@ module Emit : sig
       the multi-input LUTs. *)
 end
 
-val disassemble : bytes -> instruction list
-(** Decode an instruction stream.  Raises [Failure] on malformed input
-    (bad length, missing header, unknown tag, index out of range). *)
+(** {1 Reading}
 
-val parse : bytes -> Netlist.t
-(** Rebuild a netlist (with construction-time optimizations disabled, so
-    the program round-trips bit-for-bit).  Raises [Pytfhe_util.Wire.Corrupt]
-    on structurally invalid LUT records (e.g. a multi-input LUT whose
-    operand is not a LUT node). *)
-
-val instruction_count : bytes -> int
-(** Number of 128-bit instructions. *)
-
-val pp_instruction : Format.formatter -> instruction -> unit
-
-val write_file : string -> bytes -> unit
-val read_file : string -> bytes
-
-val iter : bytes -> (instruction -> unit) -> unit
-(** Streaming decode: apply the callback to each instruction in order
-    without materialising a list (used by the plaintext interpreter on
-    multi-million-gate programs). *)
+    One byte loop ({!reader}) decodes every stream, and one checker
+    ({!Check}) holds the stream rules; {!parse}, the plaintext interpreter
+    ([Plain_eval.run_binary]) and the encrypted executors' cursor
+    ([Wave.cursor]) all read through both, so they accept exactly the same
+    programs.  Every decoding fault raises [Pytfhe_util.Wire.Corrupt]. *)
 
 val reader : (unit -> bytes option) -> unit -> instruction option
 (** A pull decoder over a pull source: [reader read] returns a function
     giving the next instruction, or [None] at end of stream.  [read ()]
     returns the next chunk of the stream (arbitrary framing — instructions
-    may straddle chunks) or [None] at end of stream; a resident binary is a
-    source of one chunk.  Raises [Failure] on a truncated trailing
-    instruction or an empty stream, and what the record decoder raises. *)
+    may straddle chunks) or [None] at end of stream.  Raises
+    [Pytfhe_util.Wire.Corrupt] on an unknown tag, a corrupt LUT record, a
+    truncated trailing instruction or an empty stream.  It checks no
+    stream rule: that is {!Check}'s job. *)
+
+val bytes_source : bytes -> unit -> bytes option
+(** A resident binary as a pull source of one chunk. *)
 
 val read_source : ?chunk:int -> in_channel -> unit -> bytes option
 (** A pull source over an open channel, reading [chunk]-byte blocks
-    (default 64 KiB) — plug into {!reader}. *)
+    (default 64 KiB). *)
+
+(** The stream rules, fed one instruction at a time.  {!feed} raises
+    [Pytfhe_util.Wire.Corrupt] unless:
+    - there is exactly one header, and it comes first;
+    - each input declaration names the next index (indices run
+      sequentially from 1);
+    - every operand field — both fields of every gate, NOT included,
+      every LUT operand and every output — names an assigned index;
+    - an exact header's gate count is never exceeded (a
+      {!streamed_gate_total} header declares none);
+    - the operands of a multi-input LUT are lutdom-encoded (LUT outputs).
+
+    Gates and LUT cells take the next index, as do input declarations. *)
+module Check : sig
+  type t
+
+  val create : unit -> t
+  val feed : t -> instruction -> unit
+
+  val constant : t -> unit
+  (** A classic value at the next index that no instruction declares (a
+      netlist source's constant); only after the header. *)
+
+  val is_lut : t -> int -> bool
+  (** Whether an assigned index holds a lutdom value. *)
+
+  val inputs : t -> int
+  (** Input declarations fed so far. *)
+end
+
+val disassemble : bytes -> instruction list
+(** Decode a resident binary.  Checks only that the header comes first, so
+    a program whose later structure is broken still prints; raises
+    [Pytfhe_util.Wire.Corrupt] where {!reader} does and on a missing
+    header. *)
+
+val parse : bytes -> Netlist.t
+(** Rebuild a netlist (with construction-time optimizations disabled, so
+    the program round-trips bit-for-bit) from the checked stream.  Raises
+    [Pytfhe_util.Wire.Corrupt] where {!reader} or {!Check.feed} does. *)
+
+val instruction_count : bytes -> int
+(** Number of 128-bit instructions; raises [Pytfhe_util.Wire.Corrupt]
+    unless the length is a multiple of 16 bytes. *)
+
+val pp_instruction : Format.formatter -> instruction -> unit
+
+val write_file : string -> bytes -> unit
+val read_file : string -> bytes

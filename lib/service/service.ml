@@ -554,11 +554,14 @@ let handle_frame st conn payload =
     let id = Wire.read_string r in
     Keyring.validate_id id;
     count_in st id size;
-    let hello = Wire.read_string r in
-    (* Reuse the DHEL handshake parser: it validates the transform tag
-       against the keyset's own parameters and raises Wire.Corrupt on
-       mismatch — a registration must fail loudly, not mis-evaluate. *)
-    let _, _, _, _, ck = Dist_eval.parse_hello (Wire.reader_of_string hello) in
+    (* The hello blob is the payload's last field, parsed in place rather
+       than copied out.  Reuse the DHEL handshake parser: it validates the
+       transform tag against the keyset's own parameters and raises
+       Wire.Corrupt on mismatch — a registration must fail loudly, not
+       mis-evaluate. *)
+    let n = Wire.read_i64 r in
+    if n <> Wire.remaining r then raise (Wire.Corrupt "Service: SREG hello length mismatch");
+    let _, _, _, _, ck = Dist_eval.parse_hello r in
     Keyring.register st.ring ~id ~now:(Unix.gettimeofday ()) ck;
     st.c_registered <- st.c_registered + 1;
     send_ack st conn ~tenant:id ~value:0 "registered"
@@ -681,13 +684,23 @@ let ingest st conn buf n =
           if len < 0 || len > Framing.max_frame then close_conn st conn
           else begin
             conn.expecting <- len;
-            conn.payload <- Bytes.create len;
             conn.payload_got <- 0
           end
         end
     end
     else begin
       let take = Int.min (conn.expecting - conn.payload_got) (n - !pos) in
+      (* The buffer grows with the bytes that arrive, doubling up to the
+         declared length, so a header alone allocates nothing and a whole
+         payload is handed over without another copy. *)
+      let need = conn.payload_got + take in
+      if need > Bytes.length conn.payload then begin
+        let grown =
+          Bytes.create (Int.min conn.expecting (Int.max need (2 * Bytes.length conn.payload)))
+        in
+        Bytes.blit conn.payload 0 grown 0 conn.payload_got;
+        conn.payload <- grown
+      end;
       Bytes.blit buf !pos conn.payload conn.payload_got take;
       conn.payload_got <- conn.payload_got + take;
       pos := !pos + take;

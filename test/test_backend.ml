@@ -251,7 +251,7 @@ let test_gpu_batched_sits_between () =
     (graphs.Sched_gpu.makespan < batched.Sched_gpu.makespan)
 
 
-let test_stream_exec_matches_netlist () =
+let test_run_binary_matches_netlist () =
   let net = wide_netlist ~width:6 ~depth:4 in
   let bytes = Binary.assemble net in
   let rng = Rng.create ~seed:77 () in
@@ -259,24 +259,47 @@ let test_stream_exec_matches_netlist () =
     let ins = Array.init 7 (fun _ -> Rng.bool rng) in
     let expected = List.map snd (Plain_eval.run net ins) in
     Alcotest.(check (list bool)) "stream = netlist" expected
-      (Array.to_list (Stream_exec.run_bits bytes ins))
+      (Array.to_list (Plain_eval.run_binary bytes ins))
   done
 
-let test_stream_exec_handles_constants () =
+let test_run_binary_handles_constants () =
   let net = Netlist.create ~fold_constants:false () in
   let a = Netlist.input net "a" in
   let t = Netlist.const net true in
   Netlist.mark_output net "o" (Netlist.gate net Gate.Xor a t);
   let bytes = Binary.assemble net in
   Alcotest.(check (array bool)) "xor with materialised constant" [| false |]
-    (Stream_exec.run_bits bytes [| true |]);
+    (Plain_eval.run_binary bytes [| true |]);
   Alcotest.(check (array bool)) "other polarity" [| true |]
-    (Stream_exec.run_bits bytes [| false |])
+    (Plain_eval.run_binary bytes [| false |])
 
-let test_stream_exec_rejects_malformed () =
+let keys = lazy (Pytfhe_tfhe.Gates.key_gen (Rng.create ~seed:909 ()) Pytfhe_tfhe.Params.test)
+
+(* The three readers of a program.  The cursor is walked with dummy
+   outputs, so nothing bootstraps: only its reading is under test. *)
+let readers =
+  let dummy = { Pytfhe_tfhe.Lwe.a = [||]; b = 0 } in
+  let walk bytes ins =
+    let inputs = Array.map (fun _ -> dummy) ins in
+    let c = Wave.cursor (snd (Lazy.force keys)) (Wave.Bytes bytes) inputs in
+    while not (Wave.finished c) do
+      let outs = Array.fold_left (fun n j -> n + Wave.outputs j) 0 (Wave.jobs c) in
+      Wave.deliver c (Array.make outs dummy)
+    done
+  in
+  [
+    ("Binary.parse", fun bytes _ -> ignore (Binary.parse bytes));
+    ("Plain_eval.run_binary", fun bytes ins -> ignore (Plain_eval.run_binary bytes ins));
+    ("Wave.cursor", walk);
+  ]
+
+let test_run_binary_rejects_malformed () =
   let reject label ins bytes =
-    Alcotest.(check bool) label true
-      (try ignore (Stream_exec.run_bits bytes ins); false with Failure _ -> true)
+    List.iter
+      (fun (reader, run) ->
+        Alcotest.(check bool) (label ^ ": " ^ reader) true
+          (try run bytes ins; false with Pytfhe_util.Wire.Corrupt _ -> true))
+      readers
   in
   let reject0 label bytes = reject label [||] bytes in
   reject0 "empty" (Bytes.create 0);
@@ -306,18 +329,66 @@ let test_stream_exec_rejects_malformed () =
     (Gen_circuit.craft [ (0, 0, 0x0); (all_ones, 1, 0xF); (1, 1, 6) ]);
   (* duplicate header mid-stream *)
   reject "duplicate header" [| true |]
-    (Gen_circuit.craft [ (0, 1, 0x0); (all_ones, 1, 0xF); (0, 1, 0x0); (1, 1, 6) ])
+    (Gen_circuit.craft [ (0, 1, 0x0); (all_ones, 1, 0xF); (0, 1, 0x0); (1, 1, 6) ]);
+  (* a NOT whose second field names an unassigned index *)
+  reject "NOT over an unassigned second operand" [| true |]
+    (Gen_circuit.craft [ (0, 1, 0x0); (all_ones, 1, 0xF); (1, 99, 7); (all_ones, 2, 0x3) ])
+
+(* Words of [m] that decode to input declarations, wherever they sit. *)
+let input_decls m =
+  let n = ref 0 in
+  for i = 0 to (Bytes.length m / 16) - 1 do
+    match Binary.reader (Binary.bytes_source (Bytes.sub m (16 * i) 16)) () with
+    | Some (Binary.Input_decl _) -> incr n
+    | _ | (exception Pytfhe_util.Wire.Corrupt _) -> ()
+  done;
+  !n
+
+(* One verdict per program: a single mutation of an assembled LUT program
+   (one flipped bit, one random byte, or two instructions swapped after
+   the header) is accepted by all three readers or refused by all three,
+   only ever with [Wire.Corrupt]; an accepted program's streamed scan
+   computes what its parsed netlist computes.  Each case gets as many
+   inputs as it has input-declaration words, so an input-count error
+   cannot stand in for the program's verdict. *)
+let qcheck_mutation_verdicts =
+  QCheck.Test.make ~name:"mutated programs: one verdict, only Wire.Corrupt" ~count:500
+    QCheck.(pair (int_range 0 100_000) (int_range 0 100_000))
+    (fun (s1, s2) ->
+      let rng = Rng.create ~seed:s2 () in
+      let m = Binary.assemble (Gen_circuit.random_lut ~seed:s1 ()) in
+      let len = Bytes.length m in
+      (match Rng.int rng 3 with
+      | 0 ->
+        let bit = Rng.int rng (8 * len) in
+        Bytes.set_uint8 m (bit / 8) (Bytes.get_uint8 m (bit / 8) lxor (1 lsl (bit mod 8)))
+      | 1 -> Bytes.set_uint8 m (Rng.int rng len) (Rng.int rng 256)
+      | _ ->
+        let i = 1 + Rng.int rng ((len / 16) - 1) and j = 1 + Rng.int rng ((len / 16) - 1) in
+        let word = Bytes.sub m (16 * i) 16 in
+        Bytes.blit m (16 * j) m (16 * i) 16;
+        Bytes.blit word 0 m (16 * j) 16);
+      let ins = Array.init (input_decls m) (fun _ -> Rng.bool rng) in
+      let accepts (_, run) =
+        match run m ins with () -> true | exception Pytfhe_util.Wire.Corrupt _ -> false
+      in
+      match List.map accepts readers with
+      | [ a; b; c ] when a = b && b = c ->
+        (not a)
+        || Plain_eval.run_binary m ins
+           = Array.of_list (List.map snd (Plain_eval.run (Binary.parse m) ins))
+      | _ -> QCheck.Test.fail_report "the readers disagree")
 
 (* Structurally corrupt LUT records (tag 0xC).  Every case must surface as
    [Wire.Corrupt] — a graceful rejection of a hostile stream — and never as
    an assertion failure, out-of-bounds access or silent wrong answer.  The
    B-field layout under test: arity in bits 0-1, table in 2-9, second and
    third operands in 10-35 and 36-61. *)
-let test_stream_exec_rejects_malformed_lut () =
+let test_run_binary_rejects_malformed_lut () =
   let reject_corrupt label ins bytes =
     Alcotest.(check bool) label true
       (try
-         ignore (Stream_exec.run_bits bytes ins);
+         ignore (Plain_eval.run_binary bytes ins);
          false
        with Pytfhe_util.Wire.Corrupt _ -> true)
   in
@@ -360,9 +431,7 @@ let test_stream_exec_rejects_malformed_lut () =
 (* Real encrypted execution                                            *)
 (* ------------------------------------------------------------------ *)
 
-let keys = lazy (Pytfhe_tfhe.Gates.key_gen (Rng.create ~seed:909 ()) Pytfhe_tfhe.Params.test)
-
-let test_stream_exec_encrypted () =
+let test_run_binary_encrypted () =
   let sk, ck = Lazy.force keys in
   let net = wide_netlist ~width:3 ~depth:2 in
   let bytes = Binary.assemble net in
@@ -370,7 +439,7 @@ let test_stream_exec_encrypted () =
   let ins = Array.init 4 (fun _ -> Rng.bool rng) in
   let cts = Array.map (Pytfhe_tfhe.Gates.encrypt_bit rng sk) ins in
   let outs, _ = Executor.run Executor.Cpu ck (Wave.Bytes bytes) cts in
-  let expected = Stream_exec.run_bits bytes ins in
+  let expected = Plain_eval.run_binary bytes ins in
   Alcotest.(check (array bool)) "encrypted stream execution" expected
     (Array.map (Pytfhe_tfhe.Gates.decrypt_bit sk) outs)
 
@@ -498,12 +567,13 @@ let () =
         [
           Alcotest.test_case "binary matches netlist" `Quick test_plain_run_binary_matches;
           Alcotest.test_case "named eval" `Quick test_plain_run_named;
-          Alcotest.test_case "stream executor" `Quick test_stream_exec_matches_netlist;
-          Alcotest.test_case "stream constants" `Quick test_stream_exec_handles_constants;
-          Alcotest.test_case "stream rejects malformed" `Quick test_stream_exec_rejects_malformed;
+          Alcotest.test_case "stream executor" `Quick test_run_binary_matches_netlist;
+          Alcotest.test_case "stream constants" `Quick test_run_binary_handles_constants;
+          Alcotest.test_case "stream rejects malformed" `Quick test_run_binary_rejects_malformed;
           Alcotest.test_case "stream rejects malformed LUT records" `Quick
-            test_stream_exec_rejects_malformed_lut;
-          Alcotest.test_case "stream encrypted" `Slow test_stream_exec_encrypted;
+            test_run_binary_rejects_malformed_lut;
+          QCheck_alcotest.to_alcotest qcheck_mutation_verdicts;
+          Alcotest.test_case "stream encrypted" `Slow test_run_binary_encrypted;
           Alcotest.test_case "vcd export" `Quick test_vcd_export;
           Alcotest.test_case "vcd identifier scaling" `Quick test_vcd_identifiers_scale;
         ] );

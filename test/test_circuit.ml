@@ -300,12 +300,12 @@ let test_binary_rejects_garbage () =
     (try
        ignore (Binary.disassemble (Bytes.create 15));
        false
-     with Failure _ -> true);
+     with Pytfhe_util.Wire.Corrupt _ -> true);
   Alcotest.(check bool) "empty stream rejected" true
     (try
        ignore (Binary.disassemble (Bytes.create 0));
        false
-     with Failure _ -> true)
+     with Pytfhe_util.Wire.Corrupt _ -> true)
 
 (* A random DAG generator shared by the roundtrip and optimizer tests. *)
 let random_netlist seed =

@@ -38,8 +38,8 @@ let test_cross_backend =
       let rng = Rng.create ~seed:(2000 + s2) () in
       let ins = random_bits rng (Netlist.input_count net) in
       let plain = Array.of_list (List.map snd (Plain_eval.run net ins)) in
-      let stream = Stream_exec.run_bits (Binary.assemble net) ins in
-      if stream <> plain then QCheck.Test.fail_report "stream_exec disagrees with plain_eval";
+      let stream = Plain_eval.run_binary (Binary.assemble net) ins in
+      if stream <> plain then QCheck.Test.fail_report "run_binary disagrees with plain_eval";
       let cts = Array.map (Gates.encrypt_bit rng sk) ins in
       let seq_out = reference ck net cts in
       if Array.map (Gates.decrypt_bit sk) seq_out <> plain then
@@ -73,9 +73,9 @@ let test_cross_backend_lut =
         (fun n ->
           let plain = Array.of_list (List.map snd (Plain_eval.run n ins)) in
           if plain <> truth then QCheck.Test.fail_report "lut_cover changed the function";
-          let stream = Stream_exec.run_bits (Binary.assemble n) ins in
+          let stream = Plain_eval.run_binary (Binary.assemble n) ins in
           if stream <> truth then
-            QCheck.Test.fail_report "stream_exec disagrees with plain_eval on a LUT netlist";
+            QCheck.Test.fail_report "run_binary disagrees with plain_eval on a LUT netlist";
           let cts = Array.map (Gates.encrypt_bit rng sk) ins in
           let seq_out = reference ck n cts in
           if Array.map (Gates.decrypt_bit sk) seq_out <> truth then

@@ -441,6 +441,12 @@ let test_program_checks () =
       ( "multi-input LUT over a classic operand",
         program (1, 2 lor (0x6 lsl 2) lor (2 lsl 10), 0xC),
         Array.sub cts 0 2 );
+      ("NOT over an unassigned second operand", program (1, 99, 7), Array.sub cts 0 2);
+      ( "duplicate header",
+        Gen_circuit.craft
+          [ (0, 1, 0x0); (all_ones, 1, 0xF); (all_ones, 2, 0xF); (0, 1, 0x0); (1, 2, 6);
+            (all_ones, 3, 0x3) ],
+        Array.sub cts 0 2 );
       ("n-1 inputs", binary, Array.sub cts 1 (n_in - 1));
       ("n+1 inputs", binary, Array.append cts [| cts.(0) |]);
     ]
@@ -478,6 +484,47 @@ let test_program_checks () =
   Alcotest.(check int) "only the well-formed request completed" 1 stats.Service.requests_completed;
   Alcotest.(check int) "every malformed program failed" (List.length bad)
     stats.Service.requests_failed
+
+(* A frame header alone must not make the service allocate what it
+   declares: memory follows the bytes a peer actually sent. *)
+let test_declared_frame_not_allocated () =
+  let vm_size () =
+    match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+    | status ->
+      Scanf.sscanf
+        (List.find (String.starts_with ~prefix:"VmSize:") (String.split_on_char '\n' status))
+        "VmSize: %d kB" (fun kb -> Some (kb * 1024))
+    | exception Sys_error _ -> None
+  in
+  let (), _ =
+    with_server (fun port ->
+        let raw = Service_client.connect ~port () in
+        let c = Service_client.connect ~port () in
+        Fun.protect
+          ~finally:(fun () ->
+            Service_client.close raw;
+            Service_client.close c)
+          (fun () ->
+            let before = vm_size () in
+            let header = Buffer.create 12 in
+            Buffer.add_string header Framing.frame_magic;
+            Buffer.add_int64_le header (Int64.of_int (256 lsl 20));
+            Service_client.send_raw raw (Buffer.to_bytes header);
+            (* Two round trips on another connection: the loop has read
+               the header by the time they are answered. *)
+            for _ = 1 to 2 do
+              Alcotest.(check string) "another connection is still served" "cpu"
+                (Service_client.stats c).Service.backend
+            done;
+            match (before, vm_size ()) with
+            | Some before, Some after ->
+              Alcotest.(check bool)
+                (Printf.sprintf "VmSize grew by %d MiB, under 64" ((after - before) lsr 20))
+                true
+                (after - before < 64 lsl 20)
+            | _ -> ()))
+  in
+  ()
 
 (* ------------------------------------------------------------------ *)
 (* Stats wire codec                                                    *)
@@ -527,6 +574,8 @@ let () =
           Alcotest.test_case "program-size admission cap" `Quick test_program_size_cap;
           Alcotest.test_case "malformed programs fail only their own request" `Quick
             test_program_checks;
+          Alcotest.test_case "a declared frame is not allocated" `Quick
+            test_declared_frame_not_allocated;
           Alcotest.test_case "stats wire roundtrip" `Quick test_stats_roundtrip;
         ] );
     ]

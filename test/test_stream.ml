@@ -165,7 +165,7 @@ let check_executor_stream (module E : Executor.S) ?opts ?window net seed =
   let ref_out, _ = E.run ?opts ck (Binary.parse bytes) cts in
   let stream_out, _ = E.run_stream ?opts ?window ck (source_of_bytes bytes) cts in
   if stream_out <> ref_out then QCheck.Test.fail_report "run_stream ciphertexts differ from run";
-  let plain = Stream_exec.run_bits bytes ins in
+  let plain = Plain_eval.run_binary bytes ins in
   Array.for_all2 ( = ) plain (Array.map (Pytfhe_tfhe.Gates.decrypt_bit sk) stream_out)
 
 let test_cpu_stream_matches =
@@ -199,8 +199,8 @@ let test_dist_stream_matches =
       && check_executor_stream e (Gen_circuit.random_lut ~seed ()) seed)
 
 (* One input too few or too many is refused with [Invalid_argument] by
-   every placement's [run] and [run_stream] and by [run_bits], before any
-   output comes back. *)
+   every placement's [run] and [run_stream] and by [Plain_eval.run_binary],
+   before any output comes back. *)
 let test_input_arity () =
   let net = Gen_circuit.random_lut ~seed:17 () in
   let bytes = Binary.assemble net in
@@ -217,8 +217,8 @@ let test_input_arity () =
           Alcotest.(check bool) (Printf.sprintf "%s run_stream %s" E.name label) true
             (refused (fun () -> E.run_stream ck (source_of_bytes bytes) cts)))
         [ Executor.cpu; Executor.multicore ~workers:2 (); Executor.multiprocess ~workers:2 () ];
-      Alcotest.(check bool) ("run_bits " ^ label) true
-        (refused (fun () -> Stream_exec.run_bits bytes ins)))
+      Alcotest.(check bool) ("run_binary " ^ label) true
+        (refused (fun () -> Plain_eval.run_binary bytes ins)))
     [
       ( "n-1 inputs",
         Array.sub cts 1 (Array.length cts - 1),
@@ -309,7 +309,7 @@ let () =
           QCheck_alcotest.to_alcotest test_cpu_stream_batched;
           QCheck_alcotest.to_alcotest test_par_stream_matches;
           QCheck_alcotest.to_alcotest test_dist_stream_matches;
-          Alcotest.test_case "n-1 and n+1 inputs refused on cpu/par/dist and run_bits" `Quick
+          Alcotest.test_case "n-1 and n+1 inputs refused on cpu/par/dist and run_binary" `Quick
             test_input_arity;
         ] );
       ( "template reuse",
