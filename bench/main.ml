@@ -406,7 +406,6 @@ let micro () =
   let tlwe_key = Tlwe.key_gen rng p in
   let ws = Tgsw.workspace_create p in
   let g = Tgsw.to_fft p (Tgsw.encrypt_int rng p tlwe_key 1) in
-  let c = Tlwe.encrypt_poly rng p tlwe_key (Array.make n 0) in
   Format.printf "  [generating keys ...]@?";
   let t0 = Unix.gettimeofday () in
   let sk, ck = Gates.key_gen (Rng.create ~seed:8002 ()) p in
@@ -414,36 +413,32 @@ let micro () =
   let bit_a = Gates.encrypt_bit rng sk true in
   let bit_b = Gates.encrypt_bit rng sk false in
   let bit_s = Gates.encrypt_bit rng sk true in
-  let ctx = Gates.context ck in
   let bkey = ck.Gates.bootstrap_key in
   let mu = Params.mu p in
   (* Caller-owned buffers for the in-place paths. *)
   let poly = Array.init n (fun _ -> Rng.float rng -. 0.5) in
   let spec = Negacyclic.spectrum_create n in
   let back = Array.make n 0.0 in
-  let prod = Tlwe.trivial p (Poly.zero n) in
-  let acc = Tlwe.trivial p (Poly.zero n) in
-  let testvect = Array.make n mu in
-  let combined = Lwe.add bit_a bit_b in
+  let accs = Trlwe_array.create p ~cap:1 in
+  let bt = Bootstrap.batch_create p ~cap:1 in
+  let combined = Lwe_array.of_samples ~n:p.Params.lwe.Params.n [| Lwe.add bit_a bit_b |] in
+  let slots = Lwe_array.create ~n:(Params.extracted_n p) 1 in
   let ext = Bootstrap.bootstrap_wo_keyswitch p bkey ~mu bit_a in
-  let ks_a = Array.make p.Params.lwe.Params.n 0 in
   let cases =
     [
       ("fft/forward", fft_iters, fun () -> Negacyclic.forward_into spec poly);
       ("fft/backward", fft_iters, fun () -> Negacyclic.backward_into back spec);
-      ( "tfhe/external-product-add-into",
+      ("tfhe/cmux-row", iters, fun () -> Tgsw.cmux_rotate_row_into p ws g 1 accs ~row:0);
+      ( "tfhe/blind-rotate-row",
         iters,
-        fun () -> Tgsw.external_product_add_into p ws g ~src:c ~acc:prod );
-      ( "tfhe/blind-rotate-into",
-        iters,
-        fun () -> Bootstrap.blind_rotate_into p ws bkey ~testvect ~acc combined );
-      ( "tfhe/keyswitch-into",
-        iters,
-        fun () -> ignore (Keyswitch.apply_into ck.Gates.keyswitch_key ext ~a:ks_a) );
-      ("tfhe/gate-nand", iters, fun () -> ignore (Gates.nand_gate_in ctx bit_a bit_b));
-      (* MUX = two blind rotations + one key switch through the context
-         scratch; roughly 2x a binary gate's time and allocation. *)
-      ("tfhe/gate-mux", iters, fun () -> ignore (Gates.mux_gate_in ctx bit_s bit_a bit_b));
+        fun () ->
+          Bootstrap.batch_rows_into p bt bkey [| Bootstrap.Job_sign mu |] ~src:combined ~dst:slots
+      );
+      ("tfhe/keyswitch", iters, fun () -> ignore (Keyswitch.apply ck.Gates.keyswitch_key ext));
+      ("tfhe/gate-nand", iters, fun () -> ignore (Gates.nand_gate ck bit_a bit_b));
+      (* MUX = one two-row launch + one key switch; roughly 2x a binary
+         gate's time and allocation. *)
+      ("tfhe/gate-mux", iters, fun () -> ignore (Gates.mux_gate ck bit_s bit_a bit_b));
     ]
   in
   Format.printf "@.%-34s %12s %16s@." "PRIMITIVE" "TIME/OP" "ALLOC WORDS/OP";
@@ -462,7 +457,7 @@ let micro () =
   let gate_wall, gate_words = find "tfhe/gate-nand" in
   let mux_wall, mux_words = find "tfhe/gate-mux" in
   Format.printf "@.allocated words per bootstrapped gate: %.0f@." gate_words;
-  Format.printf "allocated words per MUX (two rotations, context scratch): %.0f@." mux_words;
+  Format.printf "allocated words per MUX (one two-row launch): %.0f@." mux_words;
   if !smoke then Format.printf "(--smoke: skipping BENCH_gate_micro.json)@."
   else begin
     let json =
@@ -582,18 +577,17 @@ let ntt_bench () =
             Array.init iters (fun _ ->
                 (Gates.encrypt_bit rng sk (Rng.bool rng), Gates.encrypt_bit rng sk (Rng.bool rng)))
           in
-          let ctx = Gates.context ck in
-          ignore (Gates.nand_gate_in ctx a b);
+          ignore (Gates.nand_gate ck a b);
           let next = ref 0 in
           let wall, _ =
             measure ~warmup:0 ~iters (fun () ->
                 let x, y = pairs.(!next) in
                 incr next;
-                ignore (Gates.nand_gate_in ctx x y))
+                ignore (Gates.nand_gate ck x y))
           in
           Format.printf "  %s/%s NAND: %s/gate@." base.Params.name
             (Transform.kind_name kind) (human_time wall);
-          let out = Gates.nand_gate_in ctx a b in
+          let out = Gates.nand_gate ck a b in
           if not (Gates.decrypt_bit sk out) then begin
             Format.printf "  %s/%s NAND DECRYPTS WRONG@." base.Params.name
               (Transform.kind_name kind);
@@ -1091,7 +1085,6 @@ let obs_bench () =
      reference: an id-order walk of scalar gates with no sink, no flag
      check, no stats beyond what the loop needs. *)
   let baseline () =
-    let ctx = Gates.default_context cloud in
     let n = Netlist.node_count net in
     let values : Lwe.sample option array = Array.make n None in
     List.iteri (fun i (_, id) -> values.(id) <- Some ins.(i)) (Netlist.inputs net);
@@ -1103,13 +1096,13 @@ let obs_bench () =
         let vx = Option.get values.(x) and vy = Option.get values.(y) in
         let gate =
           match g with
-          | Gate.And -> Gates.and_gate_in
-          | Gate.Xor -> Gates.xor_gate_in
-          | Gate.Or -> Gates.or_gate_in
-          | Gate.Nand -> Gates.nand_gate_in
+          | Gate.And -> Gates.and_gate
+          | Gate.Xor -> Gates.xor_gate
+          | Gate.Or -> Gates.or_gate
+          | Gate.Nand -> Gates.nand_gate
           | _ -> assert false (* the chain draws from [kinds] only *)
         in
-        values.(id) <- Some (gate ctx vx vy)
+        values.(id) <- Some (gate cloud vx vy)
       | Netlist.Lut _ -> assert false (* the chain generator emits no LUT cells *)
     done
   in

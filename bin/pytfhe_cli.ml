@@ -473,7 +473,7 @@ let keygen_cmd =
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
     Format.printf "generating keys for %a ...@." Pytfhe_tfhe.Params.pp params;
     let t0 = Unix.gettimeofday () in
-    let client, cloud = Client.keygen ~params ~seed () in
+    let client, cloud = Client.keygen ~params ?seed () in
     let secret_path = Filename.concat dir "secret.key" in
     let cloud_path = Filename.concat dir "cloud.key" in
     Client.save client secret_path;
@@ -485,7 +485,12 @@ let keygen_cmd =
   in
   let dir = Arg.(value & opt string "keys" & info [ "o"; "out" ] ~docv:"DIR" ~doc:"Output directory.") in
   let params = Arg.(value & opt params_conv Pytfhe_tfhe.Params.test & info [ "params" ] ~doc:"Parameter set (test | default).") in
-  let seed = Arg.(value & opt int 0xC11E47 & info [ "seed" ] ~doc:"Key generation seed.") in
+  let seed =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "seed" ] ~doc:"Key generation seed, for reproducible keys (default: OS entropy).")
+  in
   Cmd.v (Cmd.info "keygen" ~doc:"Generate a secret/cloud keyset pair")
     Term.(const run $ params $ transform_arg $ dir $ seed)
 

@@ -7,7 +7,8 @@
 
    A client encrypts a 3-bit message; the server applies a chain of
    table lookups (square, then a ReLU-like threshold) — each one a single
-   bootstrapping — without learning anything about the value. *)
+   bootstrapping — without learning anything about the value.  Exits
+   non-zero if any lookup decrypts wrong. *)
 
 open Pytfhe_tfhe
 module Rng = Pytfhe_util.Rng
@@ -21,6 +22,7 @@ let () =
   let square = Array.init msize (fun v -> v * v mod msize) in
   let thresh = Array.init msize (fun v -> if v >= 4 then v - 4 else 0) in
   Format.printf "%6s %10s %16s %26s@." "v" "enc(v)" "LUT: v^2 mod 8" "then max(v-4, 0)";
+  let wrong = ref 0 in
   for v = 0 to msize - 1 do
     let c = Gates.encrypt_message rng sk ~msize v in
     let c2 = Gates.apply_lut ck ~msize ~table:square c in
@@ -29,6 +31,7 @@ let () =
     let d3 = Gates.decrypt_message sk ~msize c3 in
     let expected2 = v * v mod msize in
     let expected3 = max (expected2 - 4) 0 in
+    if d2 <> expected2 || d3 <> expected3 then incr wrong;
     Format.printf "%6d %10s %13d %s %23d %s@." v "ok" d2
       (if d2 = expected2 then "(=)" else "(!)")
       d3
@@ -36,4 +39,8 @@ let () =
   done;
   Format.printf
     "@.each lookup is one bootstrapping: noise is refreshed at every step, so@.";
-  Format.printf "chains of arbitrary non-linear tables compose indefinitely.@."
+  Format.printf "chains of arbitrary non-linear tables compose indefinitely.@.";
+  if !wrong > 0 then begin
+    Format.printf "%d of %d lookups decrypted wrong (!)@." !wrong msize;
+    exit 1
+  end

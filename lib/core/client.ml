@@ -1,12 +1,20 @@
 module Rng = Pytfhe_util.Rng
 open Pytfhe_tfhe
 
-type t = { secret : Gates.secret_keyset; rng : Rng.t; keyswitch : Keyswitch.key }
+type t = { secret : Gates.secret_keyset; rng : Rng.t }
 
-let keygen ?(params = Params.default_128) ?(seed = 0xC11E47) () =
-  let rng = Rng.create ~seed () in
+(* Without a seed, the stream is drawn from OS entropy, so every keygen
+   and every loaded client encrypts under fresh masks. *)
+let fresh_rng = function
+  | Some seed -> Rng.create ~seed ()
+  | None ->
+    let entropy = Random.State.make_self_init () in
+    Rng.create ~seed:(Int64.to_int (Random.State.bits64 entropy)) ()
+
+let keygen ?(params = Params.default_128) ?seed () =
+  let rng = fresh_rng seed in
   let secret, cloud = Gates.key_gen rng params in
-  ({ secret; rng; keyswitch = cloud.Gates.keyswitch_key }, cloud)
+  ({ secret; rng }, cloud)
 
 let params t = t.secret.Gates.params
 
@@ -27,8 +35,7 @@ let decrypt_value t dtype cs =
   Array.iteri (fun i b -> if b then pattern := !pattern lor (1 lsl i)) bits;
   Pytfhe_chiseltorch.Dtype.decode dtype !pattern
 
-let cloud_key_bytes t =
-  Bootstrap.key_bytes (params t) + Keyswitch.table_bytes t.keyswitch
+let cloud_key_bytes t = Bootstrap.key_bytes (params t) + Keyswitch.table_bytes (params t)
 
 let client_id t =
   let buf = Buffer.create 4096 in
@@ -43,14 +50,5 @@ let save t path =
   Wire.to_file path buf
 
 let load path =
-  let r = Wire.of_file path in
-  let secret = Gates.read_secret_keyset r in
-  (* The key-switch table is part of the cloud keyset; clients reloaded
-     from disk only need it for size reporting, so regenerate lazily is not
-     worth it — recompute it from the secret keys deterministically. *)
-  let rng = Rng.create ~seed:0xC11E47 () in
-  let keyswitch =
-    Keyswitch.key_gen rng secret.Gates.params ~in_key:secret.Gates.extracted_key
-      ~out_key:secret.Gates.lwe_key
-  in
-  { secret; rng; keyswitch }
+  let secret = Gates.read_secret_keyset (Wire.of_file path) in
+  { secret; rng = fresh_rng None }

@@ -10,7 +10,9 @@ type t
 
 val keygen : ?params:Params.t -> ?seed:int -> unit -> t * Gates.cloud_keyset
 (** Generate the client keys and the evaluation keyset to ship to the
-    server.  Defaults to {!Params.default_128}. *)
+    server.  Defaults to {!Params.default_128}.  [seed] makes the keys and
+    the client's encryptions reproducible; without it they are drawn from
+    OS entropy. *)
 
 val params : t -> Params.t
 
@@ -42,4 +44,5 @@ val save : t -> string -> unit
 (** Persist the secret keyset (keep it on the client!). *)
 
 val load : string -> t
-(** Raises [Pytfhe_util.Wire.Corrupt] on malformed input. *)
+(** The loaded client encrypts under fresh masks drawn from OS entropy.
+    Raises [Pytfhe_util.Wire.Corrupt] on malformed input. *)

@@ -669,6 +669,16 @@ let handle_frame_safe st conn payload =
   | Wire.Corrupt msg -> send_err st conn ~req:0 Corrupt msg
   | Invalid_argument msg | Failure msg -> send_err st conn ~req:0 Internal msg
 
+(* A frame is complete: hand its payload over and await the next header.
+   A zero-length frame completes with its header, before any payload byte
+   could arrive. *)
+let finish_frame st conn =
+  let payload = Bytes.unsafe_to_string conn.payload in
+  conn.expecting <- -1;
+  conn.hdr_got <- 0;
+  conn.payload <- Bytes.empty;
+  handle_frame_safe st conn payload
+
 let ingest st conn buf n =
   let pos = ref 0 in
   while !pos < n && conn.alive do
@@ -684,7 +694,8 @@ let ingest st conn buf n =
           if len < 0 || len > Framing.max_frame then close_conn st conn
           else begin
             conn.expecting <- len;
-            conn.payload_got <- 0
+            conn.payload_got <- 0;
+            if len = 0 then finish_frame st conn
           end
         end
     end
@@ -704,13 +715,7 @@ let ingest st conn buf n =
       Bytes.blit buf !pos conn.payload conn.payload_got take;
       conn.payload_got <- conn.payload_got + take;
       pos := !pos + take;
-      if conn.payload_got = conn.expecting then begin
-        let payload = Bytes.unsafe_to_string conn.payload in
-        conn.expecting <- -1;
-        conn.hdr_got <- 0;
-        conn.payload <- Bytes.empty;
-        handle_frame_safe st conn payload
-      end
+      if conn.payload_got = conn.expecting then finish_frame st conn
     end
   done
 

@@ -1,124 +1,3 @@
-type context = { ws : Tgsw.workspace; testvect : Poly.torus_poly; acc : Tlwe.sample }
-
-let context_create (p : Params.t) =
-  let n = p.tlwe.ring_n in
-  {
-    ws = Tgsw.workspace_create p;
-    testvect = Array.make n 0;
-    acc = Tlwe.trivial p (Poly.zero n);
-  }
-
-type key = { bsk : Tgsw.fft_sample array; ctx : context }
-
-let default_context key = key.ctx
-
-let key_gen rng (p : Params.t) ~lwe_key ~tlwe_key =
-  let encrypt_bit b = Tgsw.to_fft p (Tgsw.encrypt_int rng p tlwe_key b) in
-  let bsk = Array.map encrypt_bit lwe_key.Lwe.bits in
-  { bsk; ctx = context_create p }
-
-(* The allocation-free core: acc is overwritten with the rotation of
-   [testvect] by X^{−phase·2N}, then folded through the in-place CMux
-   recurrence acc ← acc + bskᵢ ⊡ ((X^{āᵢ} − 1)·acc).  All scratch lives in
-   [ws]; a steady-state call allocates nothing. *)
-let blind_rotate_into (p : Params.t) ws key ~testvect ~(acc : Tlwe.sample) (s : Lwe.sample) =
-  let n = p.tlwe.ring_n in
-  let n2 = 2 * n in
-  let barb = Torus.mod_switch_from s.b ~msize:n2 in
-  Array.iter (fun m -> Array.fill m 0 n 0) acc.Tlwe.mask;
-  Poly.mul_by_xai_into acc.Tlwe.body ((n2 - barb) mod n2) testvect;
-  for i = 0 to Array.length s.a - 1 do
-    let barai = Torus.mod_switch_from s.a.(i) ~msize:n2 in
-    if barai <> 0 then Tgsw.cmux_rotate_into p ws key.bsk.(i) barai acc
-  done
-
-let blind_rotate_with (p : Params.t) ws key ~testvect (s : Lwe.sample) =
-  let acc = Tlwe.trivial p (Poly.zero p.tlwe.ring_n) in
-  blind_rotate_into p ws key ~testvect ~acc s;
-  acc
-
-let blind_rotate p key ~testvect s = blind_rotate_with p key.ctx.ws key ~testvect s
-
-let bootstrap_with p ctx key ~mu s =
-  (* The sign test vector is constant per call: refill the per-context
-     buffer instead of allocating a ring-degree array on every gate, and
-     rotate into the context accumulator. *)
-  Array.fill ctx.testvect 0 (Array.length ctx.testvect) mu;
-  blind_rotate_into p ctx.ws key ~testvect:ctx.testvect ~acc:ctx.acc s;
-  Tlwe.extract_lwe p ctx.acc
-
-let bootstrap_wo_keyswitch p key ~mu s = bootstrap_with p key.ctx key ~mu s
-
-let key_bytes (p : Params.t) =
-  let rows = (p.tlwe.k + 1) * p.tgsw.l in
-  p.lwe.n * rows * (p.tlwe.k + 1) * p.tlwe.ring_n * 4
-
-module Wire = Pytfhe_util.Wire
-
-let write buf k =
-  Wire.write_magic buf "BSKY";
-  Wire.write_array buf Tgsw.write_fft k.bsk
-
-let read p r =
-  Wire.read_magic r "BSKY";
-  let bsk = Wire.read_array r (fun r -> Tgsw.read_fft p r) in
-  if Array.length bsk <> p.Params.lwe.Params.n then
-    raise (Wire.Corrupt "bootstrapping key length does not match LWE dimension");
-  { bsk; ctx = context_create p }
-
-(* Centre the phase inside its slot so symmetric noise cannot push it
-   across a slot boundary. *)
-let centring ~msize = Torus.mod_switch_to 1 ~msize:(4 * msize)
-
-let programmable (p : Params.t) key ~msize f s =
-  let n = p.Params.tlwe.ring_n in
-  if msize <= 0 || n mod msize <> 0 then
-    invalid_arg "Bootstrap.programmable: msize must divide the ring degree";
-  let slot = n / msize in
-  let testvect = Array.init n (fun j -> f (j / slot)) in
-  let centred = { s with Lwe.b = Torus.add s.Lwe.b (centring ~msize) } in
-  let rotated = blind_rotate p key ~testvect centred in
-  Tlwe.extract_lwe p rotated
-
-(* ------------------------------------------------------------------ *)
-(* Indicator bootstrapping for LUT cells                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Every 2-/3-input LUT cell runs the same table-independent rotation: the
-   test vector is a staircase whose top slot carries 1/16 (the lutdom unit)
-   and the table is applied afterwards, as a sum of extracted indicator
-   slots.  Extracting coefficient k·slot of the rotated accumulator yields
-   an encryption of [m = msize−1−k]/16: writing u = m + k, the read lands
-   on slot u for u ≤ msize−1 (positive sign, only u = msize−1 is hot) and
-   on slot u − msize with a negacyclic sign flip otherwise — where the
-   staircase is 0 because u − msize ≤ msize−2.  One blind rotation thus
-   serves any number of tables over the same inputs (multi-value
-   bootstrapping), and fusing nodes that share inputs is pure memoization:
-   the rotation is deterministic, so fused and unfused execution are
-   bit-identical. *)
-
-let lut_amplitude = Torus.mod_switch_to 1 ~msize:16
-
-let fill_lut_testvect (p : Params.t) ~msize tv =
-  let n = p.Params.tlwe.ring_n in
-  if msize <= 0 || n mod msize <> 0 then
-    invalid_arg "Bootstrap.fill_lut_testvect: msize must divide the ring degree";
-  let slot = n / msize in
-  Array.fill tv 0 ((msize - 1) * slot) 0;
-  Array.fill tv ((msize - 1) * slot) slot lut_amplitude
-
-(* Index by message value m: indicator m sits at slot (msize−1−m)·N/msize. *)
-let indicator_pos (p : Params.t) ~msize m = (msize - 1 - m) * (p.Params.tlwe.ring_n / msize)
-
-let lut_extract_indicators (p : Params.t) ~msize acc =
-  Array.init msize (fun m -> Tlwe.extract_lwe_at p ~pos:(indicator_pos p ~msize m) acc)
-
-let lut_indicators (p : Params.t) ctx key ~msize s =
-  fill_lut_testvect p ~msize ctx.testvect;
-  let centred = { s with Lwe.b = Torus.add s.Lwe.b (centring ~msize) } in
-  blind_rotate_into p ctx.ws key ~testvect:ctx.testvect ~acc:ctx.acc centred;
-  lut_extract_indicators p ~msize ctx.acc
-
 (* ------------------------------------------------------------------ *)
 (* The batched bootstrap (key streaming)                               *)
 (* ------------------------------------------------------------------ *)
@@ -128,16 +7,14 @@ let lut_indicators (p : Params.t) ctx key ~msize s =
    entry's CMux-rotate step to all B accumulators, so the key is streamed
    from memory once per launch instead of once per row.  The accumulators
    are rows of one flat [Trlwe_array], so the inner sweep touches
-   contiguous storage while key entry i stays resident.  Per row the
-   operation sequence (test vector, rotation amounts, CMux order, float
-   conversions, extraction) is the scalar walk's, and every
+   contiguous storage while key entry i stays resident.  Every
    [Tgsw.cmux_rotate_row_into] call fully overwrites its workspace
-   scratch, so each slot is ciphertext-bit-exact with {!bootstrap_with}
-   or {!lut_indicators}. *)
+   scratch, so a row's result does not depend on the rows launched beside
+   it. *)
 
-type job = Job_sign of Torus.t | Job_lut of int
+type job = Job_sign of Torus.t | Job_lut of int | Job_table of Torus.t array
 
-let job_slots = function Job_sign _ -> 1 | Job_lut msize -> msize
+let job_slots = function Job_sign _ | Job_table _ -> 1 | Job_lut msize -> msize
 
 type batch = {
   bcap : int;
@@ -187,6 +64,58 @@ let row_bytes (p : Params.t) =
   | Pytfhe_fft.Transform.Fft -> rows * (p.tlwe.k + 1) * (p.tlwe.ring_n / 2) * 16
   | Pytfhe_fft.Transform.Ntt -> rows * (p.tlwe.k + 1) * p.tlwe.ring_n * 8
 
+(* The scalar calls share a two-row workspace (MUX launches two rows),
+   made on first use so that key generation, key reads, dist workers and
+   service tenants allocate none. *)
+type key = { bsk : Tgsw.fft_sample array; scratch : batch Lazy.t }
+
+let with_scratch (p : Params.t) bsk = { bsk; scratch = lazy (batch_create p ~cap:2) }
+let scratch key = Lazy.force key.scratch
+
+let key_gen rng (p : Params.t) ~lwe_key ~tlwe_key =
+  let encrypt_bit b = Tgsw.to_fft p (Tgsw.encrypt_int rng p tlwe_key b) in
+  with_scratch p (Array.map encrypt_bit lwe_key.Lwe.bits)
+
+(* ------------------------------------------------------------------ *)
+(* Indicator bootstrapping for LUT cells                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Every 2-/3-input LUT cell runs the same table-independent rotation: the
+   test vector is a staircase whose top slot carries 1/16 (the lutdom unit)
+   and the table is applied afterwards, as a sum of extracted indicator
+   slots.  Extracting coefficient k·slot of the rotated accumulator yields
+   an encryption of [m = msize−1−k]/16: writing u = m + k, the read lands
+   on slot u for u ≤ msize−1 (positive sign, only u = msize−1 is hot) and
+   on slot u − msize with a negacyclic sign flip otherwise — where the
+   staircase is 0 because u − msize ≤ msize−2.  One blind rotation thus
+   serves any number of tables over the same inputs (multi-value
+   bootstrapping), and fusing nodes that share inputs is pure memoization:
+   the rotation is deterministic, so fused and unfused execution are
+   bit-identical. *)
+
+let lut_amplitude = Torus.mod_switch_to 1 ~msize:16
+
+let check_msize (p : Params.t) who msize =
+  if msize <= 0 || p.Params.tlwe.ring_n mod msize <> 0 then
+    invalid_arg (who ^ ": msize must divide the ring degree")
+
+let fill_lut_testvect (p : Params.t) ~msize tv =
+  check_msize p "Bootstrap.fill_lut_testvect" msize;
+  let slot = p.Params.tlwe.ring_n / msize in
+  Array.fill tv 0 ((msize - 1) * slot) 0;
+  Array.fill tv ((msize - 1) * slot) slot lut_amplitude
+
+(* Index by message value m: indicator m sits at slot (msize−1−m)·N/msize. *)
+let indicator_pos (p : Params.t) ~msize m = (msize - 1 - m) * (p.Params.tlwe.ring_n / msize)
+
+(* Centre the phase inside its slot so symmetric noise cannot push it
+   across a slot boundary. *)
+let centring ~msize = Torus.mod_switch_to 1 ~msize:(4 * msize)
+
+(* ------------------------------------------------------------------ *)
+(* The row kernel                                                      *)
+(* ------------------------------------------------------------------ *)
+
 let batch_rows_into (p : Params.t) (bt : batch) key (jobs : job array) ~(src : Lwe_array.t)
     ~(dst : Lwe_array.t) =
   let count = Lwe_array.length src in
@@ -199,6 +128,12 @@ let batch_rows_into (p : Params.t) (bt : batch) key (jobs : job array) ~(src : L
     invalid_arg "Bootstrap.batch_rows_into: destination dimension is not the extracted one";
   if Lwe_array.length dst < Array.fold_left (fun acc j -> acc + job_slots j) 0 jobs then
     invalid_arg "Bootstrap.batch_rows_into: destination shorter than the batch's slots";
+  Array.iter
+    (function
+      | Job_sign _ -> ()
+      | Job_lut msize -> check_msize p "Bootstrap.batch_rows_into" msize
+      | Job_table t -> check_msize p "Bootstrap.batch_rows_into" (Array.length t))
+    jobs;
   if count > 0 then begin
     let n = p.tlwe.ring_n in
     let n2 = 2 * n in
@@ -211,6 +146,13 @@ let batch_rows_into (p : Params.t) (bt : batch) key (jobs : job array) ~(src : L
             Lwe_array.body src b
           | Job_lut msize ->
             fill_lut_testvect p ~msize bt.btestvect;
+            Torus.add (Lwe_array.body src b) (centring ~msize)
+          | Job_table t ->
+            let msize = Array.length t in
+            let slot = n / msize in
+            for j = 0 to n - 1 do
+              bt.btestvect.(j) <- t.(j / slot)
+            done;
             Torus.add (Lwe_array.body src b) (centring ~msize)
         in
         Trlwe_array.clear_masks bt.taccs b;
@@ -234,7 +176,8 @@ let batch_rows_into (p : Params.t) (bt : batch) key (jobs : job array) ~(src : L
     Array.iteri
       (fun b job ->
         (match job with
-        | Job_sign _ -> Trlwe_array.extract_row_into bt.taccs ~row:b ~pos:0 dst ~drow:!d
+        | Job_sign _ | Job_table _ ->
+          Trlwe_array.extract_row_into bt.taccs ~row:b ~pos:0 dst ~drow:!d
         | Job_lut msize ->
           for m = 0 to msize - 1 do
             Trlwe_array.extract_row_into bt.taccs ~row:b ~pos:(indicator_pos p ~msize m) dst
@@ -243,3 +186,37 @@ let batch_rows_into (p : Params.t) (bt : batch) key (jobs : job array) ~(src : L
         d := !d + job_slots job)
       jobs
   end
+
+(* ------------------------------------------------------------------ *)
+(* Scalar calls: one-row launches on the key's workspace               *)
+(* ------------------------------------------------------------------ *)
+
+let launch_one (p : Params.t) key job (s : Lwe.sample) =
+  let dst = Lwe_array.create ~n:(p.tlwe.k * p.tlwe.ring_n) 1 in
+  batch_rows_into p (scratch key) key [| job |]
+    ~src:(Lwe_array.of_samples ~n:(Array.length key.bsk) [| s |])
+    ~dst;
+  Lwe_array.get dst 0
+
+let bootstrap_wo_keyswitch p key ~mu s = launch_one p key (Job_sign mu) s
+
+let programmable (p : Params.t) key ~msize f s =
+  check_msize p "Bootstrap.programmable" msize;
+  launch_one p key (Job_table (Array.init msize f)) s
+
+let key_bytes (p : Params.t) =
+  let rows = (p.tlwe.k + 1) * p.tgsw.l in
+  p.lwe.n * rows * (p.tlwe.k + 1) * p.tlwe.ring_n * 4
+
+module Wire = Pytfhe_util.Wire
+
+let write buf k =
+  Wire.write_magic buf "BSKY";
+  Wire.write_array buf Tgsw.write_fft k.bsk
+
+let read p r =
+  Wire.read_magic r "BSKY";
+  let bsk = Wire.read_array r (fun r -> Tgsw.read_fft p r) in
+  if Array.length bsk <> p.Params.lwe.Params.n then
+    raise (Wire.Corrupt "bootstrapping key length does not match LWE dimension");
+  with_scratch p bsk

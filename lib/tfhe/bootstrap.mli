@@ -5,65 +5,19 @@
     (mod-switched) phase of the input ciphertext, refreshing its noise while
     applying a negacyclic lookup table.
 
-    The hot loop runs the in-place recurrence
-    acc ← acc + bskᵢ ⊡ ((X^{āᵢ} − 1)·acc) through workspace-owned scratch
-    ({!Tgsw.cmux_rotate_into}), so a steady-state bootstrapped gate
-    allocates only its output ciphertext. *)
+    There is one blind rotation, the batched row kernel
+    {!batch_rows_into}: every row runs the in-place recurrence
+    acc ← acc + bskᵢ ⊡ ((X^{āᵢ} − 1)·acc) ({!Tgsw.cmux_rotate_row_into})
+    on workspace-owned scratch.  A scalar call ({!bootstrap_wo_keyswitch},
+    {!programmable}, the keyset-level gates) is a one-row launch on a
+    workspace embedded in the key. *)
 
 type key
 (** Bootstrapping key: n TGSW encryptions (stored in FFT form) of the LWE
-    key bits under the ring key, plus a default evaluation context for
-    single-threaded use. *)
-
-type context
-(** Per-thread mutable evaluation state: the TGSW workspace, a reusable
-    ring-degree test-vector buffer and the blind-rotation accumulator.  The
-    key's own {!default_context} serves the sequential executor; a multicore
-    executor creates one context per domain so no scratch memory is
-    shared. *)
-
-val context_create : Params.t -> context
-(** Fresh scratch for one evaluation thread.  Also precomputes the FFT
-    caches for the parameter set's ring degree (via
-    [Tgsw.workspace_create]). *)
-
-val default_context : key -> context
-(** The context embedded in the key — used by the [_wo_keyswitch] wrappers.
-    Never hand it to more than one domain at a time. *)
+    key bits under the ring key, plus the launch workspace the scalar calls
+    share ({!scratch}), made on first use. *)
 
 val key_gen : Pytfhe_util.Rng.t -> Params.t -> lwe_key:Lwe.key -> tlwe_key:Tlwe.key -> key
-
-val blind_rotate : Params.t -> key -> testvect:Poly.torus_poly -> Lwe.sample -> Tlwe.sample
-(** Rotate [testvect] by X^{−phase·2N} under encryption, using the key's
-    default workspace. *)
-
-val blind_rotate_with :
-  Params.t -> Tgsw.workspace -> key -> testvect:Poly.torus_poly -> Lwe.sample -> Tlwe.sample
-(** Like {!blind_rotate} but with caller-supplied scratch, for concurrent
-    evaluation.  Allocates the returned accumulator; the hot path uses
-    {!blind_rotate_into}. *)
-
-val blind_rotate_into :
-  Params.t ->
-  Tgsw.workspace ->
-  key ->
-  testvect:Poly.torus_poly ->
-  acc:Tlwe.sample ->
-  Lwe.sample ->
-  unit
-(** Allocation-free blind rotation: overwrites [acc] (which must have the
-    parameter set's shape and not alias workspace scratch) with the rotated
-    test vector.  This is the per-gate hot path. *)
-
-val bootstrap_wo_keyswitch : Params.t -> key -> mu:Torus.t -> Lwe.sample -> Lwe.sample
-(** Refresh a ciphertext to an encryption of ±[mu] (sign of the input
-    phase) under the *extracted* key of dimension k·N.  Uses the key's
-    default context. *)
-
-val bootstrap_with : Params.t -> context -> key -> mu:Torus.t -> Lwe.sample -> Lwe.sample
-(** {!bootstrap_wo_keyswitch} through an explicit context: no allocation
-    beyond the extracted output ciphertext, and safe to call concurrently
-    from several domains as long as each uses its own context. *)
 
 (** {2 The batched bootstrap (key streaming)}
 
@@ -72,31 +26,39 @@ val bootstrap_with : Params.t -> context -> key -> mu:Torus.t -> Lwe.sample -> L
     each entry's CMux-rotate step to all B accumulators before moving on,
     so the (tens-of-MB) key is streamed from memory once per launch
     instead of once per row.  Each row carries its own {!job}, so sign
-    bootstraps and LUT indicator rotations share launches.  The per-row
-    operation sequence is the scalar path's, so every result is
-    ciphertext-bit-exact with {!bootstrap_with} or {!lut_indicators}. *)
+    bootstraps, LUT indicator rotations and table lookups share launches.
+    A row's operation sequence does not depend on the other rows, so a
+    one-row launch yields the same bits as the same row in a full one. *)
 
 type job =
   | Job_sign of Torus.t  (** sign bootstrap to ±mu: one slot *)
   | Job_lut of int
       (** indicator rotation over a message space of this size (centred
-          inside the kernel, like {!lut_indicators}): one slot per
-          message *)
+          inside the kernel): one slot per message, slot [m] encrypting
+          [\[message = m\]/16] *)
+  | Job_table of Torus.t array
+      (** programmable bootstrap of the table [t] over a message space of
+          [Array.length t] (centred inside the kernel): one slot carrying
+          [t.(μ)] *)
 
 val job_slots : job -> int
-(** Extracted samples a job yields: 1 for [Job_sign], msize for
-    [Job_lut]. *)
+(** Extracted samples a job yields: 1 for [Job_sign] and [Job_table],
+    msize for [Job_lut]. *)
 
 type batch
 (** A structure-of-arrays batch workspace: one shared TGSW workspace and
     test-vector buffer plus [cap] accumulator rows of one
-    {!Trlwe_array}.  Like {!context}, it is single-threaded state — one
-    per domain. *)
+    {!Trlwe_array}.  It is single-threaded state — one per domain. *)
 
 val batch_create : Params.t -> cap:int -> batch
 (** Workspace for launches of up to [cap] ≥ 1 rows. *)
 
 val batch_capacity : batch -> int
+
+val scratch : key -> batch
+(** The two-row workspace embedded in the key, made on first use: what
+    the scalar calls launch on.  Never hand it to more than one domain at
+    a time; concurrent callers take their own {!batch_create}. *)
 
 val batch_rows_into :
   Params.t -> batch -> key -> job array -> src:Lwe_array.t -> dst:Lwe_array.t -> unit
@@ -104,10 +66,9 @@ val batch_rows_into :
     [src] (dimension n, length ≤ capacity, one job per row), streaming the
     bootstrapping key once for the whole launch, and extract every job's
     slots under the extracted key into [dst] (dimension k·N), flat in job
-    order — no per-row record materialization.  A [Job_sign mu] slot is
-    bit-identical to [bootstrap_with p ctx key ~mu]; slot [m] of a
-    [Job_lut msize] is element [m] of {!lut_indicators} on the uncentred
-    row.  Raises [Invalid_argument] on shape mismatches. *)
+    order — no per-row record materialization.  Raises [Invalid_argument]
+    on shape mismatches and on a [Job_lut]/[Job_table] message space that
+    does not divide N. *)
 
 type batch_stats = { bsk_rows_streamed : int; launches : int; gates_batched : int }
 (** Cumulative key-traffic accounting since the last reset:
@@ -125,15 +86,12 @@ val row_bytes : Params.t -> int
     spectra as N u32 residues under each of the two primes — the unit
     [bsk_rows_streamed] is counted in. *)
 
-val key_bytes : Params.t -> int
-(** Serialized size of the bootstrapping key at 32 bits per torus element. *)
+(** {2 Scalar calls} *)
 
-val write : Pytfhe_util.Wire.writer -> key -> unit
-
-val read : Params.t -> Pytfhe_util.Wire.reader -> key
-(** The parameter set recreates the scratch workspace on load and validates
-    the key's shape (row/component/spectrum counts and the LWE dimension)
-    against it, raising [Wire.Corrupt] on mismatch. *)
+val bootstrap_wo_keyswitch : Params.t -> key -> mu:Torus.t -> Lwe.sample -> Lwe.sample
+(** Refresh a ciphertext to an encryption of ±[mu] (sign of the input
+    phase) under the {e extracted} key of dimension k·N: a one-row
+    [Job_sign] launch on {!scratch}. *)
 
 val programmable :
   Params.t -> key -> msize:int -> (int -> Torus.t) -> Lwe.sample -> Lwe.sample
@@ -141,18 +99,29 @@ val programmable :
     applying an arbitrary lookup table.  The input must encrypt a message
     μ ∈ [0, msize) in the half-torus encoding μ/(2·msize); the result (under
     the extracted key) carries the torus value [f μ].  [msize] must divide
-    the ring degree N. *)
+    the ring degree N.  A one-row [Job_table] launch on {!scratch}. *)
+
+val key_bytes : Params.t -> int
+(** Serialized size of the bootstrapping key at 32 bits per torus element. *)
+
+val write : Pytfhe_util.Wire.writer -> key -> unit
+
+val read : Params.t -> Pytfhe_util.Wire.reader -> key
+(** Validates the key's shape (row/component/spectrum counts and the LWE
+    dimension) against the parameter set, raising [Wire.Corrupt] on
+    mismatch. *)
 
 (** {2 Indicator bootstrapping for LUT cells}
 
-    The circuit-level LUT cells all run one {e table-independent} rotation:
-    the test vector is a staircase whose top slot carries the lutdom unit
-    1/16, and extracting coefficient [(msize−1−m)·N/msize] of the rotated
-    accumulator yields an encryption of [\[message = m\]/16].  The table is
-    applied afterwards as a plain sum of indicators, so one blind rotation
-    serves any number of tables over the same inputs (multi-value
-    bootstrapping), and sharing a rotation between nodes with identical
-    inputs is pure memoization — bit-identical to rotating per node. *)
+    The circuit-level LUT cells all run one {e table-independent} rotation
+    ([Job_lut]): the test vector is a staircase whose top slot carries the
+    lutdom unit 1/16, and extracting coefficient [(msize−1−m)·N/msize] of
+    the rotated accumulator yields an encryption of [\[message = m\]/16].
+    The table is applied afterwards as a plain sum of indicators, so one
+    blind rotation serves any number of tables over the same inputs
+    (multi-value bootstrapping), and sharing a rotation between nodes with
+    identical inputs is pure memoization — bit-identical to rotating per
+    node. *)
 
 val lut_amplitude : Torus.t
 (** The lutdom unit 1/16 carried by the staircase's hot slot. *)
@@ -160,13 +129,3 @@ val lut_amplitude : Torus.t
 val fill_lut_testvect : Params.t -> msize:int -> Poly.torus_poly -> unit
 (** Overwrite a ring-degree buffer with the indicator staircase for a
     message space of [msize] (which must divide N). *)
-
-val lut_extract_indicators : Params.t -> msize:int -> Tlwe.sample -> Lwe.sample array
-(** Extract the [msize] indicator slots of a rotated accumulator, indexed
-    by message value (element [m] encrypts [\[message = m\]/16]) — under the
-    extracted key, before any key switch. *)
-
-val lut_indicators : Params.t -> context -> key -> msize:int -> Lwe.sample -> Lwe.sample array
-(** One indicator rotation through a context: centre, rotate the staircase,
-    extract all [msize] indicators.  The input phase must carry the
-    combined LUT message m/(2·msize). *)

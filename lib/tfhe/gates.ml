@@ -34,24 +34,10 @@ let constant ck bit = Lwe.trivial ~n:ck.cloud_params.lwe.n (mu8 bit)
 
 let not_gate _ck c = Lwe.neg c
 
-(* Per-thread evaluation context: the keyset is immutable and shared, the
-   bootstrap scratch is private to one domain. *)
-type context = { keyset : cloud_keyset; scratch : Bootstrap.context }
-
-let context ck = { keyset = ck; scratch = Bootstrap.context_create ck.cloud_params }
-let default_context ck = { keyset = ck; scratch = Bootstrap.default_context ck.bootstrap_key }
-
-let bootstrap_in ctx combined =
-  let p = ctx.keyset.cloud_params in
-  let extracted =
-    Bootstrap.bootstrap_with p ctx.scratch ctx.keyset.bootstrap_key ~mu:(Params.mu p) combined
-  in
-  Keyswitch.apply ctx.keyset.keyswitch_key extracted
-
 (* Every two-input gate is a linear phase combination followed by the same
    sign bootstrap (mu = 1/8) and key switch.  The combination is captured as
-   a data value so the scalar and batched paths share it: torus arithmetic
-   is exact mod 2^32, so building the phase as const ± scale·a ± scale·b is
+   a data value so gates of any kind share a launch: torus arithmetic is
+   exact mod 2^32, so building the phase as const ± scale·a ± scale·b is
    bit-identical however the additions are grouped. *)
 type combine_plan = {
   plan_const : Torus.t;
@@ -77,65 +63,25 @@ let combine ~n plan a b =
   let acc = if plan.plan_sign_a > 0 then Lwe.add acc (scaled a) else Lwe.sub acc (scaled a) in
   if plan.plan_sign_b > 0 then Lwe.add acc (scaled b) else Lwe.sub acc (scaled b)
 
-let binary_gate_in ctx plan a b =
-  bootstrap_in ctx (combine ~n:ctx.keyset.cloud_params.lwe.n plan a b)
-
-let nand_gate_in ctx a b = binary_gate_in ctx nand_plan a b
-let and_gate_in ctx a b = binary_gate_in ctx and_plan a b
-let or_gate_in ctx a b = binary_gate_in ctx or_plan a b
-let nor_gate_in ctx a b = binary_gate_in ctx nor_plan a b
-let andny_gate_in ctx a b = binary_gate_in ctx andny_plan a b
-let andyn_gate_in ctx a b = binary_gate_in ctx andyn_plan a b
-let orny_gate_in ctx a b = binary_gate_in ctx orny_plan a b
-let oryn_gate_in ctx a b = binary_gate_in ctx oryn_plan a b
-let xor_gate_in ctx a b = binary_gate_in ctx xor_plan a b
-let xnor_gate_in ctx a b = binary_gate_in ctx xnor_plan a b
-
-let nand_gate ck a b = nand_gate_in (default_context ck) a b
-let and_gate ck a b = and_gate_in (default_context ck) a b
-let or_gate ck a b = or_gate_in (default_context ck) a b
-let nor_gate ck a b = nor_gate_in (default_context ck) a b
-let andny_gate ck a b = andny_gate_in (default_context ck) a b
-let andyn_gate ck a b = andyn_gate_in (default_context ck) a b
-let orny_gate ck a b = orny_gate_in (default_context ck) a b
-let oryn_gate ck a b = oryn_gate_in (default_context ck) a b
-let xor_gate ck a b = xor_gate_in (default_context ck) a b
-let xnor_gate ck a b = xnor_gate_in (default_context ck) a b
-
-let mux_gate_in ctx s x y =
-  let p = ctx.keyset.cloud_params in
-  let n = p.lwe.n in
-  let mu = Params.mu p in
-  (* u1 = bootstrap(s AND x), u2 = bootstrap(¬s AND y), both under the
-     extracted key; their sum plus 1/8 re-encodes the selected bit, and a
-     single key switch brings it home.  Both blind rotations run through the
-     context scratch — u1 survives the second rotation because sample
-     extraction allocates a fresh ciphertext. *)
-  let and_sx = combine ~n and_plan s x in
-  let u1 = Bootstrap.bootstrap_with p ctx.scratch ctx.keyset.bootstrap_key ~mu and_sx in
-  let andny_sy = combine ~n andny_plan s y in
-  let u2 = Bootstrap.bootstrap_with p ctx.scratch ctx.keyset.bootstrap_key ~mu andny_sy in
-  let extracted_n = Params.extracted_n p in
-  let sum = Lwe.add (Lwe.add u1 u2) (Lwe.trivial ~n:extracted_n (mu8 true)) in
-  Keyswitch.apply ctx.keyset.keyswitch_key sum
-
-let mux_gate ck s x y = mux_gate_in (default_context ck) s x y
-
 (* ------------------------------------------------------------------ *)
 (* Batched wave execution                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Executor-facing wrapper over the one batched bootstrap: the caller
-   combines the phases of up to [cap] cells — classic gates and LUT cells
-   alike, each row with its own job — and gets the key-switched outputs
-   back from one key-streaming pass per key.  Per cell the op sequence
-   matches the scalar [_in] path exactly, so outputs are bit-identical to
-   it. *)
+(* The wrapper over the one batched bootstrap: the caller combines the
+   phases of up to [cap] cells — classic gates and LUT cells alike, each
+   row with its own job — and gets the key-switched outputs back from one
+   key-streaming pass per key.  The keyset-level calls at the end of this
+   file are its one-cell case. *)
 type batch_cell =
   | Cell_sign of { mu : Torus.t; post : Torus.t }
   | Cell_lut of { arity : int; tables : int array }
 
 let gate_cell = Cell_sign { mu = mu8 true; post = Torus.zero }
+
+let cell_job = function
+  | Cell_sign { mu; _ } -> Bootstrap.Job_sign mu
+  | Cell_lut { arity; _ } -> Bootstrap.Job_lut (1 lsl arity)
+
 let cell_outputs = function Cell_sign _ -> 1 | Cell_lut { tables; _ } -> Array.length tables
 
 type batch_context = {
@@ -149,18 +95,20 @@ type batch_context = {
   mutable ks_blocks : int;
 }
 
-let batch_context ck ~cap =
+let context_on ck bboot ~slots ~outputs =
   let p = ck.cloud_params in
-  let bboot = Bootstrap.batch_create p ~cap in
   let en = Params.extracted_n p in
   {
     bkeyset = ck;
     bboot;
-    bslots = Lwe_array.create ~n:en cap;
-    bsel = Lwe_array.create ~n:en cap;
-    bout = Lwe_array.create ~n:p.lwe.n cap;
+    bslots = Lwe_array.create ~n:en slots;
+    bsel = Lwe_array.create ~n:en outputs;
+    bout = Lwe_array.create ~n:p.lwe.n outputs;
     ks_blocks = 0;
   }
+
+let batch_context ck ~cap =
+  context_on ck (Bootstrap.batch_create ck.cloud_params ~cap) ~slots:cap ~outputs:cap
 
 let batch_capacity bc = Bootstrap.batch_capacity bc.bboot
 
@@ -177,13 +125,7 @@ let bootstrap_batch bc (cells : batch_cell array) (src : Lwe_array.t) =
   if Array.length cells <> count then invalid_arg "Gates.bootstrap_batch: one cell per row";
   if count > batch_capacity bc then
     invalid_arg "Gates.bootstrap_batch: batch larger than the workspace capacity";
-  let jobs =
-    Array.map
-      (function
-        | Cell_sign { mu; _ } -> Bootstrap.Job_sign mu
-        | Cell_lut { arity; _ } -> Bootstrap.Job_lut (1 lsl arity))
-      cells
-  in
+  let jobs = Array.map cell_job cells in
   let outputs = Array.fold_left (fun acc c -> acc + cell_outputs c) 0 cells in
   bc.bslots <- fit bc.bslots (Array.fold_left (fun acc j -> acc + Bootstrap.job_slots j) 0 jobs);
   bc.bsel <- fit bc.bsel outputs;
@@ -194,7 +136,7 @@ let bootstrap_batch bc (cells : batch_cell array) (src : Lwe_array.t) =
     let p = bc.bkeyset.cloud_params in
     Bootstrap.batch_rows_into p bc.bboot bc.bkeyset.bootstrap_key jobs ~src ~dst:bc.bslots;
     (* Select in the extracted domain: a sign slot is its own output, a
-       table sums its indicators in ascending message order ([lut_select]). *)
+       table sums its indicators in ascending message order. *)
     let s = ref 0 and o = ref 0 in
     Array.iter
       (function
@@ -265,6 +207,17 @@ let read_secret_keyset r =
   let params = Params.read r in
   let lwe_key = Lwe.read_key r in
   let tlwe_key = Tlwe.read_key r in
+  (* [Lwe.read_key] already checks that its bits are binary. *)
+  if lwe_key.Lwe.key_n <> params.lwe.n then
+    raise (Wire.Corrupt "secret LWE key does not have the keyset's dimension n");
+  let polys = tlwe_key.Tlwe.polys in
+  if
+    Array.length polys <> params.tlwe.k
+    || Array.exists
+         (fun poly ->
+           Array.length poly <> params.tlwe.ring_n || Array.exists (fun c -> c <> 0 && c <> 1) poly)
+         polys
+  then raise (Wire.Corrupt "secret ring key is not k binary polynomials of N coefficients");
   { params; lwe_key; tlwe_key; extracted_key = Tlwe.extract_key tlwe_key }
 
 let write_cloud_keyset buf ck =
@@ -349,57 +302,61 @@ let thirty_second v = Torus.mul_int v (Torus.mod_switch_to 1 ~msize:32)
 let lut1_mu ~table = thirty_second (((table lsr 1) land 1) - (table land 1))
 let lut1_post ~table = thirty_second (((table lsr 1) land 1) + (table land 1))
 
-let lut_select ~n ~msize ~table ind =
-  (* Σ indicators of the table's set bits, ascending message order. *)
-  let acc = ref (Lwe.trivial ~n Torus.zero) in
-  for m = 0 to msize - 1 do
-    if (table lsr m) land 1 = 1 then acc := Lwe.add !acc ind.(m)
-  done;
-  !acc
-
-let lut_indicators_in ctx ~arity ops =
-  let p = ctx.keyset.cloud_params in
-  let combined = lut_combine ~n:p.lwe.n ~arity ops in
-  Bootstrap.lut_indicators p ctx.scratch ctx.keyset.bootstrap_key ~msize:(1 lsl arity) combined
-
-let lut_select_in ctx ~msize ~table ind =
-  let p = ctx.keyset.cloud_params in
-  Keyswitch.apply ctx.keyset.keyswitch_key
-    (lut_select ~n:(Params.extracted_n p) ~msize ~table ind)
-
-let lut1_in ctx ~table c =
-  let p = ctx.keyset.cloud_params in
-  let u = Bootstrap.bootstrap_with p ctx.scratch ctx.keyset.bootstrap_key ~mu:(lut1_mu ~table) c in
-  Lwe.add (Keyswitch.apply ctx.keyset.keyswitch_key u) (Lwe.trivial ~n:p.lwe.n (lut1_post ~table))
-
-let reencode_in ctx c = lut1_in ctx ~table:0b10 c
-
-let lut2_in ctx ~table a b =
-  lut_select_in ctx ~msize:4 ~table (lut_indicators_in ctx ~arity:2 [| a; b |])
-
-let lut3_in ctx ~table a b c =
-  lut_select_in ctx ~msize:8 ~table (lut_indicators_in ctx ~arity:3 [| a; b; c |])
-
-let lut2_multi_in ctx ~tables a b =
-  let ind = lut_indicators_in ctx ~arity:2 [| a; b |] in
-  Array.map (fun table -> lut_select_in ctx ~msize:4 ~table ind) tables
-
-let lut3_multi_in ctx ~tables a b c =
-  let ind = lut_indicators_in ctx ~arity:3 [| a; b; c |] in
-  Array.map (fun table -> lut_select_in ctx ~msize:8 ~table ind) tables
-
-let lut_cell_in ctx ~arity ~table ops =
-  if Array.length ops <> arity then invalid_arg "Gates.lut_cell_in: operand count mismatch";
-  match arity with
-  | 1 -> lut1_in ctx ~table ops.(0)
-  | 2 | 3 -> lut_select_in ctx ~msize:(1 lsl arity) ~table (lut_indicators_in ctx ~arity ops)
-  | _ -> invalid_arg "Gates.lut_cell_in: arity must be 1, 2 or 3"
-
-let reencode ck c = reencode_in (default_context ck) c
-let lut1 ck ~table c = lut1_in (default_context ck) ~table c
-let lut2 ck ~table a b = lut2_in (default_context ck) ~table a b
-let lut3 ck ~table a b c = lut3_in (default_context ck) ~table a b c
-let lut2_multi ck ~tables a b = lut2_multi_in (default_context ck) ~tables a b
-let lut3_multi ck ~tables a b c = lut3_multi_in (default_context ck) ~tables a b c
-
 let sign_cell ~table = Cell_sign { mu = lut1_mu ~table; post = lut1_post ~table }
+
+(* ------------------------------------------------------------------ *)
+(* Keyset-level calls: one-cell launches                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Each keyset-level call is the one-cell case of [bootstrap_batch], run on
+   the workspace embedded in the bootstrapping key ([Bootstrap.scratch])
+   through launch-sized staging arrays. *)
+let launch ck cell (row : Lwe.sample) =
+  let bc =
+    context_on ck (Bootstrap.scratch ck.bootstrap_key)
+      ~slots:(Bootstrap.job_slots (cell_job cell))
+      ~outputs:(cell_outputs cell)
+  in
+  Lwe_array.to_samples
+    (bootstrap_batch bc [| cell |] (Lwe_array.of_samples ~n:ck.cloud_params.lwe.n [| row |]))
+
+let gate plan ck a b = (launch ck gate_cell (combine ~n:ck.cloud_params.lwe.n plan a b)).(0)
+
+let nand_gate ck a b = gate nand_plan ck a b
+let and_gate ck a b = gate and_plan ck a b
+let or_gate ck a b = gate or_plan ck a b
+let nor_gate ck a b = gate nor_plan ck a b
+let andny_gate ck a b = gate andny_plan ck a b
+let andyn_gate ck a b = gate andyn_plan ck a b
+let orny_gate ck a b = gate orny_plan ck a b
+let oryn_gate ck a b = gate oryn_plan ck a b
+let xor_gate ck a b = gate xor_plan ck a b
+let xnor_gate ck a b = gate xnor_plan ck a b
+
+let mux_gate ck s x y =
+  let p = ck.cloud_params in
+  let n = p.lwe.n in
+  let mu = Params.mu p in
+  (* u1 = bootstrap(s AND x) and u2 = bootstrap(¬s AND y) share one
+     two-row launch under the extracted key; their sum plus 1/8
+     re-encodes the selected bit, and a single key switch brings it
+     home. *)
+  let src = Lwe_array.of_samples ~n [| combine ~n and_plan s x; combine ~n andny_plan s y |] in
+  let u = Lwe_array.create ~n:(Params.extracted_n p) 2 in
+  Bootstrap.batch_rows_into p (Bootstrap.scratch ck.bootstrap_key) ck.bootstrap_key
+    [| Bootstrap.Job_sign mu; Bootstrap.Job_sign mu |]
+    ~src ~dst:u;
+  Lwe_array.add_into ~dst:u ~drow:0 ~a:u ~arow:0 ~b:u ~brow:1;
+  Lwe_array.unsafe_set32 u.Lwe_array.bodies 0 (Torus.add (Lwe_array.body u 0) (mu8 true));
+  Keyswitch.apply ck.keyswitch_key (Lwe_array.get u 0)
+
+let lut1 ck ~table c = (launch ck (sign_cell ~table) c).(0)
+let reencode ck c = lut1 ck ~table:0b10 c
+
+let lut_multi ck ~arity ~tables ops =
+  launch ck (Cell_lut { arity; tables }) (lut_combine ~n:ck.cloud_params.lwe.n ~arity ops)
+
+let lut2_multi ck ~tables a b = lut_multi ck ~arity:2 ~tables [| a; b |]
+let lut3_multi ck ~tables a b c = lut_multi ck ~arity:3 ~tables [| a; b; c |]
+let lut2 ck ~table a b = (lut2_multi ck ~tables:[| table |] a b).(0)
+let lut3 ck ~table a b c = (lut3_multi ck ~tables:[| table |] a b c).(0)

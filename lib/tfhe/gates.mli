@@ -3,7 +3,14 @@
     The client holds a {!secret_keyset} (encrypt/decrypt); the server holds
     the {!cloud_keyset} (bootstrapping + key-switching keys) and evaluates
     gates on ciphertexts it cannot read.  Every two-input gate performs one
-    bootstrapping; [not_gate] and [constant] are noiseless. *)
+    bootstrapping; [not_gate] and [constant] are noiseless.
+
+    Every bootstrap goes through one launch, {!bootstrap_batch}.  A
+    keyset-level call ([nand_gate] … [mux_gate], the LUT cells,
+    {!apply_lut}) is its one-cell case, run on the workspace embedded in
+    the bootstrapping key ({!Bootstrap.scratch}): correct sequentially,
+    but a data race if several domains evaluate through one keyset at
+    once.  Concurrent callers take a {!batch_context} each. *)
 
 type secret_keyset = {
   params : Params.t;
@@ -53,8 +60,8 @@ val oryn_gate : cloud_keyset -> Lwe.sample -> Lwe.sample -> Lwe.sample
 (** [oryn a b] = a ∨ (¬b). *)
 
 val mux_gate : cloud_keyset -> Lwe.sample -> Lwe.sample -> Lwe.sample -> Lwe.sample
-(** [mux s x y] = if s then x else y; two bootstrappings and one key
-    switch, as in the reference library. *)
+(** [mux s x y] = if s then x else y; two bootstrappings (one two-row
+    launch) and one key switch, as in the reference library. *)
 
 (** {2 Gate combine plans}
 
@@ -85,46 +92,7 @@ val xnor_plan : combine_plan
 
 val combine : n:int -> combine_plan -> Lwe.sample -> Lwe.sample -> Lwe.sample
 (** The linear phase combination [const ± scale·a ± scale·b] at LWE
-    dimension [n]; feed the result to {!bootstrap_in} (scalar) or, as a
-    row, to {!bootstrap_batch_rows} (batched). *)
-
-(** {2 Per-thread evaluation contexts}
-
-    The [cloud_keyset] variants above route every bootstrapping through the
-    scratch buffers embedded in the key — correct sequentially, but a data
-    race if several domains evaluate gates at once.  A {!context} carries a
-    private copy of that scratch; create one per worker domain and use the
-    [_in] variants.  They are bit-exact with the keyset variants. *)
-
-type context
-
-val context : cloud_keyset -> context
-(** Fresh private scratch (workspace + test-vector buffer) over a shared
-    keyset.  Also precomputes the FFT caches for the ring degree. *)
-
-val default_context : cloud_keyset -> context
-(** The scratch embedded in the bootstrapping key — what the plain keyset
-    variants use.  Single-threaded use only. *)
-
-val bootstrap_in : context -> Lwe.sample -> Lwe.sample
-(** Sign bootstrap + key switch of an already-combined ciphertext. *)
-
-val and_gate_in : context -> Lwe.sample -> Lwe.sample -> Lwe.sample
-val or_gate_in : context -> Lwe.sample -> Lwe.sample -> Lwe.sample
-val xor_gate_in : context -> Lwe.sample -> Lwe.sample -> Lwe.sample
-val nand_gate_in : context -> Lwe.sample -> Lwe.sample -> Lwe.sample
-val nor_gate_in : context -> Lwe.sample -> Lwe.sample -> Lwe.sample
-val xnor_gate_in : context -> Lwe.sample -> Lwe.sample -> Lwe.sample
-val andny_gate_in : context -> Lwe.sample -> Lwe.sample -> Lwe.sample
-val andyn_gate_in : context -> Lwe.sample -> Lwe.sample -> Lwe.sample
-val orny_gate_in : context -> Lwe.sample -> Lwe.sample -> Lwe.sample
-val oryn_gate_in : context -> Lwe.sample -> Lwe.sample -> Lwe.sample
-
-val mux_gate_in : context -> Lwe.sample -> Lwe.sample -> Lwe.sample -> Lwe.sample
-(** {!mux_gate} through an explicit context: both blind rotations share the
-    context scratch (sample extraction allocates, so the first result
-    survives the second rotation), and one key switch finishes.  Bit-exact
-    with {!mux_gate}. *)
+    dimension [n]; feed the result, as a row, to {!bootstrap_batch_rows}. *)
 
 (** {2 Batched wave execution}
 
@@ -134,9 +102,9 @@ val mux_gate_in : context -> Lwe.sample -> Lwe.sample -> Lwe.sample -> Lwe.sampl
     cells and LUT rotation groups may share a launch, each row carrying
     its own {!batch_cell} — then one {!bootstrap_batch} call streams the
     bootstrapping key and the key-switch table once each for the whole
-    launch.  Outputs are ciphertext-bit-exact with the scalar [_in] gates
-    and cells.  Like {!context}, a batch context is private to one
-    domain. *)
+    launch.  A cell's outputs do not depend on the cells launched beside
+    it, so they are ciphertext-bit-exact with the keyset-level call on the
+    same operands.  A batch context is private to one domain. *)
 
 type batch_cell =
   | Cell_sign of { mu : Torus.t; post : Torus.t }
@@ -161,14 +129,15 @@ val bootstrap_batch : batch_context -> batch_cell array -> Lwe_array.t -> Lwe_ar
     running [cells.(i)].  A row holds the cell's already-combined input —
     the {!combine}d phase of a gate, the classic operand of an arity-1
     cell, the {!lut_combine} sum (uncentred) of a LUT group.  The result
-    holds every cell's outputs flat in cell order, each bit-identical to
-    the scalar [_in] call.  It is a slice of the context's own output
+    holds every cell's outputs flat in cell order.  It is a slice of the
+    context's own output
     scratch — valid until the next launch on this context; blit the rows
     out before relaunching. *)
 
 val bootstrap_batch_rows : batch_context -> Lwe_array.t -> Lwe_array.t
 (** {!bootstrap_batch} with every row a classic gate ({!gate_cell}): row
-    [i] of the result is bit-identical to [bootstrap_in ctx] of row [i]. *)
+    [i] of the result is the sign bootstrap and key switch of row [i], as
+    in the keyset-level gates. *)
 
 type batch_counters = {
   batch_launches : int;  (** batched bootstrap kernel launches *)
@@ -184,7 +153,11 @@ val batch_counters : batch_context -> batch_counters
 val reset_batch_counters : batch_context -> unit
 
 val write_secret_keyset : Pytfhe_util.Wire.writer -> secret_keyset -> unit
+
 val read_secret_keyset : Pytfhe_util.Wire.reader -> secret_keyset
+(** Raises [Wire.Corrupt] unless the LWE key has n bits and the ring key
+    has k binary polynomials of N coefficients under the keyset's own
+    parameters. *)
 
 val write_cloud_keyset : Pytfhe_util.Wire.writer -> cloud_keyset -> unit
 (** The evaluation keys the client ships to the server (bootstrapping key +
@@ -203,8 +176,8 @@ val decrypt_message : secret_keyset -> msize:int -> Lwe.sample -> int
 
 val apply_lut : cloud_keyset -> msize:int -> table:int array -> Lwe.sample -> Lwe.sample
 (** [apply_lut ck ~msize ~table c] returns an encryption of
-    [table.(μ) mod msize] with fresh noise (one bootstrapping + one key
-    switch).  [Array.length table] must equal [msize]. *)
+    [table.(μ) mod msize] with fresh noise (one {!Bootstrap.programmable}
+    + one key switch).  [Array.length table] must equal [msize]. *)
 
 (** {2 Programmable LUT cells}
 
@@ -250,45 +223,21 @@ val lut1_mu : table:int -> Torus.t
 val lut1_post : table:int -> Torus.t
 (** Post-key-switch offset (t₁+t₀)/32 of an arity-1 cell. *)
 
-val lut_select : n:int -> msize:int -> table:int -> Lwe.sample array -> Lwe.sample
-(** Sum the indicators of the table's set bits (ascending message order) at
-    dimension [n]; runs before the key switch. *)
-
-val lut_indicators_in : context -> arity:int -> Lwe.sample array -> Lwe.sample array
-(** Combine lutdom operands and run the indicator rotation: element [m]
-    encrypts [\[message = m\]/16] under the extracted key. *)
-
-val lut_select_in : context -> msize:int -> table:int -> Lwe.sample array -> Lwe.sample
-(** {!lut_select} + key switch: one finished lutdom output per table. *)
-
-val lut1_in : context -> table:int -> Lwe.sample -> Lwe.sample
-(** Arity-1 LUT cell: classic input, lutdom output, one sign bootstrap.
-    Table 0b10 is the plain classic→lutdom reencode. *)
-
-val reencode_in : context -> Lwe.sample -> Lwe.sample
-(** [lut1_in ~table:0b10]: classic bit → lutdom bit. *)
-
-val lut2_in : context -> table:int -> Lwe.sample -> Lwe.sample -> Lwe.sample
-val lut3_in : context -> table:int -> Lwe.sample -> Lwe.sample -> Lwe.sample -> Lwe.sample
-val lut2_multi_in : context -> tables:int array -> Lwe.sample -> Lwe.sample -> Lwe.sample array
-
-val lut3_multi_in :
-  context -> tables:int array -> Lwe.sample -> Lwe.sample -> Lwe.sample -> Lwe.sample array
-(** One blind rotation, one output per table (multi-value bootstrapping). *)
-
-val lut_cell_in : context -> arity:int -> table:int -> Lwe.sample array -> Lwe.sample
-(** Uniform executor entry: arity-1 cells take a classic operand, arity-2/3
-    cells take lutdom operands.  Raises [Invalid_argument] outside
-    arity 1–3 or on an operand-count mismatch. *)
+val lut1 : cloud_keyset -> table:int -> Lwe.sample -> Lwe.sample
+(** Arity-1 LUT cell: classic input, lutdom output, one sign bootstrap
+    ({!sign_cell}). *)
 
 val reencode : cloud_keyset -> Lwe.sample -> Lwe.sample
-val lut1 : cloud_keyset -> table:int -> Lwe.sample -> Lwe.sample
+(** [lut1 ~table:0b10]: classic bit → lutdom bit. *)
+
 val lut2 : cloud_keyset -> table:int -> Lwe.sample -> Lwe.sample -> Lwe.sample
 val lut3 : cloud_keyset -> table:int -> Lwe.sample -> Lwe.sample -> Lwe.sample -> Lwe.sample
 val lut2_multi : cloud_keyset -> tables:int array -> Lwe.sample -> Lwe.sample -> Lwe.sample array
 
 val lut3_multi :
   cloud_keyset -> tables:int array -> Lwe.sample -> Lwe.sample -> Lwe.sample -> Lwe.sample array
+(** One indicator rotation ({!Cell_lut}), one output per table
+    (multi-value bootstrapping). *)
 
 val sign_cell : table:int -> batch_cell
 (** The {!Cell_sign} of an arity-1 cell's 2-bit table:

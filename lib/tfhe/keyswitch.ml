@@ -45,49 +45,17 @@ let key_gen rng (p : Params.t) ~in_key ~out_key =
   done;
   key
 
-let apply_into key (s : Lwe.sample) ~a =
-  if Array.length s.a <> key.in_n then
-    invalid_arg "Keyswitch.apply_into: input dimension mismatch";
-  if Array.length a <> key.out_n then
-    invalid_arg "Keyswitch.apply_into: output buffer dimension mismatch";
-  let base = 1 lsl key.base_bit in
-  let prec_offset = 1 lsl (32 - 1 - (key.base_bit * key.ks_t)) in
-  let out_n = key.out_n in
-  let flat = key.flat in
-  Array.fill a 0 out_n 0;
-  let acc_b = ref s.b in
-  for i = 0 to key.in_n - 1 do
-    let ai = (Array.unsafe_get s.a i + prec_offset) land 0xFFFFFFFF in
-    for j = 0 to key.ks_t - 1 do
-      let aij = (ai lsr (32 - ((j + 1) * key.base_bit))) land (base - 1) in
-      if aij <> 0 then begin
-        let off = entry_off key i j aij in
-        for u = 0 to out_n - 1 do
-          Array.unsafe_set a u
-            (Torus.sub (Array.unsafe_get a u) (Array.unsafe_get flat (off + u)))
-        done;
-        acc_b := Torus.sub !acc_b (Array.unsafe_get flat (off + out_n))
-      end
-    done
-  done;
-  !acc_b
-
-let apply key (s : Lwe.sample) =
-  let a = Array.make key.out_n 0 in
-  let b = apply_into key s ~a in
-  { Lwe.a; b }
-
 (* Batched key switch by loop interchange: the (i, j) digit blocks of the
    flat table are the outer loops and the batch rows the inner one, so each
    base × (out_n+1) block is streamed from memory once per batch instead of
    once per row.  Sources and destinations are rows of flat [Lwe_array]s,
    so while a block stays resident the batch sweep touches contiguous rows
    and each row update is a unit-stride run over the destination masks.
-   Per row the (i, j) visit order — and therefore the exact sequence of
-   torus subtractions — is unchanged from [apply_into], so every output
-   row is bit-identical to it.  Returns the number of (i, j) blocks read
-   (those with at least one nonzero digit in the batch), for key-traffic
-   accounting. *)
+   Per row the (i, j) visit order, and so the exact sequence of torus
+   subtractions, does not depend on the other rows, so a one-row launch
+   ([apply]) yields the same bits as the same row in a full one.  Returns
+   the number of (i, j) blocks read (those with at least one nonzero digit
+   in the batch), for key-traffic accounting. *)
 let apply_batch_rows_into key ~(src : Lwe_array.t) ~(dst : Lwe_array.t) =
   let count = Lwe_array.length src in
   if Lwe_array.dim src <> key.in_n then
@@ -118,8 +86,8 @@ let apply_batch_rows_into key ~(src : Lwe_array.t) ~(dst : Lwe_array.t) =
      roughly two int-array accesses even as a raw load — so stage the
      source phases and the output accumulators in flat int arrays (one
      conversion pass per direction) and run the hot loop entirely on the
-     OCaml heap, like the scalar [apply_into].  The scratch is a few
-     hundred words per batch member, noise next to the table traffic. *)
+     OCaml heap.  The scratch is a few hundred words per batch member,
+     noise next to the table traffic. *)
   let sa = Array.make (count * in_n) 0 in
   let a = Array.make (count * out_n) 0 in
   let b = Array.make count 0 in
@@ -162,13 +130,18 @@ let apply_batch_rows_into key ~(src : Lwe_array.t) ~(dst : Lwe_array.t) =
   done;
   !blocks
 
+let apply key (s : Lwe.sample) =
+  if Array.length s.a <> key.in_n then invalid_arg "Keyswitch.apply: input dimension mismatch";
+  let dst = Lwe_array.create ~n:key.out_n 1 in
+  ignore (apply_batch_rows_into key ~src:(Lwe_array.of_samples ~n:key.in_n [| s |]) ~dst);
+  Lwe_array.get dst 0
+
 let dims key = (key.in_n, key.out_n)
 
 let block_bytes key = (1 lsl key.base_bit) * (key.out_n + 1) * 4
 
-let table_bytes key =
-  let base = 1 lsl key.base_bit in
-  key.in_n * key.ks_t * base * 4 * (key.out_n + 1)
+let table_bytes (p : Params.t) =
+  Params.extracted_n p * p.ks.t * (1 lsl p.ks.base_bit) * 4 * (p.lwe.n + 1)
 
 module Wire = Pytfhe_util.Wire
 

@@ -17,24 +17,21 @@ val key_gen :
 (** Encrypt every input key bit at every decomposition position under the
     output key. *)
 
-val apply : key -> Lwe.sample -> Lwe.sample
-(** Re-encrypt a sample from the input key to the output key. *)
-
-val apply_into : key -> Lwe.sample -> a:int array -> Torus.t
-(** Allocation-free {!apply}: fills the caller-provided mask buffer [a]
-    (length out_n) and returns the body.  Raises [Invalid_argument] when
-    the input or the buffer dimension does not match the key. *)
-
 val apply_batch_rows_into : key -> src:Lwe_array.t -> dst:Lwe_array.t -> int
-(** Batched {!apply_into} by loop interchange: key-switch every row of
-    [src] (dimension in_n) into the same-index row of [dst] (dimension
-    out_n, length ≥ length of [src]).  The (i, j) digit blocks of the
-    table are the outer loops and the rows the inner one, so each
-    base × (out_n+1) block is streamed from memory once per batch, and
-    each row update is a unit-stride run.  Output rows are bit-identical
-    to scalar {!apply_into}; returns the blocks actually read (those with
-    a nonzero digit somewhere in the batch) in units of {!block_bytes}.
-    Raises [Invalid_argument] on shape mismatches. *)
+(** The key switch, by loop interchange: re-encrypt every row of [src]
+    (dimension in_n, under the input key) into the same-index row of [dst]
+    (dimension out_n, length ≥ length of [src], under the output key).
+    The (i, j) digit blocks of the table are the outer loops and the rows
+    the inner one, so each base × (out_n+1) block is streamed from memory
+    once per batch, and each row update is a unit-stride run.  A row's
+    result does not depend on the other rows.  Returns the blocks actually
+    read (those with a nonzero digit somewhere in the batch) in units of
+    {!block_bytes}.  Raises [Invalid_argument] on shape mismatches. *)
+
+val apply : key -> Lwe.sample -> Lwe.sample
+(** Re-encrypt one sample from the input key to the output key: a one-row
+    {!apply_batch_rows_into}.  Raises [Invalid_argument] when the input
+    dimension does not match the key. *)
 
 val dims : key -> int * int
 (** The (input, output) LWE dimensions the key maps between. *)
@@ -43,9 +40,10 @@ val block_bytes : key -> int
 (** Bytes of one (i, j) digit block of the table — the unit the
     {!apply_batch_rows_into} block count is measured in. *)
 
-val table_bytes : key -> int
-(** Serialized size of the key-switch table at 32 bits per torus element;
-    part of the public "cloud key" the client ships to the server. *)
+val table_bytes : Params.t -> int
+(** Serialized size of the parameter set's key-switch table at 32 bits per
+    torus element; part of the public "cloud key" the client ships to the
+    server. *)
 
 val write : Pytfhe_util.Wire.writer -> key -> unit
 

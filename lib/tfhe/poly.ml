@@ -110,10 +110,9 @@ let to_floats ~centred p =
   to_floats_into ~centred dst p;
   dst
 
-(* Inlined into the conversion loops below: as a plain call the float
+(* Inlined into the conversion loop below: as a plain call the float
    argument (and the Int64 intermediates) would be boxed on every
-   coefficient — without flambda that is ~2 words x N per polynomial, the
-   single largest allocation left in the bootstrapped-gate hot path. *)
+   coefficient. *)
 let[@inline] torus_of_float x =
   let r = Float.rem (Float.round x) 4294967296.0 in
   Torus.of_signed (Int64.to_int (Int64.of_float r))
@@ -129,25 +128,6 @@ let of_floats f =
   let dst = Array.make (Array.length f) 0 in
   of_floats_into dst f;
   dst
-
-let add_of_floats_to dst f =
-  let n = Array.length f in
-  if Array.length dst <> n then invalid_arg "Poly.add_of_floats_to: size mismatch";
-  for i = 0 to n - 1 do
-    Array.unsafe_set dst i
-      (Torus.add (Array.unsafe_get dst i) (torus_of_float (Array.unsafe_get f i)))
-  done
-
-(* Integer ingestion for the NTT backward pass: coefficients arrive as
-   exact signed integers (no rounding step), so reduction modulo 2^32 is
-   a plain mask — the path stays float-free end to end. *)
-let add_of_ints_to dst (v : int array) =
-  let n = Array.length v in
-  if Array.length dst <> n then invalid_arg "Poly.add_of_ints_to: size mismatch";
-  for i = 0 to n - 1 do
-    Array.unsafe_set dst i
-      (Torus.add (Array.unsafe_get dst i) (Torus.of_signed (Array.unsafe_get v i)))
-  done
 
 let mul_int_torus ip tp =
   let a = to_floats ~centred:false ip in

@@ -62,26 +62,9 @@ val to_floats_into : centred:bool -> float array -> int array -> unit
 (** In-place variant of {!to_floats}: fills the first argument.  Lengths
     must match. *)
 
-val torus_of_float : float -> Torus.t
-(** Round one real coefficient into a canonical torus element (modulo 2³²)
-    — the exact conversion {!of_floats} applies per coefficient, exposed so
-    the struct-of-arrays accumulator ({!Trlwe_array}) stays bit-identical
-    with the record path.  Marked [@inline]; in native code the float
-    argument is unboxed at every call site that consumes it directly. *)
-
 val of_floats : float array -> torus_poly
 (** Round real coefficients back into torus elements (modulo 2³²). *)
 
 val of_floats_into : torus_poly -> float array -> unit
 (** In-place variant of {!of_floats}: fills the first argument.  Lengths
     must match. *)
-
-val add_of_floats_to : torus_poly -> float array -> unit
-(** [add_of_floats_to dst f] accumulates the rounded torus value of every
-    coefficient of [f] into [dst] — exactly [add_to dst (of_floats f)]
-    without materializing the intermediate polynomial. *)
-
-val add_of_ints_to : torus_poly -> int array -> unit
-(** [add_of_ints_to dst v] accumulates exact signed integer coefficients
-    into [dst] modulo 2³² — the integer counterpart of
-    {!add_of_floats_to} for the NTT path. *)

@@ -122,9 +122,7 @@ let decompose_into (p : Params.t) ws (c : Tlwe.sample) =
 (* The dispatch layer proper: the only places the two transform backends
    diverge are the digit-row forward (the FFT stages through floats, the
    NTT consumes the integer digits directly) and the backward landing (the
-   FFT rounds floats, the NTT masks exact integers).  The FFT branches are
-   byte-identical to the historical code, so FFT-parameter ciphertexts are
-   unchanged by this layer. *)
+   FFT rounds floats, the NTT masks exact integers). *)
 
 let forward_digits ws (digits : Poly.int_poly) =
   match ws.dec_domain with
@@ -136,19 +134,10 @@ let forward_digits ws (digits : Poly.int_poly) =
     Negacyclic.forward_into s ws.dec_float
   | Transform.Dntt s -> Ntt.forward_into s digits
 
-(* backward_into destroys the accumulator domain — safe in both landing
-   helpers because [product_spectra] rebuilds every accumulator from
-   scratch on the next call (see the contract in negacyclic.mli, shared
-   by ntt.mli). *)
-let backward_add ws comp (target : Poly.torus_poly) =
-  match ws.acc_domains.(comp) with
-  | Transform.Dfft s ->
-    Negacyclic.backward_into ws.result_float s;
-    Poly.add_of_floats_to target ws.result_float
-  | Transform.Dntt s ->
-    Ntt.backward_into ws.result_int s;
-    Poly.add_of_ints_to target ws.result_int
-
+(* backward_into destroys the accumulator domain — safe here because
+   [product_spectra] rebuilds every accumulator from scratch on the next
+   call (see the contract in negacyclic.mli, shared by ntt.mli).  The
+   landing into the accumulator row is [Trlwe_array]'s. *)
 let backward_add_row ws comp (tr : Trlwe_array.t) ~row =
   match ws.acc_domains.(comp) with
   | Transform.Dfft s ->
@@ -160,8 +149,7 @@ let backward_add_row ws comp (tr : Trlwe_array.t) ~row =
 
 (* Decompose [src], push every digit row through the forward transform and
    accumulate the row × bootstrapping-key products in the evaluation
-   domain.  Shared by the record and row external products; leaves the
-   k+1 component accumulators in [ws.acc_domains]. *)
+   domain, leaving the k+1 component accumulators in [ws.acc_domains]. *)
 let product_spectra (p : Params.t) ws (g : fft_sample) (src : Tlwe.sample) =
   let k = p.tlwe.k in
   decompose_into p ws src;
@@ -173,29 +161,12 @@ let product_spectra (p : Params.t) ws (g : fft_sample) (src : Tlwe.sample) =
     done
   done
 
-let external_product_add_into (p : Params.t) ws (g : fft_sample) ~src ~(acc : Tlwe.sample) =
-  product_spectra p ws g src;
-  let k = p.tlwe.k in
-  for comp = 0 to k do
-    backward_add ws comp (if comp < k then acc.Tlwe.mask.(comp) else acc.Tlwe.body)
-  done
-
-let cmux_rotate_into (p : Params.t) ws (g : fft_sample) a (acc : Tlwe.sample) =
-  (* acc ← acc + g ⊡ ((X^a − 1)·acc): the CMux between acc and X^a·acc,
-     written as the in-place blind-rotation recurrence.  Only workspace
-     scratch is touched — no ring-sized allocation. *)
-  let rot = ws.rot in
-  Array.iteri (fun i m -> Poly.mul_by_xai_minus_one_into rot.Tlwe.mask.(i) a m) acc.Tlwe.mask;
-  Poly.mul_by_xai_minus_one_into rot.Tlwe.body a acc.Tlwe.body;
-  external_product_add_into p ws g ~src:rot ~acc
-
 let cmux_rotate_row_into (p : Params.t) ws (g : fft_sample) a (tr : Trlwe_array.t) ~row =
-  (* The SoA analogue of [cmux_rotate_into]: the accumulator lives in a
-     flat [Trlwe_array] row instead of a [Tlwe.sample].  The rotation
-     difference still stages through [ws.rot] (the FFT pipeline consumes
-     record-shaped polynomials), and the spectral products are byte-for-byte
-     the same computation, so the row update is bit-identical to the record
-     path. *)
+  (* acc ← acc + g ⊡ ((X^a − 1)·acc): the CMux between acc and X^a·acc,
+     written as the in-place blind-rotation recurrence on one flat
+     [Trlwe_array] row.  The rotation difference stages through [ws.rot]
+     (the transform pipeline consumes record-shaped polynomials); only
+     workspace scratch is touched — no ring-sized allocation. *)
   Trlwe_array.rotate_diff_into tr ~row a ws.rot;
   product_spectra p ws g ws.rot;
   for comp = 0 to p.tlwe.k do

@@ -8,11 +8,10 @@
     double-prime NTT ({!Pytfhe_fft.Transform}).  This module is the
     dispatch layer — nothing above it branches on the backend.
 
-    The [_into] entry points below are the bootstrapped-gate hot path: every
-    buffer they touch (decomposition digits, transform staging, spectral
-    accumulators and the TLWE rotation scratch) is owned by the
-    {!workspace}, so a steady-state gate performs no ring-sized
-    allocation. *)
+    {!cmux_rotate_row_into} is the bootstrapped-gate hot path: every buffer
+    it touches (decomposition digits, transform staging, spectral
+    accumulators and the rotation scratch) is owned by the {!workspace},
+    so a steady-state gate performs no ring-sized allocation. *)
 
 type sample = { rows : Tlwe.sample array }
 (** (k+1)·l TRLWE rows, row i·l+j carrying m/Bg^{j+1} on component i. *)
@@ -42,36 +41,22 @@ val to_fft : Params.t -> sample -> fft_sample
 
 val decompose : Params.t -> Tlwe.sample -> Poly.int_poly array
 (** Signed gadget decomposition of every component into l digits each in
-    [−Bg/2, Bg/2).  Allocating wrapper over the same kernel
-    {!decompose_into} uses. *)
-
-val decompose_into : Params.t -> workspace -> Tlwe.sample -> unit
-(** {!decompose} straight into the workspace digit buffers. *)
+    [−Bg/2, Bg/2).  Allocating wrapper over the kernel
+    {!cmux_rotate_row_into} decomposes with. *)
 
 val workspace_create : Params.t -> workspace
 (** Fresh scratch buffers for one evaluation thread.  Also precomputes the
     selected transform's tables for the parameter set's ring degree, so a
     workspace handed to a worker domain never mutates shared caches. *)
 
-val external_product_add_into :
-  Params.t -> workspace -> fft_sample -> src:Tlwe.sample -> acc:Tlwe.sample -> unit
-(** [external_product_add_into p ws g ~src ~acc] accumulates g ⊡ src — a
-    TRLWE sample whose phase is (approximately) m · phase(src) — into
-    [acc] without allocating.  [src] may be workspace scratch; [acc] must
-    not alias [src]. *)
-
-val cmux_rotate_into : Params.t -> workspace -> fft_sample -> int -> Tlwe.sample -> unit
-(** [cmux_rotate_into p ws g a acc] performs the blind-rotation recurrence
-    acc ← acc + g ⊡ ((X^a − 1)·acc) in place — the CMux that selects
-    X^a·acc when [g] encrypts 1 and acc when it encrypts 0 — with zero
-    allocation.  [a] must lie in [0, 2N). *)
-
 val cmux_rotate_row_into :
   Params.t -> workspace -> fft_sample -> int -> Trlwe_array.t -> row:int -> unit
-(** {!cmux_rotate_into} with the accumulator living in a flat
-    {!Trlwe_array} row — the batched blind rotation's inner step.
-    Bit-identical to the record variant: the rotation difference stages
-    through the same workspace scratch and the same transform pipeline. *)
+(** [cmux_rotate_row_into p ws g a tr ~row] performs the blind-rotation
+    recurrence acc ← acc + g ⊡ ((X^a − 1)·acc) in place on accumulator
+    row [row] of [tr] — the CMux that selects X^a·acc when [g] encrypts 1
+    and acc when it encrypts 0 — with zero allocation.  [a] must lie in
+    [0, 2N).  This is the one CMux: {!Bootstrap.batch_rows_into} calls it
+    once per row and key entry. *)
 
 val write_fft : Pytfhe_util.Wire.writer -> fft_sample -> unit
 (** Bootstrapping-key rows in their evaluation-domain form, tagged "GFFT"

@@ -46,22 +46,6 @@ let sub_to dst src =
   Array.iteri (fun i m -> Poly.sub_to dst.mask.(i) m) src.mask;
   Poly.sub_to dst.body src.body
 
-let mul_by_xai a s =
-  { mask = Array.map (Poly.mul_by_xai a) s.mask; body = Poly.mul_by_xai a s.body }
-
-let extract_lwe (p : Params.t) s =
-  let n = p.tlwe.ring_n in
-  let k = p.tlwe.k in
-  let a = Array.make (k * n) 0 in
-  for i = 0 to k - 1 do
-    let poly = s.mask.(i) in
-    a.(i * n) <- poly.(0);
-    for j = 1 to n - 1 do
-      a.((i * n) + j) <- Torus.neg poly.(n - j)
-    done
-  done;
-  { Lwe.a; b = s.body.(0) }
-
 let extract_lwe_at (p : Params.t) ~pos s =
   let n = p.tlwe.ring_n in
   let k = p.tlwe.k in

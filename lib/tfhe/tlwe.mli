@@ -35,20 +35,15 @@ val add_to : sample -> sample -> unit
 val sub_to : sample -> sample -> unit
 (** [sub_to dst src] subtracts [src] from [dst] component-wise. *)
 
-val mul_by_xai : int -> sample -> sample
-(** Rotate every component by X^a (a ∈ [0, 2N)). *)
-
-val extract_lwe : Params.t -> sample -> Lwe.sample
-(** Extract the constant coefficient as an LWE sample of dimension k·N. *)
-
 val extract_lwe_at : Params.t -> pos:int -> sample -> Lwe.sample
 (** Extract coefficient [pos] ∈ [0, N) as an LWE sample of dimension k·N
-    under the same extracted key as {!extract_lwe} (which is the [pos = 0]
-    case).  Multi-value bootstrapping reads several slots of one rotated
-    accumulator this way. *)
+    under the extracted key {!extract_key}; [pos = 0] is the constant
+    coefficient.  The record reference for {!Trlwe_array.extract_row_into},
+    which multi-value bootstrapping reads several slots through. *)
 
 val extract_key : key -> Lwe.key
-(** The LWE key matching {!extract_lwe}: the ring key's coefficients. *)
+(** The LWE key matching {!extract_lwe_at}: the ring key's
+    coefficients. *)
 
 val write_key : Pytfhe_util.Wire.writer -> key -> unit
 val read_key : Pytfhe_util.Wire.reader -> key

@@ -14,11 +14,11 @@ module Wire = Pytfhe_util.Wire
    accesses even when it compiles to a raw load (tag/convert ops on every
    read-modify-write), and the rotation loops are memory bound.
 
-   Every op mirrors the record-path code it replaces coefficient for
-   coefficient ([Poly.mul_by_xai_into] / [mul_by_xai_minus_one_into] /
-   [add_of_floats_to] / [Tlwe.extract_lwe_at]), and all arithmetic goes
-   through [Torus] / [Poly.torus_of_float], so the batched rotation stays
-   ciphertext-bit-exact with the scalar walk. *)
+   The rotations are [Poly.mul_by_xai_into] / [mul_by_xai_minus_one_into]
+   and the extraction is [Tlwe.extract_lwe_at], coefficient for
+   coefficient, against the flat row; the tests pin them to those
+   references.  The landing ([add_floats_to] / [add_ints_to]) is the
+   blind rotation's only float→torus and integer→torus step. *)
 
 type t = { k : int; ring_n : int; cap : int; data : int array }
 
@@ -39,11 +39,10 @@ let clear_masks t r =
   check_row t r "Trlwe_array.clear_masks";
   Array.fill t.data (comp_off t r 0) (t.k * t.ring_n) 0
 
-(* Local replica of [Poly.torus_of_float]: the float argument and Int64
-   intermediates of a cross-module call are boxed on every coefficient
-   (the [@inline] does not carry across the module boundary for this body),
-   which costs megabytes per bootstrap.  The expression must stay identical
-   to [Poly.torus_of_float] — the SoA/record bit-exactness tests pin it. *)
+(* Round one FFT output coefficient into a canonical torus element
+   (modulo 2^32).  Inlined into [add_floats_to]: as a plain call the float
+   argument and Int64 intermediates would be boxed on every coefficient,
+   which costs megabytes per bootstrap. *)
 let[@inline] torus_of_float x =
   let r = Float.rem (Float.round x) 4294967296.0 in
   Torus.of_signed (Int64.to_int (Int64.of_float r))
@@ -119,8 +118,8 @@ let rotate_diff_into t ~row a (dst : Tlwe.sample) =
     end
   done
 
-(* component(row, comp) += round(f): [Poly.add_of_floats_to] against the
-   flat row, through the same [Poly.torus_of_float] conversion. *)
+(* component(row, comp) += round(f): the FFT-path landing of one external
+   product component. *)
 let add_floats_to t ~row ~comp (f : float array) =
   check_row t row "Trlwe_array.add_floats_to";
   if comp < 0 || comp > t.k then invalid_arg "Trlwe_array.add_floats_to: component out of range";

@@ -11,10 +11,10 @@
     costs roughly two int-array accesses even as a raw load, and the
     rotation loops are memory bound).
 
-    Every op mirrors its record-path counterpart coefficient for
-    coefficient and routes arithmetic through {!Torus} /
-    {!Poly.torus_of_float}, keeping the batched rotation
-    ciphertext-bit-exact with the scalar walk. *)
+    The rotations and the extraction match their {!Poly} / {!Tlwe}
+    references coefficient for coefficient; the landing
+    ({!add_floats_to}, {!add_ints_to}) is the blind rotation's only
+    conversion back to the torus. *)
 
 type t
 
@@ -39,14 +39,12 @@ val rotate_diff_into : t -> row:int -> int -> Tlwe.sample -> unit
     row. *)
 
 val add_floats_to : t -> row:int -> comp:int -> float array -> unit
-(** Accumulate the rounded torus values of an FFT result into component
-    [comp] (k = the body) of row [row] — {!Poly.add_of_floats_to} against
-    the flat row, bit-identical via {!Poly.torus_of_float}. *)
+(** Accumulate the rounded torus values (modulo 2³²) of an FFT result into
+    component [comp] (k = the body) of row [row]. *)
 
 val add_ints_to : t -> row:int -> comp:int -> int array -> unit
 (** Accumulate exact signed integer coefficients (the NTT backward output)
-    into component [comp] of row [row] modulo 2³² —
-    {!Poly.add_of_ints_to} against the flat row. *)
+    into component [comp] of row [row] modulo 2³². *)
 
 val extract_row_into : t -> row:int -> pos:int -> Lwe_array.t -> drow:int -> unit
 (** Sample-extract coefficient [pos] ([0 ≤ pos < N]) of row [row] into

@@ -171,7 +171,6 @@ let test_lwe_array_wire () =
 let test_bootstrap_batch_matches_scalar () =
   let sk, ck = Lazy.force keys in
   let rng = Rng.create ~seed:88 () in
-  let ctx = Gates.context ck in
   let bc = Gates.batch_context ck ~cap:4 in
   Alcotest.(check int) "capacity" 4 (Gates.batch_capacity bc);
   let n = ck.Gates.cloud_params.Params.lwe.Params.n in
@@ -182,10 +181,10 @@ let test_bootstrap_batch_matches_scalar () =
   let combined = Array.map (fun pl -> Gates.combine ~n pl a b) plans in
   let batched = Gates.bootstrap_batch_rows bc (Lwe_array.of_samples ~n combined) in
   Array.iteri
-    (fun i c ->
-      Alcotest.(check bool) "batched row = scalar bootstrap" true
-        (Lwe_array.get batched i = Gates.bootstrap_in ctx c))
-    combined;
+    (fun i gate ->
+      Alcotest.(check bool) "batched row = keyset-level gate" true
+        (Lwe_array.get batched i = gate ck a b))
+    [| Gates.and_gate; Gates.xor_gate; Gates.nor_gate |];
   let c = Gates.batch_counters bc in
   Alcotest.(check int) "one launch" 1 c.Gates.batch_launches;
   Alcotest.(check int) "three gates batched" 3 c.Gates.batch_gates;
@@ -208,23 +207,6 @@ let test_bootstrap_batch_matches_scalar () =
        ignore (Gates.bootstrap_batch_rows bc (Lwe_array.of_samples ~n (Array.make 5 a)));
        false
      with Invalid_argument _ -> true)
-
-let test_mux_gate_in_matches_mux_gate () =
-  let sk, ck = Lazy.force keys in
-  let rng = Rng.create ~seed:77 () in
-  let ctx = Gates.context ck in
-  List.iter
-    (fun (s, x, y) ->
-      let cs = Gates.encrypt_bit rng sk s in
-      let cx = Gates.encrypt_bit rng sk x in
-      let cy = Gates.encrypt_bit rng sk y in
-      let via_keyset = Gates.mux_gate ck cs cx cy in
-      let via_ctx = Gates.mux_gate_in ctx cs cx cy in
-      Alcotest.(check bool) "ciphertext bit-exact with mux_gate" true (via_ctx = via_keyset);
-      Alcotest.(check bool) "mux truth table"
-        (if s then x else y)
-        (Gates.decrypt_bit sk via_ctx))
-    [ (false, false, true); (false, true, false); (true, true, false); (true, false, true) ]
 
 (* ------------------------------------------------------------------ *)
 (* Executor-level bit-exactness                                        *)
@@ -407,7 +389,6 @@ let () =
         [
           Alcotest.test_case "bootstrap_batch = scalar bootstraps" `Slow
             test_bootstrap_batch_matches_scalar;
-          Alcotest.test_case "mux_gate_in = mux_gate" `Slow test_mux_gate_in_matches_mux_gate;
         ] );
       ( "executors",
         [

@@ -187,6 +187,32 @@ let test_protocol_files () =
   List.iter (fun f -> Sys.remove (Filename.concat dir f)) [ "secret.key"; "cloud.key"; "in.ct"; "out.ct" ];
   Sys.rmdir dir
 
+(* Two clients loaded from one secret file must not share a mask stream:
+   the same bits encrypt under different masks, both decrypt, and the
+   reported cloud key size is the key-generating client's. *)
+let test_loaded_clients_draw_fresh_masks () =
+  let client, _ = Lazy.force client_keys in
+  let path = Filename.temp_file "pytfhe" ".key" in
+  Client.save client path;
+  let bits = [| false; true; true; false |] in
+  let c1 = Client.load path and c2 = Client.load path in
+  Sys.remove path;
+  let e1 = Client.encrypt_bits c1 bits and e2 = Client.encrypt_bits c2 bits in
+  Array.iteri
+    (fun i (x : Pytfhe_tfhe.Lwe.sample) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "bit %d masks differ" i)
+        true
+        (x.Pytfhe_tfhe.Lwe.a <> e2.(i).Pytfhe_tfhe.Lwe.a))
+    e1;
+  Alcotest.(check (array bool)) "first load decrypts" bits (Client.decrypt_bits client e1);
+  Alcotest.(check (array bool)) "second load decrypts" bits (Client.decrypt_bits client e2);
+  List.iter
+    (fun c ->
+      Alcotest.(check int) "cloud key bytes" (Client.cloud_key_bytes client)
+        (Client.cloud_key_bytes c))
+    [ c1; c2 ]
+
 let test_server_estimates_ordering () =
   (* A wide program: GPU > distributed > single core. *)
   let net = Netlist.create ~hash_consing:false ~fold_constants:false () in
@@ -385,6 +411,8 @@ let () =
         [
           Alcotest.test_case "bit roundtrip" `Slow test_client_bit_roundtrip;
           Alcotest.test_case "typed value roundtrip" `Slow test_client_value_roundtrip;
+          Alcotest.test_case "loaded clients draw fresh masks" `Slow
+            test_loaded_clients_draw_fresh_masks;
           Alcotest.test_case "cloud key size" `Slow test_cloud_key_size_reported;
           Alcotest.test_case "end-to-end encrypted add" `Slow test_end_to_end_encrypted_add;
           Alcotest.test_case "distributed server path" `Slow

@@ -134,12 +134,17 @@ let test_lut3_exhaustive tr () =
 let test_indicators_one_hot tr () =
   let sk, ck = keys tr in
   let rng = Rng.create ~seed:44 () in
-  let ctx = Gates.default_context ck in
+  let p = ck.Gates.cloud_params in
+  let bt = Bootstrap.batch_create p ~cap:1 in
+  let slots = Lwe_array.create ~n:(Params.extracted_n p) 8 in
   for m = 0 to 7 do
     let ins = bits_of ~arity:3 m in
     let ops = Array.map (fun b -> Gates.encrypt_lut_bit rng sk b) ins in
-    let ind = Gates.lut_indicators_in ctx ~arity:3 ops in
-    Alcotest.(check int) "8 indicators" 8 (Array.length ind);
+    let row = Gates.lut_combine ~n:p.Params.lwe.n ~arity:3 ops in
+    Bootstrap.batch_rows_into p bt ck.Gates.bootstrap_key [| Bootstrap.Job_lut 8 |]
+      ~src:(Lwe_array.of_samples ~n:p.Params.lwe.n [| row |])
+      ~dst:slots;
+    let ind = Lwe_array.to_samples slots in
     Array.iteri
       (fun j c ->
         let v = Torus.mod_switch_from (Lwe.phase sk.Gates.extracted_key c) ~msize:16 in
@@ -204,13 +209,12 @@ let test_lut_chain_noise tr () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Batched cells are bit-identical to the scalar cells                 *)
+(* Batched cells are bit-identical to the keyset-level cells           *)
 (* ------------------------------------------------------------------ *)
 
 let test_batch_cells_bit_exact tr () =
   let sk, ck = keys tr in
   let rng = Rng.create ~seed:77 () in
-  let ctx = Gates.default_context ck in
   let p = ck.Gates.cloud_params in
   let n = p.Params.lwe.n in
   let classic = Gates.encrypt_bit rng sk true in
@@ -218,22 +222,23 @@ let test_batch_cells_bit_exact tr () =
   let l1 = Gates.encrypt_lut_bit rng sk true in
   let l2 = Gates.encrypt_lut_bit rng sk false in
   let l3 = Gates.encrypt_lut_bit rng sk true in
-  let lut2 tables a b = Array.map (fun table -> Gates.lut2_in ctx ~table a b) tables in
+  let lut2 tables a b = Array.map (fun table -> Gates.lut2 ck ~table a b) tables in
   (* One launch: a classic gate beside arity-1 cells and arity-2/3 groups,
-     each row with its combined input and the scalar calls it must match. *)
+     each row with its combined input and the one-cell keyset-level calls
+     it must match. *)
   let rows =
     [|
       ( Gates.gate_cell,
         Gates.combine ~n Gates.xor_plan classic other,
-        [| Gates.xor_gate_in ctx classic other |] );
-      (Gates.sign_cell ~table:0b10, classic, [| Gates.lut1_in ctx ~table:0b10 classic |]);
+        [| Gates.xor_gate ck classic other |] );
+      (Gates.sign_cell ~table:0b10, classic, [| Gates.lut1 ck ~table:0b10 classic |]);
       ( Gates.Cell_lut { arity = 2; tables = [| 0x6; 0x8; 0xE |] },
         Gates.lut_combine ~n ~arity:2 [| l1; l2 |],
         lut2 [| 0x6; 0x8; 0xE |] l1 l2 );
-      (Gates.sign_cell ~table:0b01, classic, [| Gates.lut1_in ctx ~table:0b01 classic |]);
+      (Gates.sign_cell ~table:0b01, classic, [| Gates.lut1 ck ~table:0b01 classic |]);
       ( Gates.Cell_lut { arity = 3; tables = [| 0x96; 0xE8 |] },
         Gates.lut_combine ~n ~arity:3 [| l1; l2; l3 |],
-        Array.map (fun table -> Gates.lut3_in ctx ~table l1 l2 l3) [| 0x96; 0xE8 |] );
+        Array.map (fun table -> Gates.lut3 ck ~table l1 l2 l3) [| 0x96; 0xE8 |] );
       ( Gates.Cell_lut { arity = 2; tables = [| 0x1 |] },
         Gates.lut_combine ~n ~arity:2 [| l3; l1 |],
         lut2 [| 0x1 |] l3 l1 );

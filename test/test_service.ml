@@ -526,6 +526,27 @@ let test_declared_frame_not_allocated () =
   in
   ()
 
+(* A header declaring an empty payload is a whole frame: the service
+   answers it (with an SERR, as an empty payload names no message) without
+   waiting for another byte. *)
+let test_empty_frame_answered () =
+  let (), _ =
+    with_server (fun port ->
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+            let header = Buffer.create 12 in
+            Buffer.add_string header Framing.frame_magic;
+            Buffer.add_int64_le header 0L;
+            Framing.write_all fd (Buffer.to_bytes header) 0 12;
+            match Framing.read_frame ~deadline:(Unix.gettimeofday () +. 5.0) fd with
+            | reply -> Alcotest.(check string) "SERR reply" "SERR" (String.sub reply 0 4)
+            | exception Framing.Frame_timeout -> Alcotest.fail "no reply within 5 s"))
+  in
+  ()
+
 (* ------------------------------------------------------------------ *)
 (* Stats wire codec                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -576,6 +597,7 @@ let () =
             test_program_checks;
           Alcotest.test_case "a declared frame is not allocated" `Quick
             test_declared_frame_not_allocated;
+          Alcotest.test_case "an empty frame is answered" `Quick test_empty_frame_answered;
           Alcotest.test_case "stats wire roundtrip" `Quick test_stats_roundtrip;
         ] );
     ]
