@@ -224,8 +224,9 @@ let exec_backend_of ~backend ~workers ~dist_workers =
       | Some w when w > 1 -> Server.Multicore { workers = w }
       | Some _ | None -> Server.Cpu)
 
-(* Shared --transform plumbing: selects the polynomial-product backend the
-   parameter set carries (and hence the keyset wire format). *)
+(* Shared --transform plumbing for keygen and run: selects the
+   polynomial-product backend the parameter set carries, and so the one
+   the keyset's receiver evaluates under. *)
 let transform_conv =
   let parse s =
     match Pytfhe_fft.Transform.kind_of_name s with
@@ -515,16 +516,8 @@ let encrypt_cmd =
   Cmd.v (Cmd.info "encrypt" ~doc:"Encrypt plaintext bits with the secret key") Term.(const run $ secret $ bits $ out)
 
 let eval_cmd =
-  let run cloud program input out transform trace metrics =
+  let run cloud program input out trace metrics =
     let keyset = Server.load_cloud_keyset cloud in
-    (match transform with
-    | Some t when keyset.Pytfhe_tfhe.Gates.cloud_params.Pytfhe_tfhe.Params.transform <> t ->
-      failwith
-        (Printf.sprintf "--transform %s does not match the cloud keyset (built with %s)"
-           (Pytfhe_fft.Transform.kind_name t)
-           (Pytfhe_fft.Transform.kind_name
-              keyset.Pytfhe_tfhe.Gates.cloud_params.Pytfhe_tfhe.Params.transform))
-    | Some _ | None -> ());
     let cts = Pytfhe_core.Ciphertext_file.read input in
     let obs = sink_for ~trace ~metrics in
     let t0 = Unix.gettimeofday () in
@@ -547,7 +540,7 @@ let eval_cmd =
   let out = Arg.(value & opt string "output.ct" & info [ "o" ] ~docv:"FILE" ~doc:"Output ciphertext bundle.") in
   Cmd.v
     (Cmd.info "eval" ~doc:"Homomorphically evaluate a PyTFHE binary on a ciphertext bundle (server side)")
-    Term.(const run $ cloud $ program $ input $ out $ transform_arg $ trace_arg $ metrics_arg)
+    Term.(const run $ cloud $ program $ input $ out $ trace_arg $ metrics_arg)
 
 let trace_validate_cmd =
   let run path =

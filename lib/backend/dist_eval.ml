@@ -126,31 +126,17 @@ type stats = {
 (* Worker process                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* DHEL hello frame: worker identity, the coordinator's transform tag,
-   tracing plumbing (the coordinator's epoch makes worker timestamps
-   directly comparable — both sides read the same machine clock), the
-   fault schedule and the cloud keyset.  The explicit tag is validated
-   against the transform embedded in the keyset's own parameters: a
-   coordinator and worker that disagree about the polynomial-product
-   backend must fail the handshake with [Wire.Corrupt], not trade
-   ciphertexts whose spectra they would interpret differently. *)
+(* DHEL hello frame: worker identity, tracing plumbing (the coordinator's
+   epoch makes worker timestamps directly comparable — both sides read the
+   same machine clock), the fault schedule and the cloud keyset, whose own
+   parameters select the transform the worker evaluates under. *)
 let parse_hello r =
   Wire.read_magic r "DHEL";
   let index = Wire.read_i64 r in
-  let transform =
-    let code = Wire.read_u8 r in
-    match Pytfhe_fft.Transform.kind_of_code code with
-    | Some k -> k
-    | None ->
-      raise (Wire.Corrupt (Printf.sprintf "Dist_eval: unknown transform code %d" code))
-  in
   let obs_on = Wire.read_bool r in
   let obs_epoch = Wire.read_f64 r in
   let faults = Array.to_list (Wire.read_array r read_fault) in
-  let ck = Gates.read_cloud_keyset r in
-  if ck.Gates.cloud_params.Params.transform <> transform then
-    raise (Wire.Corrupt "Dist_eval: transform mismatch between DHEL tag and keyset");
-  (index, obs_on, obs_epoch, faults, ck)
+  (index, obs_on, obs_epoch, faults, Gates.read_cloud_keyset r)
 
 (* DJOB request: the launch capacity, one header per job — a gate code
    (0–127, any bootstrapped gate) or 128+arity (129–131) followed by the
@@ -235,7 +221,7 @@ let decode_request ~n payload =
   (req_id, cap, jobs)
 
 (* The worker is a stateless job server: after the hello frame (identity,
-   transform tag, fault schedule, cloud keyset) it answers DJOB frames
+   tracing plumbing, fault schedule, cloud keyset) it answers DJOB frames
    with DOUT frames carrying the measured compute seconds and every job's
    outputs as one Lwe_array.  All exits go through Unix._exit: the child
    must never run the parent's at_exit handlers or flush its inherited
@@ -443,18 +429,14 @@ let spawn_worker ~index =
 
 (* Everything in a DHEL payload before the serialized keyset: the only
    per-worker part, so the coordinator sends it ahead of one shared blob. *)
-let hello_prefix ~index ~transform ~obs ~faults =
+let hello_prefix ~index ~obs ~faults =
   let buf = Buffer.create 256 in
   Wire.write_magic buf "DHEL";
   Wire.write_i64 buf index;
-  Wire.write_u8 buf (Pytfhe_fft.Transform.kind_code transform);
   Wire.write_bool buf (Trace.enabled obs);
   Wire.write_f64 buf (Trace.epoch obs);
   Wire.write_array buf write_fault (Array.of_list faults);
   Buffer.to_bytes buf
-
-let hello_bytes ~index ~transform ~obs ~faults ~keyset_blob =
-  Bytes.cat (hello_prefix ~index ~transform ~obs ~faults) (Bytes.unsafe_of_string keyset_blob)
 
 (* Serialize and send one shard request; accounts dispatch time/bytes. *)
 let send_shard st sh =
@@ -724,10 +706,7 @@ let bind (opts : Exec_opts.t) cfg cloud =
      Array.iter
        (fun w ->
          let faults = List.filter (fun f -> f.victim = w.w_index) cfg.faults in
-         let prefix =
-           hello_prefix ~index:w.w_index
-             ~transform:cloud.Gates.cloud_params.Params.transform ~obs ~faults
-         in
+         let prefix = hello_prefix ~index:w.w_index ~obs ~faults in
          try
            let n = Framing.write_frame_parts w.fd [ prefix; keyset_blob ] in
            st.bytes_out <- st.bytes_out + n

@@ -142,32 +142,8 @@ val pp_stats : Format.formatter -> stats -> unit
 
 (** {2 Wire internals}
 
-    The DHEL hello-frame encoder and parser and the shard request codec,
-    exposed so the test suite can pin the transform negotiation and the
+    The shard request codec, exposed so the test suite can pin the
     request decoder without spawning processes. *)
-
-val hello_bytes :
-  index:int ->
-  transform:Pytfhe_fft.Transform.kind ->
-  obs:Pytfhe_obs.Trace.sink ->
-  faults:fault list ->
-  keyset_blob:string ->
-  Bytes.t
-(** The coordinator's DHEL frame payload: magic, worker index, the
-    coordinator's transform tag, tracing plumbing, fault schedule and the
-    serialized cloud keyset.  The coordinator itself puts the same bytes
-    on the wire as a per-worker prefix followed by one keyset blob shared
-    by all workers ({!Framing.write_frame_parts}), never concatenated. *)
-
-val parse_hello :
-  Pytfhe_util.Wire.reader ->
-  int * bool * float * fault list * Pytfhe_tfhe.Gates.cloud_keyset
-(** Worker-side parse of a DHEL payload:
-    [(index, obs_on, obs_epoch, faults, keyset)].  Raises
-    [{!Pytfhe_util.Wire}.Corrupt] on an unknown transform code or when the
-    coordinator's transform tag disagrees with the transform recorded in
-    the keyset's own parameters — a coordinator/worker mismatch must fail
-    the handshake, not silently mis-evaluate. *)
 
 val encode_request :
   req_id:int -> cap:int -> n:int -> Wave.job array -> Bytes.t

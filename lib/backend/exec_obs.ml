@@ -45,12 +45,12 @@ let wave_counters tr (p : Params.t) ~jobs ~outputs ~nots ~alloc_words =
 let alloc_words () = Gc.allocated_bytes () /. 8.
 
 (* Key-traffic units for the batched kernels: bytes of one
-   bootstrapping-key entry in FFT form and of one key-switch digit block.
-   Multiplying the batch counters by these gives the bytes actually
-   streamed from the keys, the quantity batching amortizes. *)
+   bootstrapping-key entry in evaluation form and of one key-switch digit
+   block.  Multiplying the batch counters by these gives the bytes
+   actually streamed from the keys, the quantity batching amortizes. *)
 let bsk_row_bytes (p : Params.t) = Bootstrap.row_bytes p
 
-let ks_block_bytes (p : Params.t) = (1 lsl p.ks.base_bit) * (p.lwe.n + 1) * 4
+let ks_block_bytes (p : Params.t) = Keyswitch.block_bytes p
 
 (* Per-wave launch and key-traffic counters of the engines a placement
    ran the wave on: deltas of {!Gates.batch_counters} between [c0] and

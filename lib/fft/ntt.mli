@@ -25,7 +25,7 @@
     holds because residues are kept canonical in \[0, p) throughout and
     both primes are below 2³⁰; a spectrum handed to {!backward_into} or
     {!mul_add_into} must therefore hold canonical residues, as every
-    function of this module and [Tgsw.read_fft] produce.
+    function of this module produces.
 
     The twiddle/root table cache is domain-safe: lookups never lock, and
     {!precompute} fills it for a ring degree up front so worker domains

@@ -1,8 +1,8 @@
 (* The dispatch layer between parameter sets and the two polynomial
    transform backends.  Everything above Tgsw selects a transform through a
    [kind] carried in the parameter set; the evaluation-domain values are the
-   [domain] sum so TGSW keys, workspaces and wire frames stay
-   transform-generic with one constructor match at the point of use. *)
+   [domain] sum so TGSW keys and workspaces stay transform-generic with
+   one constructor match at the point of use. *)
 
 type kind = Fft | Ntt
 
@@ -47,6 +47,12 @@ let forward_signed kind (xs : int array) =
   match kind with
   | Fft -> Dfft (Negacyclic.forward (Array.map float_of_int xs))
   | Ntt -> Dntt (Ntt.forward xs)
+
+(* The inverse of [forward_signed], non-destructive: the FFT's result
+   rounded to the nearest integer, or the NTT's exact centred lift. *)
+let backward_signed = function
+  | Dfft s -> Array.map (fun x -> int_of_float (Float.round x)) (Negacyclic.backward s)
+  | Dntt s -> Ntt.backward s
 
 let mul_add_into acc a b =
   match (acc, a, b) with

@@ -4,7 +4,7 @@
     complex FFT ({!Negacyclic} — fast, machine-dependent rounding) or the
     exact double-prime integer NTT ({!Ntt} — bit-reproducible).  The choice
     is a per-parameter-set {!kind}; evaluation-domain values are the
-    {!domain} sum so the layers above (TGSW keys, workspaces, wire frames)
+    {!domain} sum so the layers above (TGSW keys, workspaces)
     carry one type regardless of the backend and dispatch with a single
     constructor match. *)
 
@@ -42,6 +42,10 @@ val kind_of : domain -> kind
 val forward_signed : kind -> int array -> domain
 (** Allocating forward transform of a signed integer polynomial (gadget
     digits or centred torus words); the key-generation entry point. *)
+
+val backward_signed : domain -> int array
+(** Non-destructive inverse of {!forward_signed}: the FFT result rounded
+    to the nearest integer, or the NTT's exact centred lift. *)
 
 val mul_add_into : domain -> domain -> domain -> unit
 (** Pointwise fused multiply-accumulate; raises [Invalid_argument] when

@@ -12,8 +12,9 @@
      next launch boundary (latency granularity = one launch).
    - The key-management model is the TFHE SecretKey/CloudKey split: SREG
      registers a *cloud* keyset under a client id (the secret keyset never
-     crosses the wire), SSES opens a session whose params + transform tag
-     must match the registered keyset, SREQ executes under a session.
+     crosses the wire), SSES opens a session whose params (transform
+     included) must match the registered keyset, SREQ executes under a
+     session.
    - A request is its submitted bytes plus a Wave.cursor over them; no
      netlist is ever built.  Each tenant generation binds the placement
      once (cpu: an engine; par: per-domain engines on the service's one
@@ -35,7 +36,6 @@ module Wire = Pytfhe_util.Wire
 module Trace = Pytfhe_obs.Trace
 module Quantile = Pytfhe_obs.Quantile
 module Framing = Pytfhe_backend.Framing
-module Dist_eval = Pytfhe_backend.Dist_eval
 module Par_eval = Pytfhe_backend.Par_eval
 module Wave = Pytfhe_backend.Wave
 module Executor = Pytfhe_backend.Executor
@@ -554,14 +554,10 @@ let handle_frame st conn payload =
     let id = Wire.read_string r in
     Keyring.validate_id id;
     count_in st id size;
-    (* The hello blob is the payload's last field, parsed in place rather
-       than copied out.  Reuse the DHEL handshake parser: it validates the
-       transform tag against the keyset's own parameters and raises
-       Wire.Corrupt on mismatch — a registration must fail loudly, not
-       mis-evaluate. *)
-    let n = Wire.read_i64 r in
-    if n <> Wire.remaining r then raise (Wire.Corrupt "Service: SREG hello length mismatch");
-    let _, _, _, _, ck = Dist_eval.parse_hello r in
+    (* The keyset is the payload's last field, parsed in place rather than
+       copied out; its own parameters select the transform. *)
+    let ck = Gates.read_cloud_keyset r in
+    if Wire.remaining r <> 0 then raise (Wire.Corrupt "Service: trailing bytes after the SREG keyset");
     Keyring.register st.ring ~id ~now:(Unix.gettimeofday ()) ck;
     st.c_registered <- st.c_registered + 1;
     send_ack st conn ~tenant:id ~value:0 "registered"
@@ -571,20 +567,12 @@ let handle_frame st conn payload =
     Keyring.validate_id id;
     count_in st id size;
     let params = Params.read r in
-    let code = Wire.read_u8 r in
-    let transform =
-      match Pytfhe_fft.Transform.kind_of_code code with
-      | Some k -> k
-      | None -> raise (Wire.Corrupt (Printf.sprintf "Service: unknown transform code %d" code))
-    in
     (match Keyring.find st.ring id with
     | None -> send_err st conn ~tenant:id ~req:0 Unknown ("unknown client id " ^ id)
     | Some e ->
       let ck_params = e.Keyring.keyset.Gates.cloud_params in
-      if transform <> ck_params.Params.transform then
-        send_err st conn ~tenant:id ~req:0 Mismatch
-          "transform tag does not match the registered keyset"
-      else if not (Params.equal params ck_params) then
+      (* [Params.equal] compares the transform too. *)
+      if not (Params.equal params ck_params) then
         send_err st conn ~tenant:id ~req:0 Mismatch
           "parameter set does not match the registered keyset"
       else begin

@@ -1,11 +1,10 @@
 (** FHE-as-a-service: a persistent multi-tenant evaluation server.
 
     One TCP endpoint (the shared [PTFD] framing of {!Pytfhe_backend.Framing})
-    holds many tenants' {e cloud} keysets — registered by client id through
-    the same [DHEL] handshake blob the distributed executor uses, so the
-    transform tag is validated against the keyset at the door; secret keys
-    never cross the wire — and executes submitted programs (PyTFHE binaries)
-    against them.
+    holds many tenants' {e cloud} keysets — registered by client id in the
+    same keyset wire format the distributed executor ships to its workers;
+    secret keys never cross the wire — and executes submitted programs
+    (PyTFHE binaries) against them.
 
     The scheduler is the point of the exercise: each request is its
     submitted bytes plus a {!Pytfhe_backend.Wave.cursor}, and independent
@@ -35,7 +34,7 @@ type error_code =
   | Unknown  (** Unknown client id, session or stale keyset generation. *)
   | Evicted  (** The request's keyset was evicted. *)
   | Busy  (** Admission queue full. *)
-  | Mismatch  (** Handshake params/transform disagree with the keyset. *)
+  | Mismatch  (** Session params (transform included) differ from the keyset's. *)
   | Internal  (** Execution failure. *)
 
 val int_of_error_code : error_code -> int

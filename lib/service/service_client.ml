@@ -5,7 +5,6 @@
 
 module Wire = Pytfhe_util.Wire
 module Framing = Pytfhe_backend.Framing
-module Dist_eval = Pytfhe_backend.Dist_eval
 open Pytfhe_tfhe
 
 type outcome =
@@ -102,35 +101,19 @@ let rpc_ack ?deadline t =
   let info = Wire.read_string r in
   (value, info)
 
-let register ?transform t ~client_id ck =
-  let transform =
-    match transform with
-    | Some k -> k
-    | None -> ck.Gates.cloud_params.Params.transform
-  in
-  let blob =
-    let buf = Buffer.create 65536 in
-    Gates.write_cloud_keyset buf ck;
-    Buffer.contents buf
-  in
-  let hello =
-    Dist_eval.hello_bytes ~index:0 ~transform ~obs:Pytfhe_obs.Trace.null ~faults:[]
-      ~keyset_blob:blob
-  in
-  let buf = Buffer.create (Bytes.length hello + 128) in
+let register t ~client_id ck =
+  let buf = Buffer.create 65536 in
   Wire.write_magic buf "SREG";
   Wire.write_string buf client_id;
-  Wire.write_string buf (Bytes.to_string hello);
+  Gates.write_cloud_keyset buf ck;
   send t (Buffer.to_bytes buf);
   ignore (rpc_ack t)
 
-let open_session ?transform t ~client_id params =
-  let transform = match transform with Some k -> k | None -> params.Params.transform in
+let open_session t ~client_id params =
   let buf = Buffer.create 256 in
   Wire.write_magic buf "SSES";
   Wire.write_string buf client_id;
   Params.write buf params;
-  Wire.write_u8 buf (Pytfhe_fft.Transform.kind_code transform);
   send t (Buffer.to_bytes buf);
   let sid, _ = rpc_ack t in
   sid

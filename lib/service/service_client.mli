@@ -2,7 +2,7 @@
 
     The tenant-side workflow: {!connect}, {!register} the cloud keyset
     under a client id (once — it persists across connections until
-    {!evict}), {!open_session} to pin params + transform, then
+    {!evict}), {!open_session} to pin the params, then
     {!submit}/{!await} programs.  The server may complete requests in
     scheduler order, not submission order; {!await} stashes out-of-order
     replies so any interleaving of submits and awaits works. *)
@@ -22,27 +22,16 @@ val connect : ?host:string -> port:int -> unit -> t
 val close : t -> unit
 (** Best-effort [SBYE], then close the socket.  Idempotent. *)
 
-val register :
-  ?transform:Pytfhe_fft.Transform.kind ->
-  t ->
-  client_id:string ->
-  Pytfhe_tfhe.Gates.cloud_keyset ->
-  unit
-(** Register (or replace) the {e cloud} keyset under [client_id].
-    [transform] defaults to the keyset's own tag; passing a different one
-    reproduces a coordinator/worker transform mismatch, which the server
-    rejects at the door (the connection-scope error surfaces here as
-    {!Pytfhe_util.Wire.Corrupt}). *)
+val register : t -> client_id:string -> Pytfhe_tfhe.Gates.cloud_keyset -> unit
+(** Register (or replace) the {e cloud} keyset under [client_id].  A
+    keyset the server cannot read surfaces here as
+    {!Pytfhe_util.Wire.Corrupt}. *)
 
-val open_session :
-  ?transform:Pytfhe_fft.Transform.kind ->
-  t ->
-  client_id:string ->
-  Pytfhe_tfhe.Params.t ->
-  int
+val open_session : t -> client_id:string -> Pytfhe_tfhe.Params.t -> int
 (** Negotiate a session: the server checks [client_id] is registered and
-    that params + transform tag match the registered keyset, and returns
-    a session id.  Mismatches surface as {!Pytfhe_util.Wire.Corrupt}. *)
+    that the params — transform included — equal the registered keyset's,
+    and returns a session id.  Mismatches surface as
+    {!Pytfhe_util.Wire.Corrupt}. *)
 
 val submit :
   t -> session:int -> name:string -> program:bytes -> inputs:Pytfhe_tfhe.Lwe.sample array -> int

@@ -67,9 +67,9 @@ let row_bytes (p : Params.t) =
 (* The scalar calls share a two-row workspace (MUX launches two rows),
    made on first use so that key generation, key reads, dist workers and
    service tenants allocate none. *)
-type key = { bsk : Tgsw.fft_sample array; scratch : batch Lazy.t }
+type key = { bsk : Tgsw.fft_sample array; kparams : Params.t; scratch : batch Lazy.t }
 
-let with_scratch (p : Params.t) bsk = { bsk; scratch = lazy (batch_create p ~cap:2) }
+let with_scratch (p : Params.t) bsk = { bsk; kparams = p; scratch = lazy (batch_create p ~cap:2) }
 let scratch key = Lazy.force key.scratch
 
 let key_gen rng (p : Params.t) ~lwe_key ~tlwe_key =
@@ -210,13 +210,28 @@ let key_bytes (p : Params.t) =
 
 module Wire = Pytfhe_util.Wire
 
-let write buf k =
+(* One u32 block of the key's torus coefficients — entry, TGSW row,
+   component (k masks, then the body), coefficient — for both transforms:
+   the writer inverts each spectrum, and the reader runs every polynomial
+   through the forward transform key generation uses. *)
+let write buf key =
   Wire.write_magic buf "BSKY";
-  Wire.write_array buf Tgsw.write_fft k.bsk
+  Wire.write_i64 buf (key_bytes key.kparams / 4);
+  Array.iter
+    (fun (g : Tgsw.fft_sample) ->
+      Array.iter
+        (Array.iter (fun d -> Array.iter (Wire.write_u32 buf) (Pytfhe_fft.Transform.backward_signed d)))
+        g.frows)
+    key.bsk
 
-let read p r =
+let read (p : Params.t) r =
   Wire.read_magic r "BSKY";
-  let bsk = Wire.read_array r (fun r -> Tgsw.read_fft p r) in
-  if Array.length bsk <> p.Params.lwe.Params.n then
-    raise (Wire.Corrupt "bootstrapping key length does not match LWE dimension");
-  with_scratch p bsk
+  let k = p.tlwe.k and ring_n = p.tlwe.ring_n in
+  ignore (Wire.read_block_length r [ p.lwe.n; k + 1; p.tgsw.l; k + 1; ring_n ]);
+  let coeffs = Array.make ring_n 0 in
+  let poly _ =
+    Wire.read_u32_into r coeffs;
+    Tgsw.forward_torus p coeffs
+  in
+  let entry _ = { Tgsw.frows = Array.init ((k + 1) * p.tgsw.l) (fun _ -> Array.init (k + 1) poly) } in
+  with_scratch p (Array.init p.lwe.n entry)

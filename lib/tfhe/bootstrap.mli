@@ -13,9 +13,10 @@
     workspace embedded in the key. *)
 
 type key
-(** Bootstrapping key: n TGSW encryptions (stored in FFT form) of the LWE
-    key bits under the ring key, plus the launch workspace the scalar calls
-    share ({!scratch}), made on first use. *)
+(** Bootstrapping key: n TGSW encryptions (stored in the parameter set's
+    evaluation form) of the LWE key bits under the ring key, plus the
+    launch workspace the scalar calls share ({!scratch}), made on first
+    use. *)
 
 val key_gen : Pytfhe_util.Rng.t -> Params.t -> lwe_key:Lwe.key -> tlwe_key:Tlwe.key -> key
 
@@ -73,7 +74,7 @@ val batch_rows_into :
 type batch_stats = { bsk_rows_streamed : int; launches : int; gates_batched : int }
 (** Cumulative key-traffic accounting since the last reset:
     [bsk_rows_streamed] counts bootstrapping-key entries read from memory
-    (each entry is {!row_bytes} wide in FFT form), [launches] counts
+    (each entry is {!row_bytes} wide in evaluation form), [launches] counts
     {!batch_rows_into} calls and [gates_batched] the rows they
     processed. *)
 
@@ -102,14 +103,20 @@ val programmable :
     the ring degree N.  A one-row [Job_table] launch on {!scratch}. *)
 
 val key_bytes : Params.t -> int
-(** Serialized size of the bootstrapping key at 32 bits per torus element. *)
+(** Bytes of the key's torus coefficients at 32 bits each: the payload of
+    its wire block. *)
 
 val write : Pytfhe_util.Wire.writer -> key -> unit
+(** Magic ["BSKY"], then one u32 block of n·(k+1)·l·(k+1)·N torus words
+    ordered by key entry, TGSW row, component (k masks, then the body) and
+    coefficient — one form for both transforms. *)
 
 val read : Params.t -> Pytfhe_util.Wire.reader -> key
-(** Validates the key's shape (row/component/spectrum counts and the LWE
-    dimension) against the parameter set, raising [Wire.Corrupt] on
-    mismatch. *)
+(** Raises [Wire.Corrupt] unless the block has exactly the length the
+    parameter set fixes, checked before anything is allocated; then
+    transforms every polynomial as key generation does
+    ({!Tgsw.forward_torus}), so [read (write k)] holds bit-identical
+    spectra. *)
 
 (** {2 Indicator bootstrapping for LUT cells}
 

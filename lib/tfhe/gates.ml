@@ -230,9 +230,7 @@ let read_cloud_keyset r =
   Wire.read_magic r "CKST";
   let cloud_params = Params.read r in
   let bootstrap_key = Bootstrap.read cloud_params r in
-  let keyswitch_key = Keyswitch.read r in
-  if Keyswitch.dims keyswitch_key <> (Params.extracted_n cloud_params, cloud_params.lwe.n) then
-    raise (Wire.Corrupt "key-switch key does not map k*N to n under the keyset's parameters");
+  let keyswitch_key = Keyswitch.read cloud_params r in
   { cloud_params; bootstrap_key; keyswitch_key }
 
 let half_torus_encode ~msize v = Torus.mod_switch_to v ~msize:(2 * msize)

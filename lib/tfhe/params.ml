@@ -89,8 +89,10 @@ let validate p =
   else if p.tgsw.l * p.tgsw.bg_bit > 32 then Error "gadget decomposition exceeds 32 bits"
   else if p.ks.t <= 0 || p.ks.base_bit <= 0 then Error "key-switch parameters must be positive"
   else if p.ks.t * p.ks.base_bit > 31 then Error "key-switch decomposition exceeds 31 bits"
-  else if p.lwe.lwe_stdev <= 0.0 || p.tlwe.tlwe_stdev <= 0.0 then
-    Error "noise standard deviations must be positive"
+  else if
+    not (Float.is_finite p.lwe.lwe_stdev && p.lwe.lwe_stdev > 0.0)
+    || not (Float.is_finite p.tlwe.tlwe_stdev && p.tlwe.tlwe_stdev > 0.0)
+  then Error "noise standard deviations must be positive and finite"
   else if p.transform = Transform.Ntt && p.tlwe.ring_n > 1 lsl 20 then
     Error "ring degree exceeds the NTT prime 2-adicity (N must be <= 2^20)"
   else if

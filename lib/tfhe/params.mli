@@ -92,5 +92,6 @@ val custom :
 
 val validate : t -> (unit, string) result
 (** Structural sanity: positive dimensions, power-of-two ring degree,
-    decompositions that fit in 32 bits, and — on the NTT backend — gadget
-    bounds within the CRT modulus headroom. *)
+    decompositions that fit in 32 bits, positive finite noise deviations
+    (a NaN one would encrypt without noise), and — on the NTT backend —
+    gadget bounds within the CRT modulus headroom. *)

@@ -61,12 +61,12 @@ let encrypt_int rng (p : Params.t) key m =
   in
   { rows }
 
+let forward_torus (p : Params.t) poly =
+  Transform.forward_signed p.transform (Array.map Torus.to_signed poly)
+
 let to_fft (p : Params.t) s =
   let components (row : Tlwe.sample) =
-    let polys = Array.append row.mask [| row.body |] in
-    Array.map
-      (fun poly -> Transform.forward_signed p.transform (Array.map Torus.to_signed poly))
-      polys
+    Array.map (forward_torus p) (Array.append row.mask [| row.body |])
   in
   { frows = Array.map components s.rows }
 
@@ -172,65 +172,3 @@ let cmux_rotate_row_into (p : Params.t) ws (g : fft_sample) a (tr : Trlwe_array.
   for comp = 0 to p.tlwe.k do
     backward_add_row ws comp tr ~row
   done
-
-module Wire = Pytfhe_util.Wire
-
-(* Two frame formats, selected by the value's own domain on write and by
-   the parameter set's transform on read: "GFFT" carries N/2 complex bins
-   as f64 pairs, "GNTT" carries N residues per prime as u32 arrays.  A
-   keyset whose embedded parameters disagree with its payload (version
-   skew, a coordinator on the other backend) therefore fails loudly with
-   [Wire.Corrupt] at the magic check instead of decrypting garbage. *)
-
-let write_fft buf s =
-  (match s.frows.(0).(0) with
-  | Transform.Dfft _ -> Wire.write_magic buf "GFFT"
-  | Transform.Dntt _ -> Wire.write_magic buf "GNTT");
-  let write_domain buf = function
-    | Transform.Dfft (sp : Negacyclic.spectrum) ->
-      Wire.write_f64_array buf sp.Negacyclic.s_re;
-      Wire.write_f64_array buf sp.Negacyclic.s_im
-    | Transform.Dntt (sp : Ntt.spectrum) ->
-      Wire.write_u32_array buf sp.Ntt.v1;
-      Wire.write_u32_array buf sp.Ntt.v2
-  in
-  Wire.write_array buf (fun buf row -> Wire.write_array buf write_domain row) s.frows
-
-let read_fft (p : Params.t) r =
-  let n = p.tlwe.ring_n in
-  let half = n / 2 in
-  (match p.transform with
-  | Transform.Fft -> Wire.read_magic r "GFFT"
-  | Transform.Ntt -> Wire.read_magic r "GNTT");
-  let read_domain r =
-    match p.transform with
-    | Transform.Fft ->
-      let s_re = Wire.read_f64_array r in
-      let s_im = Wire.read_f64_array r in
-      if Array.length s_re <> Array.length s_im then
-        raise (Wire.Corrupt "spectrum length mismatch");
-      if Array.length s_re <> half then raise (Wire.Corrupt "spectrum does not match ring degree");
-      Transform.Dfft { Negacyclic.s_re; s_im }
-    | Transform.Ntt ->
-      let v1 = Wire.read_u32_array r in
-      let v2 = Wire.read_u32_array r in
-      if Array.length v1 <> Array.length v2 then
-        raise (Wire.Corrupt "NTT residue length mismatch");
-      if Array.length v1 <> n then raise (Wire.Corrupt "NTT residues do not match ring degree");
-      Array.iter
-        (fun x -> if x >= Ntt.p1 then raise (Wire.Corrupt "NTT residue out of range (p1)"))
-        v1;
-      Array.iter
-        (fun x -> if x >= Ntt.p2 then raise (Wire.Corrupt "NTT residue out of range (p2)"))
-        v2;
-      Transform.Dntt { Ntt.v1; v2 }
-  in
-  let frows = Wire.read_array r (fun r -> Wire.read_array r read_domain) in
-  if Array.length frows <> rows_count p then
-    raise (Wire.Corrupt "TGSW row count does not match parameters");
-  Array.iter
-    (fun row ->
-      if Array.length row <> p.tlwe.k + 1 then
-        raise (Wire.Corrupt "TGSW component count does not match parameters"))
-    frows;
-  { frows }

@@ -36,8 +36,12 @@ val encrypt_int : Pytfhe_util.Rng.t -> Params.t -> Tlwe.key -> int -> sample
 (** Fresh TGSW encryption of a small integer message. *)
 
 val to_fft : Params.t -> sample -> fft_sample
-(** Pre-transform all row polynomials with the parameter set's selected
-    transform. *)
+(** Pre-transform all row polynomials with {!forward_torus}. *)
+
+val forward_torus : Params.t -> Poly.torus_poly -> Pytfhe_fft.Transform.domain
+(** One torus polynomial, centred, through the parameter set's forward
+    transform: how key generation and the key reader both reach the
+    evaluation form. *)
 
 val decompose : Params.t -> Tlwe.sample -> Poly.int_poly array
 (** Signed gadget decomposition of every component into l digits each in
@@ -57,16 +61,3 @@ val cmux_rotate_row_into :
     and acc when it encrypts 0 — with zero allocation.  [a] must lie in
     [0, 2N).  This is the one CMux: {!Bootstrap.batch_rows_into} calls it
     once per row and key entry. *)
-
-val write_fft : Pytfhe_util.Wire.writer -> fft_sample -> unit
-(** Bootstrapping-key rows in their evaluation-domain form, tagged "GFFT"
-    (f64 pairs, bit-exact doubles) or "GNTT" (u32 residues per prime)
-    according to the value's own domain. *)
-
-val read_fft : Params.t -> Pytfhe_util.Wire.reader -> fft_sample
-(** Reads one key row in the format the parameter set's transform selects
-    and validates its shape — magic ("GFFT"/"GNTT"), row count (k+1)·l,
-    component count k+1, spectrum length (N/2 bins or N residues, with
-    NTT residues range-checked per prime) — raising [Wire.Corrupt] on any
-    mismatch instead of failing later with an index error.  A payload
-    serialized under the other transform fails at the magic check. *)

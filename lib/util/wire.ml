@@ -90,13 +90,22 @@ let read_u32_array r =
   let n = read_length r in
   Array.init n (fun _ -> read_u32 r)
 
-let write_f64_array buf a =
-  write_length buf (Array.length a);
-  Array.iter (write_f64 buf) a
+(* The length of a u32 block the reader's parameters already shape: it
+   must equal the product of [dims], checked by exact division so that no
+   hostile dimension can overflow it, and fit in the bytes left. *)
+let read_block_length r dims =
+  let n = read_i64 r in
+  let rest = List.fold_left (fun acc d -> if d > 0 && acc mod d = 0 then acc / d else 0) n dims in
+  if rest <> 1 || n > remaining r / 4 then corrupt "block of %d words does not fit its shape" n;
+  n
 
-let read_f64_array r =
-  let n = read_length r in
-  Array.init n (fun _ -> read_f64 r)
+let read_u32_into r dst =
+  let n = Array.length dst in
+  need r (4 * n);
+  for i = 0 to n - 1 do
+    Array.unsafe_set dst i (Int32.to_int (String.get_int32_le r.data (r.pos + (4 * i))) land 0xFFFFFFFF)
+  done;
+  r.pos <- r.pos + (4 * n)
 
 type i32_buffer = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 

@@ -51,8 +51,14 @@ val write_u32_array : writer -> int array -> unit
 
 val read_u32_array : reader -> int array
 
-val write_f64_array : writer -> float array -> unit
-val read_f64_array : reader -> float array
+val read_block_length : reader -> int list -> int
+(** The word count of a block written by {!write_u32_array} whose shape
+    the reader already knows.  Raises {!Corrupt} unless it equals the
+    product of the dimensions — checked without overflow — and fits in the
+    bytes left, so nothing is allocated from a hostile header. *)
+
+val read_u32_into : reader -> int array -> unit
+(** Fill the whole array with the next u32 words; one bounds check. *)
 
 val write_array : writer -> (writer -> 'a -> unit) -> 'a array -> unit
 val read_array : reader -> (reader -> 'a) -> 'a array

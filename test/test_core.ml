@@ -115,6 +115,24 @@ let test_cloud_key_size_reported () =
   (* Test parameters: just assert it is a sane positive number of bytes. *)
   Alcotest.(check bool) "positive key size" true (Client.cloud_key_bytes client > 1024)
 
+(* The reported size is the wire's: the keyset file carries the key
+   payloads plus a few headers (magics, block lengths, parameters). *)
+let test_cloud_key_bytes_equal_the_wire () =
+  let tiny =
+    Pytfhe_tfhe.Params.custom ~name:"tiny" ~n:4 ~lwe_stdev:(2.0 ** -20.0) ~ring_n:64 ~k:1
+      ~tlwe_stdev:(2.0 ** -30.0) ~l:2 ~bg_bit:6 ~ks_t:2 ~ks_base_bit:2 ()
+  in
+  List.iter
+    (fun (client, cloud) ->
+      let buf = Buffer.create (1 lsl 20) in
+      Pytfhe_tfhe.Gates.write_cloud_keyset buf cloud;
+      let written = Buffer.length buf and counted = Client.cloud_key_bytes client in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d bytes written, %d counted" written counted)
+        true
+        (written >= counted && written <= counted + 256))
+    [ Lazy.force client_keys; Client.keygen ~params:tiny ~seed:405 () ]
+
 let test_end_to_end_encrypted_add () =
   (* Compile a 4-bit adder with ChiselTorch-level tooling, encrypt two
      values, evaluate on the server, decrypt: the full Fig. 1 flow. *)
@@ -414,6 +432,8 @@ let () =
           Alcotest.test_case "loaded clients draw fresh masks" `Slow
             test_loaded_clients_draw_fresh_masks;
           Alcotest.test_case "cloud key size" `Slow test_cloud_key_size_reported;
+          Alcotest.test_case "cloud key bytes equal the wire" `Slow
+            test_cloud_key_bytes_equal_the_wire;
           Alcotest.test_case "end-to-end encrypted add" `Slow test_end_to_end_encrypted_add;
           Alcotest.test_case "distributed server path" `Slow
             test_evaluate_distributed_matches_sequential;

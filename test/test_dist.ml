@@ -235,56 +235,21 @@ let test_fault_all_workers_lost () =
     (try ignore (Runs.dist cfg ck net cts); false with Failure _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* DHEL transform negotiation                                          *)
+(* The NTT across the process boundary                                 *)
 (* ------------------------------------------------------------------ *)
 
 module Params = Pytfhe_tfhe.Params
 module Transform = Pytfhe_fft.Transform
 module Wire = Pytfhe_util.Wire
 
-(* A second keyset at the same parameters but with the NTT backend, so the
-   mismatch can be pinned in both directions. *)
 let ntt_keys =
   lazy
     (Gates.key_gen (Rng.create ~seed:909 ())
        (Params.with_transform Pytfhe_tfhe.Params.test Transform.Ntt))
 
-let hello_for ~transform ck =
-  let buf = Buffer.create (1 lsl 16) in
-  Gates.write_cloud_keyset buf ck;
-  Bytes.to_string
-    (Dist_eval.hello_bytes ~index:0 ~transform ~obs:Pytfhe_obs.Trace.null ~faults:[]
-       ~keyset_blob:(Buffer.contents buf))
-
-let parses_to ~transform ck =
-  let _, _, _, _, ck' =
-    Dist_eval.parse_hello (Wire.reader_of_string (hello_for ~transform ck))
-  in
-  ck'.Gates.cloud_params.Params.transform
-
-let rejects_hello ~transform ck =
-  match Dist_eval.parse_hello (Wire.reader_of_string (hello_for ~transform ck)) with
-  | _ -> false
-  | exception Wire.Corrupt _ -> true
-
-(* A worker must reject a coordinator whose DHEL transform tag disagrees
-   with the transform recorded in the shipped keyset's own parameters —
-   in both directions — and accept both matched pairings. *)
-let test_dhel_transform_negotiation () =
-  let _, fft_ck = Lazy.force keys in
-  let _, ntt_ck = Lazy.force ntt_keys in
-  Alcotest.(check bool) "fft tag + fft keyset parses" true
-    (parses_to ~transform:Transform.Fft fft_ck = Transform.Fft);
-  Alcotest.(check bool) "ntt tag + ntt keyset parses" true
-    (parses_to ~transform:Transform.Ntt ntt_ck = Transform.Ntt);
-  Alcotest.(check bool) "ntt tag over fft keyset rejected" true
-    (rejects_hello ~transform:Transform.Ntt fft_ck);
-  Alcotest.(check bool) "fft tag over ntt keyset rejected" true
-    (rejects_hello ~transform:Transform.Fft ntt_ck)
-
-(* End-to-end under the NTT backend: the coordinator tags its own
-   transform, workers accept it, and the distributed run stays bit-exact
-   with the sequential executor. *)
+(* End-to-end under the NTT backend: workers read the shipped keyset
+   under its own parameters' transform, and the distributed run stays
+   bit-exact with the sequential executor. *)
 let test_dist_ntt_end_to_end () =
   let sk, ck = Lazy.force ntt_keys in
   let net = Gen_circuit.wide ~width:4 ~depth:2 in
@@ -390,8 +355,6 @@ let () =
         ] );
       ( "transform",
         [
-          Alcotest.test_case "DHEL transform negotiation" `Quick
-            test_dhel_transform_negotiation;
           Alcotest.test_case "ntt end to end" `Slow test_dist_ntt_end_to_end;
         ] );
     ]

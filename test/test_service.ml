@@ -252,32 +252,51 @@ let test_handshake_rejection () =
           let c = Service_client.connect ~port () in
           Fun.protect ~finally:(fun () -> Service_client.close c) (fun () -> f c)
         in
-        Alcotest.(check bool) "wrong transform tag rejected" true
+        (* The keyset's own params carry its transform: a session asking for
+           the other one draws Mismatch, not Unknown. *)
+        Alcotest.(check bool) "session under the other transform's params rejected" true
           (on_throwaway (fun c ->
-               let wrong =
-                 match Params.test.Params.transform with
-                 | Transform.Fft -> Transform.Ntt
-                 | Transform.Ntt -> Transform.Fft
+               let other =
+                 Params.with_transform Params.test
+                   (match Params.test.Params.transform with
+                   | Transform.Fft -> Transform.Ntt
+                   | Transform.Ntt -> Transform.Fft)
                in
-               corrupts (fun () ->
-                   Service_client.register ~transform:wrong c ~client_id:"tag-mismatch" cloud_a)));
+               match Service_client.open_session c ~client_id:id_a other with
+               | _ -> false
+               | exception Wire.Corrupt msg ->
+                 msg = "parameter set does not match the registered keyset"));
         Alcotest.(check bool) "unknown client id rejected" true
           (on_throwaway (fun c ->
                corrupts (fun () -> Service_client.open_session c ~client_id:"nobody" Params.test)));
         Alcotest.(check bool) "malformed client id rejected" true
           (on_throwaway (fun c ->
                corrupts (fun () -> Service_client.register c ~client_id:"no spaces!" cloud_a)));
+        let send_payload c payload =
+          let frame = Buffer.create 32 in
+          Buffer.add_string frame Framing.frame_magic;
+          Buffer.add_int64_le frame (Int64.of_int (Bytes.length payload));
+          Buffer.add_bytes frame payload;
+          Service_client.send_raw c (Buffer.to_bytes frame)
+        in
+        (* The keyset is SREG's last field: a byte after it is refused. *)
+        Alcotest.(check bool) "trailing bytes after the SREG keyset rejected" true
+          (on_throwaway (fun c ->
+               let buf = Buffer.create 65536 in
+               Wire.write_magic buf "SREG";
+               Wire.write_string buf "trailing";
+               Pytfhe_tfhe.Gates.write_cloud_keyset buf cloud_a;
+               Buffer.add_char buf '\000';
+               send_payload c (Buffer.to_bytes buf);
+               match Service_client.stats c with
+               | _ -> false
+               | exception Wire.Corrupt msg -> msg = "Service: trailing bytes after the SREG keyset"));
         (* Unknown message magic inside a valid envelope: SERR, and the
            connection survives to serve a well-formed stats call. *)
         on_throwaway (fun c ->
             let buf = Buffer.create 16 in
             Wire.write_magic buf "ZZZZ";
-            let payload = Buffer.to_bytes buf in
-            let frame = Buffer.create 32 in
-            Buffer.add_string frame Framing.frame_magic;
-            Buffer.add_int64_le frame (Int64.of_int (Bytes.length payload));
-            Buffer.add_bytes frame payload;
-            Service_client.send_raw c (Buffer.to_bytes frame);
+            send_payload c (Buffer.to_bytes buf);
             Alcotest.(check bool) "unknown magic draws SERR" true
               (corrupts (fun () -> Service_client.stats c));
             Alcotest.(check bool) "connection survives the payload error" true

@@ -38,8 +38,8 @@ let ntt_keys = lazy (Gates.key_gen (Rng.create ~seed:909 ()) ntt_test_params)
    butterfly stages are covered as well as the production sizes. *)
 let ntt_degrees = List.init 11 (fun i -> 2 lsl i)
 
-(* Tgsw.read_fft rejects residues outside [0, p), and mul_add_into's
-   products stay below 2⁶² only for residues inside it. *)
+(* mul_add_into's products stay below 2⁶² only for residues inside
+   [0, p). *)
 let check_residues n (s : Ntt.spectrum) =
   let inside p = Array.for_all (fun r -> r >= 0 && r < p) in
   if not (inside Ntt.p1 s.Ntt.v1 && inside Ntt.p2 s.Ntt.v2) then
@@ -214,36 +214,26 @@ let test_params_ntt_validation () =
   Alcotest.(check bool) "2^21 ring exceeds ntt 2-adicity" true
     (match huge_ring Transform.Ntt with Error _ -> true | Ok () -> false)
 
-(* A bootstrapping-key row serialized under one transform must be rejected
-   when read under parameters selecting the other: the GFFT/GNTT magic is
-   the keyset-payload mismatch guard. *)
-let test_tgsw_wire_transform_mismatch () =
-  let rng = Rng.create ~seed:21 () in
-  let key = Tlwe.key_gen rng Params.test in
-  let sample kind =
-    let p = Params.with_transform Params.test kind in
-    Tgsw.to_fft p (Tgsw.encrypt_int rng p key 1)
+(* One BSKY blob serves both transforms: written from an FFT key and read
+   under FFT and under NTT parameters, each re-read key gives NAND outputs
+   bit-identical to the generated key's. *)
+let test_one_key_blob_serves_both_transforms () =
+  let sk, ck = Lazy.force fft_keys in
+  let buf = Buffer.create (1 lsl 20) in
+  Bootstrap.write buf ck.Gates.bootstrap_key;
+  let blob = Buffer.contents buf in
+  let under p =
+    { ck with Gates.cloud_params = p; bootstrap_key = Bootstrap.read p (Wire.reader_of_string blob) }
   in
-  let serialized s =
-    let buf = Buffer.create 4096 in
-    Tgsw.write_fft buf s;
-    Buffer.contents buf
-  in
-  let rejects p blob =
-    match Tgsw.read_fft p (Wire.reader_of_string blob) with
-    | _ -> false
-    | exception Wire.Corrupt _ -> true
-  in
-  let fft_blob = serialized (sample Transform.Fft) in
-  let ntt_blob = serialized (sample Transform.Ntt) in
-  Alcotest.(check bool) "fft payload readable under fft params" true
-    (not (rejects Params.test fft_blob));
-  Alcotest.(check bool) "ntt payload readable under ntt params" true
-    (not (rejects ntt_test_params ntt_blob));
-  Alcotest.(check bool) "fft payload rejected under ntt params" true
-    (rejects ntt_test_params fft_blob);
-  Alcotest.(check bool) "ntt payload rejected under fft params" true
-    (rejects Params.test ntt_blob)
+  let fft_ck = under Params.test and ntt_ck = under ntt_test_params in
+  let rng = Rng.create ~seed:24 () in
+  for _ = 1 to 20 do
+    let a = Gates.encrypt_bit rng sk (Rng.bool rng) in
+    let b = Gates.encrypt_bit rng sk (Rng.bool rng) in
+    let expected = Gates.nand_gate ck a b in
+    Alcotest.(check bool) "fft read: same bits" true (Gates.nand_gate fft_ck a b = expected);
+    Alcotest.(check bool) "ntt read: same bits" true (Gates.nand_gate ntt_ck a b = expected)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Cross-transform differential over random netlists                   *)
@@ -326,7 +316,8 @@ let () =
         [
           Alcotest.test_case "transform wire roundtrip" `Quick test_params_transform_roundtrip;
           Alcotest.test_case "ntt validation" `Quick test_params_ntt_validation;
-          Alcotest.test_case "tgsw wire mismatch" `Quick test_tgsw_wire_transform_mismatch;
+          Alcotest.test_case "one key blob serves both transforms" `Quick
+            test_one_key_blob_serves_both_transforms;
         ] );
       ( "differential",
         [ QCheck_alcotest.to_alcotest test_cross_transform_netlists ] );

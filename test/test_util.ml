@@ -133,14 +133,14 @@ let test_wire_scalar_roundtrip () =
 let test_wire_arrays_roundtrip () =
   let buf = Buffer.create 64 in
   let ints = [| 0; 1; 0xFFFFFFFF; 12345 |] in
-  let floats = [| 0.0; -1.5; Float.pi; 1e-300 |] in
   Wire.write_u32_array buf ints;
-  Wire.write_f64_array buf floats;
+  Wire.write_u32_array buf ints;
   Wire.write_array buf Wire.write_string [| "a"; "bc"; "" |];
   let r = Wire.reader_of_string (Buffer.contents buf) in
   Alcotest.(check (array int)) "u32 array" ints (Wire.read_u32_array r);
-  let fs = Wire.read_f64_array r in
-  Array.iteri (fun i f -> Alcotest.(check (float 0.0)) "f64 elem" floats.(i) f) fs;
+  let block = Array.make (Wire.read_block_length r [ 2; 2 ]) 0 in
+  Wire.read_u32_into r block;
+  Alcotest.(check (array int)) "u32 block of a known shape" ints block;
   Alcotest.(check (array string)) "string array" [| "a"; "bc"; "" |] (Wire.read_array r Wire.read_string)
 
 let test_wire_rejects_corruption () =
@@ -157,7 +157,22 @@ let test_wire_rejects_corruption () =
   Wire.write_i64 buf 999999;
   let r3 = Wire.reader_of_string (Buffer.contents buf) in
   Alcotest.(check bool) "implausible length" true
-    (try ignore (Wire.read_u32_array r3); false with Wire.Corrupt _ -> true)
+    (try ignore (Wire.read_u32_array r3); false with Wire.Corrupt _ -> true);
+  (* A block must have its known shape and fit in what was sent, however
+     large the shape's product. *)
+  let block_rejected len dims =
+    let buf = Buffer.create 16 in
+    Wire.write_i64 buf len;
+    Buffer.add_string buf (String.make 64 '\000');
+    try ignore (Wire.read_block_length (Wire.reader_of_string (Buffer.contents buf)) dims); false
+    with Wire.Corrupt _ -> true
+  in
+  Alcotest.(check bool) "block of the wrong shape" true (block_rejected 3 [ 2; 2 ]);
+  Alcotest.(check bool) "block longer than the bytes sent" true
+    (block_rejected (1 lsl 62) [ 1 lsl 31; 1 lsl 31 ]);
+  Alcotest.(check bool) "block whose shape's product wraps to 0" true
+    (block_rejected 0 [ 1 lsl 62; 4 ]);
+  Alcotest.(check bool) "block of its shape" false (block_rejected 16 [ 4; 4 ])
 
 let test_wire_file_roundtrip () =
   let path = Filename.temp_file "pytfhe" ".wire" in
