@@ -266,6 +266,104 @@ let test_batch_cells_bit_exact tr () =
   Alcotest.(check bool) "xor2(1,0)" true (Gates.decrypt_lut_bit sk (Lwe_array.get batched 2))
 
 (* ------------------------------------------------------------------ *)
+(* The bits, pinned across versions                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* MD5 of every ciphertext below, serialized, from fixed seeds: each
+   keyset-level call, one mixed launch, one key switch and one cpu run of
+   a LUT-covered program.  FFT and NTT keys give identical bits, so both
+   transforms must reproduce the one digest.  A change that alters
+   ciphertexts on purpose (a new key stream, a new encoding) updates it
+   and says why. *)
+let pinned_digest = "1e162b84edb92fddc6898ccc7d27c37e"
+
+(* Gates, NOTs (of an input, a gate and a lutdom value), a constant
+   operand, arity-1/2/3 cells, a two-table arity-3 group and gates and
+   outputs that read lutdom values through their classic view. *)
+let pin_program () =
+  let module Netlist = Pytfhe_circuit.Netlist in
+  let module Gate = Pytfhe_circuit.Gate in
+  let net = Netlist.create ~hash_consing:false ~fold_constants:false () in
+  let a = Netlist.input net "a" and b = Netlist.input net "b" in
+  let c = Netlist.input net "c" and d = Netlist.input net "d" in
+  let g1 = Netlist.gate net Gate.Xor a b in
+  let g2 = Netlist.gate net Gate.And c (Netlist.const net true) in
+  let n1 = Netlist.not_ net g1 and n0 = Netlist.not_ net d in
+  let l1 = Netlist.lut net ~table:0b10 [| n1 |] in
+  let l2 = Netlist.lut net ~table:0b01 [| g2 |] in
+  let l3 = Netlist.lut net ~table:0b10 [| n0 |] in
+  let x2 = Netlist.lut net ~table:0x6 [| l1; l2 |] in
+  let sum = Netlist.lut net ~table:0x96 [| l1; l2; l3 |] in
+  let carry = Netlist.lut net ~table:0xE8 [| l1; l2; l3 |] in
+  let g3 = Netlist.gate net Gate.Nand x2 sum in
+  let n2 = Netlist.not_ net carry in
+  List.iter
+    (fun (name, id) -> Netlist.mark_output net name id)
+    [ ("x2", x2); ("g2", g2); ("n0", n0); ("carry", carry);
+      ("g4", Netlist.gate net Gate.Or n2 g3) ];
+  net
+
+let test_digest_pin tr () =
+  let sk, ck = keys tr in
+  let rng = Rng.create ~seed:99 () in
+  let p = ck.Gates.cloud_params in
+  let n = p.Params.lwe.n in
+  let buf = Buffer.create 65536 in
+  let emit s = Lwe.write_sample buf s in
+  let x = Gates.encrypt_bit rng sk true and y = Gates.encrypt_bit rng sk false in
+  let s = Gates.encrypt_bit rng sk false in
+  let l1 = Gates.encrypt_lut_bit rng sk true and l2 = Gates.encrypt_lut_bit rng sk false in
+  let l3 = Gates.encrypt_lut_bit rng sk true in
+  List.iter
+    (fun gate -> emit (gate ck x y))
+    Gates.
+      [ nand_gate; and_gate; or_gate; nor_gate; xor_gate; xnor_gate; andny_gate; andyn_gate;
+        orny_gate; oryn_gate ];
+  emit (Gates.not_gate ck x);
+  emit (Gates.mux_gate ck s x y);
+  for table = 0 to 3 do
+    emit (Gates.lut1 ck ~table x)
+  done;
+  emit (Gates.reencode ck y);
+  emit (Gates.lut2 ck ~table:0x6 l1 l2);
+  emit (Gates.lut3 ck ~table:0x96 l1 l2 l3);
+  Array.iter emit (Gates.lut2_multi ck ~tables:[| 0x6; 0x8; 0xE |] l1 l2);
+  Array.iter emit (Gates.lut3_multi ck ~tables:[| 0x96; 0xE8 |] l1 l2 l3);
+  emit
+    (Gates.apply_lut ck ~msize:4 ~table:[| 3; 0; 1; 2 |]
+       (Gates.encrypt_message rng sk ~msize:4 2));
+  (* One launch mixing a gate, arity-1 table cells and LUT groups. *)
+  let cells, rows =
+    Array.split
+      [|
+        (Gates.gate_cell, Record_ref.combine ~n Gates.xor_plan x y);
+        (Gates.sign_cell ~table:0b10, x);
+        (Gates.Cell_lut { arity = 2; tables = [| 0x6; 0x8 |] }, Record_ref.lut_combine ~n [| l1; l2 |]);
+        (Gates.sign_cell ~table:0b01, y);
+        ( Gates.Cell_lut { arity = 3; tables = [| 0x96; 0xE8 |] },
+          Record_ref.lut_combine ~n [| l1; l2; l3 |] );
+      |]
+  in
+  let bc = Gates.batch_context ck ~cap:8 in
+  Lwe_array.write buf (Gates.bootstrap_batch bc cells (Lwe_array.of_samples ~n rows));
+  emit
+    (Keyswitch.apply ck.Gates.keyswitch_key
+       (Lwe.encrypt rng sk.Gates.extracted_key ~stdev:p.Params.lwe.lwe_stdev
+          (Torus.mod_switch_to 1 ~msize:8)));
+  let net = pin_program () in
+  let ins = [| true; false; true; false |] in
+  let outs, _ =
+    Pytfhe_backend.Executor.run Pytfhe_backend.Executor.Cpu ck (Pytfhe_backend.Wave.Netlist net)
+      (Array.map (Gates.encrypt_bit rng sk) ins)
+  in
+  Alcotest.(check (list bool))
+    "the program decrypts to its plaintext outputs"
+    (List.map snd (Pytfhe_circuit.Netlist.eval_outputs net ins))
+    (Array.to_list (Array.map (Gates.decrypt_bit sk) outs));
+  Array.iter emit outs;
+  Alcotest.(check string) "digest" pinned_digest (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* ------------------------------------------------------------------ *)
 (* Noise model: margins priced, default_128 honestly flagged           *)
 (* ------------------------------------------------------------------ *)
 
@@ -307,5 +405,6 @@ let () =
       ("encoding", cases "lutdom bridges" test_lutdom_roundtrip_and_views `Slow);
       ("chains", cases "12-stage lutdom full adder" test_lut_chain_noise `Slow);
       ("batch", cases "batched cells bit-exact" test_batch_cells_bit_exact `Slow);
+      ("digest", cases "every ciphertext matches the pinned digest" test_digest_pin `Slow);
       ("noise", [ Alcotest.test_case "margins and limits" `Quick test_noise_lut_model ]);
     ]
