@@ -394,6 +394,20 @@ let measure ?(warmup = 2) ~iters f =
   in
   (wall, words)
 
+(* y_i <- y_i XOR NOT y_(i+1 mod 8) for 12 rounds: 96 bootstraps in 8-wide
+   waves, 96 NOTs, 8 outputs. *)
+let lattice () =
+  let net = Netlist.create () in
+  let y = Array.init 8 (fun i -> Netlist.input net (Printf.sprintf "y%d" i)) in
+  for _ = 1 to 12 do
+    let prev = Array.copy y in
+    Array.iteri
+      (fun i v -> y.(i) <- Netlist.gate net Gate.Xor v (Netlist.not_ net prev.((i + 1) mod 8)))
+      prev
+  done;
+  Array.iteri (fun i v -> Netlist.mark_output net (Printf.sprintf "o%d" i) v) y;
+  net
+
 let micro () =
   header "micro — per-primitive gate profile and allocated words per bootstrapped gate";
   let open Pytfhe_fft in
@@ -456,8 +470,24 @@ let micro () =
   in
   let gate_wall, gate_words = find "tfhe/gate-nand" in
   let mux_wall, mux_words = find "tfhe/gate-mux" in
+  (* What a cpu run allocates beyond the kernel: the lattice's words minus
+     the kernel's words per row (an 8-row launch) for each of its 96
+     bootstraps, per bootstrap. *)
+  let rows = Lwe_array.of_samples ~n:p.Params.lwe.Params.n (Array.make 8 bit_a) in
+  let bc = Gates.batch_context ck ~cap:8 in
+  let _, kernel_words = measure ~iters (fun () -> ignore (Gates.bootstrap_batch_rows bc rows)) in
+  let net = lattice () in
+  let cts = Array.init 8 (fun i -> if i mod 2 = 0 then bit_a else bit_b) in
+  let run_wall, run_words =
+    measure ~warmup:1 ~iters:2 (fun () ->
+        ignore (Executor.run Executor.Cpu ck (Pytfhe_backend.Wave.Netlist net) cts))
+  in
+  let run_wall = run_wall /. 96.0 and run_words = (run_words /. 96.0) -. (kernel_words /. 8.0) in
+  Format.printf "%-34s %12s %16.0f@." "backend/run-cpu" (human_time run_wall) run_words;
+  let results = results @ [ ("backend/run-cpu", run_wall, run_words) ] in
   Format.printf "@.allocated words per bootstrapped gate: %.0f@." gate_words;
   Format.printf "allocated words per MUX (one two-row launch): %.0f@." mux_words;
+  Format.printf "allocated words per bootstrap of a cpu run, beyond the kernel: %.0f@." run_words;
   if !smoke then Format.printf "(--smoke: skipping BENCH_gate_micro.json)@."
   else begin
     let json =
@@ -481,6 +511,7 @@ let micro () =
           ("gate_alloc_words", Json.Number gate_words);
           ("mux_time_s", Json.Number mux_wall);
           ("mux_alloc_words", Json.Number mux_words);
+          ("run_alloc_beyond_kernel_words", Json.Number run_words);
         ]
     in
     let path = "BENCH_gate_micro.json" in

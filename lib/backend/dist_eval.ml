@@ -1,44 +1,16 @@
-(* Real multi-process distributed evaluation of TFHE programs.
+(* Real multi-process distributed evaluation of TFHE programs: the
+   interface states the protocol, the failure semantics and the worker
+   hook.
 
-   Where Sched_cpu *prices* the paper's Ray cluster (§IV-D, Fig. 10) through
-   a cost model, this executor actually crosses the process boundary: it
-   spawns N worker processes, ships the cloud keyset once at startup, and
-   then, for every wave Wave.drive produces, sends each worker one
-   contiguous shard of the wave's jobs — job headers plus one operand
-   Lwe_array inside a length-prefixed frame over a Unix socketpair — and
-   collects the outputs, which the worker computed with Wave.exec, at a
-   wave barrier.
+   Workers are re-executed host binaries (create_process / posix_spawn),
+   not forks: the OCaml 5 runtime forbids fork in any process that has
+   ever created a domain, and Par_eval creates domains.  The DRDY
+   handshake below turns a host that forgot [worker_entry] into a prompt,
+   explicit startup failure instead of a recursive process tree.  The
+   coordinator never trusts a worker: a reply that fails to parse costs a
+   retry and never reaches the wave result, and a lost worker's shard
+   moves to the least-loaded survivor. *)
 
-   Workers are spawned by re-executing the host binary (create_process /
-   posix_spawn) with PYTFHE_DIST_WORKER set, not by Unix.fork: the OCaml 5
-   runtime permanently forbids fork in any process that has ever created a
-   domain, and Par_eval creates domains.  Host executables opt in by
-   calling [worker_entry] before anything else in main; a spawned worker
-   then serves the gate protocol on its stdin socket and never returns.
-   The DRDY handshake below turns a host that forgot the hook into a
-   prompt, explicit startup failure instead of a recursive process tree.
-
-   The coordinator is built to survive its workers, not just to use them:
-
-   - every outstanding request has a deadline; expiry triggers a bounded
-     number of backoff extensions (a slow worker gets more time) before the
-     worker is declared lost, SIGKILLed and its shard reassigned;
-   - while waiting, the coordinator heartbeats worker processes with
-     waitpid(WNOHANG), so a crashed worker is detected without waiting for
-     the request timeout;
-   - a reply that fails to parse (Wire.Corrupt, truncated payload, wrong
-     arity) is counted, and the request is re-sent — corruption never
-     propagates into the value table and never kills the coordinator;
-   - loss of a worker degrades capacity gracefully: survivors absorb the
-     shard, down to a single worker.  Only losing *every* worker raises.
-
-   Because each job runs the identical torus operation sequence as on the
-   other placements — only in another address space, with the operands
-   round-tripped through the exact 32-bit wire encoding — the output
-   ciphertexts are bit-exact with the cpu placement for any worker count
-   and any fault pattern the executor survives. *)
-
-module Gate = Pytfhe_circuit.Gate
 module Wire = Pytfhe_util.Wire
 module Trace = Pytfhe_obs.Trace
 open Pytfhe_tfhe
@@ -138,92 +110,84 @@ let parse_hello r =
   let faults = Array.to_list (Wire.read_array r read_fault) in
   (index, obs_on, obs_epoch, faults, Gates.read_cloud_keyset r)
 
-(* DJOB request: the launch capacity, one header per job — a gate code
-   (0–127, any bootstrapped gate) or 128+arity (129–131) followed by the
-   group's tables — then every job's operands as one flat Lwe_array (two
-   rows per gate, [arity] rows per group: classic views for gates and
-   arity-1 groups, lutdom ciphertexts otherwise). *)
-let encode_request ~req_id ~cap ~n jobs =
+let corrupt fmt = Printf.ksprintf (fun m -> raise (Wire.Corrupt ("Dist_eval: " ^ m))) fmt
+
+(* DJOB request: the launch capacity, one header per job — tag 0 and a
+   sign cell's mu and post, or tag 1, a LUT cell's arity and its tables —
+   then the wave's rows, one combined row per job, as one Lwe_array. *)
+let write_cell buf = function
+  | Gates.Cell_sign { mu; post } ->
+    Wire.write_u8 buf 0;
+    Wire.write_u32 buf mu;
+    Wire.write_u32 buf post
+  | Gates.Cell_lut { arity; tables } ->
+    Wire.write_u8 buf 1;
+    Wire.write_u8 buf arity;
+    Wire.write_array buf Wire.write_u8 tables
+
+let encode_request ~req_id ~cap (w : Wave.wave) =
   let buf = Buffer.create 4096 in
   Wire.write_magic buf "DJOB";
   Wire.write_i64 buf req_id;
   Wire.write_i64 buf cap;
-  Wire.write_array buf
-    (fun buf -> function
-      | Wave.Gate { gate; _ } -> Wire.write_u8 buf (Gate.to_code gate)
-      | Wave.Group { arity; tables; _ } ->
-        Wire.write_u8 buf (128 + arity);
-        Wire.write_array buf Wire.write_u8 tables)
-    jobs;
-  let operands =
-    Array.concat
-      (Array.to_list
-         (Array.map
-            (function Wave.Gate { a; b; _ } -> [| a; b |] | Wave.Group { operands; _ } -> operands)
-            jobs))
-  in
-  Lwe_array.write buf (Lwe_array.of_samples ~n operands);
+  Wire.write_array buf write_cell w.Wave.cells;
+  Lwe_array.write buf w.Wave.rows;
   Buffer.to_bytes buf
 
+(* The sign cells the cursor emits: every gate's, and each 2-bit table's. *)
+let sign_cells = Gates.gate_cell :: List.init 4 (fun table -> Gates.sign_cell ~table)
+
+(* Exactly the cells the cursor emits: a known sign cell, or a LUT cell of
+   arity 2–3 with at least one table, each no wider than its arity. *)
+let read_cell r =
+  match Wire.read_u8 r with
+  | 0 ->
+    let mu = Wire.read_u32 r in
+    let post = Wire.read_u32 r in
+    let cell = Gates.Cell_sign { mu; post } in
+    if not (List.mem cell sign_cells) then corrupt "sign cell mu %#x post %#x" mu post;
+    cell
+  | 1 ->
+    let arity = Wire.read_u8 r in
+    if arity < 2 || arity > 3 then corrupt "LUT cell of arity %d" arity;
+    let tables = Wire.read_array r Wire.read_u8 in
+    if tables = [||] then corrupt "lut%d cell without tables" arity;
+    Array.iter
+      (fun t -> if t lsr (1 lsl arity) <> 0 then corrupt "lut%d table %#x out of range" arity t)
+      tables;
+    Gates.Cell_lut { arity; tables }
+  | tag -> corrupt "unknown cell tag %d" tag
+
 let decode_request ~n payload =
-  let corrupt fmt = Printf.ksprintf (fun m -> raise (Wire.Corrupt ("Dist_eval: " ^ m))) fmt in
   let r = Wire.reader_of_string payload in
   Wire.read_magic r "DJOB";
   let req_id = Wire.read_i64 r in
   let cap = Wire.read_i64 r in
   if cap < 1 then corrupt "launch capacity %d" cap;
-  let headers =
-    Wire.read_array r (fun r ->
-        let code = Wire.read_u8 r in
-        if code < 128 then
-          match Gate.of_code code with
-          | Some g when not (Gate.is_unary g) -> `Gate g
-          | Some _ | None -> corrupt "bad gate code %d" code
-        else begin
-          let arity = code - 128 in
-          if arity < 1 || arity > 3 then corrupt "bad job code %d" code;
-          let tables = Wire.read_array r Wire.read_u8 in
-          if tables = [||] then corrupt "lut%d group without tables" arity;
-          if arity = 1 && Array.length tables > 1 then
-            corrupt "lut1 group with several tables";
-          Array.iter
-            (fun t ->
-              if t lsr (1 lsl arity) <> 0 then corrupt "lut%d table %#x out of range" arity t)
-            tables;
-          `Group (arity, tables)
-        end)
-  in
-  let ops = Lwe_array.read r in
-  let rows =
-    Array.fold_left (fun acc -> function `Gate _ -> acc + 2 | `Group (k, _) -> acc + k) 0 headers
-  in
-  if Lwe_array.length ops <> rows then
-    corrupt "%d operand rows for jobs declaring %d" (Lwe_array.length ops) rows;
-  if Lwe_array.dim ops <> n then
-    corrupt "operand dimension %d, keyset has %d" (Lwe_array.dim ops) n;
-  let row = ref 0 in
-  let take () =
-    let v = Lwe_array.get ops !row in
-    incr row;
-    v
-  in
-  let jobs =
-    Array.map
-      (function
-        | `Gate gate ->
-          let a = take () in
-          let b = take () in
-          Wave.Gate { gate; a; b }
-        | `Group (arity, tables) ->
-          Wave.Group { arity; operands = Array.init arity (fun _ -> take ()); tables })
-      headers
-  in
-  (req_id, cap, jobs)
+  let cells = Wire.read_array r read_cell in
+  let rows = Lwe_array.read r in
+  if Lwe_array.length rows <> Array.length cells then
+    corrupt "%d rows for %d cells" (Lwe_array.length rows) (Array.length cells);
+  if Lwe_array.dim rows <> n then corrupt "row dimension %d, keyset has %d" (Lwe_array.dim rows) n;
+  (req_id, cap, { Wave.cells; rows })
+
+(* DOUT reply: the request id, the measured compute seconds and the
+   wave's output rows as one Lwe_array. *)
+let decode_reply ~n ~rows payload =
+  let r = Wire.reader_of_string payload in
+  Wire.read_magic r "DOUT";
+  let req_id = Wire.read_i64 r in
+  let compute = Wire.read_f64 r in
+  let outs = Lwe_array.read r in
+  if Lwe_array.dim outs <> n then corrupt "reply dimension %d, keyset has %d" (Lwe_array.dim outs) n;
+  if Lwe_array.length outs <> rows then
+    corrupt "%d reply rows, %d outputs awaited" (Lwe_array.length outs) rows;
+  (req_id, compute, outs)
 
 (* The worker is a stateless job server: after the hello frame (identity,
    tracing plumbing, fault schedule, cloud keyset) it answers DJOB frames
-   with DOUT frames carrying the measured compute seconds and every job's
-   outputs as one Lwe_array.  All exits go through Unix._exit: the child
+   with DOUT frames carrying the measured compute seconds and the rows
+   Wave.exec wrote, as they are.  All exits go through Unix._exit: the child
    must never run the parent's at_exit handlers or flush its inherited
    stdio buffers. *)
 let worker_main fd =
@@ -262,7 +226,8 @@ let worker_main fd =
     (match String.sub payload 0 4 with
     | "DBYE" -> Unix._exit 0
     | "DJOB" ->
-      let req_id, cap, jobs = decode_request ~n payload in
+      let req_id, cap, wave = decode_request ~n payload in
+      let jobs = Wave.length wave in
       incr served;
       let due = List.filter (fun f -> f.after_requests = !served) faults in
       if List.exists (fun f -> f.action = Crash) due then
@@ -270,14 +235,15 @@ let worker_main fd =
         Unix.kill (Unix.getpid ()) Sys.sigkill;
       List.iter (fun f -> match f.action with Stall s -> Unix.sleepf s | _ -> ()) due;
       let t0 = Unix.gettimeofday () in
-      let outs = Wave.exec (engine_for ~cap ~jobs:(Array.length jobs)) jobs in
+      let outs = Lwe_array.create ~n (Wave.outputs wave) in
+      Wave.exec (engine_for ~cap ~jobs) wave outs;
       let t1 = Unix.gettimeofday () in
       let reply =
         let buf = Buffer.create 4096 in
         Wire.write_magic buf "DOUT";
         Wire.write_i64 buf req_id;
         Wire.write_f64 buf (t1 -. t0);
-        Lwe_array.write buf (Lwe_array.of_samples ~n outs);
+        Lwe_array.write buf outs;
         Buffer.to_bytes buf
       in
       (* Ship the shard's span in a DTRC frame *before* the reply, so the
@@ -290,7 +256,7 @@ let worker_main fd =
       if Trace.enabled wsink then begin
         let ep = Trace.epoch wsink in
         Trace.span wtr ~cat:"shard"
-          ~name:(Printf.sprintf "req %d (%d jobs)" req_id (Array.length jobs))
+          ~name:(Printf.sprintf "req %d (%d jobs)" req_id jobs)
           ~t0:(t0 -. ep) ~t1:(t1 -. ep);
         match Trace.flush wsink with
         | [] -> ()
@@ -336,12 +302,11 @@ type worker = {
   mutable reaped : bool;
 }
 
-(* One worker's contiguous slice of a wave's jobs.  Jobs carry resolved
-   operands, so shards carry no program structure. *)
+(* One worker's contiguous slice of a wave: cells and combined rows, so
+   shards carry no program structure. *)
 type shard = {
-  jobs : Wave.job array;
-  outputs : int;  (* outputs the reply must carry *)
-  mutable result : Lwe.sample array;
+  part : Wave.wave;
+  dst : Lwe_array.t;  (* the wave result's rows for this part's outputs *)
   mutable owner : worker;
   mutable req_id : int;
   mutable deadline : float;
@@ -444,7 +409,7 @@ let send_shard st sh =
   let t0 = Unix.gettimeofday () in
   st.next_req <- st.next_req + 1;
   sh.req_id <- st.next_req;
-  let payload = encode_request ~req_id:sh.req_id ~cap:st.cap ~n:st.lwe_n sh.jobs in
+  let payload = encode_request ~req_id:sh.req_id ~cap:st.cap sh.part in
   let n = Framing.write_frame w.fd payload in
   let now = Unix.gettimeofday () in
   st.bytes_out <- st.bytes_out + n;
@@ -497,9 +462,10 @@ let on_timeout st pending sh =
   end
   else declare_lost st pending w
 
-(* A reply arrived on [w.fd].  Parse defensively: any Wire.Corrupt /
-   truncation / arity mismatch re-requests the shard instead of poisoning
-   the value table. *)
+(* A reply arrived on [w.fd].  A worker answers its requests in order, so
+   the reply is to its oldest pending request or is stale.  Parse
+   defensively: any Wire.Corrupt / truncation / row-count mismatch
+   re-requests that shard instead of poisoning the value table. *)
 let on_ready st pending w =
   let resend_corrupt sh =
     st.corrupt_frames <- st.corrupt_frames + 1;
@@ -510,6 +476,13 @@ let on_ready st pending w =
       with Framing.Frame_closed -> declare_lost st pending w
     end
     else declare_lost st pending w
+  in
+  let awaited =
+    List.fold_left
+      (fun acc q ->
+        if q.owner != w then acc
+        else match acc with Some a when a.req_id < q.req_id -> acc | _ -> Some q)
+      None !pending
   in
   (* One frame per call: a DTRC (optional worker trace, sent before its
      DOUT) is merged and the select loop comes back for the reply still
@@ -535,52 +508,44 @@ let on_ready st pending w =
       parse_trc payload;
       None
     end
-    else begin
-      let r = Wire.reader_of_string payload in
-      Wire.read_magic r "DOUT";
-      let req_id = Wire.read_i64 r in
-      let compute = Wire.read_f64 r in
-      let arr = Lwe_array.read r in
-      if Lwe_array.dim arr <> st.lwe_n then raise (Wire.Corrupt "Dist_eval: reply dimension");
-      Some (req_id, compute, Lwe_array.to_samples arr)
-    end
+    else
+      match awaited with
+      | Some sh ->
+        let req_id, compute, outs =
+          decode_reply ~n:st.lwe_n ~rows:(Lwe_array.length sh.dst) payload
+        in
+        Some (sh, req_id, compute, outs)
+      | None -> None
   with
   | exception Framing.Frame_closed -> declare_lost st pending w
   | exception Framing.Frame_timeout -> declare_lost st pending w
-  | exception Wire.Corrupt _ ->
-    (match List.find_opt (fun q -> q.owner == w) !pending with
-    | Some sh -> resend_corrupt sh
-    | None -> declare_lost st pending w)
+  | exception Wire.Corrupt _ -> (
+    match awaited with Some sh -> resend_corrupt sh | None -> declare_lost st pending w)
   | None -> ()
-  | Some (req_id, compute, samples) -> (
-    match List.find_opt (fun q -> q.owner == w && q.req_id = req_id) !pending with
-    | None -> () (* stale reply from a superseded request: drop *)
-    | Some sh ->
-      if Array.length samples <> sh.outputs then resend_corrupt sh
-      else begin
-        sh.result <- samples;
-        let now = Unix.gettimeofday () in
-        st.t_compute <- st.t_compute +. compute;
-        st.t_transfer <- st.t_transfer +. Float.max 0.0 (now -. sh.sent_at -. compute);
-        pending := List.filter (fun q -> q != sh) !pending
-      end)
+  | Some (sh, req_id, compute, outs) ->
+    (* A stale reply, to a superseded request, is dropped. *)
+    if req_id = sh.req_id then begin
+      Lwe_array.blit ~src:outs ~src_pos:0 ~dst:sh.dst ~dst_pos:0 ~len:(Lwe_array.length outs);
+      let now = Unix.gettimeofday () in
+      st.t_compute <- st.t_compute +. compute;
+      st.t_transfer <- st.t_transfer +. Float.max 0.0 (now -. sh.sent_at -. compute);
+      pending := List.filter (fun q -> q != sh) !pending
+    end
 
-(* Fan one wave's jobs out over the live workers, one contiguous shard
-   each, and run the select loop until every shard has been answered;
-   returns the outputs in job order. *)
-let dispatch st jobs =
+(* Fan one wave out over the live workers, one contiguous shard each, and
+   run the select loop until every shard's rows have landed in the wave
+   result at the shard's offset; returns that result. *)
+let dispatch st w =
   let live = live_workers st in
   if live = [] then raise All_workers_lost;
   let owners = Array.of_list live in
-  let width = Array.length jobs in
-  let k = max 1 (min (Array.length owners) width) in
+  let out = Lwe_array.create ~n:st.lwe_n (Wave.outputs w) in
   let shards =
-    Array.init k (fun d ->
-        let lo = d * width / k and hi = (d + 1) * width / k in
-        let jobs = Array.sub jobs lo (hi - lo) in
-        { jobs; outputs = Array.fold_left (fun acc j -> acc + Wave.outputs j) 0 jobs;
-          result = [||]; owner = owners.(d); req_id = 0; deadline = infinity; attempts = 0;
-          sent_at = 0.0 })
+    Array.mapi
+      (fun d (part, at) ->
+        { part; dst = Lwe_array.slice out ~pos:at ~len:(Wave.outputs part); owner = owners.(d);
+          req_id = 0; deadline = infinity; attempts = 0; sent_at = 0.0 })
+      (Wave.split w (max 1 (min (Array.length owners) (Wave.length w))))
   in
   let pending = ref (Array.to_list shards) in
   (* Initial sends, tolerating workers that died since the last wave.
@@ -630,7 +595,7 @@ let dispatch st jobs =
       | exception Unix.Unix_error (Unix.EBADF, _, _) -> sweep ()
     end
   done;
-  Array.concat (Array.to_list (Array.map (fun sh -> sh.result) shards))
+  out
 
 let shutdown members =
   Array.iter
@@ -749,8 +714,8 @@ let bind (opts : Exec_opts.t) cfg cloud =
   let last = ref (snapshot ()) in
   {
     Wave.run_wave =
-      (fun jobs ->
-        try dispatch st jobs
+      (fun w ->
+        try dispatch st w
         with All_workers_lost -> failwith "Dist_eval: all workers lost (crashed or unresponsive)");
     capacity = (fun () -> List.length (live_workers st) * opts.batch);
     workers = cfg.workers;

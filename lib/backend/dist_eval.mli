@@ -5,11 +5,12 @@
     on shared-memory domains.  This executor crosses the process boundary
     for real: it spawns [workers] OS processes, ships the cloud keyset to
     each once at startup, and for every wave sends each worker one
-    contiguous shard of the wave's {!Wave.job}s — job headers plus one
-    operand {!Pytfhe_tfhe.Lwe_array}, serialized through
+    contiguous shard of the {!Wave.wave} — its cell headers plus its
+    combined rows as one {!Pytfhe_tfhe.Lwe_array}, serialized through
     {!Pytfhe_util.Wire} inside a length-prefixed frame over a
     [Unix.socketpair] channel — which the worker runs through
-    {!Wave.exec}; the outputs are collected at a wave barrier.
+    {!Wave.exec}; the output rows are copied into the wave result at a
+    wave barrier.
 
     Outputs are bit-exact with the cpu placement for any worker count: every
     job performs the identical torus operation sequence, and the 32-bit
@@ -22,8 +23,8 @@
     - crashed workers are detected early by a [waitpid(WNOHANG)] heartbeat
       and by EOF on their socket, not just by timeout;
     - a reply that fails to parse ({!Pytfhe_util.Wire.Corrupt}, truncated
-      frame, wrong arity) is dropped and the shard re-requested — a
-      tampered frame can cost a retry, never correctness;
+      frame, wrong row count or dimension) is dropped and the shard
+      re-requested — a tampered frame can cost a retry, never correctness;
     - a lost worker's shard is reassigned to the least-loaded survivor, so
       execution degrades gracefully down to one worker.  Only the loss of
       every worker raises [Failure].
@@ -142,20 +143,30 @@ val pp_stats : Format.formatter -> stats -> unit
 
 (** {2 Wire internals}
 
-    The shard request codec, exposed so the test suite can pin the
-    request decoder without spawning processes. *)
+    The shard request and reply codecs, exposed so the test suite can pin
+    and fuzz both decoders without spawning processes. *)
 
-val encode_request :
-  req_id:int -> cap:int -> n:int -> Wave.job array -> Bytes.t
+val encode_request : req_id:int -> cap:int -> Wave.wave -> Bytes.t
 (** The coordinator's DJOB payload: magic, request id, the workers'
-    launch capacity, one header per job (a gate code, or 128 + arity and
-    the group's tables), then every job's operands as one
-    {!Pytfhe_tfhe.Lwe_array} of dimension [n]. *)
+    launch capacity, one header per cell (tag 0 and a sign cell's [mu] and
+    [post] as u32 words, or tag 1, a LUT cell's arity and its tables),
+    then the wave's rows, one combined row per job, as one
+    {!Pytfhe_tfhe.Lwe_array}. *)
 
-val decode_request : n:int -> string -> int * int * Wave.job array
-(** The worker's parse of a DJOB payload: [(req_id, cap, jobs)].  Raises
+val decode_request : n:int -> string -> int * int * Wave.wave
+(** The worker's parse of a DJOB payload: [(req_id, cap, wave)].  It
+    accepts exactly the cells the cursor emits, and raises
     [{!Pytfhe_util.Wire}.Corrupt] on a truncated payload, a capacity below
-    1, a [Not] or unknown gate code, an arity outside 1–3, a table wider
-    than the arity allows, a group without tables (or an arity-1 group
-    with several), an operand row count other than the headers declare,
-    or an operand dimension other than [n]. *)
+    1, an unknown cell tag, a sign cell other than
+    {!Pytfhe_tfhe.Gates.gate_cell} or an arity-1 table's
+    {!Pytfhe_tfhe.Gates.sign_cell}, a LUT cell of arity outside 2–3, a
+    LUT cell without tables or with a table wider than its arity allows,
+    a row count other than one per cell, or a row dimension other than
+    [n]. *)
+
+val decode_reply : n:int -> rows:int -> string -> int * float * Pytfhe_tfhe.Lwe_array.t
+(** The coordinator's parse of a DOUT payload (magic, request id, the
+    worker's compute seconds, the output rows as one
+    {!Pytfhe_tfhe.Lwe_array}): [(req_id, compute, outputs)].  Raises
+    [{!Pytfhe_util.Wire}.Corrupt] on a truncated payload, a dimension
+    other than [n] or a row count other than [rows]. *)

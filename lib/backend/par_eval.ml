@@ -1,13 +1,7 @@
-(* Real multicore evaluation of TFHE programs on OCaml 5 domains.
-
-   The par placement of the wave engine: each wave's jobs have all their
-   fan-ins in earlier waves, so the wave is cut into one contiguous slice
-   per domain of a fork-join pool, and each domain runs its slice through
-   its own Wave.engine.  The slices write disjoint result arrays, and the
-   pool's mutex handshake is the inter-wave happens-before edge.
-
-   The placement is bit-exact with the cpu one: each job performs the
-   identical float/torus operation sequence, only on a different domain. *)
+(* The par placement of the wave engine.  A wave's jobs have all their
+   fan-ins in earlier waves, so each domain of a fork-join pool runs one
+   contiguous slice of the wave into its own rows of one result array;
+   the pool's mutex handshake is the inter-wave happens-before edge. *)
 
 module Levelize = Pytfhe_circuit.Levelize
 module Trace = Pytfhe_obs.Trace
@@ -176,24 +170,25 @@ let bind (opts : Exec_opts.t) pool cloud =
   let dom_tracks =
     Array.init workers (fun d -> Trace.new_track obs ~name:(Printf.sprintf "domain %d" d))
   in
-  let run_wave jobs =
-    let total = Array.length jobs in
-    let results = Array.make workers [||] in
+  let run_wave w =
+    let parts = Wave.split w workers in
+    let out = Lwe_array.create ~n:p.Params.lwe.Params.n (Wave.outputs w) in
     pool_run pool (fun d ->
-        let lo = d * total / workers and hi = (d + 1) * total / workers in
-        if lo < hi then begin
+        let part, at = parts.(d) in
+        let lo = d * Wave.length w / workers and jobs = Wave.length part in
+        if jobs > 0 then begin
           let t0 = Unix.gettimeofday () in
-          results.(d) <- Wave.exec engines.(d) (Array.sub jobs lo (hi - lo));
+          Wave.exec engines.(d) part (Lwe_array.slice out ~pos:at ~len:(Wave.outputs part));
           let t1 = Unix.gettimeofday () in
-          per_domain_bootstraps.(d) <- per_domain_bootstraps.(d) + (hi - lo);
+          per_domain_bootstraps.(d) <- per_domain_bootstraps.(d) + jobs;
           per_domain_busy.(d) <- per_domain_busy.(d) +. (t1 -. t0);
           if traced then
             (* Safe without locks: each domain writes only its own track. *)
             Trace.span dom_tracks.(d) ~cat:"chunk"
-              ~name:(Printf.sprintf "jobs [%d,%d)" lo hi)
+              ~name:(Printf.sprintf "jobs [%d,%d)" lo (lo + jobs))
               ~t0:(t0 -. ep) ~t1:(t1 -. ep)
         end);
-    Array.concat (Array.to_list results)
+    out
   in
   (* Only read at pool barriers, where the mutex handshake makes the helper
      domains' counter updates visible. *)

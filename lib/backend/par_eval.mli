@@ -2,11 +2,12 @@
 
     Where {!Sched_cpu} only *prices* the paper's distributed-CPU backend
     through a cost model, this executor actually runs every bootstrapped
-    gate on LWE ciphertexts across a pool of domains.  Each wave's jobs
-    are cut into one contiguous slice per domain, and every domain runs
-    its slice through its own {!Wave.engine}, so no TGSW workspace, FFT
-    scratch or test-vector buffer is shared; inline [Not] gates run on
-    the calling domain after each wave's barrier.
+    gate on LWE ciphertexts across a pool of domains.  Each wave's cells
+    and rows are cut into one contiguous slice per domain, and every
+    domain runs its slice through its own {!Wave.engine} into its own
+    rows of one result array, so no TGSW workspace, FFT scratch or
+    test-vector buffer is shared; inline [Not] gates run on the calling
+    domain after each wave's barrier.
 
     Outputs are bit-exact with the cpu placement — same ciphertexts, same
     declaration-order output array — for any worker count. *)

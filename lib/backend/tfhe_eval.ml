@@ -21,7 +21,11 @@ let bind (opts : Exec_opts.t) cloud =
   let e = Wave.engine cloud ~cap:opts.batch in
   let last = ref (Wave.counters e) in
   {
-    Wave.run_wave = Wave.exec e;
+    Wave.run_wave =
+      (fun w ->
+        let out = Lwe_array.create ~n:p.Params.lwe.Params.n (Wave.outputs w) in
+        Wave.exec e w out;
+        out);
     capacity = (fun () -> opts.batch);
     workers = 1;
     track = "cpu";

@@ -20,17 +20,14 @@
      once (cpu: an engine; par: per-domain engines on the service's one
      pool; dist: a worker session).
    - Cross-request packing is per tenant: ciphertexts under different
-     keys can never share a launch.  Within a tenant the scheduler takes
-     ready jobs — gates and LUT rotation groups alike — from requests in
-     admission order up to the binding's capacity and runs them as one
-     run_wave, so replies are ciphertext-bit-exact with a per-tenant
-     Server.run.
-   - Failure isolation: a frame whose payload fails validation draws an
-     SERR on that connection and nothing else; a program the cursor
-     rejects fails only its own request; a connection dying takes its own
-     sessions and in-flight requests with it; evicting a keyset fails
-     exactly that tenant's in-flight requests; a placement failing a
-     launch fails that launch's requests and drops the binding. *)
+     keys can never share a launch.  Within a tenant the scheduler copies
+     ready jobs' cells and rows from requests in admission order, up to
+     the binding's capacity, into one launch wave, so replies are
+     ciphertext-bit-exact with a per-tenant Server.run.
+   - Failure isolation is as the interface states it; in addition a
+     connection dying takes its own sessions and in-flight requests with
+     it, and a placement failing a launch fails that launch's requests
+     and drops the binding. *)
 
 module Wire = Pytfhe_util.Wire
 module Trace = Pytfhe_obs.Trace
@@ -228,7 +225,8 @@ type request = {
   rq_inputs : Lwe.sample array;
   mutable rq_cursor : Wave.cursor option;  (* from admission on *)
   mutable rq_next : int;  (* next unexecuted job of the cursor's wave *)
-  mutable rq_outs : Lwe.sample list;  (* that wave's outputs so far, reversed *)
+  mutable rq_outs : Lwe_array.t;  (* that wave's output rows *)
+  mutable rq_filled : int;  (* rows of [rq_outs] written so far *)
   rq_submitted : float;
   mutable rq_started : float;
   mutable rq_bootstraps : int;
@@ -374,15 +372,15 @@ let fail_request st rq code message =
   end
 
 (* Once a request has run every job of its current wave: store the
-   wave's outputs, and reply when the program is done.  A program the
+   wave's output rows, and reply when the program is done.  A program the
    cursor rejects from a later segment fails only its own request. *)
 let settle st rq =
   let c = Option.get rq.rq_cursor in
   match
-    if (not (Wave.finished c)) && rq.rq_next = Array.length (Wave.jobs c) then begin
-      Wave.deliver c (Array.of_list (List.rev rq.rq_outs));
+    if (not (Wave.finished c)) && rq.rq_next = Wave.length (Wave.current c) then begin
+      Wave.deliver c rq.rq_outs;
       rq.rq_next <- 0;
-      rq.rq_outs <- []
+      rq.rq_filled <- 0
     end
   with
   | exception (Failure msg | Invalid_argument msg | Wire.Corrupt msg) ->
@@ -442,14 +440,16 @@ let release_stale st =
 
 let has_jobs rq =
   match rq.rq_cursor with
-  | Some c -> (not rq.rq_done) && rq.rq_next < Array.length (Wave.jobs c)
+  | Some c -> (not rq.rq_done) && rq.rq_next < Wave.length (Wave.current c)
   | None -> false
 
 (* One launch: pick the tenant owning the oldest ready request, fill up to
    its binding's capacity with ready jobs from that tenant's requests in
-   admission order, run them as one run_wave, then settle every request
-   whose wave drained.  A placement failure fails the launch's requests
-   and releases the binding; the tenant binds afresh when next needed. *)
+   admission order — a contiguous run of each one's wave, its cells and
+   rows copied into one launch wave — run them as one run_wave, copy each
+   request's output rows back, then settle every request whose wave
+   drained.  A placement failure fails the launch's requests and releases
+   the binding; the tenant binds afresh when next needed. *)
 let launch_one st =
   match List.find_opt has_jobs st.active with
   | None -> ()
@@ -461,40 +461,45 @@ let launch_one st =
     | exception (Failure msg | Invalid_argument msg) ->
       List.iter (fun rq -> if ready rq then fail_request st rq Internal msg) st.active
     | b ->
-      let picked = ref [] and budget = ref (b.Wave.capacity ()) in
+      let n = t.t_ck.Gates.cloud_params.Params.lwe.Params.n in
+      let picked = ref [] and len = ref 0 in
       List.iter
         (fun rq ->
           if ready rq then begin
-            let jobs = Wave.jobs (Option.get rq.rq_cursor) in
-            while !budget > 0 && rq.rq_next < Array.length jobs do
-              picked := (rq, jobs.(rq.rq_next)) :: !picked;
-              rq.rq_next <- rq.rq_next + 1;
-              decr budget
-            done
+            let w = Wave.current (Option.get rq.rq_cursor) in
+            let take = min (b.Wave.capacity () - !len) (Wave.length w - rq.rq_next) in
+            if take > 0 then begin
+              if rq.rq_next = 0 then rq.rq_outs <- Lwe_array.create ~n (Wave.outputs w);
+              picked := (rq, Wave.sub w ~pos:rq.rq_next ~len:take) :: !picked;
+              rq.rq_next <- rq.rq_next + take;
+              len := !len + take
+            end
           end)
         st.active;
-      let picked = Array.of_list (List.rev !picked) in
-      let len = Array.length picked in
-      (match b.Wave.run_wave (Array.map snd picked) with
+      let picked = List.rev !picked and len = !len in
+      let rows = Lwe_array.create ~n len in
+      let launch = { Wave.cells = Array.concat (List.map (fun (_, p) -> p.Wave.cells) picked); rows } in
+      let copy f = ignore (List.fold_left f 0 picked) in
+      copy (fun at (_, p) ->
+          Lwe_array.blit ~src:p.Wave.rows ~src_pos:0 ~dst:rows ~dst_pos:at ~len:(Wave.length p);
+          at + Wave.length p);
+      (match b.Wave.run_wave launch with
       | exception (Failure msg | Invalid_argument msg) ->
-        Array.iter (fun (rq, _) -> fail_request st rq Internal msg) picked;
+        List.iter (fun (rq, _) -> fail_request st rq Internal msg) picked;
         release t
       | outs ->
-        let pos = ref 0 in
+        copy (fun at (rq, p) ->
+            let k = Wave.outputs p in
+            Lwe_array.blit ~src:outs ~src_pos:at ~dst:rq.rq_outs ~dst_pos:rq.rq_filled ~len:k;
+            rq.rq_filled <- rq.rq_filled + k;
+            rq.rq_bootstraps <- rq.rq_bootstraps + Wave.length p;
+            at + k);
         Array.iter
-          (fun (rq, job) ->
-            for k = 0 to Wave.outputs job - 1 do
-              rq.rq_outs <- outs.(!pos + k) :: rq.rq_outs
-            done;
-            pos := !pos + Wave.outputs job;
-            rq.rq_bootstraps <- rq.rq_bootstraps + 1;
-            match job with
-            | Wave.Group _ -> st.c_lut_rotations <- st.c_lut_rotations + 1
-            | Wave.Gate _ -> ())
-          picked;
+          (fun cell -> if cell <> Gates.gate_cell then st.c_lut_rotations <- st.c_lut_rotations + 1)
+          launch.Wave.cells;
         st.c_launches <- st.c_launches + 1;
         st.c_gates <- st.c_gates + len;
-        Array.iter (fun (rq, _) -> if not rq.rq_done then settle st rq) picked);
+        List.iter (fun (rq, _) -> if not rq.rq_done then settle st rq) picked);
       prune_active st;
       if Trace.enabled st.opts.Executor.obs then begin
         Exec_obs.service_counters st.tr
@@ -616,7 +621,8 @@ let handle_frame st conn payload =
               rq_inputs = inputs;
               rq_cursor = None;
               rq_next = 0;
-              rq_outs = [];
+              rq_outs = Lwe_array.create ~n:1 0 (* sized when its first wave runs *);
+              rq_filled = 0;
               rq_submitted = Unix.gettimeofday ();
               rq_started = 0.0;
               rq_bootstraps = 0;

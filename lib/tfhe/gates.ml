@@ -57,11 +57,10 @@ let oryn_plan = { plan_const = mu8 true; plan_scale = 1; plan_sign_a = 1; plan_s
 let xor_plan = { plan_const = quarter true; plan_scale = 2; plan_sign_a = 1; plan_sign_b = 1 }
 let xnor_plan = { plan_const = quarter false; plan_scale = 2; plan_sign_a = -1; plan_sign_b = -1 }
 
-let combine ~n plan a b =
-  let scaled x = if plan.plan_scale = 1 then x else Lwe.scale plan.plan_scale x in
-  let acc = Lwe.trivial ~n plan.plan_const in
-  let acc = if plan.plan_sign_a > 0 then Lwe.add acc (scaled a) else Lwe.sub acc (scaled a) in
-  if plan.plan_sign_b > 0 then Lwe.add acc (scaled b) else Lwe.sub acc (scaled b)
+let combine plan ~dst ~drow ~a ~arow ~b ~brow =
+  let s = plan.plan_scale in
+  Lwe_array.affine_into ~dst ~drow plan.plan_const
+    [ (plan.plan_sign_a * s, a, arow); (plan.plan_sign_b * s, b, brow) ]
 
 (* ------------------------------------------------------------------ *)
 (* Batched wave execution                                              *)
@@ -272,26 +271,19 @@ let decrypt_lut_bit sk c = Torus.mod_switch_from (Lwe.phase sk.lwe_key c) ~msize
 let lut_constant ck bit =
   Lwe.trivial ~n:ck.cloud_params.lwe.n (if bit then lut_unit else Torus.zero)
 
-let lut_to_classic c =
-  (* 4·(b/16) − 1/8 = ±1/8: exact, no bootstrap.  Works at any dimension. *)
-  let n = Array.length c.Lwe.a in
-  Lwe.sub (Lwe.scale 4 c) (Lwe.trivial ~n (Torus.mod_switch_to 1 ~msize:8))
+(* 4·(b/16) − 1/8 = ±1/8: exact, no bootstrap. *)
+let lut_to_classic ~dst ~drow src srow =
+  Lwe_array.affine_into ~dst ~drow (Torus.neg (mu8 true)) [ (4, src, srow) ]
 
-let lut_combine ~n ~arity (ops : Lwe.sample array) =
-  (* φ = Σ 2^(2−i)·opsᵢ: operand 0 is the message's MSB.  The weight is
-     independent of arity — lutdom carries bits at 1/16, so weight 2^(2−i)
-     places message m at m/(2·msize) for every msize = 2^arity, which the
-     doubled rotation modulus turns into exactly m slots.  Fixed operand
-     order and exact torus adds keep every execution path bit-identical. *)
-  if Array.length ops <> arity then invalid_arg "Gates.lut_combine: arity mismatch";
-  if arity < 1 || arity > 3 then invalid_arg "Gates.lut_combine: arity out of range";
-  let acc = ref (Lwe.trivial ~n Torus.zero) in
-  for i = 0 to arity - 1 do
-    let w = 1 lsl (2 - i) in
-    let scaled = if w = 1 then ops.(i) else Lwe.scale w ops.(i) in
-    acc := Lwe.add !acc scaled
-  done;
-  !acc
+(* φ = Σ 2^(2−i)·opsᵢ: operand 0 is the message's MSB.  The weight is
+   independent of arity — lutdom carries bits at 1/16, so weight 2^(2−i)
+   places message m at m/(2·msize) for every msize = 2^arity, which the
+   doubled rotation modulus turns into exactly m slots. *)
+let lut_combine ~dst ~drow src rows =
+  if Array.length rows < 1 || Array.length rows > 3 then
+    invalid_arg "Gates.lut_combine: arity out of range";
+  Lwe_array.affine_into ~dst ~drow Torus.zero
+    (List.mapi (fun i row -> (1 lsl (2 - i), src, row)) (Array.to_list rows))
 
 (* Arity-1 cells are a sign bootstrap in disguise: the classic input decides
    between table bits t₁ (input true) and t₀, via mu = (t₁−t₀)/32 and a
@@ -307,18 +299,23 @@ let sign_cell ~table = Cell_sign { mu = lut1_mu ~table; post = lut1_post ~table 
 (* ------------------------------------------------------------------ *)
 
 (* Each keyset-level call is the one-cell case of [bootstrap_batch], run on
-   the workspace embedded in the bootstrapping key ([Bootstrap.scratch])
-   through launch-sized staging arrays. *)
-let launch ck cell (row : Lwe.sample) =
+   the workspace embedded in the bootstrapping key ([Bootstrap.scratch]):
+   its operands are staged as rows, combined by the executors' own row
+   maps into row 0, and launched. *)
+let stage ck ops = Lwe_array.of_samples ~n:ck.cloud_params.lwe.n ops
+
+let launch ck cell rows =
   let bc =
     context_on ck (Bootstrap.scratch ck.bootstrap_key)
       ~slots:(Bootstrap.job_slots (cell_job cell))
       ~outputs:(cell_outputs cell)
   in
-  Lwe_array.to_samples
-    (bootstrap_batch bc [| cell |] (Lwe_array.of_samples ~n:ck.cloud_params.lwe.n [| row |]))
+  Lwe_array.to_samples (bootstrap_batch bc [| cell |] (Lwe_array.slice rows ~pos:0 ~len:1))
 
-let gate plan ck a b = (launch ck gate_cell (combine ~n:ck.cloud_params.lwe.n plan a b)).(0)
+let gate plan ck a b =
+  let ops = stage ck [| a; b |] in
+  combine plan ~dst:ops ~drow:0 ~a:ops ~arow:0 ~b:ops ~brow:1;
+  (launch ck gate_cell ops).(0)
 
 let nand_gate ck a b = gate nand_plan ck a b
 let and_gate ck a b = gate and_plan ck a b
@@ -333,13 +330,15 @@ let xnor_gate ck a b = gate xnor_plan ck a b
 
 let mux_gate ck s x y =
   let p = ck.cloud_params in
-  let n = p.lwe.n in
   let mu = Params.mu p in
   (* u1 = bootstrap(s AND x) and u2 = bootstrap(¬s AND y) share one
      two-row launch under the extracted key; their sum plus 1/8
      re-encodes the selected bit, and a single key switch brings it
      home. *)
-  let src = Lwe_array.of_samples ~n [| combine ~n and_plan s x; combine ~n andny_plan s y |] in
+  let src = stage ck [| s; x; s; y |] in
+  combine and_plan ~dst:src ~drow:0 ~a:src ~arow:0 ~b:src ~brow:1;
+  combine andny_plan ~dst:src ~drow:1 ~a:src ~arow:2 ~b:src ~brow:3;
+  let src = Lwe_array.slice src ~pos:0 ~len:2 in
   let u = Lwe_array.create ~n:(Params.extracted_n p) 2 in
   Bootstrap.batch_rows_into p (Bootstrap.scratch ck.bootstrap_key) ck.bootstrap_key
     [| Bootstrap.Job_sign mu; Bootstrap.Job_sign mu |]
@@ -348,11 +347,13 @@ let mux_gate ck s x y =
   Lwe_array.unsafe_set32 u.Lwe_array.bodies 0 (Torus.add (Lwe_array.body u 0) (mu8 true));
   Keyswitch.apply ck.keyswitch_key (Lwe_array.get u 0)
 
-let lut1 ck ~table c = (launch ck (sign_cell ~table) c).(0)
+let lut1 ck ~table c = (launch ck (sign_cell ~table) (stage ck [| c |])).(0)
 let reencode ck c = lut1 ck ~table:0b10 c
 
 let lut_multi ck ~arity ~tables ops =
-  launch ck (Cell_lut { arity; tables }) (lut_combine ~n:ck.cloud_params.lwe.n ~arity ops)
+  let rows = stage ck ops in
+  lut_combine ~dst:rows ~drow:0 rows (Array.init arity Fun.id);
+  launch ck (Cell_lut { arity; tables }) rows
 
 let lut2_multi ck ~tables a b = lut_multi ck ~arity:2 ~tables [| a; b |]
 let lut3_multi ck ~tables a b c = lut_multi ck ~arity:3 ~tables [| a; b; c |]

@@ -68,9 +68,12 @@ val mux_gate : cloud_keyset -> Lwe.sample -> Lwe.sample -> Lwe.sample -> Lwe.sam
     Every two-input gate is the same pipeline: a linear phase combination
     (captured by a {!combine_plan}), the sign bootstrap with μ = 1/8, and a
     key switch.  Exposing the combination as data lets the batched executors
-    mix gate types in one bootstrap batch.  Torus arithmetic is exact
-    mod 2³², so {!combine} is bit-identical to the historical per-gate
-    combination code. *)
+    mix gate types in one bootstrap batch.
+
+    The linear maps here and under {!section-luts} ({!combine},
+    {!lut_combine}, {!lut_to_classic}) write one {!Lwe_array} row through
+    {!Lwe_array.affine_into}, so the destination may be one of the source
+    rows, and raise [Invalid_argument] as it does. *)
 
 type combine_plan = {
   plan_const : Torus.t;  (** trivial offset added to the phase *)
@@ -90,9 +93,17 @@ val oryn_plan : combine_plan
 val xor_plan : combine_plan
 val xnor_plan : combine_plan
 
-val combine : n:int -> combine_plan -> Lwe.sample -> Lwe.sample -> Lwe.sample
-(** The linear phase combination [const ± scale·a ± scale·b] at LWE
-    dimension [n]; feed the result, as a row, to {!bootstrap_batch_rows}. *)
+val combine :
+  combine_plan ->
+  dst:Lwe_array.t ->
+  drow:int ->
+  a:Lwe_array.t ->
+  arow:int ->
+  b:Lwe_array.t ->
+  brow:int ->
+  unit
+(** [dst.(drow) ← const ± scale·a.(arow) ± scale·b.(brow)], the gate's
+    phase; launch it under {!gate_cell}. *)
 
 (** {2 Batched wave execution}
 
@@ -115,6 +126,10 @@ type batch_cell =
 
 val gate_cell : batch_cell
 (** The {!Cell_sign} of every classic gate: ±1/8, no offset. *)
+
+val cell_outputs : batch_cell -> int
+(** Outputs a cell produces: 1 for a sign cell, one per table for a LUT
+    cell. *)
 
 type batch_context
 
@@ -179,7 +194,7 @@ val apply_lut : cloud_keyset -> msize:int -> table:int array -> Lwe.sample -> Lw
     [table.(μ) mod msize] with fresh noise (one {!Bootstrap.programmable}
     + one key switch).  [Array.length table] must equal [msize]. *)
 
-(** {2 Programmable LUT cells}
+(** {2:luts Programmable LUT cells}
 
     First-class 1-/2-/3-input boolean LUT cells: any k-input function is one
     blind rotation.  LUT cells carry bits in the {e lutdom} encoding
@@ -193,9 +208,6 @@ val apply_lut : cloud_keyset -> msize:int -> table:int array -> Lwe.sample -> Lw
     bootstrap); lutdom converts back to classic for free
     ({!lut_to_classic}). *)
 
-val lut_unit : Torus.t
-(** The lutdom unit 1/16 (a true bit's torus value). *)
-
 val encrypt_lut_bit : Pytfhe_util.Rng.t -> secret_keyset -> bool -> Lwe.sample
 (** Fresh lutdom encryption of a boolean (0 or 1/16). *)
 
@@ -205,23 +217,18 @@ val decrypt_lut_bit : secret_keyset -> Lwe.sample -> bool
 val lut_constant : cloud_keyset -> bool -> Lwe.sample
 (** Noiseless trivial lutdom encryption of a public bit. *)
 
-val lut_to_classic : Lwe.sample -> Lwe.sample
-(** Exact lutdom→classic view 4y − 1/8 = ±1/8; no bootstrap, any
-    dimension. *)
+val lut_to_classic : dst:Lwe_array.t -> drow:int -> Lwe_array.t -> int -> unit
+(** [lut_to_classic ~dst ~drow src srow]: [dst.(drow) ← 4·src.(srow) − 1/8],
+    the exact lutdom→classic view ±1/8; no bootstrap. *)
 
-val lut_combine : n:int -> arity:int -> Lwe.sample array -> Lwe.sample
-(** The linear message combination Σ 2^(2−i)·opsᵢ of lutdom operands
-    (operand 0 is the MSB) at LWE dimension [n]; feed it to the indicator
-    rotation.  The weight 2^(2−i) is independent of arity: lutdom bits sit
-    at 1/16, so it lands message m on m/(2·msize) — one rotation slot per
-    message step — for msize 2, 4 and 8 alike. *)
-
-val lut1_mu : table:int -> Torus.t
-(** Sign-bootstrap target (t₁−t₀)/32 of an arity-1 cell with 2-bit
-    [table]. *)
-
-val lut1_post : table:int -> Torus.t
-(** Post-key-switch offset (t₁+t₀)/32 of an arity-1 cell. *)
+val lut_combine : dst:Lwe_array.t -> drow:int -> Lwe_array.t -> int array -> unit
+(** [lut_combine ~dst ~drow src rows]: [dst.(drow) ← Σ 2^(2−i)·src.(rows.(i))],
+    the message of [Array.length rows] (1–3) lutdom operands, operand 0
+    the MSB; launch it under a {!Cell_lut} of that arity.  The weight
+    2^(2−i) is independent of arity: lutdom bits sit at 1/16, so it lands
+    message m on m/(2·msize) — one rotation slot per message step — for
+    msize 2, 4 and 8 alike.  Raises [Invalid_argument] on an arity outside
+    1–3. *)
 
 val lut1 : cloud_keyset -> table:int -> Lwe.sample -> Lwe.sample
 (** Arity-1 LUT cell: classic input, lutdom output, one sign bootstrap
@@ -240,5 +247,6 @@ val lut3_multi :
     (multi-value bootstrapping). *)
 
 val sign_cell : table:int -> batch_cell
-(** The {!Cell_sign} of an arity-1 cell's 2-bit table:
-    [{ mu = lut1_mu ~table; post = lut1_post ~table }]. *)
+(** The {!Cell_sign} of an arity-1 cell's 2-bit table [t₁t₀]: the sign
+    bootstrap to (t₁−t₀)/32, then the offset (t₁+t₀)/32, lands on t/16
+    lutdom. *)

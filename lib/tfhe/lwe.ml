@@ -30,7 +30,6 @@ let decrypt_bit key s = Torus.to_double (phase key s) > 0.0
 let add x y = { a = Array.map2 Torus.add x.a y.a; b = Torus.add x.b y.b }
 let sub x y = { a = Array.map2 Torus.sub x.a y.a; b = Torus.sub x.b y.b }
 let neg x = { a = Array.map Torus.neg x.a; b = Torus.neg x.b }
-let add_to = add
 let scale k x = { a = Array.map (Torus.mul_int k) x.a; b = Torus.mul_int k x.b }
 
 let ciphertext_bytes ~n = 4 * (n + 1)

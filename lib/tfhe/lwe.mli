@@ -37,9 +37,6 @@ val sub : sample -> sample -> sample
 val neg : sample -> sample
 (** Homomorphic negation (implements the noiseless NOT gate). *)
 
-val add_to : sample -> sample -> sample
-(** Functional alias of {!add} kept for symmetry with the C API. *)
-
 val scale : int -> sample -> sample
 (** Integer scaling of the phase. *)
 

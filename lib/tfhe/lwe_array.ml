@@ -1,18 +1,10 @@
 module Wire = Pytfhe_util.Wire
 
-(* Struct-of-arrays LWE ciphertext storage: a wave of [len] samples of
-   dimension [n] as one flat int32 Bigarray of masks (row-major, row r at
-   offset r·n) plus a flat body vector.  This is the native currency of the
-   batched kernels — the interchanged loops sweep the batch dimension at
-   unit stride while a bootstrapping/key-switch key row stays resident —
-   and of the dist wire, where a whole shard ships as two flat blocks.
-
-   Torus elements are canonical values in [0, 2^32), so the int32 cells
-   round-trip exactly: [set32] truncates to 32 bits and [get32] reads them
-   back with [land 0xFFFFFFFF].  Every arithmetic op below goes through
-   [Torus], so a row op performs the identical operation sequence as the
-   corresponding [Lwe.sample] op — the bit-exactness the batched executors
-   are tested against. *)
+(* Torus elements are canonical values in [0, 2^32), so the int32 cells
+   round-trip exactly: [unsafe_set32] truncates to 32 bits and
+   [unsafe_get32] reads them back with [land 0xFFFFFFFF].  Every row op
+   goes through [Torus], so it lands on the words of the corresponding
+   [Lwe.sample] op. *)
 
 type t = { n : int; len : int; masks : Wire.i32_buffer; bodies : Wire.i32_buffer }
 
@@ -67,27 +59,6 @@ let set t r (s : Lwe.sample) =
   done;
   unsafe_set32 t.bodies r s.Lwe.b
 
-let set_trivial t r mu =
-  check_row t r "Lwe_array.set_trivial";
-  let off = r * t.n in
-  for i = 0 to t.n - 1 do
-    unsafe_set32 t.masks (off + i) 0
-  done;
-  unsafe_set32 t.bodies r mu
-
-let blit ~src ~src_pos ~dst ~dst_pos ~len =
-  if src.n <> dst.n then invalid_arg "Lwe_array.blit: dimension mismatch";
-  if len < 0 || src_pos < 0 || dst_pos < 0 || src_pos + len > src.len || dst_pos + len > dst.len
-  then invalid_arg "Lwe_array.blit: out of bounds";
-  if len > 0 then begin
-    Bigarray.Array1.blit
-      (Bigarray.Array1.sub src.masks (src_pos * src.n) (len * src.n))
-      (Bigarray.Array1.sub dst.masks (dst_pos * dst.n) (len * dst.n));
-    Bigarray.Array1.blit
-      (Bigarray.Array1.sub src.bodies src_pos len)
-      (Bigarray.Array1.sub dst.bodies dst_pos len)
-  end
-
 let of_samples ~n ss =
   let t = create ~n (Array.length ss) in
   Array.iteri (set t) ss;
@@ -95,22 +66,56 @@ let of_samples ~n ss =
 
 let to_samples t = Array.init t.len (get t)
 
-(* Row-granular addition.  Every element is read from both sources before
-   the destination element is written, so a destination row may alias
-   either source row (including through overlapping slices). *)
-let add_into ~dst ~drow ~a ~arow ~b ~brow =
-  let who = "Lwe_array.add_into" in
-  if a.n <> dst.n || b.n <> dst.n then invalid_arg (who ^ ": dimension mismatch");
-  check_row dst drow who;
-  check_row a arow who;
-  check_row b brow who;
+(* Σ w·src.(row) over [terms] at element [i] of the rows (the body at
+   i = n), on top of [acc]. *)
+let rec sum acc i = function
+  | [] -> acc
+  | (w, src, row) :: terms ->
+    let x =
+      if i < src.n then unsafe_get32 src.masks ((row * src.n) + i) else unsafe_get32 src.bodies row
+    in
+    sum (Torus.add acc (Torus.mul_int w x)) i terms
+
+let rec check_terms dst = function
+  | [] -> ()
+  | (_, src, row) :: terms ->
+    if src.n <> dst.n then invalid_arg "Lwe_array.affine_into: dimension mismatch";
+    check_row src row "Lwe_array.affine_into";
+    check_terms dst terms
+
+(* Element by element, every source read before the destination element
+   is written, so a destination row may alias a source row (including
+   through overlapping slices). *)
+let affine_into ~dst ~drow c terms =
+  check_row dst drow "Lwe_array.affine_into";
+  check_terms dst terms;
   let n = dst.n in
-  let od = drow * n and oa = arow * n and ob = brow * n in
   for i = 0 to n - 1 do
-    unsafe_set32 dst.masks (od + i)
-      (Torus.add (unsafe_get32 a.masks (oa + i)) (unsafe_get32 b.masks (ob + i)))
+    unsafe_set32 dst.masks ((drow * n) + i) (sum Torus.zero i terms)
   done;
-  unsafe_set32 dst.bodies drow (Torus.add (unsafe_get32 a.bodies arow) (unsafe_get32 b.bodies brow))
+  unsafe_set32 dst.bodies drow (sum c n terms)
+
+let add_into ~dst ~drow ~a ~arow ~b ~brow =
+  affine_into ~dst ~drow Torus.zero [ (1, a, arow); (1, b, brow) ]
+
+let neg_into ~dst ~drow ~a ~arow = affine_into ~dst ~drow Torus.zero [ (-1, a, arow) ]
+let set_trivial t r mu = affine_into ~dst:t ~drow:r mu []
+
+let blit ~src ~src_pos ~dst ~dst_pos ~len =
+  if src.n <> dst.n then invalid_arg "Lwe_array.blit: dimension mismatch";
+  if len < 0 || src_pos < 0 || dst_pos < 0 || src_pos + len > src.len || dst_pos + len > dst.len
+  then invalid_arg "Lwe_array.blit: out of bounds";
+  (* One row, the executors' common copy, as 1·src: a [sub] view costs
+     heap blocks per call. *)
+  if len = 1 then affine_into ~dst ~drow:dst_pos Torus.zero [ (1, src, src_pos) ]
+  else if len > 1 then begin
+    Bigarray.Array1.blit
+      (Bigarray.Array1.sub src.masks (src_pos * src.n) (len * src.n))
+      (Bigarray.Array1.sub dst.masks (dst_pos * dst.n) (len * dst.n));
+    Bigarray.Array1.blit
+      (Bigarray.Array1.sub src.bodies src_pos len)
+      (Bigarray.Array1.sub dst.bodies dst_pos len)
+  end
 
 (* Wire frame: header (magic, dimension, length) then the two flat i32
    blocks.  Byte-identical ciphertexts round-trip because the canonical
@@ -134,6 +139,11 @@ let read r =
     raise (Wire.Corrupt (Printf.sprintf "Lwe_array: implausible dimension %d" n));
   if len < 0 || len > max_wire_len then
     raise (Wire.Corrupt (Printf.sprintf "Lwe_array: implausible length %d" len));
+  (* Both blocks (a length word and 4 bytes a cell each) must be in the
+     bytes left before the rows are allocated; n, len ≤ 2^24 keep the
+     product far from overflow. *)
+  if Wire.remaining r < 16 + (4 * len * (n + 1)) then
+    raise (Wire.Corrupt (Printf.sprintf "Lwe_array: %d rows of dimension %d overrun the frame" len n));
   let t = create ~n len in
   Wire.read_i32_bigarray_into r t.masks;
   Wire.read_i32_bigarray_into r t.bodies;

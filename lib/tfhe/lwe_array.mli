@@ -42,8 +42,9 @@ val set_trivial : t -> int -> Torus.t -> unit
 (** Row [r] ← the noiseless trivial encryption (zero mask, body [mu]). *)
 
 val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
-(** Copy [len] whole rows; two flat Bigarray blits.  Raises
-    [Invalid_argument] on dimension mismatch or out-of-bounds ranges. *)
+(** Copy [len] whole rows: one row in place, more as two flat Bigarray
+    blits.  Raises [Invalid_argument] on dimension mismatch or
+    out-of-bounds ranges. *)
 
 val of_samples : n:int -> Lwe.sample array -> t
 val to_samples : t -> Lwe.sample array
@@ -55,20 +56,30 @@ val mask : t -> int -> int -> Torus.t
 val body : t -> int -> Torus.t
 (** [body t r] — unchecked hot-path read of row [r]'s body. *)
 
-(** {2 Allocation-free row op}
+(** {2 Row ops}
 
-    It reads every source element before writing the destination element,
-    so the destination row may alias either source row (same row of the
-    same array, or overlapping slices). *)
+    They allocate nothing but their term list, and read every source
+    element before writing the destination element, so the destination
+    row may alias a source row (same row of the same array, or overlapping
+    slices).  Raise [Invalid_argument] on a dimension mismatch or a row
+    out of bounds. *)
+
+val affine_into : dst:t -> drow:int -> Torus.t -> (int * t * int) list -> unit
+(** [affine_into ~dst ~drow c terms]: [dst.(drow) ← (0, c) + Σ w·src.(row)]
+    over the [(w, src, row)] of [terms] — every linear map the executors
+    apply to rows.  Torus arithmetic is exact mod 2³², so the sum lands on
+    the same words however it is grouped. *)
 
 val add_into : dst:t -> drow:int -> a:t -> arow:int -> b:t -> brow:int -> unit
 (** [dst.(drow) ← a.(arow) + b.(brow)], the row analogue of {!Lwe.add}. *)
 
-val unsafe_get32 : Pytfhe_util.Wire.i32_buffer -> int -> Torus.t
-(** Unchecked canonical-torus read of one flat cell; allocation-free in
-    native code.  For the batched kernels only. *)
+val neg_into : dst:t -> drow:int -> a:t -> arow:int -> unit
+(** [dst.(drow) ← −a.(arow)], the row analogue of {!Lwe.neg}: the
+    noiseless NOT. *)
 
 val unsafe_set32 : Pytfhe_util.Wire.i32_buffer -> int -> Torus.t -> unit
+(** Unchecked canonical-torus write of one flat cell; allocation-free in
+    native code.  For the batched kernels only. *)
 
 (** {2 Wire format}
 

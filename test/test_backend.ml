@@ -276,15 +276,16 @@ let test_run_binary_handles_constants () =
 let keys = lazy (Pytfhe_tfhe.Gates.key_gen (Rng.create ~seed:909 ()) Pytfhe_tfhe.Params.test)
 
 (* The three readers of a program.  The cursor is walked with dummy
-   outputs, so nothing bootstraps: only its reading is under test. *)
+   inputs and outputs of the keyset's dimension (the value table refuses
+   any other), so nothing bootstraps: only its reading is under test. *)
 let readers =
-  let dummy = { Pytfhe_tfhe.Lwe.a = [||]; b = 0 } in
   let walk bytes ins =
-    let inputs = Array.map (fun _ -> dummy) ins in
-    let c = Wave.cursor (snd (Lazy.force keys)) (Wave.Bytes bytes) inputs in
+    let open Pytfhe_tfhe in
+    let ck = snd (Lazy.force keys) in
+    let n = ck.Gates.cloud_params.Params.lwe.Params.n in
+    let c = Wave.cursor ck (Wave.Bytes bytes) (Array.map (fun _ -> Lwe.trivial ~n 0) ins) in
     while not (Wave.finished c) do
-      let outs = Array.fold_left (fun n j -> n + Wave.outputs j) 0 (Wave.jobs c) in
-      Wave.deliver c (Array.make outs dummy)
+      Wave.deliver c (Lwe_array.create ~n (Wave.outputs (Wave.current c)))
     done
   in
   [

@@ -164,6 +164,79 @@ let test_lwe_array_wire () =
        false
      with Wire.Corrupt _ -> true)
 
+(* The row maps the cursor combines with are the record references'
+   linear maps, word for word, also when they write over a source row. *)
+let test_row_maps_match_records =
+  QCheck.Test.make ~name:"row combine, lut_combine, lut_to_classic and neg = record references"
+    ~count:50
+    QCheck.(pair (int_range 1 17) small_int)
+    (fun (n, seed) ->
+      let rng = Rng.create ~seed () in
+      let ops = random_wave rng ~n 3 in
+      let rows = Lwe_array.of_samples ~n ops in
+      let out = Lwe_array.create ~n 1 in
+      let row_is label expected =
+        if Lwe_array.get out 0 <> expected then QCheck.Test.fail_report label
+      in
+      List.iter
+        (fun plan ->
+          Gates.combine plan ~dst:out ~drow:0 ~a:rows ~arow:0 ~b:rows ~brow:1;
+          row_is "combine" (Record_ref.combine ~n plan ops.(0) ops.(1)))
+        Gates.
+          [ nand_plan; and_plan; or_plan; nor_plan; andny_plan; andyn_plan; orny_plan; oryn_plan;
+            xor_plan; xnor_plan ];
+      for arity = 1 to 3 do
+        Gates.lut_combine ~dst:out ~drow:0 rows (Array.init arity Fun.id);
+        row_is "lut_combine" (Record_ref.lut_combine ~n (Array.sub ops 0 arity))
+      done;
+      Gates.lut_to_classic ~dst:out ~drow:0 rows 2;
+      row_is "lut_to_classic" (Record_ref.lut_to_classic ops.(2));
+      Lwe_array.neg_into ~dst:out ~drow:0 ~a:rows ~arow:1;
+      row_is "neg_into" (Lwe.neg ops.(1));
+      (* In place, over the source row itself. *)
+      Gates.combine Gates.xor_plan ~dst:rows ~drow:1 ~a:rows ~arow:0 ~b:rows ~brow:1;
+      Gates.lut_combine ~dst:rows ~drow:0 rows [| 0; 2 |];
+      Lwe_array.get rows 1 = Record_ref.combine ~n Gates.xor_plan ops.(0) ops.(1)
+      && Lwe_array.get rows 0 = Record_ref.lut_combine ~n [| ops.(0); ops.(2) |])
+
+(* Resident memory in KiB, where /proc is mounted. *)
+let vm_rss_kib () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | status ->
+    List.find_map
+      (fun line ->
+        if String.starts_with ~prefix:"VmRSS:" line then Scanf.sscanf line "VmRSS: %d kB" Option.some
+        else None)
+      (String.split_on_char '\n' status)
+  | exception Sys_error _ -> None
+
+(* A 20-byte LARR header declaring a huge shard must be refused from the
+   bytes left, before the rows it claims are allocated. *)
+let test_lwe_array_read_bounded () =
+  let frame n len =
+    let buf = Buffer.create 20 in
+    Wire.write_magic buf "LARR";
+    Wire.write_i64 buf n;
+    Wire.write_i64 buf len;
+    Buffer.contents buf
+  in
+  let refused bytes =
+    match Lwe_array.read (Wire.reader_of_string bytes) with
+    | _ -> false
+    | exception Wire.Corrupt _ -> true
+  in
+  let before = vm_rss_kib () in
+  Alcotest.(check bool) "8192 x 8192 frame refused" true (refused (frame 8192 8192));
+  (match (before, vm_rss_kib ()) with
+  | Some b, Some a ->
+    Alcotest.(check bool)
+      (Printf.sprintf "resident memory grew by %d KiB" (a - b))
+      true
+      (a - b < 16 * 1024)
+  | _ -> ());
+  Alcotest.(check bool) "2^24 x 2^24 frame refused" true
+    (refused (frame (1 lsl 24) (1 lsl 24)))
+
 (* ------------------------------------------------------------------ *)
 (* Gate-level batch kernel                                             *)
 (* ------------------------------------------------------------------ *)
@@ -178,7 +251,7 @@ let test_bootstrap_batch_matches_scalar () =
   let b = Gates.encrypt_bit rng sk false in
   (* Mixed gate types in one batch: they all share the sign bootstrap. *)
   let plans = [| Gates.and_plan; Gates.xor_plan; Gates.nor_plan |] in
-  let combined = Array.map (fun pl -> Gates.combine ~n pl a b) plans in
+  let combined = Array.map (fun pl -> Record_ref.combine ~n pl a b) plans in
   let batched = Gates.bootstrap_batch_rows bc (Lwe_array.of_samples ~n combined) in
   Array.iteri
     (fun i gate ->
@@ -327,10 +400,10 @@ let test_mixed_wave_launches () =
   Alcotest.(check int) "mixed netlist: one launch per wave at batch 8" 3
     st.Tfhe_eval.batch_launches
 
-(* The engine's struct-of-arrays staging must produce the one-gate
-   launch's exact ciphertexts at every capacity, on both the sequential
-   and the multicore executor.  The multiprocess executor is covered in
-   test_dist.ml. *)
+(* Launches over slices of a wave's struct-of-arrays rows must produce
+   the one-gate launch's exact ciphertexts at every capacity, on both the
+   sequential and the multicore executor.  The multiprocess executor is
+   covered in test_dist.ml. *)
 let test_soa_matches_one_gate =
   QCheck.Test.make ~name:"soa batched layout bit-exact with one-gate launches" ~count:3
     QCheck.(pair (int_range 0 10_000) (int_range 0 10_000))
@@ -349,6 +422,55 @@ let test_soa_matches_one_gate =
           let par_soa, _ = Runs.par ~workers:2 ~opts ck net cts in
           soa_out = scalar_out && par_soa = scalar_out)
         [ 1; 3; 8; widest ])
+
+(* y_i <- y_i XOR NOT y_(i+1 mod 8) for 12 rounds: 96 bootstraps in
+   8-wide waves, 96 NOTs, 8 outputs. *)
+let lattice () =
+  let net = Netlist.create () in
+  let y = Array.init 8 (fun i -> Netlist.input net (Printf.sprintf "y%d" i)) in
+  for _ = 1 to 12 do
+    let prev = Array.copy y in
+    Array.iteri
+      (fun i v -> y.(i) <- Netlist.gate net Gate.Xor v (Netlist.not_ net prev.((i + 1) mod 8)))
+      prev
+  done;
+  Array.iteri (fun i v -> Netlist.mark_output net (Printf.sprintf "o%d" i) v) y;
+  net
+
+(* Words allocated by [f]; the minor collections fold the live minor
+   heap into the counter. *)
+let allocated_words f =
+  Gc.minor ();
+  let a0 = Gc.allocated_bytes () in
+  f ();
+  Gc.minor ();
+  (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8)
+
+(* What a cpu run allocates beyond the kernel's own words per row (an
+   8-row launch measured here) stays small: values, combined rows and
+   outputs live in Lwe_array rows, not in one record per job. *)
+let test_run_allocation () =
+  let sk, ck = Lazy.force keys in
+  let rng = Rng.create ~seed:707 () in
+  let n = ck.Gates.cloud_params.Params.lwe.Params.n in
+  let bit () = Gates.encrypt_bit rng sk (Rng.bool rng) in
+  let bc = Gates.batch_context ck ~cap:8 in
+  let rows = Lwe_array.of_samples ~n (Array.init 8 (fun _ -> bit ())) in
+  ignore (Gates.bootstrap_batch_rows bc rows);
+  let kernel = allocated_words (fun () -> ignore (Gates.bootstrap_batch_rows bc rows)) /. 8.0 in
+  let net = lattice () in
+  let cts = Array.init 8 (fun _ -> bit ()) in
+  let run () = Executor.run Executor.Cpu ck (Wave.Netlist net) cts in
+  ignore (run ());
+  let stats = ref None in
+  let words = allocated_words (fun () -> stats := Some (snd (run ()))) in
+  let st = Option.get !stats in
+  Alcotest.(check int) "bootstraps" 96 st.Executor.bootstraps_executed;
+  Alcotest.(check int) "nots" 96 st.Executor.nots_executed;
+  let beyond = (words -. (kernel *. 96.0)) /. 96.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words per bootstrap beyond the kernel's %.0f per row" beyond kernel)
+    true (beyond <= 400.0)
 
 let test_executor_batch_knob () =
   let sk, ck = Lazy.force keys in
@@ -384,6 +506,9 @@ let () =
           QCheck_alcotest.to_alcotest test_lwe_array_aliasing;
           Alcotest.test_case "slice and blit" `Quick test_lwe_array_slice_blit;
           Alcotest.test_case "wire roundtrip and rejection" `Quick test_lwe_array_wire;
+          Alcotest.test_case "LARR frames are refused before allocating" `Quick
+            test_lwe_array_read_bounded;
+          QCheck_alcotest.to_alcotest test_row_maps_match_records;
         ] );
       ( "kernel",
         [
@@ -399,5 +524,6 @@ let () =
           Alcotest.test_case "key traffic drops with batch" `Slow
             test_key_traffic_drops_with_batch;
           Alcotest.test_case "executor ?batch knob" `Slow test_executor_batch_knob;
+          Alcotest.test_case "a run materializes no per-job records" `Slow test_run_allocation;
         ] );
     ]

@@ -265,6 +265,25 @@ let test_dist_ntt_end_to_end () =
 (* The DJOB request decoder                                            *)
 (* ------------------------------------------------------------------ *)
 
+module Lwe_array = Pytfhe_tfhe.Lwe_array
+
+(* DJOB cell headers written by hand: tag 0 and a sign cell's mu and
+   post, tag 1 and a LUT cell's arity and tables, or any other tag. *)
+let sign_header mu post buf =
+  Wire.write_u8 buf 0;
+  Wire.write_u32 buf mu;
+  Wire.write_u32 buf post
+
+let lut_header arity tables buf =
+  Wire.write_u8 buf 1;
+  Wire.write_u8 buf arity;
+  Wire.write_array buf Wire.write_u8 (Array.of_list tables)
+
+let gate_header =
+  match Gates.gate_cell with
+  | Gates.Cell_sign { mu; post } -> sign_header mu post
+  | Gates.Cell_lut _ -> assert false
+
 (* Decode a payload built by hand; every malformed one must raise
    Wire.Corrupt, with no worker process involved. *)
 let test_request_decoder () =
@@ -272,35 +291,34 @@ let test_request_decoder () =
   let n = ck.Gates.cloud_params.Params.lwe.Params.n in
   let rng = Rng.create ~seed:44 () in
   let c () = Gates.encrypt_bit rng sk (Rng.bool rng) in
-  let jobs =
-    [|
-      Wave.Gate { gate = Pytfhe_circuit.Gate.Xor; a = c (); b = c () };
-      Wave.Group { arity = 2; operands = [| c (); c () |]; tables = [| 0x6; 0x8 |] };
-      Wave.Group { arity = 1; operands = [| c () |]; tables = [| 0b10 |] };
-    |]
+  let wave =
+    {
+      Wave.cells =
+        [| Gates.gate_cell; Gates.Cell_lut { arity = 2; tables = [| 0x6; 0x8 |] };
+           Gates.sign_cell ~table:0b10 |];
+      rows = Lwe_array.of_samples ~n [| c (); c (); c () |];
+    }
   in
-  let valid = Bytes.to_string (Dist_eval.encode_request ~req_id:5 ~cap:8 ~n jobs) in
+  let valid = Bytes.to_string (Dist_eval.encode_request ~req_id:5 ~cap:8 wave) in
   let req_id, cap, back = Dist_eval.decode_request ~n valid in
-  Alcotest.(check bool) "valid request round-trips" true (req_id = 5 && cap = 8 && back = jobs);
-  (* A payload from parts: job headers as (code, tables) and [rows]
-     operand rows of dimension [dim]. *)
+  Alcotest.(check bool) "valid request round-trips" true
+    (req_id = 5 && cap = 8 && back.Wave.cells = wave.Wave.cells
+    && Lwe_array.to_samples back.Wave.rows = Lwe_array.to_samples wave.Wave.rows);
+  (* A payload from parts: cell headers and [rows] rows of dimension
+     [dim]. *)
   let payload ?(cap = 8) ?(dim = n) ~rows headers =
     let buf = Buffer.create 256 in
     Wire.write_magic buf "DJOB";
     Wire.write_i64 buf 1;
     Wire.write_i64 buf cap;
-    Wire.write_array buf
-      (fun buf (code, tables) ->
-        Wire.write_u8 buf code;
-        if code >= 128 then Wire.write_array buf Wire.write_u8 (Array.of_list tables))
-      (Array.of_list headers);
-    Pytfhe_tfhe.Lwe_array.write buf (Pytfhe_tfhe.Lwe_array.create ~n:dim rows);
+    Wire.write_array buf (fun buf header -> header buf) (Array.of_list headers);
+    Lwe_array.write buf (Lwe_array.create ~n:dim rows);
     Buffer.contents buf
   in
-  let xor = Pytfhe_circuit.Gate.to_code Pytfhe_circuit.Gate.Xor in
   Alcotest.(check bool) "hand-built payload decodes" true
-    (match Dist_eval.decode_request ~n (payload ~rows:4 [ (xor, []); (130, [ 0x6 ]) ]) with
-    | _, _, [| Wave.Gate _; Wave.Group { arity = 2; _ } |] -> true
+    (match Dist_eval.decode_request ~n (payload ~rows:2 [ gate_header; lut_header 2 [ 0x6 ] ]) with
+    | _, _, { Wave.cells = [| cell; Gates.Cell_lut { arity = 2; _ } |]; _ } ->
+      cell = Gates.gate_cell
     | _ -> false);
   List.iter
     (fun (label, bytes) ->
@@ -311,20 +329,97 @@ let test_request_decoder () =
     [
       ("truncated payload", String.sub valid 0 (String.length valid - 7));
       ("header cut", String.sub valid 0 14);
-      ("NOT gate code", payload ~rows:2 [ (Pytfhe_circuit.Gate.(to_code Not), []) ]);
-      ("unknown gate code", payload ~rows:2 [ (127, []) ]);
-      ("unknown job code", payload ~rows:2 [ (200, [ 1 ]) ]);
-      ("arity 0", payload ~rows:0 [ (128, [ 1 ]) ]);
-      ("arity 4", payload ~rows:4 [ (132, [ 1 ]) ]);
-      ("table too wide for arity 1", payload ~rows:1 [ (129, [ 0b100 ]) ]);
-      ("table too wide for arity 2", payload ~rows:2 [ (130, [ 0x10 ]) ]);
-      ("group without tables", payload ~rows:2 [ (130, []) ]);
-      ("arity-1 group with two tables", payload ~rows:1 [ (129, [ 0b10; 0b01 ]) ]);
-      ("too few operand rows", payload ~rows:3 [ (xor, []); (130, [ 0x6 ]) ]);
-      ("too many operand rows", payload ~rows:5 [ (xor, []); (130, [ 0x6 ]) ]);
-      ("operand dimension", payload ~dim:(n + 1) ~rows:2 [ (xor, []) ]);
-      ("launch capacity 0", payload ~cap:0 ~rows:2 [ (xor, []) ]);
+      ("unknown cell tag", payload ~rows:1 [ (fun buf -> Wire.write_u8 buf 2) ]);
+      ("sign cell the cursor never emits", payload ~rows:1 [ sign_header 12345 0 ]);
+      ("arity 0", payload ~rows:1 [ lut_header 0 [ 1 ] ]);
+      ("arity 1", payload ~rows:1 [ lut_header 1 [ 0b10 ] ]);
+      ("arity 4", payload ~rows:1 [ lut_header 4 [ 1 ] ]);
+      ("table too wide for arity 2", payload ~rows:1 [ lut_header 2 [ 0x10 ] ]);
+      ("group without tables", payload ~rows:1 [ lut_header 2 [] ]);
+      ("too few rows", payload ~rows:1 [ gate_header; lut_header 2 [ 0x6 ] ]);
+      ("too many rows", payload ~rows:3 [ gate_header; lut_header 2 [ 0x6 ] ]);
+      ("row dimension", payload ~dim:(n + 1) ~rows:1 [ gate_header ]);
+      ("launch capacity 0", payload ~cap:0 ~rows:1 [ gate_header ]);
     ]
+
+(* A shard ships one combined row per job: 8 XOR jobs at [Params.test]
+   (a row is 260 bytes) fit in the rows plus a few bytes a cell. *)
+let test_request_size () =
+  let _, ck = Lazy.force keys in
+  let n = ck.Gates.cloud_params.Params.lwe.Params.n in
+  let wave = { Wave.cells = Array.make 8 Gates.gate_cell; rows = Lwe_array.create ~n 8 } in
+  let bytes = Bytes.length (Dist_eval.encode_request ~req_id:1 ~cap:8 wave) in
+  Alcotest.(check bool) (Printf.sprintf "%d bytes" bytes) true (bytes <= 2336)
+
+(* Mutation fuzzing of the two frames a worker and its coordinator read
+   from each other.  A valid frame at a tiny dimension (no keys needed)
+   takes one mutation — a bit flip, a random byte, a truncation, or an
+   8-byte field overwritten with a random 64-bit value — and the decoder
+   must either succeed, holding no more rows than the payload carries, or
+   raise Wire.Corrupt. *)
+let fuzz_n =
+  (Params.custom ~name:"fuzz" ~n:8 ~lwe_stdev:(2.0 ** -20.0) ~ring_n:64 ~k:1
+     ~tlwe_stdev:(2.0 ** -30.0) ~l:2 ~bg_bit:6 ~ks_t:4 ~ks_base_bit:2 ())
+    .Params.lwe.Params.n
+
+let random_rows st ~rows =
+  let t = Lwe_array.create ~n:fuzz_n rows in
+  for r = 0 to rows - 1 do
+    Lwe_array.set t r
+      { Pytfhe_tfhe.Lwe.a = Array.init fuzz_n (fun _ -> Random.State.bits st); b = Random.State.bits st }
+  done;
+  t
+
+let mutate st frame =
+  let b = Bytes.of_string frame in
+  let len = Bytes.length b in
+  match Random.State.int st 4 with
+  | 0 ->
+    let i = Random.State.int st len in
+    Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 lsl Random.State.int st 8));
+    Bytes.to_string b
+  | 1 ->
+    Bytes.set_uint8 b (Random.State.int st len) (Random.State.int st 256);
+    Bytes.to_string b
+  | 2 -> Bytes.sub_string b 0 (Random.State.int st len)
+  | _ ->
+    Bytes.set_int64_le b (Random.State.int st (len - 7)) (Random.State.int64 st Int64.max_int);
+    if Random.State.bool st then Bytes.set_uint8 b (Random.State.int st len) 0xFF;
+    Bytes.to_string b
+
+let row_bytes = 4 * (fuzz_n + 1)
+
+let test_fuzz_request =
+  QCheck.Test.make ~name:"DJOB decoder under mutation: Wire.Corrupt or bounded rows" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let cells =
+        [| Gates.gate_cell; Gates.sign_cell ~table:(Random.State.int st 4);
+           Gates.Cell_lut { arity = 2; tables = [| 0x6; 0x8 |] };
+           Gates.Cell_lut { arity = 3; tables = [| 0x96 |] } |]
+      in
+      let wave = { Wave.cells; rows = random_rows st ~rows:(Array.length cells) } in
+      let frame = mutate st (Bytes.to_string (Dist_eval.encode_request ~req_id:seed ~cap:8 wave)) in
+      match Dist_eval.decode_request ~n:fuzz_n frame with
+      | _, _, w -> Lwe_array.length w.Wave.rows * row_bytes <= String.length frame
+      | exception Wire.Corrupt _ -> true)
+
+let test_fuzz_reply =
+  QCheck.Test.make ~name:"DOUT decoder under mutation: Wire.Corrupt or bounded rows" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let rows = 1 + Random.State.int st 6 in
+      let buf = Buffer.create 1024 in
+      Wire.write_magic buf "DOUT";
+      Wire.write_i64 buf seed;
+      Wire.write_f64 buf 0.25;
+      Lwe_array.write buf (random_rows st ~rows);
+      let frame = mutate st (Buffer.contents buf) in
+      match Dist_eval.decode_reply ~n:fuzz_n ~rows frame with
+      | _, _, outs -> Lwe_array.length outs * row_bytes <= String.length frame
+      | exception Wire.Corrupt _ -> true)
 
 (* Must run before anything else: in a spawned worker process this serves
    the gate protocol and never returns. *)
@@ -352,6 +447,9 @@ let () =
         [
           Alcotest.test_case "DJOB decoder rejects malformed requests" `Quick
             test_request_decoder;
+          Alcotest.test_case "a DJOB carries one combined row per job" `Quick test_request_size;
+          QCheck_alcotest.to_alcotest test_fuzz_request;
+          QCheck_alcotest.to_alcotest test_fuzz_reply;
         ] );
       ( "transform",
         [

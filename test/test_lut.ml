@@ -140,7 +140,7 @@ let test_indicators_one_hot tr () =
   for m = 0 to 7 do
     let ins = bits_of ~arity:3 m in
     let ops = Array.map (fun b -> Gates.encrypt_lut_bit rng sk b) ins in
-    let row = Gates.lut_combine ~n:p.Params.lwe.n ~arity:3 ops in
+    let row = Record_ref.lut_combine ~n:p.Params.lwe.n ops in
     Bootstrap.batch_rows_into p bt ck.Gates.bootstrap_key [| Bootstrap.Job_lut 8 |]
       ~src:(Lwe_array.of_samples ~n:p.Params.lwe.n [| row |])
       ~dst:slots;
@@ -167,13 +167,13 @@ let test_lutdom_roundtrip_and_views tr () =
       let l = Gates.encrypt_lut_bit rng sk v in
       Alcotest.(check bool) "lutdom roundtrip" v (Gates.decrypt_lut_bit sk l);
       (* lutdom → classic view is exact and feeds classic machinery *)
-      Alcotest.(check bool) "classic view" v (Gates.decrypt_bit sk (Gates.lut_to_classic l));
+      Alcotest.(check bool) "classic view" v (Gates.decrypt_bit sk (Record_ref.lut_to_classic l));
       (* classic → lutdom costs one bootstrap *)
       let c = Gates.encrypt_bit rng sk v in
       let re = Gates.reencode ck c in
       Alcotest.(check bool) "reencode" v (Gates.decrypt_lut_bit sk re);
       (* round the full loop: classic → lutdom → classic gate input *)
-      let back = Gates.lut_to_classic re in
+      let back = Record_ref.lut_to_classic re in
       let other = Gates.encrypt_bit rng sk true in
       Alcotest.(check bool) "view into AND gate" (v && true)
         (Gates.decrypt_bit sk (Gates.and_gate ck back other));
@@ -229,18 +229,18 @@ let test_batch_cells_bit_exact tr () =
   let rows =
     [|
       ( Gates.gate_cell,
-        Gates.combine ~n Gates.xor_plan classic other,
+        Record_ref.combine ~n Gates.xor_plan classic other,
         [| Gates.xor_gate ck classic other |] );
       (Gates.sign_cell ~table:0b10, classic, [| Gates.lut1 ck ~table:0b10 classic |]);
       ( Gates.Cell_lut { arity = 2; tables = [| 0x6; 0x8; 0xE |] },
-        Gates.lut_combine ~n ~arity:2 [| l1; l2 |],
+        Record_ref.lut_combine ~n [| l1; l2 |],
         lut2 [| 0x6; 0x8; 0xE |] l1 l2 );
       (Gates.sign_cell ~table:0b01, classic, [| Gates.lut1 ck ~table:0b01 classic |]);
       ( Gates.Cell_lut { arity = 3; tables = [| 0x96; 0xE8 |] },
-        Gates.lut_combine ~n ~arity:3 [| l1; l2; l3 |],
+        Record_ref.lut_combine ~n [| l1; l2; l3 |],
         Array.map (fun table -> Gates.lut3 ck ~table l1 l2 l3) [| 0x96; 0xE8 |] );
       ( Gates.Cell_lut { arity = 2; tables = [| 0x1 |] },
-        Gates.lut_combine ~n ~arity:2 [| l3; l1 |],
+        Record_ref.lut_combine ~n [| l3; l1 |],
         lut2 [| 0x1 |] l3 l1 );
     |]
   in
