@@ -70,3 +70,6 @@ let pp_cpu fmt c =
     (100.0 *. c.key_switch_fraction)
     (c.comm_time *. 1e6) (c.submit_time *. 1e6) c.workers_per_node
 
+let pp_gpu fmt g =
+  Format.fprintf fmt "%s: %d slots, kernel=%.2f ms, h2d=%.2f ms, d2h=%.2f ms" g.gpu_name g.slots
+    (g.kernel_time *. 1e3) (g.h2d_time *. 1e3) (g.d2h_time *. 1e3)

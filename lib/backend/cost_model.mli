@@ -45,3 +45,4 @@ val single_core_throughput : cpu -> float
 (** Bootstrapped gates per second on one core. *)
 
 val pp_cpu : Format.formatter -> cpu -> unit
+val pp_gpu : Format.formatter -> gpu -> unit

@@ -1,15 +1,42 @@
-(* Real multi-process distributed evaluation of TFHE programs: the
-   interface states the protocol, the failure semantics and the worker
-   hook.
+(* Real multi-process distributed evaluation of TFHE programs.
 
-   Workers are re-executed host binaries (create_process / posix_spawn),
-   not forks: the OCaml 5 runtime forbids fork in any process that has
-   ever created a domain, and Par_eval creates domains.  The DRDY
-   handshake below turns a host that forgot [worker_entry] into a prompt,
-   explicit startup failure instead of a recursive process tree.  The
-   coordinator never trusts a worker: a reply that fails to parse costs a
-   retry and never reaches the wave result, and a lost worker's shard
-   moves to the least-loaded survivor. *)
+   Where Sched_cpu *prices* the paper's Ray cluster (§IV-D, Fig. 10) through
+   a cost model, this executor actually crosses the process boundary: it
+   spawns N worker processes, ships the cloud keyset once at startup, and
+   then, for every wave Wave.drive produces, sends each worker one
+   contiguous shard of the wave — its cell headers plus one combined row
+   per job as one Lwe_array, inside a length-prefixed frame over a Unix
+   socketpair — and collects the output rows, which the worker computed
+   with Wave.exec, at a wave barrier.
+
+   Workers are spawned by re-executing the host binary (create_process /
+   posix_spawn) with PYTFHE_DIST_WORKER set, not by Unix.fork: the OCaml 5
+   runtime permanently forbids fork in any process that has ever created a
+   domain, and Par_eval creates domains.  Host executables opt in by
+   calling [worker_entry] before anything else in main; a spawned worker
+   then serves the gate protocol on its stdin socket and never returns.
+   The DRDY handshake below turns a host that forgot the hook into a
+   prompt, explicit startup failure instead of a recursive process tree.
+
+   The coordinator is built to survive its workers, not just to use them:
+
+   - every outstanding request has a deadline; expiry triggers a bounded
+     number of backoff extensions (a slow worker gets more time) before the
+     worker is declared lost, SIGKILLed and its shard reassigned;
+   - while waiting, the coordinator heartbeats worker processes with
+     waitpid(WNOHANG), so a crashed worker is detected without waiting for
+     the request timeout;
+   - a reply that fails to parse (Wire.Corrupt, truncated payload, wrong
+     row count) is counted, and the request is re-sent — corruption never
+     propagates into the value table and never kills the coordinator;
+   - loss of a worker degrades capacity gracefully: survivors absorb the
+     shard, down to a single worker.  Only losing *every* worker raises.
+
+   Because each job runs the identical torus operation sequence as on the
+   other placements — only in another address space, with the rows
+   round-tripped through the exact 32-bit wire encoding — the output
+   ciphertexts are bit-exact with the cpu placement for any worker count
+   and any fault pattern the executor survives. *)
 
 module Wire = Pytfhe_util.Wire
 module Trace = Pytfhe_obs.Trace

@@ -24,6 +24,10 @@ val write_all : Unix.file_descr -> Bytes.t -> int -> int -> unit
 (** Write exactly [len] bytes, retrying short writes; raises
     {!Frame_closed} if the peer is gone. *)
 
+val read_exact : deadline:float -> Unix.file_descr -> Bytes.t -> int -> int -> unit
+(** Read exactly [len] bytes before [deadline] (absolute seconds;
+    [infinity] blocks), or raise {!Frame_timeout} / {!Frame_closed}. *)
+
 val write_frame_parts : Unix.file_descr -> Bytes.t list -> int
 (** Frame and send the concatenation of [parts] as one payload, without
     building it: a large part shared by several frames is written as is.

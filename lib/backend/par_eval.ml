@@ -1,7 +1,14 @@
-(* The par placement of the wave engine.  A wave's jobs have all their
-   fan-ins in earlier waves, so each domain of a fork-join pool runs one
-   contiguous slice of the wave into its own rows of one result array;
-   the pool's mutex handshake is the inter-wave happens-before edge. *)
+(* Real multicore evaluation of TFHE programs on OCaml 5 domains.
+
+   The par placement of the wave engine: each wave's jobs have all their
+   fan-ins in earlier waves, so the wave is cut into one contiguous slice
+   per domain of a fork-join pool, and each domain runs its slice through
+   its own Wave.engine.  The slices write disjoint rows of one result
+   array, and the pool's mutex handshake is the inter-wave happens-before
+   edge.
+
+   The placement is bit-exact with the cpu one: each job performs the
+   identical float/torus operation sequence, only on a different domain. *)
 
 module Levelize = Pytfhe_circuit.Levelize
 module Trace = Pytfhe_obs.Trace

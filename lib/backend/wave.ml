@@ -135,9 +135,7 @@ let claim c l =
   let i = c.next in
   if i >= Array.length c.levels then begin
     c.levels <- grow c.levels (i + 16) 0;
-    let slab = Lwe_array.create ~n:c.n (Array.length c.levels) in
-    Lwe_array.blit ~src:c.slab ~src_pos:0 ~dst:slab ~dst_pos:0 ~len:(Lwe_array.length c.slab);
-    c.slab <- slab
+    c.slab <- Lwe_array.grow c.slab (Array.length c.levels)
   end;
   c.levels.(i) <- l;
   c.next <- i + 1;
@@ -173,7 +171,8 @@ let feed c = function
   | Const b ->
     Binary.Check.constant c.check;
     let mu = Params.mu c.cloud.Gates.cloud_params in
-    Lwe_array.set_trivial c.slab (claim c 0) (if b then mu else Torus.neg mu)
+    let i = claim c 0 in
+    Lwe_array.set_trivial c.slab i (if b then mu else Torus.neg mu)
   | Inst inst -> (
     Binary.Check.feed c.check inst;
     match inst with
@@ -182,7 +181,8 @@ let feed c = function
       let k = Binary.Check.inputs c.check - 1 in
       if k >= Array.length c.inputs then
         invalid_arg "Wave.cursor: more input declarations than inputs";
-      Lwe_array.set c.slab (claim c 0) c.inputs.(k)
+      let i = claim c 0 in
+      Lwe_array.set c.slab i c.inputs.(k)
     | Binary.Gate_inst { gate; in0; _ } when Gate.is_unary gate ->
       (* Evaluated at once when its operand is computed, right after the
          operand's level otherwise. *)

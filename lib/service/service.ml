@@ -20,14 +20,17 @@
      once (cpu: an engine; par: per-domain engines on the service's one
      pool; dist: a worker session).
    - Cross-request packing is per tenant: ciphertexts under different
-     keys can never share a launch.  Within a tenant the scheduler copies
-     ready jobs' cells and rows from requests in admission order, up to
-     the binding's capacity, into one launch wave, so replies are
+     keys can never share a launch.  Within a tenant the scheduler takes
+     ready jobs — gates and LUT rotation groups alike — from requests in
+     admission order up to the binding's capacity, copies their cells and
+     rows into one launch wave and runs it as one run_wave, so replies are
      ciphertext-bit-exact with a per-tenant Server.run.
-   - Failure isolation is as the interface states it; in addition a
-     connection dying takes its own sessions and in-flight requests with
-     it, and a placement failing a launch fails that launch's requests
-     and drops the binding. *)
+   - Failure isolation: a frame whose payload fails validation draws an
+     SERR on that connection and nothing else; a program the cursor
+     rejects fails only its own request; a connection dying takes its own
+     sessions and in-flight requests with it; evicting a keyset fails
+     exactly that tenant's in-flight requests; a placement failing a
+     launch fails that launch's requests and drops the binding. *)
 
 module Wire = Pytfhe_util.Wire
 module Trace = Pytfhe_obs.Trace

@@ -37,6 +37,7 @@ type error_code =
   | Mismatch  (** Session params (transform included) differ from the keyset's. *)
   | Internal  (** Execution failure. *)
 
+val int_of_error_code : error_code -> int
 val error_code_of_int : int -> error_code
 (** Raises {!Pytfhe_util.Wire.Corrupt} on an unknown code. *)
 

@@ -133,3 +133,6 @@ val read : Params.t -> Pytfhe_util.Wire.reader -> key
 val lut_amplitude : Torus.t
 (** The lutdom unit 1/16 carried by the staircase's hot slot. *)
 
+val fill_lut_testvect : Params.t -> msize:int -> Poly.torus_poly -> unit
+(** Overwrite a ring-degree buffer with the indicator staircase for a
+    message space of [msize] (which must divide N). *)

@@ -24,8 +24,11 @@ type entry = {
 
 val create : unit -> t
 
+val max_id_len : int
+(** 64. *)
+
 val validate_id : string -> unit
-(** Client ids are 1..64 chars of [[A-Za-z0-9._-]].  Raises
+(** Client ids are 1..{!max_id_len} chars of [[A-Za-z0-9._-]].  Raises
     {!Pytfhe_util.Wire.Corrupt} otherwise — ids arrive off the wire, and a
     malformed one is a protocol error, not a programming error. *)
 

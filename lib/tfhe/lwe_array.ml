@@ -1,10 +1,18 @@
 module Wire = Pytfhe_util.Wire
 
-(* Torus elements are canonical values in [0, 2^32), so the int32 cells
-   round-trip exactly: [unsafe_set32] truncates to 32 bits and
-   [unsafe_get32] reads them back with [land 0xFFFFFFFF].  Every row op
-   goes through [Torus], so it lands on the words of the corresponding
-   [Lwe.sample] op. *)
+(* Struct-of-arrays LWE ciphertext storage: a wave of [len] samples of
+   dimension [n] as one flat int32 Bigarray of masks (row-major, row r at
+   offset r·n) plus a flat body vector.  This is the native currency of the
+   batched kernels — the interchanged loops sweep the batch dimension at
+   unit stride while a bootstrapping/key-switch key row stays resident —
+   and of the dist wire, where a whole shard ships as two flat blocks.
+
+   Torus elements are canonical values in [0, 2^32), so the int32 cells
+   round-trip exactly: [set32] truncates to 32 bits and [get32] reads them
+   back with [land 0xFFFFFFFF].  Every arithmetic op below goes through
+   [Torus], so a row op performs the identical operation sequence as the
+   corresponding [Lwe.sample] op — the bit-exactness the batched executors
+   are tested against. *)
 
 type t = { n : int; len : int; masks : Wire.i32_buffer; bodies : Wire.i32_buffer }
 
@@ -24,6 +32,16 @@ let create ~n len =
   Bigarray.Array1.fill masks 0l;
   Bigarray.Array1.fill bodies 0l;
   { n; len; masks; bodies }
+
+(* The spare rows are left as the allocator returns them: a large block is
+   fresh pages, which take no memory until a row is written. *)
+let grow t len =
+  if len < t.len then invalid_arg "Lwe_array.grow: fewer rows than the source";
+  let masks = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (len * t.n) in
+  let bodies = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout len in
+  Bigarray.Array1.blit t.masks (Bigarray.Array1.sub masks 0 (t.len * t.n));
+  Bigarray.Array1.blit t.bodies (Bigarray.Array1.sub bodies 0 t.len);
+  { t with len; masks; bodies }
 
 let length t = t.len
 let dim t = t.n
@@ -95,19 +113,46 @@ let affine_into ~dst ~drow c terms =
   done;
   unsafe_set32 dst.bodies drow (sum c n terms)
 
+(* Row-granular addition.  Every element is read from both sources before
+   the destination element is written, so a destination row may alias
+   either source row (including through overlapping slices). *)
 let add_into ~dst ~drow ~a ~arow ~b ~brow =
-  affine_into ~dst ~drow Torus.zero [ (1, a, arow); (1, b, brow) ]
+  let who = "Lwe_array.add_into" in
+  if a.n <> dst.n || b.n <> dst.n then invalid_arg (who ^ ": dimension mismatch");
+  check_row dst drow who;
+  check_row a arow who;
+  check_row b brow who;
+  let n = dst.n in
+  let od = drow * n and oa = arow * n and ob = brow * n in
+  for i = 0 to n - 1 do
+    unsafe_set32 dst.masks (od + i)
+      (Torus.add (unsafe_get32 a.masks (oa + i)) (unsafe_get32 b.masks (ob + i)))
+  done;
+  unsafe_set32 dst.bodies drow (Torus.add (unsafe_get32 a.bodies arow) (unsafe_get32 b.bodies brow))
 
 let neg_into ~dst ~drow ~a ~arow = affine_into ~dst ~drow Torus.zero [ (-1, a, arow) ]
-let set_trivial t r mu = affine_into ~dst:t ~drow:r mu []
+
+let set_trivial t r mu =
+  check_row t r "Lwe_array.set_trivial";
+  let off = r * t.n in
+  for i = 0 to t.n - 1 do
+    unsafe_set32 t.masks (off + i) 0
+  done;
+  unsafe_set32 t.bodies r mu
 
 let blit ~src ~src_pos ~dst ~dst_pos ~len =
   if src.n <> dst.n then invalid_arg "Lwe_array.blit: dimension mismatch";
   if len < 0 || src_pos < 0 || dst_pos < 0 || src_pos + len > src.len || dst_pos + len > dst.len
   then invalid_arg "Lwe_array.blit: out of bounds";
-  (* One row, the executors' common copy, as 1·src: a [sub] view costs
-     heap blocks per call. *)
-  if len = 1 then affine_into ~dst ~drow:dst_pos Torus.zero [ (1, src, src_pos) ]
+  if len = 1 then begin
+    (* One row, the executors' common copy, cell by cell: a [sub] view
+       costs heap blocks per call. *)
+    let n = src.n in
+    for i = 0 to n - 1 do
+      unsafe_set32 dst.masks ((dst_pos * n) + i) (unsafe_get32 src.masks ((src_pos * n) + i))
+    done;
+    unsafe_set32 dst.bodies dst_pos (unsafe_get32 src.bodies src_pos)
+  end
   else if len > 1 then begin
     Bigarray.Array1.blit
       (Bigarray.Array1.sub src.masks (src_pos * src.n) (len * src.n))

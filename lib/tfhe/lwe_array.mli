@@ -23,6 +23,12 @@ val create : n:int -> int -> t
 (** [create ~n len] allocates a zero-filled array of [len] samples of
     dimension [n ≥ 1].  Raises [Invalid_argument] on a bad shape. *)
 
+val grow : t -> int -> t
+(** [grow t len]: a fresh array of [len] rows whose first [length t] rows
+    copy [t]'s; the rest hold unspecified words until written, and a large
+    array's spare rows are not touched.  For a table filled row by row.
+    Raises [Invalid_argument] when [len < length t]. *)
+
 val length : t -> int
 val dim : t -> int
 
@@ -42,9 +48,9 @@ val set_trivial : t -> int -> Torus.t -> unit
 (** Row [r] ← the noiseless trivial encryption (zero mask, body [mu]). *)
 
 val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
-(** Copy [len] whole rows: one row in place, more as two flat Bigarray
-    blits.  Raises [Invalid_argument] on dimension mismatch or
-    out-of-bounds ranges. *)
+(** Copy [len] whole rows: one row cell by cell without allocating, more
+    as two flat Bigarray blits.  Raises [Invalid_argument] on dimension
+    mismatch or out-of-bounds ranges. *)
 
 val of_samples : n:int -> Lwe.sample array -> t
 val to_samples : t -> Lwe.sample array
@@ -58,11 +64,11 @@ val body : t -> int -> Torus.t
 
 (** {2 Row ops}
 
-    They allocate nothing but their term list, and read every source
-    element before writing the destination element, so the destination
-    row may alias a source row (same row of the same array, or overlapping
-    slices).  Raise [Invalid_argument] on a dimension mismatch or a row
-    out of bounds. *)
+    They read every source element before writing the destination
+    element, so the destination row may alias a source row (same row of
+    the same array, or overlapping slices).  {!add_into} allocates
+    nothing; the others allocate nothing but their term list.  Raise
+    [Invalid_argument] on a dimension mismatch or a row out of bounds. *)
 
 val affine_into : dst:t -> drow:int -> Torus.t -> (int * t * int) list -> unit
 (** [affine_into ~dst ~drow c terms]: [dst.(drow) ← (0, c) + Σ w·src.(row)]

@@ -28,6 +28,9 @@ val blind_rotation : Params.t -> budget
     of the input noise — this is what "bootstrapping refreshes noise"
     means. *)
 
+val key_switch : Params.t -> budget -> budget
+(** Added variance of the key switch back to the small key. *)
+
 val transform_error : Params.t -> budget
 (** Numerical error contributed by the polynomial-product backend itself:
     exactly zero for the NTT (products are exact in ℤ[X]/(Xᴺ+1) before the

@@ -38,6 +38,7 @@ let test =
 
 let extracted_n p = p.tlwe.k * p.tlwe.ring_n
 let bg p = 1 lsl p.tgsw.bg_bit
+let ks_base p = 1 lsl p.ks.base_bit
 let mu _ = Torus.mod_switch_to 1 ~msize:8
 
 let with_transform p transform = { p with transform }

@@ -53,6 +53,9 @@ val extracted_n : t -> int
 val bg : t -> int
 (** The gadget base Bg = 2^bg_bit. *)
 
+val ks_base : t -> int
+(** The key-switch base 2^base_bit. *)
+
 val mu : t -> Torus.t
 (** The gate-bootstrapping message amplitude 1/8. *)
 

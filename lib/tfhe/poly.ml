@@ -88,6 +88,11 @@ let mul_by_xai_minus_one_into dst a p =
     done
   end
 
+let mul_by_xai_minus_one a p =
+  let out = Array.make (Array.length p) 0 in
+  mul_by_xai_minus_one_into out a p;
+  out
+
 let to_floats_into ~centred dst p =
   let n = Array.length p in
   if Array.length dst <> n then invalid_arg "Poly.to_floats_into: size mismatch";
@@ -128,3 +133,17 @@ let mul_int_torus ip tp =
   let a = to_floats ~centred:false ip in
   let b = to_floats ~centred:true tp in
   of_floats (Negacyclic.polymul a b)
+
+let mul_int_torus_naive ip tp =
+  let n = Array.length ip in
+  let out = Array.make n 0 in
+  for i = 0 to n - 1 do
+    if ip.(i) <> 0 then
+      for j = 0 to n - 1 do
+        let k = i + j in
+        let term = Torus.mul_int ip.(i) tp.(j) in
+        if k < n then out.(k) <- Torus.add out.(k) term
+        else out.(k - n) <- Torus.sub out.(k - n) term
+      done
+  done;
+  out

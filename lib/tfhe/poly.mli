@@ -38,6 +38,9 @@ val mul_by_xai_into : torus_poly -> int -> torus_poly -> unit
     the length of [p] and must not alias it (the rotation reads ahead of its
     writes).  Raises [Invalid_argument] otherwise. *)
 
+val mul_by_xai_minus_one : int -> torus_poly -> torus_poly
+(** [(X^a − 1) · p], the CMux rotation difference, same domain for [a]. *)
+
 val mul_by_xai_minus_one_into : torus_poly -> int -> torus_poly -> unit
 (** [mul_by_xai_minus_one_into dst a p] writes [(X^a − 1) · p] into [dst] in
     one fused pass (no staging rotation buffer).  Same aliasing and length
@@ -47,6 +50,9 @@ val mul_int_torus : int_poly -> torus_poly -> torus_poly
 (** Negacyclic product of an integer polynomial with a torus polynomial via
     the FFT path.  Exact as long as coefficients stay within double
     precision (true for gadget digits against 32-bit torus values). *)
+
+val mul_int_torus_naive : int_poly -> torus_poly -> torus_poly
+(** Schoolbook reference for {!mul_int_torus} (tests only). *)
 
 val to_floats : centred:bool -> int array -> float array
 (** Lift coefficients to floats; [centred] interprets them as torus values

@@ -32,6 +32,15 @@ let mod_switch_from t ~msize =
   let product = Int64.add (Int64.mul (Int64.of_int t) (Int64.of_int msize)) 0x80000000L in
   Int64.to_int (Int64.shift_right_logical product 32) mod msize
 
+let approx_phase t ~msize =
+  let interval = 0x100000000 / msize in
+  let half = interval / 2 in
+  (t + half) / interval * interval land mask
+
 let add_gaussian rng ~stdev t =
   let noise = Pytfhe_util.Rng.gaussian rng ~stdev in
   add t (of_double noise)
+
+let distance a b =
+  let d = Float.abs (to_double (sub a b)) in
+  Float.min d (1.0 -. d)

@@ -44,7 +44,13 @@ val mod_switch_from : t -> msize:int -> int
 (** [mod_switch_from t ~msize] rounds [t] to the nearest multiple of
     [1/msize] and returns its index in [0, msize) (modSwitchFromTorus32). *)
 
+val approx_phase : t -> msize:int -> t
+(** Round to the nearest element of the [msize]-element message space. *)
+
 val add_gaussian : Pytfhe_util.Rng.t -> stdev:float -> t -> t
 (** Add centred Gaussian noise of the given standard deviation (as a
     fraction of the torus). *)
 
+val distance : t -> t -> float
+(** Torus distance |a − b| as a real in [0, 1/2]; used by tests to check
+    that decrypted phases sit near their expected message. *)

@@ -48,7 +48,8 @@ let test_torus_mod_switch_rounds_noise () =
   let msize = 8 in
   let t = Torus.mod_switch_to 3 ~msize in
   let noisy = Torus.add t (Torus.of_double 0.01) in
-  Alcotest.(check int) "small noise rounds away" 3 (Torus.mod_switch_from noisy ~msize)
+  Alcotest.(check int) "small noise rounds away" 3 (Torus.mod_switch_from noisy ~msize);
+  Alcotest.(check int) "approx phase recentres" t (Torus.approx_phase noisy ~msize)
 
 let test_torus_mul_int () =
   let eighth = Torus.mod_switch_to 1 ~msize:8 in
@@ -130,7 +131,7 @@ let test_poly_mul_xai_minus_one () =
   let p = random_torus_poly rng n in
   let a = 9 in
   let expected = Poly.sub (Poly.mul_by_xai a p) p in
-  Alcotest.(check (array int)) "(X^a - 1)p" expected (Schoolbook.mul_by_xai_minus_one a p)
+  Alcotest.(check (array int)) "(X^a - 1)p" expected (Poly.mul_by_xai_minus_one a p)
 
 let test_poly_fft_mul_matches_naive () =
   let rng = Rng.create ~seed:8 () in
@@ -138,11 +139,11 @@ let test_poly_fft_mul_matches_naive () =
     (fun n ->
       let ip = Array.init n (fun _ -> Rng.int rng 64 - 32) in
       let tp = random_torus_poly rng n in
-      let expected = Schoolbook.mul_int_torus ip tp in
+      let expected = Poly.mul_int_torus_naive ip tp in
       let got = Poly.mul_int_torus ip tp in
       Array.iteri
         (fun i e ->
-          if Schoolbook.distance e got.(i) > 1e-7 then
+          if Torus.distance e got.(i) > 1e-7 then
             Alcotest.failf "n=%d coeff %d: naive %d fft %d" n i e got.(i))
         expected)
     [ 16; 64; 256 ]
@@ -157,7 +158,7 @@ let test_poly_mul_by_binary () =
   let got = Poly.mul_int_torus one tp in
   Array.iteri
     (fun i e ->
-      if Schoolbook.distance e got.(i) > 1e-7 then Alcotest.failf "identity product broke at %d" i)
+      if Torus.distance e got.(i) > 1e-7 then Alcotest.failf "identity product broke at %d" i)
     tp
 
 (* ------------------------------------------------------------------ *)
@@ -224,7 +225,7 @@ let test_tlwe_phase_recovers_message () =
   let ph = Tlwe.phase key c in
   Array.iteri
     (fun i m ->
-      if Schoolbook.distance m ph.(i) > 1e-4 then Alcotest.failf "phase off at %d" i)
+      if Torus.distance m ph.(i) > 1e-4 then Alcotest.failf "phase off at %d" i)
     msg
 
 (* Read accumulator row 0 back as its phases: extract every position
@@ -274,7 +275,7 @@ let test_tlwe_add_sub_roundtrip () =
   let pa = Tlwe.phase key a and pc = Tlwe.phase key c in
   Array.iteri
     (fun i x ->
-      if Schoolbook.distance x pc.(i) > 1e-9 then Alcotest.failf "add/sub not inverse at %d" i)
+      if Torus.distance x pc.(i) > 1e-9 then Alcotest.failf "add/sub not inverse at %d" i)
     pa
 
 let test_tgsw_external_product_zero_one () =
@@ -294,7 +295,7 @@ let test_tgsw_external_product_zero_one () =
     Tgsw.cmux_rotate_row_into params ws g a row ~row:0;
     Array.iteri
       (fun i v ->
-        if Schoolbook.distance expected.(i) v > 1e-3 then Alcotest.failf "m=%d phase off at %d" m i)
+        if Torus.distance expected.(i) v > 1e-3 then Alcotest.failf "m=%d phase off at %d" m i)
       (row_phases params ekey row)
   in
   check 1 (Poly.mul_by_xai a msg);
@@ -317,7 +318,7 @@ let test_tgsw_cmux_selects () =
     let g = Tgsw.to_fft params (Tgsw.encrypt_int rng params key bit) in
     Tgsw.cmux_rotate_row_into params ws g n row ~row:0;
     let ph = row_phases params ekey row in
-    if Schoolbook.distance expected ph.(0) > 1e-3 then
+    if Torus.distance expected ph.(0) > 1e-3 then
       Alcotest.failf "cmux bit=%d selected wrong branch" bit
   in
   check 1 quarter;
@@ -348,7 +349,7 @@ let test_tgsw_decompose_reconstructs () =
             let base_pow = 1 lsl (32 - ((j + 1) * bg_bit)) in
             recon := Torus.add !recon (Torus.mul_int digits.((comp * l) + j).(t) base_pow)
           done;
-          if Schoolbook.distance coeff !recon > 1.0 /. float_of_int (1 lsl ((l * bg_bit) - 1)) then
+          if Torus.distance coeff !recon > 1.0 /. float_of_int (1 lsl ((l * bg_bit) - 1)) then
             Alcotest.failf "recombination off at comp %d coeff %d" comp t)
         poly)
     polys
@@ -1095,7 +1096,7 @@ let schoolbook_product p (g : Tgsw.sample) (c : Tlwe.sample) =
       (fun r d ->
         let row = g.Tgsw.rows.(r) in
         let poly = if comp < k then row.Tlwe.mask.(comp) else row.Tlwe.body in
-        Poly.add_to acc (Schoolbook.mul_int_torus d poly))
+        Poly.add_to acc (Poly.mul_int_torus_naive d poly))
       digits;
     acc
   in
@@ -1105,8 +1106,8 @@ let schoolbook_product p (g : Tgsw.sample) (c : Tlwe.sample) =
 let schoolbook_cmux_rotate p g a (acc : Tlwe.sample) =
   let rot =
     {
-      Tlwe.mask = Array.map (Schoolbook.mul_by_xai_minus_one a) acc.Tlwe.mask;
-      body = Schoolbook.mul_by_xai_minus_one a acc.Tlwe.body;
+      Tlwe.mask = Array.map (Poly.mul_by_xai_minus_one a) acc.Tlwe.mask;
+      body = Poly.mul_by_xai_minus_one a acc.Tlwe.body;
     }
   in
   let out = Tlwe.copy acc in
@@ -1186,8 +1187,8 @@ let qcheck_external_product_matches_schoolbook =
           Tgsw.cmux_rotate_row_into p (Tgsw.workspace_create p) (Tgsw.to_fft p g) a tr ~row:0;
           let diff =
             {
-              Tlwe.mask = Array.map (Schoolbook.mul_by_xai_minus_one a) acc.Tlwe.mask;
-              body = Schoolbook.mul_by_xai_minus_one a acc.Tlwe.body;
+              Tlwe.mask = Array.map (Poly.mul_by_xai_minus_one a) acc.Tlwe.mask;
+              body = Poly.mul_by_xai_minus_one a acc.Tlwe.body;
             }
           in
           let expected = Tlwe.copy acc in
